@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark): EM/EMS reconstruction cost as a
 // function of the histogram granularity — the aggregator's post-processing
-// budget (one mat-vec pair per iteration: O(d^2) dense, O(d * band) banded,
-// O(d) through the analytic sliding-window operator).
+// budget (one mat-vec pair per iteration: O(d^2) dense, O(d) through the
+// analytic sliding-window operator).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -43,11 +43,10 @@ namespace {
 using namespace numdist;
 
 // Shared fixture data: SW observations of a bimodal distribution, with the
-// dense matrix and both structured views of the same transition.
+// dense matrix and the analytic view of the same transition.
 struct EmInput {
   SquareWave sw;
   Matrix m;
-  BandedObservationModel banded;
   SlidingWindowObservationModel sliding;
   std::vector<uint64_t> counts;
 };
@@ -62,9 +61,7 @@ EmInput MakeEmInput(size_t d) {
     const double v = rng.Bernoulli(0.5) ? 0.3 : 0.7;
     reports.push_back(sw.Perturb(v, rng));
   }
-  Matrix m = sw.TransitionMatrix(d, d);
-  const double background = sw.q() * (1.0 + 2.0 * sw.b()) / d;
-  return {sw, m, BandedObservationModel::FromDense(m, background, 1e-13),
+  return {sw, sw.TransitionMatrix(d, d),
           SlidingWindowObservationModel::FromContinuous(sw, d, d),
           sw.BucketizeReports(reports, d)};
 }
@@ -88,17 +85,6 @@ void BM_EmIteration(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10 * 2 * d * d);
 }
 BENCHMARK(BM_EmIteration)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
-
-void BM_EmIterationBanded(benchmark::State& state) {
-  const size_t d = static_cast<size_t>(state.range(0));
-  const EmInput input = MakeEmInput(d);
-  const EmOptions opts = TenFixedIterations();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EstimateEm(input.banded, input.counts, opts));
-  }
-  state.SetItemsProcessed(state.iterations() * 10 * 2 * d * d);
-}
-BENCHMARK(BM_EmIterationBanded)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
 void BM_EmIterationSliding(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
@@ -138,7 +124,7 @@ void BM_EmAllocationsPerIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_EmAllocationsPerIteration)->Iterations(1);
 
-// Raw mat-vec pair (Apply + ApplyTranspose) cost of the three
+// Raw mat-vec pair (Apply + ApplyTranspose) cost of the two
 // representations of the same SW transition operator.
 template <typename Model>
 void MatVecPairLoop(benchmark::State& state, const Model& model, size_t d) {
@@ -162,16 +148,6 @@ void BM_MatVecDense(benchmark::State& state) {
   MatVecPairLoop(state, dense, d);
 }
 BENCHMARK(BM_MatVecDense)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_MatVecBanded(benchmark::State& state) {
-  const size_t d = static_cast<size_t>(state.range(0));
-  const SquareWave sw = SquareWave::Make(1.0).ValueOrDie();
-  const double background = sw.q() * (1.0 + 2.0 * sw.b()) / d;
-  const BandedObservationModel banded = BandedObservationModel::FromDense(
-      sw.TransitionMatrix(d, d), background, 1e-13);
-  MatVecPairLoop(state, banded, d);
-}
-BENCHMARK(BM_MatVecBanded)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_MatVecSliding(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));

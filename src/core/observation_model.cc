@@ -76,37 +76,14 @@ double DenseObservationModel::EmSweep(const std::vector<double>& x,
   y->resize(d_out);
   weights->resize(d_out);
   mtw->assign(d, 0.0);
-  // Single sweep over row pairs: the weight for bucket j depends on y_j
+  // Single sweep over the rows: the weight for bucket j depends on y_j
   // alone, so each row can be dotted, weighted, and folded into M^T w
   // while still cache-hot. Dense EM is bound by matrix bandwidth; this
   // touches the matrix once per iteration instead of twice (Apply +
-  // ApplyTranspose stream it separately), and pairing rows halves the
-  // x-vector load traffic on top. Same operator to rounding as the default
-  // three-pass composition (Dot2's per-row reduction order differs from
-  // Dot's — see kernels.h), identical under scalar and AVX2 dispatch.
+  // ApplyTranspose stream it separately) with the same per-row Dot and
+  // Axpy calls they make, so the result is bit-identical to them.
   double ll = 0.0;
-  size_t j = 0;
-  for (; j + 2 <= d_out; j += 2) {
-    const double* row0 = m_.row(j);
-    const double* row1 = m_.row(j + 1);
-    double y0 = 0.0;
-    double y1 = 0.0;
-    kernels::Dot2(row0, row1, x.data(), d, &y0, &y1);
-    (*y)[j] = y0;
-    (*y)[j + 1] = y1;
-    const double w0 = RowWeight(counts[j], y0, &ll);
-    const double w1 = RowWeight(counts[j + 1], y1, &ll);
-    (*weights)[j] = w0;
-    (*weights)[j + 1] = w1;
-    if (w0 != 0.0 && w1 != 0.0) {
-      kernels::Axpy2(mtw->data(), w0, row0, w1, row1, d);
-    } else if (w0 != 0.0) {
-      kernels::Axpy(mtw->data(), w0, row0, d);
-    } else if (w1 != 0.0) {
-      kernels::Axpy(mtw->data(), w1, row1, d);
-    }
-  }
-  if (j < d_out) {
+  for (size_t j = 0; j < d_out; ++j) {
     const double* row = m_.row(j);
     const double yj = kernels::Dot(row, x.data(), d);
     (*y)[j] = yj;
@@ -115,60 +92,6 @@ double DenseObservationModel::EmSweep(const std::vector<double>& x,
     if (w != 0.0) kernels::Axpy(mtw->data(), w, row, d);
   }
   return ll;
-}
-
-BandedObservationModel BandedObservationModel::FromDense(const Matrix& m,
-                                                         double background,
-                                                         double tol) {
-  BandedObservationModel model(m.rows(), m.cols(), background);
-  model.band_start_.resize(m.cols());
-  model.band_offset_.resize(m.cols());
-  model.band_len_.resize(m.cols());
-  for (size_t i = 0; i < m.cols(); ++i) {
-    size_t first = m.rows();
-    size_t last = 0;  // exclusive
-    for (size_t j = 0; j < m.rows(); ++j) {
-      if (std::fabs(m(j, i) - background) > tol) {
-        if (first == m.rows()) first = j;
-        last = j + 1;
-      }
-    }
-    if (first == m.rows()) {  // column is pure background
-      first = 0;
-      last = 0;
-    }
-    model.band_start_[i] = first;
-    model.band_offset_[i] = model.band_values_.size();
-    model.band_len_[i] = last - first;
-    for (size_t j = first; j < last; ++j) {
-      model.band_values_.push_back(m(j, i) - background);
-    }
-  }
-  return model;
-}
-
-void BandedObservationModel::Apply(const std::vector<double>& x,
-                                   std::vector<double>* y) const {
-  assert(x.size() == cols_);
-  const double total = kernels::Sum(x.data(), x.size());
-  y->assign(rows_, background_ * total);
-  for (size_t i = 0; i < cols_; ++i) {
-    const double xi = x[i];
-    if (xi == 0.0) continue;
-    kernels::Axpy(y->data() + band_start_[i], xi,
-                  band_values_.data() + band_offset_[i], band_len_[i]);
-  }
-}
-
-void BandedObservationModel::ApplyTranspose(const std::vector<double>& z,
-                                            std::vector<double>* out) const {
-  assert(z.size() == rows_);
-  const double total = kernels::Sum(z.data(), z.size());
-  out->assign(cols_, background_ * total);
-  for (size_t i = 0; i < cols_; ++i) {
-    (*out)[i] += kernels::Dot(band_values_.data() + band_offset_[i],
-                              z.data() + band_start_[i], band_len_[i]);
-  }
 }
 
 namespace {

@@ -1,16 +1,14 @@
 // Observation-model abstraction for EM/EMS.
 //
-// EM only needs y = M x and x = M^T z products. Square-Wave-style transition
-// matrices have special structure: outside the wave band every entry of a
-// column equals the same background value q * bucket_width, so
-//   M = background * J + S,       J = all-ones,  S banded.
-// Exploiting this turns the O(d_out * d) mat-vec into O(nnz(S) + d), which
-// makes EM at d = 2048 several times faster. S itself is not arbitrary
-// either: it is a shifted box kernel of height p - q (a Toeplitz
-// convolution), so both products collapse further to O(d + d_out) running
-// prefix sums independent of the wave bandwidth — that is the
-// SlidingWindowObservationModel, the fastest path and the one SwEstimator
-// uses. The dense fallback keeps EM usable with arbitrary matrices.
+// EM only needs y = M x and x = M^T z products, so the Square Wave
+// transition never has to be materialized: it is a constant background q
+// plus a shifted box kernel of height p - q (a Toeplitz convolution), and
+// both products collapse to O(d + d_out) running prefix sums independent
+// of the wave bandwidth. That is the SlidingWindowObservationModel, the
+// operator SwEstimator reconstructs through. The dense model keeps EM
+// usable with arbitrary matrices: the general wave shapes of the fig5 /
+// fig6 ablations, and tests that build the SW matrix themselves to
+// cross-check the analytic operator.
 #pragma once
 
 #include <cstddef>
@@ -55,13 +53,13 @@ class ObservationModel {
   /// EmWeightsFromPrediction), mtw = M^T weights; returns the
   /// log-likelihood of x. The default is the straightforward three-pass
   /// composition (right for the O(d) structured operators). The dense
-  /// model overrides it with a single pass over row pairs: the weight for
+  /// model overrides it with a single pass over the rows: the weight for
   /// output bucket j is pointwise in y_j, so each row can be dotted,
   /// weighted, and folded into mtw while it is still cache-hot — halving
   /// the matrix traffic that bounds dense EM throughput. The override is
-  /// the same operator up to rounding (its paired dot uses a different
-  /// fixed reduction order than Apply's; both orders are bit-stable under
-  /// either dispatch build). All three outputs are resized by the sweep;
+  /// bit-identical to the three-pass composition: the same per-row Dot,
+  /// the same weight formula in the same order, and the same per-row Axpy
+  /// fold skipping zero weights. All three outputs are resized by the sweep;
   /// passing correctly sized buffers keeps it allocation-free.
   virtual double EmSweep(const std::vector<double>& x,
                          const std::vector<double>& counts,
@@ -103,41 +101,6 @@ class DenseObservationModel final : public ObservationModel {
  private:
   Matrix owned_;
   const Matrix& m_;
-};
-
-/// \brief Rank-1 background + banded remainder:
-/// M(j, i) = background + band_i[j - band_start_i] for j inside column i's
-/// band, and M(j, i) = background outside it.
-class BandedObservationModel final : public ObservationModel {
- public:
-  /// Decomposes a dense column-stochastic matrix whose off-band entries all
-  /// equal `background` (up to `tol`). Entries differing from the background
-  /// by more than tol form each column's band (must be contiguous; SW/GW
-  /// matrices always are). Falls back to whole-column bands if not.
-  static BandedObservationModel FromDense(const Matrix& m, double background,
-                                          double tol = 1e-14);
-
-  size_t rows() const override { return rows_; }
-  size_t cols() const override { return cols_; }
-  void Apply(const std::vector<double>& x,
-             std::vector<double>* y) const override;
-  void ApplyTranspose(const std::vector<double>& z,
-                      std::vector<double>* out) const override;
-
-  /// Total band entries (diagnostic; density = nnz / (rows * cols)).
-  size_t BandEntries() const { return band_values_.size(); }
-
- private:
-  BandedObservationModel(size_t rows, size_t cols, double background)
-      : rows_(rows), cols_(cols), background_(background) {}
-
-  size_t rows_ = 0;
-  size_t cols_ = 0;
-  double background_ = 0.0;
-  std::vector<size_t> band_start_;   // per column: first in-band row
-  std::vector<size_t> band_offset_;  // per column: offset into band_values_
-  std::vector<size_t> band_len_;     // per column: band length
-  std::vector<double> band_values_;  // concatenated (entry - background)
 };
 
 /// \brief Analytic SW/DSW transition operator: constant background q plus a

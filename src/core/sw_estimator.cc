@@ -8,7 +8,6 @@
 #include "common/histogram.h"
 #include "core/bandwidth.h"
 #include "core/ems.h"
-#include "core/transition.h"
 
 namespace numdist {
 
@@ -37,23 +36,14 @@ Result<SwEstimator> SwEstimator::Make(const SwEstimatorOptions& options) {
                                std::max<int64_t>(db, options.b < 0 ? -1 : 0));
   if (!dsw.ok()) return dsw.status();
 
-  // The dense matrix is kept only for validation and diagnostics; EM runs
-  // through the analytic sliding-window operator, which reproduces it to
-  // ~1e-13 without ever materializing O(d^2) state.
-  Matrix transition;
+  // EM runs through the analytic sliding-window operator, which reproduces
+  // the dense transition matrix to ~1e-13 without ever materializing
+  // O(d^2) state.
   SlidingWindowObservationModel model =
       options.pipeline == SwEstimatorOptions::Pipeline::kRandomizeBeforeBucketize
           ? SlidingWindowObservationModel::FromContinuous(sw.value(),
                                                           options.d, d_out)
           : SlidingWindowObservationModel::FromDiscrete(dsw.value());
-  if (options.pipeline ==
-      SwEstimatorOptions::Pipeline::kRandomizeBeforeBucketize) {
-    transition = sw->TransitionMatrix(options.d, d_out);
-  } else {
-    transition = dsw->TransitionMatrix();
-  }
-  NormalizeColumns(&transition);
-  NUMDIST_RETURN_NOT_OK(ValidateTransitionMatrix(transition));
 
   EmOptions em_options;
   em_options.smoothing = options.post == SwEstimatorOptions::Post::kEms;
@@ -72,17 +62,16 @@ Result<SwEstimator> SwEstimator::Make(const SwEstimatorOptions& options) {
   SwEstimatorOptions resolved = options;
   resolved.d_out = d_out;
   return SwEstimator(resolved, std::move(sw).value(), std::move(dsw).value(),
-                     std::move(transition), std::move(model), em_options);
+                     std::move(model), em_options);
 }
 
 SwEstimator::SwEstimator(SwEstimatorOptions options, SquareWave sw,
-                         DiscreteSquareWave dsw, Matrix transition,
+                         DiscreteSquareWave dsw,
                          SlidingWindowObservationModel model,
                          EmOptions em_options)
     : options_(options),
       sw_(std::move(sw)),
       dsw_(std::move(dsw)),
-      transition_(std::move(transition)),
       model_(std::move(model)),
       em_options_(em_options) {}
 

@@ -1,6 +1,6 @@
 // End-to-end Square Wave distribution estimator — the library's primary
 // public API. Wires together: SW reporting (continuous R-B or discrete B-R),
-// report bucketization, the exact transition matrix, and EM/EMS
+// report bucketization, the analytic O(d) transition operator, and EM/EMS
 // reconstruction (paper §5).
 #pragma once
 
@@ -8,7 +8,6 @@
 #include <span>
 #include <vector>
 
-#include "common/matrix.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "core/em.h"
@@ -55,7 +54,8 @@ struct SwEstimatorOptions {
 /// \endcode
 class SwEstimator {
  public:
-  /// Validates options and builds the estimator (transition matrix included).
+  /// Validates options and builds the estimator. O(1): the transition is
+  /// the analytic operator, never a materialized matrix.
   static Result<SwEstimator> Make(const SwEstimatorOptions& options);
 
   /// Client-side report for one private value v in [0, 1]. For the
@@ -103,11 +103,8 @@ class SwEstimator {
   Result<std::vector<double>> EstimateDistribution(
       const std::vector<double>& values, Rng& rng) const;
 
-  /// The dense observation matrix (d_out' x d). Kept for validation, tests
-  /// and diagnostics only — reconstruction runs through the O(d) analytic
-  /// operator returned by model().
-  const Matrix& transition() const { return transition_; }
-  /// The analytic sliding-window operator EM actually iterates with.
+  /// The analytic sliding-window transition operator EM iterates with
+  /// (output_buckets() x d).
   const ObservationModel& model() const { return model_; }
   const SwEstimatorOptions& options() const { return options_; }
   /// The resolved EM iteration controls (paper-default tolerances applied).
@@ -115,18 +112,18 @@ class SwEstimator {
   const EmOptions& em_options() const { return em_options_; }
   /// Resolved wave half-width (continuous scale).
   double b() const;
-  /// Number of output buckets actually used.
-  size_t output_buckets() const { return transition_.rows(); }
+  /// Number of output buckets actually used: options().d_out for the
+  /// continuous pipeline, d + 2b for the discrete one.
+  size_t output_buckets() const { return model_.rows(); }
 
  private:
   SwEstimator(SwEstimatorOptions options, SquareWave sw,
-              DiscreteSquareWave dsw, Matrix transition,
-              SlidingWindowObservationModel model, EmOptions em_options);
+              DiscreteSquareWave dsw, SlidingWindowObservationModel model,
+              EmOptions em_options);
 
   SwEstimatorOptions options_;
   SquareWave sw_;           // used by the continuous pipeline
   DiscreteSquareWave dsw_;  // used by the discrete pipeline
-  Matrix transition_;
   // Analytic q-background + box-kernel view of the transition used by EM:
   // O(d + d_out) per product, bandwidth-independent, never materialized
   // (see observation_model.h).

@@ -18,17 +18,12 @@ class ProtocolMethod final : public DistributionMethod {
  public:
   using Factory = std::function<Result<ProtocolPtr>(double, size_t)>;
 
-  // `cache_key` must pin every factory parameter; empty means the name
-  // already does.
-  ProtocolMethod(std::string name, bool yields_distribution, Factory factory,
-                 std::string cache_key = std::string())
+  ProtocolMethod(std::string name, bool yields_distribution, Factory factory)
       : name_(std::move(name)),
-        cache_key_(cache_key.empty() ? name_ : std::move(cache_key)),
         yields_distribution_(yields_distribution),
         factory_(std::move(factory)) {}
 
   const std::string& name() const override { return name_; }
-  const std::string& cache_key() const override { return cache_key_; }
   bool yields_distribution() const override { return yields_distribution_; }
 
   Result<ProtocolPtr> MakeProtocol(double epsilon, size_t d) const override {
@@ -37,7 +32,6 @@ class ProtocolMethod final : public DistributionMethod {
 
  private:
   std::string name_;
-  std::string cache_key_;
   bool yields_distribution_;
   Factory factory_;
 };
@@ -87,8 +81,7 @@ std::unique_ptr<DistributionMethod> MakeHhMethod(size_t beta) {
       "HH", /*yields_distribution=*/false,
       [beta](double epsilon, size_t d) {
         return MakeHhBatchedProtocol(epsilon, d, beta, HhPost::kConstrained);
-      },
-      "HH/beta=" + std::to_string(beta));
+      });
 }
 
 std::unique_ptr<DistributionMethod> MakeHaarHrrMethod() {
@@ -103,8 +96,7 @@ std::unique_ptr<DistributionMethod> MakeHhAdmmMethod(size_t beta) {
       "HH-ADMM", /*yields_distribution=*/true,
       [beta](double epsilon, size_t d) {
         return MakeHhBatchedProtocol(epsilon, d, beta, HhPost::kAdmm);
-      },
-      "HH-ADMM/beta=" + std::to_string(beta));
+      });
 }
 
 std::vector<std::unique_ptr<DistributionMethod>> MakeStandardSuite() {

@@ -34,12 +34,6 @@ class DistributionMethod {
   virtual ~DistributionMethod() = default;
   /// Display name, e.g. "SW-EMS", "CFO-bin-32".
   virtual const std::string& name() const = 0;
-  /// Key identifying the protocol configuration for the runner's cross-call
-  /// protocol cache: two methods with equal cache_key() must build
-  /// interchangeable protocols at every (epsilon, d). Defaults to name();
-  /// override when the display name does not pin every constructor
-  /// parameter (the built-in HH factories encode beta here, for example).
-  virtual const std::string& cache_key() const { return name(); }
   /// True iff the method fills MethodOutput::distribution.
   virtual bool yields_distribution() const = 0;
   /// Instantiates the underlying batched Protocol at privacy budget

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
-#include <map>
-#include <mutex>
-#include <tuple>
 
 #include "common/executor.h"
 #include "common/histogram.h"
@@ -19,52 +15,6 @@ namespace numdist {
 namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-
-// Process-wide cache of constructed protocols keyed by (method cache_key,
-// epsilon, d). Construction is deterministic and instances are immutable
-// after Make (trials already share one across threads), so handing the same
-// protocol to every RunTrials call with the same configuration cannot change
-// results — it only skips rebuilding the transition/observation models per
-// dataset or repeated bench invocation. Bounded: the table is dropped
-// wholesale when it grows past kMaxCachedProtocols (an SW protocol at
-// d = 1024 holds an 8 MB dense matrix).
-class ProtocolCache {
- public:
-  static ProtocolCache& Instance() {
-    static ProtocolCache cache;
-    return cache;
-  }
-
-  Result<std::shared_ptr<const Protocol>> GetOrMake(
-      const DistributionMethod& method, double epsilon, size_t d) {
-    // Key epsilon by its bit pattern: exact, and avoids FP-compare pitfalls.
-    uint64_t eps_bits = 0;
-    static_assert(sizeof(eps_bits) == sizeof(epsilon));
-    std::memcpy(&eps_bits, &epsilon, sizeof(eps_bits));
-    const Key key{method.cache_key(), eps_bits, d};
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = cache_.find(key);
-      if (it != cache_.end()) return it->second;
-    }
-    // Build outside the lock: construction can be expensive and two threads
-    // racing on the same key just agree on whichever lands second.
-    Result<ProtocolPtr> made = method.MakeProtocol(epsilon, d);
-    if (!made.ok()) return made.status();
-    std::shared_ptr<const Protocol> protocol(std::move(made).value());
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cache_.size() >= kMaxCachedProtocols) cache_.clear();
-    cache_[key] = protocol;
-    return protocol;
-  }
-
- private:
-  static constexpr size_t kMaxCachedProtocols = 32;
-  using Key = std::tuple<std::string, uint64_t, size_t>;
-
-  std::mutex mu_;
-  std::map<Key, std::shared_ptr<const Protocol>> cache_;
-};
 
 // Range-query MAE against a callable estimator (shared query points come
 // from the caller's rng so truth and estimate see identical queries).
@@ -145,20 +95,12 @@ Result<AggregateMetrics> RunTrials(const DistributionMethod& method,
   }
 
   // One Protocol instance serves every trial: it is immutable after
-  // construction, so trials and their shard workers share it freely — and,
-  // when opts.reuse_protocols, so do repeated RunTrials calls with the same
-  // (method, epsilon, d), skipping identical model rebuilds per dataset.
-  std::shared_ptr<const Protocol> protocol;
-  if (opts.reuse_protocols) {
-    Result<std::shared_ptr<const Protocol>> cached =
-        ProtocolCache::Instance().GetOrMake(method, epsilon, d);
-    if (!cached.ok()) return cached.status();
-    protocol = std::move(cached).value();
-  } else {
-    Result<ProtocolPtr> made = method.MakeProtocol(epsilon, d);
-    if (!made.ok()) return made.status();
-    protocol = std::move(made).value();
-  }
+  // construction, so trials and their shard workers share it freely.
+  // Construction is cheap next to the trials it serves, so nothing is
+  // cached across calls.
+  Result<ProtocolPtr> made = method.MakeProtocol(epsilon, d);
+  if (!made.ok()) return made.status();
+  const ProtocolPtr protocol = std::move(made).value();
 
   // Two-level parallelism budget on the shared executor: independent
   // trials (including the expensive reconstruction step) fan out first,

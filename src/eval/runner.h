@@ -50,12 +50,6 @@ struct RunnerOptions {
   size_t threads = 0;
   /// Values per report shard (see protocol/sharded.h).
   size_t shard_size = 8192;
-  /// Reuse constructed Protocol instances (transition matrices, observation
-  /// models) across RunTrials calls with the same (method, epsilon, d).
-  /// Protocols are immutable after construction, so sharing is safe and
-  /// never changes results; benches sweeping datasets stop rebuilding
-  /// identical models. Disable for memory-sensitive one-shot runs.
-  bool reuse_protocols = true;
   double alpha_small = 0.1;
   double alpha_large = 0.4;
   /// Random range queries per trial per alpha.

@@ -42,28 +42,21 @@ const KernelTable* TableFor(Isa isa) {
   return ScalarKernelTable();
 }
 
-// NUMDIST_FORCE_ISA={scalar,avx2,avx512} pins a tier; the legacy boolean
-// NUMDIST_FORCE_SCALAR (set-and-not-"0") is kept as an alias for =scalar
-// and loses to the new variable when both are set. Unknown values are
+// NUMDIST_FORCE_ISA={scalar,avx2,avx512} pins a tier. Unknown values are
 // ignored (normal resolution). Returns true when a pin was requested.
 bool ForcedIsaFromEnv(Isa* out) {
-  if (const char* v = std::getenv("NUMDIST_FORCE_ISA")) {
-    if (std::strcmp(v, "scalar") == 0) {
-      *out = Isa::kScalar;
-      return true;
-    }
-    if (std::strcmp(v, "avx2") == 0) {
-      *out = Isa::kAvx2;
-      return true;
-    }
-    if (std::strcmp(v, "avx512") == 0) {
-      *out = Isa::kAvx512;
-      return true;
-    }
-  }
-  const char* legacy = std::getenv("NUMDIST_FORCE_SCALAR");
-  if (legacy != nullptr && *legacy != '\0' && std::strcmp(legacy, "0") != 0) {
+  const char* v = std::getenv("NUMDIST_FORCE_ISA");
+  if (v == nullptr) return false;
+  if (std::strcmp(v, "scalar") == 0) {
     *out = Isa::kScalar;
+    return true;
+  }
+  if (std::strcmp(v, "avx2") == 0) {
+    *out = Isa::kAvx2;
+    return true;
+  }
+  if (std::strcmp(v, "avx512") == 0) {
+    *out = Isa::kAvx512;
     return true;
   }
   return false;
@@ -127,20 +120,10 @@ double Dot(const double* a, const double* b, size_t n) {
   return Active()->dot(a, b, n);
 }
 
-void Dot2(const double* a0, const double* a1, const double* b, size_t n,
-          double* o0, double* o1) {
-  Active()->dot2(a0, a1, b, n, o0, o1);
-}
-
 double Sum(const double* x, size_t n) { return Active()->sum(x, n); }
 
 void Axpy(double* y, double a, const double* x, size_t n) {
   Active()->axpy(y, a, x, n);
-}
-
-void Axpy2(double* y, double a0, const double* x0, double a1,
-           const double* x1, size_t n) {
-  Active()->axpy2(y, a0, x0, a1, x1, n);
 }
 
 double MulAndSum(double* y, const double* x, size_t n) {

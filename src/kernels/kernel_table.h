@@ -11,12 +11,8 @@ namespace numdist::kernels {
 
 struct KernelTable {
   double (*dot)(const double*, const double*, size_t);
-  void (*dot2)(const double*, const double*, const double*, size_t, double*,
-               double*);
   double (*sum)(const double*, size_t);
   void (*axpy)(double*, double, const double*, size_t);
-  void (*axpy2)(double*, double, const double*, double, const double*,
-                size_t);
   double (*mul_and_sum)(double*, const double*, size_t);
   void (*scale)(double*, double, size_t);
   void (*window_combine)(double*, size_t, size_t, double, double);

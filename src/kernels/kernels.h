@@ -26,9 +26,7 @@
 // Dispatch: resolved on first use. NUMDIST_FORCE_ISA={scalar,avx2,avx512}
 // in the environment pins one build (used by CI to diff the tiers; a pinned
 // tier the binary/CPU cannot run falls back down the ladder avx512 -> avx2
-// -> scalar). The legacy boolean NUMDIST_FORCE_SCALAR is kept as an alias
-// for NUMDIST_FORCE_ISA=scalar and is overridden by the new variable when
-// both are set. Otherwise the widest available tier wins: AVX-512 when the
+// -> scalar). Otherwise the widest available tier wins: AVX-512 when the
 // binary carries that TU and the CPU reports avx512{f,bw,dq,vl}, else AVX2,
 // else scalar. ForceIsaForTest() overrides the choice in-process so one
 // test binary can compare all paths directly.
@@ -75,27 +73,11 @@ void ResetIsaForTest();
 /// Blocked dot product sum_i a[i] * b[i] (fixed-order reduction).
 double Dot(const double* a, const double* b, size_t n);
 
-/// Two dot products against one shared right-hand side: *o0 = a0 · b,
-/// *o1 = a1 · b, loading b once. Each row reduces over 8 stripes (two
-/// 4-lane chains, combined u_j = s_j + s_{j+4}, result (u_0 + u_2) +
-/// (u_1 + u_3)) — a FIXED order of its own, mirrored by the scalar build,
-/// but intentionally different from Dot's 16-stripe order: Dot2(r0, r1, x)
-/// and {Dot(r0, x), Dot(r1, x)} agree only to rounding. The dense EM sweep
-/// pairs rows with this to halve its x-vector traffic.
-void Dot2(const double* a0, const double* a1, const double* b, size_t n,
-          double* o0, double* o1);
-
 /// Blocked sum of x[0..n) (fixed-order reduction).
 double Sum(const double* x, size_t n);
 
 /// y[i] += a * x[i] for i in [0, n). Elementwise; no reduction.
 void Axpy(double* y, double a, const double* x, size_t n);
-
-/// y[i] = (y[i] + a0 * x0[i]) + a1 * x1[i]: two accumulations in one pass
-/// over y, bit-identical to Axpy(y, a0, x0, n) then Axpy(y, a1, x1, n)
-/// (same two rounded adds per element, one y load/store instead of two).
-void Axpy2(double* y, double a0, const double* x0, double a1,
-           const double* x1, size_t n);
 
 /// y[i] *= x[i] for i in [0, n); returns the blocked sum of the products
 /// (the EM M-step's multiply-and-total in one pass).

@@ -50,41 +50,6 @@ double DotAvx2(const double* a, const double* b, size_t n) {
   return HorizontalSum(c0, c1, c2, c3) + tail;
 }
 
-// Shared 8-stripe per-row epilogue for Dot2: chains paired 4 apart, then
-// the standard 128-bit fold and lane pair.
-inline double HorizontalSum2(__m256d c0, __m256d c1) {
-  const __m256d s = _mm256_add_pd(c0, c1);
-  const __m128d lo = _mm256_castpd256_pd128(s);
-  const __m128d hi = _mm256_extractf128_pd(s, 1);
-  const __m128d fold = _mm_add_pd(lo, hi);
-  return _mm_cvtsd_f64(_mm_add_sd(fold, _mm_unpackhi_pd(fold, fold)));
-}
-
-void Dot2Avx2(const double* a0, const double* a1, const double* b, size_t n,
-              double* o0, double* o1) {
-  __m256d r0c0 = _mm256_setzero_pd();
-  __m256d r0c1 = _mm256_setzero_pd();
-  __m256d r1c0 = _mm256_setzero_pd();
-  __m256d r1c1 = _mm256_setzero_pd();
-  const size_t n8 = n & ~size_t{7};
-  for (size_t i = 0; i < n8; i += 8) {
-    const __m256d b0 = _mm256_loadu_pd(b + i);
-    const __m256d b1 = _mm256_loadu_pd(b + i + 4);
-    r0c0 = _mm256_add_pd(r0c0, _mm256_mul_pd(_mm256_loadu_pd(a0 + i), b0));
-    r0c1 = _mm256_add_pd(r0c1, _mm256_mul_pd(_mm256_loadu_pd(a0 + i + 4), b1));
-    r1c0 = _mm256_add_pd(r1c0, _mm256_mul_pd(_mm256_loadu_pd(a1 + i), b0));
-    r1c1 = _mm256_add_pd(r1c1, _mm256_mul_pd(_mm256_loadu_pd(a1 + i + 4), b1));
-  }
-  double t0 = 0.0;
-  double t1 = 0.0;
-  for (size_t i = n8; i < n; ++i) {
-    t0 += a0[i] * b[i];
-    t1 += a1[i] * b[i];
-  }
-  *o0 = HorizontalSum2(r0c0, r0c1) + t0;
-  *o1 = HorizontalSum2(r1c0, r1c1) + t1;
-}
-
 double SumAvx2(const double* x, size_t n) {
   __m256d c0 = _mm256_setzero_pd();
   __m256d c1 = _mm256_setzero_pd();
@@ -123,26 +88,6 @@ void AxpyAvx2(double* y, double a, const double* x, size_t n) {
                       _mm256_mul_pd(av, _mm256_loadu_pd(x + i + 12))));
   }
   for (size_t i = n16; i < n; ++i) y[i] += a * x[i];
-}
-
-void Axpy2Avx2(double* y, double a0, const double* x0, double a1,
-               const double* x1, size_t n) {
-  const __m256d v0 = _mm256_set1_pd(a0);
-  const __m256d v1 = _mm256_set1_pd(a1);
-  const size_t n8 = n & ~size_t{7};
-  for (size_t i = 0; i < n8; i += 8) {
-    __m256d acc0 = _mm256_loadu_pd(y + i);
-    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(v0, _mm256_loadu_pd(x0 + i)));
-    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(v1, _mm256_loadu_pd(x1 + i)));
-    _mm256_storeu_pd(y + i, acc0);
-    __m256d acc1 = _mm256_loadu_pd(y + i + 4);
-    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(v0, _mm256_loadu_pd(x0 + i + 4)));
-    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(v1, _mm256_loadu_pd(x1 + i + 4)));
-    _mm256_storeu_pd(y + i + 4, acc1);
-  }
-  for (size_t i = n8; i < n; ++i) {
-    y[i] = (y[i] + a0 * x0[i]) + a1 * x1[i];
-  }
 }
 
 double MulAndSumAvx2(double* y, const double* x, size_t n) {
@@ -277,10 +222,9 @@ void GrrResponseMapAvx2(const double* u, const uint32_t* values, uint32_t* out,
 }
 
 constexpr KernelTable kAvx2Table = {
-    DotAvx2,         Dot2Avx2,          SumAvx2,
-    AxpyAvx2,        Axpy2Avx2,         MulAndSumAvx2,
-    ScaleAvx2,       WindowCombineAvx2, LessThanAvx2,
-    GrrResponseMapAvx2,
+    DotAvx2,         SumAvx2,           AxpyAvx2,
+    MulAndSumAvx2,   ScaleAvx2,         WindowCombineAvx2,
+    LessThanAvx2,    GrrResponseMapAvx2,
 };
 
 }  // namespace

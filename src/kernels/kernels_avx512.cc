@@ -57,32 +57,6 @@ double DotAvx512(const double* a, const double* b, size_t n) {
   return HorizontalSum512(ca, cb) + tail;
 }
 
-// Dot2's 8-stripe per-row order: one chain per row; lo256 + hi256 is the
-// AVX2 c0 + c1 (stripes paired 4 apart), then the standard fold.
-void Dot2Avx512(const double* a0, const double* a1, const double* b, size_t n,
-                double* o0, double* o1) {
-  __m512d r0 = _mm512_setzero_pd();
-  __m512d r1 = _mm512_setzero_pd();
-  const size_t n8 = n & ~size_t{7};
-  for (size_t i = 0; i < n8; i += 8) {
-    const __m512d bv = _mm512_loadu_pd(b + i);
-    r0 = _mm512_add_pd(r0, _mm512_mul_pd(_mm512_loadu_pd(a0 + i), bv));
-    r1 = _mm512_add_pd(r1, _mm512_mul_pd(_mm512_loadu_pd(a1 + i), bv));
-  }
-  double t0 = 0.0;
-  double t1 = 0.0;
-  for (size_t i = n8; i < n; ++i) {
-    t0 += a0[i] * b[i];
-    t1 += a1[i] * b[i];
-  }
-  *o0 = Fold256(_mm256_add_pd(_mm512_castpd512_pd256(r0),
-                              _mm512_extractf64x4_pd(r0, 1))) +
-        t0;
-  *o1 = Fold256(_mm256_add_pd(_mm512_castpd512_pd256(r1),
-                              _mm512_extractf64x4_pd(r1, 1))) +
-        t1;
-}
-
 double SumAvx512(const double* x, size_t n) {
   __m512d ca = _mm512_setzero_pd();
   __m512d cb = _mm512_setzero_pd();
@@ -109,22 +83,6 @@ void AxpyAvx512(double* y, double a, const double* x, size_t n) {
                       _mm512_mul_pd(av, _mm512_loadu_pd(x + i + 8))));
   }
   for (size_t i = n16; i < n; ++i) y[i] += a * x[i];
-}
-
-void Axpy2Avx512(double* y, double a0, const double* x0, double a1,
-                 const double* x1, size_t n) {
-  const __m512d v0 = _mm512_set1_pd(a0);
-  const __m512d v1 = _mm512_set1_pd(a1);
-  const size_t n8 = n & ~size_t{7};
-  for (size_t i = 0; i < n8; i += 8) {
-    __m512d acc = _mm512_loadu_pd(y + i);
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(v0, _mm512_loadu_pd(x0 + i)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(v1, _mm512_loadu_pd(x1 + i)));
-    _mm512_storeu_pd(y + i, acc);
-  }
-  for (size_t i = n8; i < n; ++i) {
-    y[i] = (y[i] + a0 * x0[i]) + a1 * x1[i];
-  }
 }
 
 double MulAndSumAvx512(double* y, const double* x, size_t n) {
@@ -235,10 +193,9 @@ void GrrResponseMapAvx512(const double* u, const uint32_t* values,
 }
 
 constexpr KernelTable kAvx512Table = {
-    DotAvx512,         Dot2Avx512,          SumAvx512,
-    AxpyAvx512,        Axpy2Avx512,         MulAndSumAvx512,
-    ScaleAvx512,       WindowCombineAvx512, LessThanAvx512,
-    GrrResponseMapAvx512,
+    DotAvx512,         SumAvx512,           AxpyAvx512,
+    MulAndSumAvx512,   ScaleAvx512,         WindowCombineAvx512,
+    LessThanAvx512,    GrrResponseMapAvx512,
 };
 
 }  // namespace

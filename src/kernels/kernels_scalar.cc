@@ -33,35 +33,6 @@ double DotScalar(const double* a, const double* b, size_t n) {
   return CombineBlocked(s) + tail;
 }
 
-void Dot2Scalar(const double* a0, const double* a1, const double* b, size_t n,
-                double* o0, double* o1) {
-  double s0[8] = {0};
-  double s1[8] = {0};
-  const size_t n8 = n & ~size_t{7};
-  for (size_t i = 0; i < n8; i += 8) {
-    for (size_t l = 0; l < 8; ++l) {
-      s0[l] += a0[i + l] * b[i + l];
-      s1[l] += a1[i + l] * b[i + l];
-    }
-  }
-  double t0 = 0.0;
-  double t1 = 0.0;
-  for (size_t i = n8; i < n; ++i) {
-    t0 += a0[i] * b[i];
-    t1 += a1[i] * b[i];
-  }
-  // Per-row 8-stripe combine mirroring the AVX2 epilogue: chains paired 4
-  // apart, 128-bit fold 2 apart, final lane pair.
-  double u0[4];
-  double u1[4];
-  for (size_t j = 0; j < 4; ++j) {
-    u0[j] = s0[j] + s0[j + 4];
-    u1[j] = s1[j] + s1[j + 4];
-  }
-  *o0 = (u0[0] + u0[2]) + (u0[1] + u0[3]) + t0;
-  *o1 = (u1[0] + u1[2]) + (u1[1] + u1[3]) + t1;
-}
-
 double SumScalar(const double* x, size_t n) {
   double s[16] = {0};
   const size_t n16 = n & ~size_t{15};
@@ -75,13 +46,6 @@ double SumScalar(const double* x, size_t n) {
 
 void AxpyScalar(double* y, double a, const double* x, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += a * x[i];
-}
-
-void Axpy2Scalar(double* y, double a0, const double* x0, double a1,
-                 const double* x1, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    y[i] = (y[i] + a0 * x0[i]) + a1 * x1[i];
-  }
 }
 
 double MulAndSumScalar(double* y, const double* x, size_t n) {
@@ -136,10 +100,9 @@ void GrrResponseMapScalar(const double* u, const uint32_t* values,
 }
 
 constexpr KernelTable kScalarTable = {
-    DotScalar,         Dot2Scalar,          SumScalar,
-    AxpyScalar,        Axpy2Scalar,         MulAndSumScalar,
-    ScaleScalar,       WindowCombineScalar, LessThanScalar,
-    GrrResponseMapScalar,
+    DotScalar,         SumScalar,           AxpyScalar,
+    MulAndSumScalar,   ScaleScalar,         WindowCombineScalar,
+    LessThanScalar,    GrrResponseMapScalar,
 };
 
 }  // namespace

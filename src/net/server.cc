@@ -99,21 +99,14 @@ Result<std::unique_ptr<CollectorServer>> CollectorServer::Make(
   }
   // One sub-aggregate per executor slot, created up front so absorption
   // can never fail on allocation mid-serve. ParallelFor's slot ids are
-  // always below slots().
+  // always below slots(). Each is a peer of the main session: one shared
+  // Protocol for the whole process, one ledger (tenant budgets cap the
+  // process-global spend), and one dedup window (a re-sent sequenced
+  // frame is recognized no matter which slot claims it).
   const size_t slots = Executor::Shared().slots();
   server->sub_sessions_.reserve(slots);
   for (size_t s = 0; s < slots; ++s) {
-    NUMDIST_ASSIGN_OR_RETURN(serve::CollectorSession sub,
-                             serve::CollectorSession::Make(spec));
-    // Every slot shares the main session's ledger: tenant budgets cap
-    // the process-global spend no matter which slot absorbs a frame.
-    sub.set_ledger(server->main_.ledger());
-    server->sub_sessions_.push_back(std::move(sub));
-  }
-  // Every slot also shares the main session's dedup window, so a re-sent
-  // sequenced frame is recognized no matter which slot claims it.
-  for (serve::CollectorSession& sub : server->sub_sessions_) {
-    sub.set_sequence_tracker(server->main_.sequence_tracker());
+    server->sub_sessions_.push_back(server->main_.MakePeer());
   }
   if (!options.wal_path.empty()) {
     // Crash recovery happens here, before the first listener exists:
@@ -463,11 +456,11 @@ Status CollectorServer::MaybeCheckpointWal() {
     return Status::OK();
   }
   // Checkpoint = the merged live state (main + every slot), gathered
-  // into a scratch session so the serving accumulators stay untouched.
-  // Merges are exact integers, so the checkpointed state is independent
-  // of slot assignment and merge order.
-  NUMDIST_ASSIGN_OR_RETURN(serve::CollectorSession scratch,
-                           serve::CollectorSession::Make(spec()));
+  // into a scratch peer so the serving accumulators stay untouched (the
+  // peer reuses the process's Protocol; AbsorbSession never charges the
+  // shared ledger). Merges are exact integers, so the checkpointed state
+  // is independent of slot assignment and merge order.
+  serve::CollectorSession scratch = main_.MakePeer();
   NUMDIST_RETURN_NOT_OK(scratch.AbsorbSession(main_));
   for (const serve::CollectorSession& sub : sub_sessions_) {
     NUMDIST_RETURN_NOT_OK(scratch.AbsorbSession(sub));

@@ -261,7 +261,9 @@ class CollectorServer {
   std::vector<std::unique_ptr<Connection>> connections_;
   std::vector<PendingFrame> pending_;
   size_t pending_bytes_ = 0;
-  /// Per-executor-slot sub-aggregates, merged into main_ at drain.
+  /// Per-executor-slot sub-aggregates, merged into main_ at drain. Peers
+  /// of main_ (CollectorSession::MakePeer): the process builds its
+  /// Protocol once, in Make.
   std::vector<serve::CollectorSession> sub_sessions_;
   bool merged_ = false;
 

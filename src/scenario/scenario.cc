@@ -86,9 +86,9 @@ struct EpsilonGroup {
 }  // namespace
 
 Status ValidateScenario(const ScenarioConfig& config) {
-  // Upper bounds are sanity caps, not capability limits: d drives an
-  // O(d^2) dense transition build per epsilon group, so a typo'd granularity
-  // must be an error, not a 30 GB allocation.
+  // Upper bounds are sanity caps, not capability limits: d sizes every
+  // per-bucket histogram and EM workspace, so a typo'd granularity must be
+  // an error, not a multi-gigabyte allocation.
   if (config.d < 2 || config.d > 8192) {
     return Status::InvalidArgument("scenario: d must be in [2, 8192]");
   }
@@ -165,10 +165,8 @@ Result<ScenarioResult> RunScenario(const ScenarioConfig& config) {
     SwEstimatorOptions options;
     options.epsilon = epsilon;
     options.d = config.d;
-    // One estimator (transition model included) serves the whole group:
-    // shard aggregators and the merge target only need its immutable
-    // per-report primitives, so sharing skips shards+1 identical O(d^2)
-    // model builds.
+    // One immutable estimator serves the whole group: shard aggregators
+    // and the merge target only need its per-report primitives.
     Result<SwEstimator> estimator = SwEstimator::Make(options);
     if (!estimator.ok()) return estimator.status();
     const auto shared =

@@ -144,17 +144,24 @@ void SequenceTracker::Restore(const std::vector<WalSeqEntry>& entries) {
 Result<CollectorSession> CollectorSession::Make(const wire::MethodSpec& spec) {
   NUMDIST_ASSIGN_OR_RETURN(ProtocolPtr protocol,
                            wire::MakeProtocolForSpec(spec));
-  std::unique_ptr<Accumulator> acc = protocol->MakeAccumulator();
-  return CollectorSession(spec, std::move(protocol), std::move(acc));
+  return CollectorSession(spec, std::move(protocol),
+                          std::make_shared<TenantLedger>(),
+                          std::make_shared<SequenceTracker>());
 }
 
-CollectorSession::CollectorSession(wire::MethodSpec spec, ProtocolPtr protocol,
-                                   std::unique_ptr<Accumulator> acc)
+CollectorSession CollectorSession::MakePeer() const {
+  return CollectorSession(spec_, protocol_, ledger_, tracker_);
+}
+
+CollectorSession::CollectorSession(wire::MethodSpec spec,
+                                   std::shared_ptr<const Protocol> protocol,
+                                   std::shared_ptr<TenantLedger> ledger,
+                                   std::shared_ptr<SequenceTracker> tracker)
     : spec_(spec),
       protocol_(std::move(protocol)),
-      acc_(std::move(acc)),
-      ledger_(std::make_shared<TenantLedger>()),
-      tracker_(std::make_shared<SequenceTracker>()) {}
+      acc_(protocol_->MakeAccumulator()),
+      ledger_(std::move(ledger)),
+      tracker_(std::move(tracker)) {}
 
 uint64_t CollectorSession::num_reports() const {
   uint64_t total = acc_->num_reports();
@@ -189,8 +196,7 @@ Status CollectorSession::HandleFrame(std::span<const uint8_t> frame,
   // touching anything so the caller re-acks it; a failure after a
   // successful claim releases it so the client's retry is accepted,
   // but ONLY when the absorb left state untouched.
-  const bool sequenced = info.has_seq && tracker_ != nullptr;
-  if (sequenced && !tracker_->Claim(info.seq.epoch, info.seq.seq)) {
+  if (info.has_seq && !tracker_->Claim(info.seq.epoch, info.seq.seq)) {
     if (outcome != nullptr) outcome->duplicate = true;
     return Status::OK();
   }
@@ -204,19 +210,12 @@ Status CollectorSession::HandleFrame(std::span<const uint8_t> frame,
     // here, so accepting a retransmit would double-count it. The caller
     // treats a WAL failure as fatal either way (never acks the frame),
     // and a restart replays a log without it, reopening the claim there.
-    if (sequenced && !committed) {
+    if (info.has_seq && !committed) {
       tracker_->Release(info.seq.epoch, info.seq.seq);
     }
     return absorbed;
   }
   if (outcome != nullptr) outcome->absorbed = true;
-  if (forward_) {
-    // Replication failure does NOT roll back: the frame is absorbed and
-    // WAL-durable here, so releasing its claim would double-count the
-    // client's retry. The caller decides whether to keep serving.
-    return forward_(std::string_view(
-        reinterpret_cast<const char*>(frame.data()), frame.size()));
-  }
   return Status::OK();
 }
 
@@ -358,20 +357,6 @@ void CollectorSession::SetTenantBudget(uint32_t tenant, TenantBudget budget) {
   ledger_->SetBudget(tenant, budget);
 }
 
-void CollectorSession::set_ledger(std::shared_ptr<TenantLedger> ledger) {
-  if (ledger != nullptr) ledger_ = std::move(ledger);
-}
-
-void CollectorSession::set_sequence_tracker(
-    std::shared_ptr<SequenceTracker> tracker) {
-  if (tracker != nullptr) tracker_ = std::move(tracker);
-}
-
-void CollectorSession::set_forward(
-    std::function<Status(std::string_view frame)> forward) {
-  forward_ = std::move(forward);
-}
-
 Status CollectorSession::AbsorbSession(const CollectorSession& other) {
   NUMDIST_RETURN_NOT_OK(acc_->Merge(*other.acc_));
   for (const auto& [tenant, acc] : other.tenants_) {
@@ -452,7 +437,7 @@ Result<WalReplayStats> CollectorSession::RecoverAndAttachWal(
   };
   consumer.on_seq_checkpoint =
       [this](const std::vector<WalSeqEntry>& entries) {
-        if (tracker_ != nullptr) tracker_->Restore(entries);
+        tracker_->Restore(entries);
         return Status::OK();
       };
   NUMDIST_ASSIGN_OR_RETURN(WalLog log, WalLog::Open(path, options, consumer));
@@ -467,9 +452,7 @@ Status CollectorSession::CompactWal() {
   }
   NUMDIST_ASSIGN_OR_RETURN(const std::vector<std::string> sketches,
                            EncodeSketches());
-  std::vector<WalSeqEntry> seqs;
-  if (tracker_ != nullptr) seqs = tracker_->Export();
-  NUMDIST_RETURN_NOT_OK(wal_->Compact(sketches, seqs));
+  NUMDIST_RETURN_NOT_OK(wal_->Compact(sketches, tracker_->Export()));
   wal_frames_since_checkpoint_ = 0;
   return Status::OK();
 }

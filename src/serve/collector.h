@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -158,6 +157,13 @@ class CollectorSession {
   /// Builds the protocol the spec describes and an empty accumulator.
   static Result<CollectorSession> Make(const wire::MethodSpec& spec);
 
+  /// An empty peer: same spec, and the same immutable Protocol, TenantLedger
+  /// and dedup window as this session, with its own accumulators and no
+  /// WAL. The event-loop server builds one Protocol per process this way —
+  /// its per-slot sub-sessions and checkpoint scratch are all peers of the
+  /// main session, so budgets and exactly-once claims stay process-global.
+  CollectorSession MakePeer() const;
+
   const wire::MethodSpec& spec() const { return spec_; }
   /// Reports absorbed so far (report frames + merged sketch frames),
   /// across the default and every tenant accumulator.
@@ -203,26 +209,16 @@ class CollectorSession {
   /// Tenants with an accumulator, ascending (excludes the default).
   std::vector<uint32_t> TenantIds() const;
 
-  /// Budget accounting. The ledger is shared: the server points every
-  /// sub-session at one ledger so budgets cap the process-global spend.
+  /// Budget accounting. The ledger is shared with every peer (MakePeer),
+  /// so budgets cap the process-global spend.
   void SetTenantBudget(uint32_t tenant, TenantBudget budget);
   const std::shared_ptr<TenantLedger>& ledger() const { return ledger_; }
-  void set_ledger(std::shared_ptr<TenantLedger> ledger);
 
-  /// The exactly-once dedup window. Shared like the ledger: the server
-  /// points every sub-session at one tracker so a re-sent frame dedups
-  /// no matter which slot absorbs it.
+  /// The exactly-once dedup window. Shared with every peer like the
+  /// ledger, so a re-sent frame dedups no matter which slot absorbs it.
   const std::shared_ptr<SequenceTracker>& sequence_tracker() const {
     return tracker_;
   }
-  void set_sequence_tracker(std::shared_ptr<SequenceTracker> tracker);
-
-  /// Replication hook: when set, every frame this session absorbs (WAL
-  /// replay included; never duplicates) is handed to `forward` AFTER
-  /// local absorb + WAL append — the primary-to-standby stream. A forward
-  /// error fails HandleFrame, but the frame stays absorbed and claimed
-  /// locally (it is already durable here).
-  void set_forward(std::function<Status(std::string_view frame)> forward);
 
   /// Merges every accumulator of `other` (default + tenants, per tenant)
   /// into this session WITHOUT charging the ledger — the frames behind
@@ -255,8 +251,10 @@ class CollectorSession {
   Result<MethodOutput> Reconstruct() const;
 
  private:
-  CollectorSession(wire::MethodSpec spec, ProtocolPtr protocol,
-                   std::unique_ptr<Accumulator> acc);
+  CollectorSession(wire::MethodSpec spec,
+                   std::shared_ptr<const Protocol> protocol,
+                   std::shared_ptr<TenantLedger> ledger,
+                   std::shared_ptr<SequenceTracker> tracker);
 
   /// The tenant's accumulator, or null when the tenant has none yet.
   Accumulator* FindTenant(uint32_t tenant);
@@ -274,14 +272,14 @@ class CollectorSession {
   Status LogAccepted(std::span<const uint8_t> frame);
 
   wire::MethodSpec spec_;
-  ProtocolPtr protocol_;
+  /// Immutable, so peers share it across threads.
+  std::shared_ptr<const Protocol> protocol_;
   /// The default tenant's accumulator (untagged frames).
   std::unique_ptr<Accumulator> acc_;
   /// Lazily created per-tenant accumulators (tenant-tagged frames).
   std::map<uint32_t, std::unique_ptr<Accumulator>> tenants_;
   std::shared_ptr<TenantLedger> ledger_;
   std::shared_ptr<SequenceTracker> tracker_;
-  std::function<Status(std::string_view frame)> forward_;
   std::unique_ptr<WalLog> wal_;
   uint64_t wal_frames_since_checkpoint_ = 0;
 };

@@ -88,8 +88,11 @@ RollingWorkload MakeRollingWorkload(uint64_t seed, double epsilon, size_t d,
 
 double ForwardKs(const SwEstimator& estimator, const std::vector<double>& x,
                  const std::vector<double>& y) {
-  return KsDistance(estimator.transition().Multiply(x),
-                    estimator.transition().Multiply(y));
+  std::vector<double> mx;
+  std::vector<double> my;
+  estimator.model().Apply(x, &mx);
+  estimator.model().Apply(y, &my);
+  return KsDistance(mx, my);
 }
 
 TEST(WarmStartTest, RollingWarmRunsReachTheColdFixedPoint) {

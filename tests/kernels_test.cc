@@ -2,7 +2,7 @@
 // must be BIT-EXACT (kernels.h contract). Verified at three levels:
 //   1. kernel-by-kernel, on sizes that exercise the blocked main loop, the
 //      tails, and the degenerate lengths;
-//   2. whole reconstructions: EstimateEm over the dense / banded /
+//   2. whole reconstructions: EstimateEm over the dense and
 //      sliding-window models once per dispatch, byte-compared;
 //   3. whole encode paths: every protocol family's EncodePerturbBatch wire
 //      payload, and a full sharded pipeline run, byte-compared across
@@ -67,17 +67,12 @@ TEST(KernelDispatchTest, ReductionsAreBitExactAcrossIsas) {
     struct Reductions {
       double dot = 0.0;
       double sum = 0.0;
-      double d2_0 = 0.0;
-      double d2_1 = 0.0;
     };
     auto run = [&](Isa isa) {
       kernels::ForceIsaForTest(isa);
       Reductions r;
       r.dot = kernels::Dot(a.data(), b.data(), n);
       r.sum = kernels::Sum(a.data(), n);
-      if (n > 0) {
-        kernels::Dot2(a.data(), b.data(), a.data(), n, &r.d2_0, &r.d2_1);
-      }
       return r;
     };
     const Reductions scalar = run(Isa::kScalar);
@@ -88,10 +83,6 @@ TEST(KernelDispatchTest, ReductionsAreBitExactAcrossIsas) {
           << "Dot n=" << n << " isa=" << kernels::IsaName(isa);
       EXPECT_EQ(std::memcmp(&scalar.sum, &vector.sum, sizeof(double)), 0)
           << "Sum n=" << n << " isa=" << kernels::IsaName(isa);
-      EXPECT_EQ(std::memcmp(&scalar.d2_0, &vector.d2_0, sizeof(double)), 0)
-          << "Dot2[0] n=" << n << " isa=" << kernels::IsaName(isa);
-      EXPECT_EQ(std::memcmp(&scalar.d2_1, &vector.d2_1, sizeof(double)), 0)
-          << "Dot2[1] n=" << n << " isa=" << kernels::IsaName(isa);
     }
   }
 }
@@ -107,7 +98,7 @@ TEST(KernelDispatchTest, ElementwiseKernelsAreBitExactAcrossIsas) {
       kernels::ForceIsaForTest(isa);
       std::vector<double> y = base;
       kernels::Axpy(y.data(), 0.77, x0.data(), n);
-      kernels::Axpy2(y.data(), -1.3, x0.data(), 0.21, x1.data(), n);
+      kernels::Axpy(y.data(), 0.21, x1.data(), n);
       const double total = kernels::MulAndSum(y.data(), x0.data(), n);
       kernels::Scale(y.data(), 1.0 / (total + 10.0), n);
       kernels::WindowCombine(y.data(), n, 3, 0.125, 2.5);
@@ -218,7 +209,6 @@ TEST(KernelDispatchTest, EstimateEmIsBitIdenticalAcrossIsas) {
   const size_t d = 96;
   const SquareWave sw = SquareWave::Make(1.0).ValueOrDie();
   const Matrix m = sw.TransitionMatrix(d, d);
-  const double background = sw.q() * (1.0 + 2.0 * sw.b()) / d;
   const std::vector<uint64_t> counts = SwCounts(d, 20000, 77);
   EmOptions opts;
   opts.max_iterations = 40;
@@ -229,10 +219,6 @@ TEST(KernelDispatchTest, EstimateEmIsBitIdenticalAcrossIsas) {
     kernels::ForceIsaForTest(isa);
     std::vector<std::vector<double>> estimates;
     estimates.push_back(EstimateEm(m, counts, opts).ValueOrDie().estimate);
-    const BandedObservationModel banded =
-        BandedObservationModel::FromDense(m, background, 1e-13);
-    estimates.push_back(
-        EstimateEm(banded, counts, opts).ValueOrDie().estimate);
     const SlidingWindowObservationModel sliding =
         SlidingWindowObservationModel::FromContinuous(sw, d, d);
     estimates.push_back(
@@ -240,7 +226,7 @@ TEST(KernelDispatchTest, EstimateEmIsBitIdenticalAcrossIsas) {
     return estimates;
   };
   const auto scalar = reconstruct(Isa::kScalar);
-  const char* model_names[] = {"dense", "banded", "sliding"};
+  const char* model_names[] = {"dense", "sliding"};
   for (const Isa isa : kVectorIsas) {
     const auto vector = reconstruct(isa);
     for (size_t k = 0; k < scalar.size(); ++k) {
@@ -352,7 +338,7 @@ TEST(KernelDispatchTest, Avx512TierIsBitExactAgainstBothLowerTiers) {
     auto run = [&](Isa isa) {
       kernels::ForceIsaForTest(isa);
       std::vector<double> y = a;
-      kernels::Axpy2(y.data(), 0.4, b.data(), -0.7, a.data(), n);
+      kernels::Axpy(y.data(), 0.4, b.data(), n);
       std::vector<double> out(3, 0.0);
       out[0] = kernels::Dot(a.data(), b.data(), n);
       out[1] = kernels::MulAndSum(y.data(), b.data(), n);
@@ -399,29 +385,17 @@ TEST(KernelDispatchTest, IsaNamesAndAvailability) {
   }
 }
 
-// NUMDIST_FORCE_ISA (and the legacy NUMDIST_FORCE_SCALAR alias) are read
-// at resolution time; ResetIsaForTest re-resolves, which lets the env
-// contract be tested in-process.
+// NUMDIST_FORCE_ISA is read at resolution time; ResetIsaForTest
+// re-resolves, which lets the env contract be tested in-process.
 TEST(KernelDispatchTest, ForceIsaEnvironmentVariable) {
   const char* old_isa = getenv("NUMDIST_FORCE_ISA");
   const std::string saved_isa = old_isa != nullptr ? old_isa : "";
   const bool had_isa = old_isa != nullptr;
-  const char* old_scalar = getenv("NUMDIST_FORCE_SCALAR");
-  const std::string saved_scalar = old_scalar != nullptr ? old_scalar : "";
-  const bool had_scalar = old_scalar != nullptr;
 
   setenv("NUMDIST_FORCE_ISA", "scalar", 1);
-  unsetenv("NUMDIST_FORCE_SCALAR");
   kernels::ResetIsaForTest();
   EXPECT_EQ(kernels::ActiveIsa(), Isa::kScalar);
 
-  // Legacy alias still forces scalar...
-  unsetenv("NUMDIST_FORCE_ISA");
-  setenv("NUMDIST_FORCE_SCALAR", "1", 1);
-  kernels::ResetIsaForTest();
-  EXPECT_EQ(kernels::ActiveIsa(), Isa::kScalar);
-
-  // ...but the new variable wins when both are set.
   setenv("NUMDIST_FORCE_ISA", "avx2", 1);
   kernels::ResetIsaForTest();
   EXPECT_EQ(kernels::ActiveIsa(),
@@ -429,7 +403,6 @@ TEST(KernelDispatchTest, ForceIsaEnvironmentVariable) {
 
   // Unknown values are ignored (native resolution).
   setenv("NUMDIST_FORCE_ISA", "sse9", 1);
-  unsetenv("NUMDIST_FORCE_SCALAR");
   kernels::ResetIsaForTest();
   const Isa native = kernels::ActiveIsa();
   EXPECT_EQ(native, kernels::Avx512Available()
@@ -440,11 +413,6 @@ TEST(KernelDispatchTest, ForceIsaEnvironmentVariable) {
     setenv("NUMDIST_FORCE_ISA", saved_isa.c_str(), 1);
   } else {
     unsetenv("NUMDIST_FORCE_ISA");
-  }
-  if (had_scalar) {
-    setenv("NUMDIST_FORCE_SCALAR", saved_scalar.c_str(), 1);
-  } else {
-    unsetenv("NUMDIST_FORCE_SCALAR");
   }
   kernels::ResetIsaForTest();
 }

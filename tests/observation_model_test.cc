@@ -30,86 +30,6 @@ TEST(DenseObservationModelTest, MatchesMatrixProducts) {
   EXPECT_DOUBLE_EQ(xt[1], 3.0);
 }
 
-TEST(BandedObservationModelTest, DecomposesSquareWaveMatrix) {
-  const SquareWave sw = SquareWave::Make(1.0).ValueOrDie();
-  const size_t d = 32;
-  const Matrix m = sw.TransitionMatrix(d, d);
-  const double background = sw.q() * (1.0 + 2.0 * sw.b()) / d;
-  const BandedObservationModel banded =
-      BandedObservationModel::FromDense(m, background, 1e-13);
-  // The band must be a strict subset of the full matrix.
-  EXPECT_LT(banded.BandEntries(), d * d);
-  EXPECT_GT(banded.BandEntries(), 0u);
-}
-
-TEST(BandedObservationModelTest, ApplyMatchesDense) {
-  const SquareWave sw = SquareWave::Make(1.5, 0.2).ValueOrDie();
-  const size_t d = 48;
-  const Matrix m = sw.TransitionMatrix(d, 64);
-  const double background = sw.q() * (1.0 + 2.0 * sw.b()) / 64;
-  const BandedObservationModel banded =
-      BandedObservationModel::FromDense(m, background, 1e-13);
-  Rng rng(1);
-  std::vector<double> x(d);
-  for (double& v : x) v = rng.Uniform();
-  std::vector<double> dense_y = m.Multiply(x);
-  std::vector<double> banded_y;
-  banded.Apply(x, &banded_y);
-  ASSERT_EQ(banded_y.size(), dense_y.size());
-  for (size_t j = 0; j < dense_y.size(); ++j) {
-    EXPECT_NEAR(banded_y[j], dense_y[j], 1e-12) << "j=" << j;
-  }
-}
-
-TEST(BandedObservationModelTest, ApplyTransposeMatchesDense) {
-  const SquareWave sw = SquareWave::Make(0.5).ValueOrDie();
-  const size_t d = 40;
-  const Matrix m = sw.TransitionMatrix(d, d);
-  const double background = sw.q() * (1.0 + 2.0 * sw.b()) / d;
-  const BandedObservationModel banded =
-      BandedObservationModel::FromDense(m, background, 1e-13);
-  Rng rng(2);
-  std::vector<double> z(d);
-  for (double& v : z) v = rng.Uniform();
-  std::vector<double> dense = m.TransposeMultiply(z);
-  std::vector<double> fast;
-  banded.ApplyTranspose(z, &fast);
-  for (size_t i = 0; i < d; ++i) {
-    EXPECT_NEAR(fast[i], dense[i], 1e-12) << "i=" << i;
-  }
-}
-
-TEST(BandedObservationModelTest, DiscreteSwBackgroundIsQ) {
-  const DiscreteSquareWave dsw =
-      DiscreteSquareWave::Make(1.0, 32).ValueOrDie();
-  const Matrix m = dsw.TransitionMatrix();
-  const BandedObservationModel banded =
-      BandedObservationModel::FromDense(m, dsw.q(), 1e-13);
-  // Exactly (2b+1) non-background entries per column.
-  EXPECT_EQ(banded.BandEntries(), (2 * dsw.b() + 1) * 32);
-}
-
-TEST(BandedObservationModelTest, EmAgreesWithDenseEm) {
-  const SquareWave sw = SquareWave::Make(1.0).ValueOrDie();
-  const size_t d = 64;
-  const Matrix m = sw.TransitionMatrix(d, d);
-  const double background = sw.q() * (1.0 + 2.0 * sw.b()) / d;
-  const BandedObservationModel banded =
-      BandedObservationModel::FromDense(m, background, 1e-13);
-
-  Rng rng(3);
-  std::vector<uint64_t> counts(d);
-  for (uint64_t& c : counts) c = 50 + rng.UniformInt(500);
-
-  const EmResult dense = EstimateEm(m, counts).ValueOrDie();
-  const EmResult fast = EstimateEm(banded, counts).ValueOrDie();
-  ASSERT_EQ(dense.estimate.size(), fast.estimate.size());
-  for (size_t i = 0; i < d; ++i) {
-    EXPECT_NEAR(dense.estimate[i], fast.estimate[i], 1e-8) << "i=" << i;
-  }
-  EXPECT_EQ(dense.iterations, fast.iterations);
-}
-
 // ------------------------------------------------- sliding window --
 //
 // The analytic operator must reproduce the dense closed-form transition to
@@ -248,23 +168,6 @@ TEST(SlidingWindowModelTest, EmAgreesWithDenseEm) {
     EXPECT_NEAR(dense.estimate[i], fast.estimate[i], 1e-8) << "i=" << i;
   }
   EXPECT_EQ(dense.iterations, fast.iterations);
-}
-
-TEST(BandedObservationModelTest, WrongBackgroundStillExact) {
-  // A deliberately wrong background just makes the bands wider (whole
-  // column); products must still be exact.
-  const SquareWave sw = SquareWave::Make(1.0, 0.3).ValueOrDie();
-  const size_t d = 16;
-  const Matrix m = sw.TransitionMatrix(d, d);
-  const BandedObservationModel banded =
-      BandedObservationModel::FromDense(m, 12345.0, 1e-13);
-  std::vector<double> x(d, 1.0 / d);
-  std::vector<double> fast;
-  banded.Apply(x, &fast);
-  const std::vector<double> dense = m.Multiply(x);
-  for (size_t j = 0; j < d; ++j) {
-    EXPECT_NEAR(fast[j], dense[j], 1e-9);
-  }
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 
 #include "data/datasets.h"
 
@@ -100,37 +99,6 @@ TEST(RunTrialsTest, TreeMethodsReportNanDistributionMetrics) {
   EXPECT_TRUE(std::isnan(agg.mean.ks));
   EXPECT_FALSE(std::isnan(agg.mean.range_small));
   EXPECT_GT(agg.mean.range_small, 0.0);
-}
-
-TEST(RunTrialsTest, ReuseProtocolsIsBitIdenticalToColdRuns) {
-  // The process-wide protocol cache (RunnerOptions::reuse_protocols) hands
-  // out shared immutable protocols; every metric must be byte-identical to
-  // a cold-constructed run — for a distribution method and a tree method.
-  Rng rng(7);
-  const std::vector<double> values =
-      GenerateDataset(DatasetId::kBeta, 4000, rng);
-  const GroundTruth truth = ComputeGroundTruth(values, 16);
-  const auto run = [&](const DistributionMethod& method, bool reuse) {
-    RunnerOptions opts;
-    opts.trials = 3;
-    opts.seed = 1234;
-    opts.range_queries = 40;
-    opts.reuse_protocols = reuse;
-    return RunTrials(method, values, truth, 1.0, 16, opts).ValueOrDie();
-  };
-  const auto expect_identical = [](const AggregateMetrics& a,
-                                   const AggregateMetrics& b) {
-    EXPECT_EQ(std::memcmp(&a.mean, &b.mean, sizeof(TrialMetrics)), 0);
-    EXPECT_EQ(std::memcmp(&a.stddev, &b.stddev, sizeof(TrialMetrics)), 0);
-    EXPECT_EQ(a.trials, b.trials);
-  };
-  for (const auto& method : {MakeSwEmsMethod(), MakeCfoBinningMethod(16)}) {
-    const AggregateMetrics cold = run(*method, false);
-    const AggregateMetrics warm_first = run(*method, true);   // fills cache
-    const AggregateMetrics warm_second = run(*method, true);  // cache hit
-    expect_identical(cold, warm_first);
-    expect_identical(cold, warm_second);
-  }
 }
 
 TEST(RunTrialsTest, StddevIsZeroForSingleTrial) {

@@ -228,6 +228,20 @@ TEST(DiscreteSquareWaveTest, TransitionColumnsSumToOne) {
   EXPECT_TRUE(ValidateTransitionMatrix(dsw.TransitionMatrix()).ok());
 }
 
+TEST(DiscreteSquareWaveTest, TransitionBackgroundIsQ) {
+  // Every column is the background q except for exactly 2b + 1 entries.
+  const DiscreteSquareWave dsw =
+      DiscreteSquareWave::Make(1.0, 32).ValueOrDie();
+  const Matrix m = dsw.TransitionMatrix();
+  size_t off_background = 0;
+  for (size_t i = 0; i < m.cols(); ++i) {
+    for (size_t j = 0; j < m.rows(); ++j) {
+      if (std::fabs(m(j, i) - dsw.q()) > 1e-13) ++off_background;
+    }
+  }
+  EXPECT_EQ(off_background, (2 * dsw.b() + 1) * 32);
+}
+
 TEST(DiscreteSquareWaveTest, LdpRatioBound) {
   const double eps = 1.2;
   const DiscreteSquareWave dsw =

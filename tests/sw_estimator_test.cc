@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "common/histogram.h"
+#include "core/transition.h"
 #include "metrics/distance.h"
 
 namespace numdist {
@@ -40,7 +41,7 @@ TEST(SwEstimatorTest, OutputBucketsDefaultToD) {
   opts.d = 64;
   const SwEstimator est = SwEstimator::Make(opts).ValueOrDie();
   EXPECT_EQ(est.output_buckets(), 64u);
-  EXPECT_EQ(est.transition().cols(), 64u);
+  EXPECT_EQ(est.model().cols(), 64u);
 }
 
 TEST(SwEstimatorTest, ExplicitOutputBuckets) {
@@ -182,7 +183,9 @@ TEST(SwEstimatorTest, PerturbOneDiscreteReturnsBucketIndex) {
 
 TEST(SwEstimatorTest, AnalyticModelMatchesDenseTransitionBothPipelines) {
   // Reconstruction iterates the analytic sliding-window operator; the dense
-  // matrix is kept for validation. They must be views of the same operator.
+  // matrix built here from the same mechanism is the reference it must
+  // reproduce, output bucket count included (d + 2b on the discrete
+  // pipeline).
   for (const auto pipeline :
        {SwEstimatorOptions::Pipeline::kRandomizeBeforeBucketize,
         SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize}) {
@@ -191,16 +194,26 @@ TEST(SwEstimatorTest, AnalyticModelMatchesDenseTransitionBothPipelines) {
     opts.d = 64;
     opts.pipeline = pipeline;
     const SwEstimator est = SwEstimator::Make(opts).ValueOrDie();
-    ASSERT_EQ(est.model().rows(), est.transition().rows());
-    ASSERT_EQ(est.model().cols(), est.transition().cols());
+    Matrix transition =
+        pipeline == SwEstimatorOptions::Pipeline::kRandomizeBeforeBucketize
+            ? SquareWave::Make(opts.epsilon)
+                  .ValueOrDie()
+                  .TransitionMatrix(opts.d, opts.d)
+            : DiscreteSquareWave::Make(opts.epsilon, opts.d)
+                  .ValueOrDie()
+                  .TransitionMatrix();
+    NormalizeColumns(&transition);
+    EXPECT_EQ(est.output_buckets(), transition.rows());
+    ASSERT_EQ(est.model().rows(), transition.rows());
+    ASSERT_EQ(est.model().cols(), transition.cols());
     Rng rng(77);
     std::vector<double> x(est.model().cols());
     for (double& v : x) v = rng.Uniform();
     std::vector<double> fast;
     est.model().Apply(x, &fast);
-    const std::vector<double> dense = est.transition().Multiply(x);
+    const std::vector<double> dense = transition.Multiply(x);
     for (size_t j = 0; j < dense.size(); ++j) {
-      // 1e-10: the stored dense matrix has defensively renormalized columns.
+      // 1e-10: the dense reference has defensively renormalized columns.
       EXPECT_NEAR(fast[j], dense[j], 1e-10) << "j=" << j;
     }
   }

@@ -5,7 +5,8 @@
 // uninterrupted run over the same frames. Covers the stdio collector,
 // a double crash, and the epoll network server (whose parallel
 // absorption order is nondeterministic, so recovery diffs the log
-// against the sent frame multiset). Tool locations come from CMake
+// against the sent frame multiset), also killed after its own mid-serve
+// WAL checkpoints. Tool locations come from CMake
 // (NUMDIST_*_PATH); the test self-skips when the tools were not built.
 #include <gtest/gtest.h>
 
@@ -152,17 +153,25 @@ int WaitChild(pid_t pid) {
 }
 
 // Replays the log read-only, collecting the logged frames. Checkpoints
-// reset the collection (they subsume earlier records).
+// reset the collection (they subsume earlier records); the last one's
+// report count lands in `checkpoint_reports` when given (0 without one).
 serve::WalReplayStats InspectWal(const std::string& path,
-                                 std::vector<std::string>* frames) {
+                                 std::vector<std::string>* frames,
+                                 uint64_t* checkpoint_reports = nullptr) {
   frames->clear();
+  if (checkpoint_reports != nullptr) *checkpoint_reports = 0;
   serve::WalConsumer consumer;
   consumer.on_frame = [frames](std::string_view frame) {
     frames->emplace_back(frame);
     return Status::OK();
   };
-  consumer.on_checkpoint = [frames](const std::vector<std::string>&) {
+  consumer.on_checkpoint = [&](const std::vector<std::string>& sketches) {
     frames->clear();
+    if (checkpoint_reports == nullptr) return Status::OK();
+    NUMDIST_ASSIGN_OR_RETURN(serve::CollectorSession decoded,
+                             serve::CollectorSession::Make(TestSpec()));
+    NUMDIST_RETURN_NOT_OK(decoded.ResetToSketches(sketches));
+    *checkpoint_reports = decoded.num_reports();
     return Status::OK();
   };
   auto stats = serve::ReplayWal(path, consumer);
@@ -317,22 +326,33 @@ TEST(WalProcessTest, DoubleCrashStillRecoversExactly) {
   std::remove(out.c_str());
 }
 
-// The epoll network server under SIGKILL: its parallel absorption order
-// is nondeterministic, so after the kill the log is diffed against the
-// sent frame multiset and only the truly-unlogged frames are refed.
-TEST(WalProcessTest, NetworkServerKillAndRestartRecovers) {
+// The epoll network server under SIGKILL, optionally after its own
+// mid-serve WAL checkpoints (`checkpoint_every` > 0). Its parallel
+// absorption order is nondeterministic, so after the kill the logged
+// records are diffed against the sent frame multiset and only the
+// truly-unlogged frames are refed. A checkpoint folds a prefix of the
+// stream: with one connection WAL order equals send order, so it covers
+// exactly the first reports / shard_size frames.
+void RunNetworkKillAndRestart(const std::string& tag, uint64_t seed,
+                              uint64_t checkpoint_every) {
+  constexpr size_t kShardSize = 100;
   const std::vector<std::string> frames =
-      MakeFrames(/*shards=*/12, /*shard_size=*/100, /*seed=*/31);
-  const std::string wal = testing::TempDir() + "wal_process_net.wal";
-  const std::string port_file = testing::TempDir() + "wal_process_net.port";
-  const std::string out = testing::TempDir() + "wal_process_net.sketch";
+      MakeFrames(/*shards=*/12, kShardSize, seed);
+  const std::string base = testing::TempDir() + "wal_process_" + tag;
+  const std::string wal = base + ".wal";
+  const std::string port_file = base + ".port";
+  const std::string out = base + ".sketch";
   std::remove(wal.c_str());
   std::remove(port_file.c_str());
 
-  ChildProc server = SpawnCollector(
-      {"--listen=tcp:0", "--port-file=" + port_file, "--wal=" + wal,
-       "--out=/dev/null"},
-      /*with_stdin=*/false);
+  std::vector<std::string> flags = {"--listen=tcp:0",
+                                    "--port-file=" + port_file,
+                                    "--wal=" + wal, "--out=/dev/null"};
+  if (checkpoint_every > 0) {
+    flags.push_back("--wal-checkpoint-every=" +
+                    std::to_string(checkpoint_every));
+  }
+  ChildProc server = SpawnCollector(flags, /*with_stdin=*/false);
   ASSERT_GT(server.pid, 0);
   std::string endpoint_name;
   for (int spin = 0; spin < 2000 && endpoint_name.empty(); ++spin) {
@@ -343,7 +363,8 @@ TEST(WalProcessTest, NetworkServerKillAndRestartRecovers) {
   ASSERT_FALSE(endpoint_name.empty()) << "server never published its port";
 
   // Stream frames over a real TCP connection, then kill mid-stream once
-  // the log confirms at least a third of them.
+  // the log (checkpoint + records) covers at least a third of them — and,
+  // when checkpointing, once it holds a server checkpoint.
   auto endpoint = net::ParseEndpoint(endpoint_name);
   ASSERT_TRUE(endpoint.ok()) << endpoint.status().ToString();
   auto conn = net::Dial(endpoint.value());
@@ -352,16 +373,30 @@ TEST(WalProcessTest, NetworkServerKillAndRestartRecovers) {
     ASSERT_TRUE(net::WriteAll(conn.value().get(), Prefixed(frame)).ok());
     usleep(2000);
   }
-  ASSERT_TRUE(WaitForWalFrames(wal, frames.size() / 3));
+  std::vector<std::string> logged;
+  uint64_t checkpoint_reports = 0;
+  bool covered = false;
+  for (int spin = 0; spin < 2000 && !covered; ++spin) {
+    InspectWal(wal, &logged, &checkpoint_reports);
+    covered = checkpoint_reports / kShardSize + logged.size() >=
+                  frames.size() / 3 &&
+              (checkpoint_every == 0 || checkpoint_reports > 0);
+    if (!covered) usleep(5000);
+  }
   ASSERT_EQ(kill(server.pid, SIGKILL), 0);
   WaitChild(server.pid);
+  ASSERT_TRUE(covered) << "the log never covered a third of the stream";
 
-  // Whatever subset the server logged, each logged frame is one we sent;
-  // the complement is what the restart must absorb.
-  std::vector<std::string> logged;
-  InspectWal(wal, &logged);
+  // Whatever subset the server logged after its checkpoint, each logged
+  // frame is one we sent; the complement is what the restart must absorb.
+  InspectWal(wal, &logged, &checkpoint_reports);
+  ASSERT_EQ(checkpoint_reports % kShardSize, 0u);
+  const size_t checkpointed = checkpoint_reports / kShardSize;
+  ASSERT_LE(checkpointed, frames.size());
+  const std::vector<std::string> unfolded(frames.begin() + checkpointed,
+                                          frames.end());
   std::map<std::string, int> remaining;
-  for (const std::string& frame : frames) ++remaining[frame];
+  for (const std::string& frame : unfolded) ++remaining[frame];
   for (const std::string& frame : logged) {
     auto it = remaining.find(frame);
     ASSERT_NE(it, remaining.end()) << "log holds a frame never sent";
@@ -369,7 +404,7 @@ TEST(WalProcessTest, NetworkServerKillAndRestartRecovers) {
     --it->second;
   }
   std::vector<std::string> rest_frames;
-  for (const std::string& frame : frames) {
+  for (const std::string& frame : unfolded) {
     auto it = remaining.find(frame);
     if (it->second > 0) {
       --it->second;
@@ -377,7 +412,7 @@ TEST(WalProcessTest, NetworkServerKillAndRestartRecovers) {
     }
   }
 
-  const std::string rest = testing::TempDir() + "wal_process_net.rest";
+  const std::string rest = base + ".rest";
   WriteFramesFile(rest, rest_frames);
   ChildProc resumed = SpawnCollector(
       {"--wal=" + wal, "--in=" + rest, "--out=" + out}, /*with_stdin=*/false);
@@ -399,6 +434,16 @@ TEST(WalProcessTest, NetworkServerKillAndRestartRecovers) {
   std::remove(port_file.c_str());
   std::remove(rest.c_str());
   std::remove(out.c_str());
+}
+
+TEST(WalProcessTest, NetworkServerKillAndRestartRecovers) {
+  RunNetworkKillAndRestart("net", /*seed=*/31, /*checkpoint_every=*/0);
+}
+
+// The server's own MaybeCheckpointWal compactions, which no session-level
+// test reaches.
+TEST(WalProcessTest, NetworkServerKillAfterCheckpointRecovers) {
+  RunNetworkKillAndRestart("ckpt", /*seed=*/37, /*checkpoint_every=*/4);
 }
 
 #else
