@@ -40,6 +40,11 @@ Status Reactor::Add(int fd, uint32_t events, void* tag) {
   ev.events = events;
   ev.data.ptr = tag;
   if (epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, fd, &ev) < 0) {
+    if (errno == EPERM) {
+      return Status::FailedPrecondition(
+          "net: epoll does not support this fd (a regular file or "
+          "/dev/null)");
+    }
     return Errno("epoll_ctl(add)");
   }
   return Status::OK();

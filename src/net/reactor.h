@@ -36,6 +36,8 @@ class Reactor {
 
   /// Registers `fd` for `events` (EPOLLIN/EPOLLOUT bits), reported with
   /// `tag`. A tag of nullptr is reserved for the wakeup channel.
+  /// FailedPrecondition when epoll does not support the fd's type (a
+  /// regular file or /dev/null: EPERM); such an fd is always readable.
   Status Add(int fd, uint32_t events, void* tag);
   /// Changes a registered fd's interest set (0 = keep registered, report
   /// nothing — a paused session).

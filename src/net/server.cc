@@ -43,6 +43,12 @@ struct CollectorServer::Connection : IoHandle {
   explicit Connection(size_t max_frame_bytes)
       : IoHandle(false), decoder(max_frame_bytes) {}
   Fd fd;
+  /// Streams only (AddStream): the ack sink, separate from `fd`.
+  Fd out_fd;
+  /// False for a stream epoll refused: always readable, read every round.
+  bool polled = true;
+  /// When bytes last arrived (kept only with read_timeout_ms > 0).
+  Clock::time_point last_read;
   serve::FrameDecoder decoder;
   /// Bytes of decoded frames queued but not yet absorbed (backpressure).
   size_t inflight_bytes = 0;
@@ -113,22 +119,10 @@ Result<std::unique_ptr<CollectorServer>> CollectorServer::Make(
     // the log's clean prefix replays into the main session (sub-sessions
     // start empty either way), then the writer truncates any torn tail
     // and appends from the recovered offset.
-    serve::CollectorSession* main = &server->main_;
-    serve::WalConsumer consumer;
-    consumer.on_frame = [main](std::string_view frame) {
-      return main->HandleFrame(frame);
-    };
-    consumer.on_checkpoint = [main](const std::vector<std::string>& sketches) {
-      return main->ResetToSketches(sketches);
-    };
-    consumer.on_seq_checkpoint =
-        [main](const std::vector<serve::WalSeqEntry>& entries) {
-          main->sequence_tracker()->Restore(entries);
-          return Status::OK();
-        };
     NUMDIST_ASSIGN_OR_RETURN(
         serve::WalLog log,
-        serve::WalLog::Open(options.wal_path, options.wal, consumer));
+        serve::WalLog::Open(options.wal_path, options.wal,
+                            server->main_.ReplayConsumer()));
     server->wal_ = std::make_unique<serve::WalLog>(std::move(log));
     server->wal_recovery_ = server->wal_->recovery();
   }
@@ -175,6 +169,23 @@ Result<Endpoint> CollectorServer::AddListener(const Endpoint& endpoint) {
   const Endpoint bound = listener->endpoint;
   listeners_.push_back(std::move(listener));
   return bound;
+}
+
+Status CollectorServer::AddStream(Fd in, Fd out) {
+  auto conn = std::make_unique<Connection>(options_.max_frame_bytes);
+  conn->fd = std::move(in);
+  conn->out_fd = std::move(out);
+  const Status added = reactor_.Add(conn->fd.get(), EPOLLIN,
+                                    static_cast<IoHandle*>(conn.get()));
+  if (added.code() == StatusCode::kFailedPrecondition) {
+    conn->polled = false;
+    ++unpolled_;
+  } else if (!added.ok()) {
+    return added;
+  }
+  ++stats_.connections_accepted;
+  connections_.push_back(std::move(conn));
+  return Status::OK();
 }
 
 void CollectorServer::RequestDrain() {
@@ -250,6 +261,7 @@ void CollectorServer::HandleReadable(Connection* conn) {
     }
     budget -= static_cast<size_t>(got);
     stats_.bytes_received += static_cast<uint64_t>(got);
+    if (options_.read_timeout_ms > 0) conn->last_read = Clock::now();
     const Status fed =
         conn->decoder.Feed(std::string_view(buf, static_cast<size_t>(got)));
     if (!fed.ok()) {
@@ -265,6 +277,12 @@ void CollectorServer::HandleReadable(Connection* conn) {
                                                   : Clock::time_point()});
     }
     if (got < static_cast<ssize_t>(want)) break;  // socket drained
+    // A stream is read once per round. A polled one may be blocking, so a
+    // second read could stall the loop while its client waits for an ack;
+    // an unpolled one (a file) then hands each batch one read's worth of
+    // frames, whose buffers the allocator recycles instead of returning
+    // to the OS every round.
+    if (conn->out_fd.valid()) break;
   }
   if (!conn->paused && conn->inflight_bytes > options_.pause_bytes) {
     // Backpressure: drop read interest (level-triggered, so nothing is
@@ -277,7 +295,7 @@ void CollectorServer::HandleReadable(Connection* conn) {
 }
 
 void CollectorServer::UpdateInterest(Connection* conn) {
-  if (conn->closed) return;
+  if (conn->closed || !conn->polled) return;
   const uint32_t events = (conn->paused ? 0u : static_cast<uint32_t>(EPOLLIN)) |
                           (conn->want_write ? static_cast<uint32_t>(EPOLLOUT)
                                             : 0u);
@@ -290,6 +308,15 @@ void CollectorServer::UpdateInterest(Connection* conn) {
 
 void CollectorServer::FlushConn(Connection* conn) {
   if (conn->closed) return;
+  if (conn->out_fd.valid()) {
+    // A stream's ack sink (stdout): a blocking write(2). Losing it fails
+    // the stream, whose unread input would otherwise go missing from a
+    // sketch that looks complete.
+    const Status wrote = WriteAll(conn->out_fd.get(), conn->out_buf);
+    conn->out_buf.clear();
+    if (!wrote.ok()) FailConnection(conn, wrote);
+    return;
+  }
   const bool wanted_write = conn->want_write;
   while (conn->out_off < conn->out_buf.size()) {
     const ssize_t wrote =
@@ -483,8 +510,13 @@ void CollectorServer::FailConnection(Connection* conn, const Status& error) {
 
 void CollectorServer::CloseConnection(Connection* conn) {
   if (conn->closed) return;
-  (void)reactor_.Del(conn->fd.get());
+  if (conn->polled) {
+    (void)reactor_.Del(conn->fd.get());
+  } else {
+    --unpolled_;
+  }
   conn->fd.reset();
+  conn->out_fd.reset();
   conn->closed = true;
   conn->paused = false;
   conn->want_write = false;
@@ -511,10 +543,41 @@ void CollectorServer::ReapClosed() {
   });
 }
 
+void CollectorServer::ExpireStalledReads() {
+  const Clock::time_point now = Clock::now();
+  const auto timeout = std::chrono::milliseconds(options_.read_timeout_ms);
+  // Indexed: a failure can drain, and a drain accepts the backlog.
+  for (size_t i = 0; i < connections_.size(); ++i) {
+    Connection* conn = connections_[i].get();
+    if (conn->closed || conn->paused || !conn->decoder.mid_frame() ||
+        now - conn->last_read < timeout) {
+      continue;
+    }
+    // Same taxonomy as an EOF at this position, with the stall called out.
+    FailConnection(conn, Status::OutOfRange(
+                             "framing: read timed out inside a frame after " +
+                             std::to_string(options_.read_timeout_ms) +
+                             " ms (" + conn->decoder.AtEnd().message() + ")"));
+  }
+}
+
 int CollectorServer::WaitTimeoutMs() const {
-  if (inc_ == nullptr || options_.estimate_every_ms <= 0) return -1;
+  if (unpolled_ > 0) return 0;
+  Clock::time_point deadline = Clock::time_point::max();
+  if (inc_ != nullptr && options_.estimate_every_ms > 0) {
+    deadline = next_estimate_at_;
+  }
+  if (options_.read_timeout_ms > 0) {
+    const auto timeout = std::chrono::milliseconds(options_.read_timeout_ms);
+    for (const auto& conn : connections_) {
+      if (!conn->closed && !conn->paused && conn->decoder.mid_frame()) {
+        deadline = std::min(deadline, conn->last_read + timeout);
+      }
+    }
+  }
+  if (deadline == Clock::time_point::max()) return -1;
   const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-                             next_estimate_at_ - Clock::now())
+                             deadline - Clock::now())
                              .count();
   if (remaining <= 0) return 0;
   return static_cast<int>(
@@ -589,6 +652,11 @@ Status CollectorServer::Run() {
     if (draining_ && connections_.empty() && pending_.empty()) break;
     NUMDIST_ASSIGN_OR_RETURN(const size_t n,
                              reactor_.Wait(events, WaitTimeoutMs()));
+    if (unpolled_ > 0) {
+      for (size_t i = 0; i < connections_.size(); ++i) {
+        if (!connections_[i]->polled) HandleReadable(connections_[i].get());
+      }
+    }
     for (size_t i = 0; i < n; ++i) {
       void* tag = events[i].tag;
       if (tag == nullptr) continue;  // wakeup; the flag check above acts
@@ -603,6 +671,7 @@ Status CollectorServer::Run() {
         }
       }
     }
+    if (options_.read_timeout_ms > 0) ExpireStalledReads();
     AbsorbPending();
     if (!wal_status_.ok()) return wal_status_;
     if (!replica_status_.ok()) return replica_status_;
@@ -652,19 +721,25 @@ uint64_t CollectorServer::num_reports() const {
   return total;
 }
 
+Status CollectorServer::CheckMerged(const char* what) const {
+  if (merged_) return Status::OK();
+  return Status::FailedPrecondition(
+      std::string("net: ") + what +
+      " before Run completed (sub-aggregates unmerged)");
+}
+
 Result<std::string> CollectorServer::EncodeSketch() const {
-  if (!merged_) {
-    return Status::FailedPrecondition(
-        "net: EncodeSketch before Run completed (sub-aggregates unmerged)");
-  }
+  NUMDIST_RETURN_NOT_OK(CheckMerged("EncodeSketch"));
   return main_.EncodeSketch();
 }
 
+Result<std::vector<std::string>> CollectorServer::EncodeSketches() const {
+  NUMDIST_RETURN_NOT_OK(CheckMerged("EncodeSketches"));
+  return main_.EncodeSketches();
+}
+
 Result<MethodOutput> CollectorServer::Reconstruct() const {
-  if (!merged_) {
-    return Status::FailedPrecondition(
-        "net: Reconstruct before Run completed (sub-aggregates unmerged)");
-  }
+  NUMDIST_RETURN_NOT_OK(CheckMerged("Reconstruct"));
   return main_.Reconstruct();
 }
 

@@ -1,9 +1,13 @@
-// The event-loop collector: one process, one epoll Reactor, thousands of
-// concurrent report_client connections multiplexed into one aggregate.
+// The collector's one ingest engine: one process, one epoll Reactor,
+// thousands of concurrent report_client connections multiplexed into one
+// aggregate. An already-open byte stream (stdin, a file) is served the same
+// way as one more connection (AddStream), which is how collector_cli's
+// stdio mode runs; the WAL, replication, ack and checkpoint policy below
+// therefore exists once, here.
 //
 // Ingestion pipeline, per reactor round:
 //
-//   epoll_wait ─▶ accept / read ready sockets (bounded bytes per round)
+//   epoll_wait ─▶ accept / read ready connections (bounded bytes per round)
 //              ─▶ FrameDecoder reassembles u32-prefixed frames incrementally
 //              ─▶ completed frames queue as one batch
 //              ─▶ Executor::Shared().ParallelFor absorbs the batch into
@@ -28,7 +32,9 @@
 // stream to EOF, flushes the in-flight frames, and returns from Run with
 // the aggregate complete. `expect_frames` is the scripted alternative:
 // after N absorbed frames the server cuts remaining connections and
-// drains itself (how coordinator trees without signal plumbing stop).
+// drains itself (how coordinator trees without signal plumbing stop);
+// `drain_on_disconnect` drains once the last connection ends (a standby,
+// or a stdio collector whose one stream hit EOF).
 #pragma once
 
 #include <atomic>
@@ -86,6 +92,13 @@ struct ServerOptions {
   /// Record per-frame ingest latency (frame fully decoded -> absorbed)
   /// into ServerStats::latency_ns. Bench-only; off in production serving.
   bool record_latency = false;
+  /// Read deadline, armed only while a connection holds a partially
+  /// received frame: one that stalls this long MID-FRAME fails with the
+  /// typed OutOfRange a mid-frame EOF gives, so a dead client can neither
+  /// hang a drain nor pin its buffer forever. A connection idling between
+  /// complete frames is legitimate (an open but quiet client) and never
+  /// times out. 0 disables the deadline and all of its bookkeeping.
+  int read_timeout_ms = 0;
 
   /// Write-ahead log path (empty = no durability). Make replays the log
   /// into the main session before serving (crash recovery), every
@@ -117,10 +130,11 @@ struct ServerOptions {
   bool send_acks = true;
 
   /// Promote-on-disconnect: once at least one connection has been
-  /// accepted, the server drains itself when the last open connection
-  /// closes (clean EOF or error alike). Standby mode: the primary's death
-  /// ends the replication stream, and the standby finishes with exactly
-  /// the frames that reached it.
+  /// accepted (or a stream attached), the server drains itself when the
+  /// last open connection closes (clean EOF or error alike). Standby
+  /// mode: the primary's death ends the replication stream, and the
+  /// standby finishes with exactly the frames that reached it. Stdio
+  /// mode: the collector finishes when its input stream ends.
   bool drain_on_disconnect = false;
 
   /// Live estimation cadence: re-reconstruct after this many newly
@@ -145,6 +159,7 @@ struct ServerOptions {
 };
 
 struct ServerStats {
+  /// Accepted connections plus attached streams (AddStream).
   uint64_t connections_accepted = 0;
   uint64_t frames_absorbed = 0;
   uint64_t bytes_received = 0;
@@ -177,6 +192,19 @@ class CollectorServer {
   /// (tcp port 0 resolved). Call any number of times before Run — a
   /// collector can serve TCP and a Unix socket simultaneously.
   Result<Endpoint> AddListener(const Endpoint& endpoint);
+
+  /// Serves an already-open byte stream as one more connection (how
+  /// collector_cli serves stdin or --in). Frames are read from `in`; acks
+  /// go to `out` by blocking write(2), since send(2) refuses the pipes and
+  /// files stdout may be. The server owns both fds. `in` is read once per
+  /// round and never made non-blocking (that would leak into the file
+  /// description it shares with other processes), so a lock-step client
+  /// waiting for an ack never finds the loop blocked in read(2); an `in`
+  /// epoll refuses (a regular file, /dev/null) is read every round without
+  /// waiting. A failed ack write fails the stream: closing it quietly would
+  /// drop its unread input from a sketch that looks complete. Call before
+  /// Run.
+  Status AddStream(Fd in, Fd out);
 
   /// Serves until drain completes: accepts, reads, reassembles, absorbs.
   /// Per-connection errors (hostile frames, mid-stream disconnects) drop
@@ -211,9 +239,12 @@ class CollectorServer {
   /// The incremental reconstruction state (null unless configured).
   const IncrementalReconstructor* incremental() const { return inc_.get(); }
 
-  /// The aggregate as a wire sketch frame / the reconstructed estimate.
-  /// Valid after Run has returned (sub-session state is merged at drain).
+  /// The aggregate as one untagged wire sketch frame, as one sketch frame
+  /// per tenant (CollectorSession::EncodeSketches, what collector_cli
+  /// emits), or as the reconstructed estimate. Valid after Run has
+  /// returned (sub-session state is merged at drain).
   Result<std::string> EncodeSketch() const;
+  Result<std::vector<std::string>> EncodeSketches() const;
   Result<MethodOutput> Reconstruct() const;
 
  private:
@@ -227,6 +258,8 @@ class CollectorServer {
   void EnterDrain(bool cut_connections);
   Status HandleAccept(Listener* listener);
   void HandleReadable(Connection* conn);
+  /// Fails every connection stalled mid-frame past read_timeout_ms.
+  void ExpireStalledReads();
   void AbsorbPending();
   /// Queues one ack frame on the source connection (sent after the frame
   /// is locally durable and replicated).
@@ -247,9 +280,13 @@ class CollectorServer {
   void CloseConnection(Connection* conn);
   void ReapClosed();
   Status MergeSubSessions();
+  /// FailedPrecondition naming `what` until Run has merged the slots.
+  Status CheckMerged(const char* what) const;
   /// Runs a live-estimation tick when one is due (frame or time cadence).
   void MaybeEstimate();
-  /// Milliseconds until the next timed tick (-1 = wait forever).
+  /// Milliseconds until the next timed event — an estimate tick or a
+  /// read deadline — (-1 = wait forever; 0 while an unpolled stream is
+  /// open, since it is always readable).
   int WaitTimeoutMs() const;
 
   serve::CollectorSession main_;
@@ -259,6 +296,8 @@ class CollectorServer {
 
   std::vector<std::unique_ptr<Listener>> listeners_;
   std::vector<std::unique_ptr<Connection>> connections_;
+  /// Open streams epoll refused (AddStream); Run reads them every round.
+  size_t unpolled_ = 0;
   std::vector<PendingFrame> pending_;
   size_t pending_bytes_ = 0;
   /// Per-executor-slot sub-aggregates, merged into main_ at drain. Peers
@@ -267,10 +306,9 @@ class CollectorServer {
   std::vector<serve::CollectorSession> sub_sessions_;
   bool merged_ = false;
 
-  /// Durability (null unless ServerOptions::wal_path was set). The server
-  /// owns the log — appends happen from the batch loop in absorption
-  /// order, NOT through main_, whose HandleFrame path must stay silent
-  /// during the drain-time sub-session merge.
+  /// Durability (null unless ServerOptions::wal_path was set). The only
+  /// WAL writer in the process: appends happen from the batch loop in
+  /// absorption order, checkpoints on the cadence and at drain.
   std::unique_ptr<serve::WalLog> wal_;
   serve::WalReplayStats wal_recovery_;
   uint64_t wal_frames_since_checkpoint_ = 0;

@@ -1,14 +1,7 @@
 #include "serve/collector.h"
 
-#include <poll.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <ostream>
 #include <utility>
-
-#include "serve/framing.h"
 
 namespace numdist::serve {
 
@@ -193,26 +186,16 @@ Status CollectorSession::HandleFrame(std::span<const uint8_t> frame,
   }
   // The exactly-once window: claim the (epoch, seq) before doing any
   // work. A failed claim is a duplicate re-send — succeed without
-  // touching anything so the caller re-acks it; a failure after a
-  // successful claim releases it so the client's retry is accepted,
-  // but ONLY when the absorb left state untouched.
+  // touching anything so the caller re-acks it; a failed absorb left
+  // everything untouched, so its claim is released and the client's
+  // retry is accepted.
   if (info.has_seq && !tracker_->Claim(info.seq.epoch, info.seq.seq)) {
     if (outcome != nullptr) outcome->duplicate = true;
     return Status::OK();
   }
-  bool committed = false;
-  const Status absorbed = AbsorbFrame(info, frame, &committed);
+  const Status absorbed = AbsorbFrame(info, frame);
   if (!absorbed.ok()) {
-    // A pre-commit failure (decode, over-budget, shape mismatch) rolled
-    // everything back, so the claim must reopen for the retry. A failure
-    // AFTER the accumulator/ledger commit — the WAL append inside
-    // LogAccepted — keeps the claim: the frame IS aggregated and charged
-    // here, so accepting a retransmit would double-count it. The caller
-    // treats a WAL failure as fatal either way (never acks the frame),
-    // and a restart replays a log without it, reopening the claim there.
-    if (info.has_seq && !committed) {
-      tracker_->Release(info.seq.epoch, info.seq.seq);
-    }
+    if (info.has_seq) tracker_->Release(info.seq.epoch, info.seq.seq);
     return absorbed;
   }
   if (outcome != nullptr) outcome->absorbed = true;
@@ -220,15 +203,10 @@ Status CollectorSession::HandleFrame(std::span<const uint8_t> frame,
 }
 
 Status CollectorSession::AbsorbFrame(const wire::FrameInfo& info,
-                                     std::span<const uint8_t> frame,
-                                     bool* committed) {
-  *committed = false;
+                                     std::span<const uint8_t> frame) {
   // Reservation-then-absorb, into a staged accumulator for a first-seen
-  // tenant: any failure (over budget, shape mismatch) before the commit
-  // point must leave every accumulator, the tenant map, AND the ledger
-  // exactly as they were. `committed` flips the moment they are mutated
-  // for good, so HandleFrame can tell a rolled-back failure from a WAL
-  // failure on an already-aggregated frame.
+  // tenant: any failure (over budget, shape mismatch) must leave every
+  // accumulator, the tenant map, AND the ledger exactly as they were.
   const auto absorb = [&](uint64_t reports, auto&& apply) -> Status {
     Accumulator* target = nullptr;
     std::unique_ptr<Accumulator> staged;
@@ -247,8 +225,7 @@ Status CollectorSession::AbsorbFrame(const wire::FrameInfo& info,
       return applied;
     }
     if (staged != nullptr) tenants_[info.tenant] = std::move(staged);
-    *committed = true;
-    return LogAccepted(frame);
+    return Status::OK();
   };
   switch (info.type) {
     case wire::FrameType::kReports: {
@@ -411,23 +388,7 @@ Status CollectorSession::ResetToSketches(
   return Status::OK();
 }
 
-Status CollectorSession::LogAccepted(std::span<const uint8_t> frame) {
-  if (wal_ == nullptr) return Status::OK();
-  NUMDIST_RETURN_NOT_OK(wal_->AppendFrame(std::string_view(
-      reinterpret_cast<const char*>(frame.data()), frame.size())));
-  ++wal_frames_since_checkpoint_;
-  const uint64_t every = wal_->options().checkpoint_every_frames;
-  if (every > 0 && wal_frames_since_checkpoint_ >= every) {
-    return CompactWal();
-  }
-  return Status::OK();
-}
-
-Result<WalReplayStats> CollectorSession::RecoverAndAttachWal(
-    const std::string& path, const WalOptions& options) {
-  if (wal_ != nullptr) {
-    return Status::FailedPrecondition("collector: a WAL is already attached");
-  }
+WalConsumer CollectorSession::ReplayConsumer() {
   WalConsumer consumer;
   consumer.on_frame = [this](std::string_view frame) {
     return HandleFrame(frame);
@@ -440,21 +401,7 @@ Result<WalReplayStats> CollectorSession::RecoverAndAttachWal(
         tracker_->Restore(entries);
         return Status::OK();
       };
-  NUMDIST_ASSIGN_OR_RETURN(WalLog log, WalLog::Open(path, options, consumer));
-  wal_ = std::make_unique<WalLog>(std::move(log));
-  wal_frames_since_checkpoint_ = 0;
-  return wal_->recovery();
-}
-
-Status CollectorSession::CompactWal() {
-  if (wal_ == nullptr) {
-    return Status::FailedPrecondition("collector: no WAL attached");
-  }
-  NUMDIST_ASSIGN_OR_RETURN(const std::vector<std::string> sketches,
-                           EncodeSketches());
-  NUMDIST_RETURN_NOT_OK(wal_->Compact(sketches, tracker_->Export()));
-  wal_frames_since_checkpoint_ = 0;
-  return Status::OK();
+  return consumer;
 }
 
 Result<MethodOutput> CollectorSession::Reconstruct() const {
@@ -462,88 +409,6 @@ Result<MethodOutput> CollectorSession::Reconstruct() const {
   NUMDIST_ASSIGN_OR_RETURN(const std::unique_ptr<Accumulator> total,
                            MergedTotal());
   return protocol_->Reconstruct(*total);
-}
-
-namespace {
-
-Status WriteSketches(std::ostream& out, CollectorSession* session) {
-  NUMDIST_ASSIGN_OR_RETURN(const std::vector<std::string> sketches,
-                           session->EncodeSketches());
-  for (const std::string& sketch : sketches) {
-    NUMDIST_RETURN_NOT_OK(WriteFrame(out, sketch));
-  }
-  out.flush();
-  return Status::OK();
-}
-
-}  // namespace
-
-Status ServeStream(std::istream& in, std::ostream& out,
-                   CollectorSession* session) {
-  std::string frame;
-  bool eof = false;
-  while (true) {
-    NUMDIST_RETURN_NOT_OK(ReadFrame(in, &frame, &eof));
-    if (eof) break;
-    NUMDIST_RETURN_NOT_OK(session->HandleFrame(frame));
-  }
-  return WriteSketches(out, session);
-}
-
-Status ServeFd(int in_fd, std::ostream& out, CollectorSession* session,
-               const ServeFdOptions& options) {
-  FrameDecoder decoder(options.max_bytes);
-  std::string frame;
-  char buf[64 * 1024];
-  for (;;) {
-    // The deadline is armed only mid-frame: a quiet-but-idle client keeps
-    // the connection, a client that died mid-frame surfaces in bounded
-    // time as the typed mid-stream error.
-    const int timeout =
-        (options.read_timeout_ms > 0 && decoder.mid_frame())
-            ? options.read_timeout_ms
-            : -1;
-    struct pollfd pfd = {in_fd, POLLIN, 0};
-    const int ready = poll(&pfd, 1, timeout);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal("collector: poll failed (errno " +
-                              std::to_string(errno) + ")");
-    }
-    if (ready == 0) {
-      // Stalled mid-frame past the deadline: same taxonomy as an EOF at
-      // this position, with the stall called out.
-      return Status::OutOfRange(
-          "framing: read timed out inside a frame after " +
-          std::to_string(options.read_timeout_ms) + " ms (" +
-          decoder.AtEnd().message() + ")");
-    }
-    const ssize_t got = read(in_fd, buf, sizeof(buf));
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal("collector: read failed (errno " +
-                              std::to_string(errno) + ")");
-    }
-    if (got == 0) {
-      NUMDIST_RETURN_NOT_OK(decoder.AtEnd());  // clean boundary or typed error
-      break;
-    }
-    NUMDIST_RETURN_NOT_OK(
-        decoder.Feed(std::string_view(buf, static_cast<size_t>(got))));
-    while (decoder.Next(&frame)) {
-      FrameOutcome outcome;
-      NUMDIST_RETURN_NOT_OK(session->HandleFrame(frame, &outcome));
-      if (outcome.has_seq) {
-        // Ack AFTER absorb + WAL append: an ack the client sees always
-        // refers to a frame that survives this collector's crash.
-        std::string ack;
-        NUMDIST_RETURN_NOT_OK(wire::EncodeAckFrame(outcome.seq, &ack));
-        NUMDIST_RETURN_NOT_OK(WriteFrame(out, ack));
-        out.flush();
-      }
-    }
-  }
-  return WriteSketches(out, session);
 }
 
 }  // namespace numdist::serve

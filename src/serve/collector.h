@@ -25,16 +25,18 @@
 // sub-sessions enforce one global budget). An over-budget frame is a typed
 // FailedPrecondition rejection that leaves every accumulator untouched.
 //
-// Durability: RecoverAndAttachWal replays a write-ahead log (serve/wal.h)
-// and then logs every accepted frame, so a collector killed at any byte
-// offset restarts with the exact pre-crash state.
+// Durability: a session holds no log. net::CollectorServer, the one ingest
+// engine, appends every accepted frame to its write-ahead log
+// (serve/wal.h) and rebuilds a session from it through ReplayConsumer, so
+// a collector killed at any byte offset restarts with the exact pre-crash
+// state.
 //
-// tools/collector_cli wraps ServeStream as a stdin/stdout daemon;
-// tools/report_client generates deterministic client load against it.
+// tools/collector_cli serves stdin and network listeners alike through
+// net::CollectorServer; tools/report_client generates deterministic client
+// load against it.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -44,7 +46,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "serve/framing.h"
 #include "serve/wal.h"
 #include "wire/wire.h"
 
@@ -138,9 +139,9 @@ class SequenceTracker {
 };
 
 /// What HandleFrame did with one frame, for callers that acknowledge
-/// sequenced frames (the serve loops and the event-loop server).
+/// sequenced frames (the event-loop server).
 struct FrameOutcome {
-  /// The frame mutated the aggregate (decoded, charged, absorbed, logged).
+  /// The frame mutated the aggregate (decoded, charged, absorbed).
   bool absorbed = false;
   /// An already-claimed (epoch, seq): nothing was absorbed, but the frame
   /// must be acked again — the client's ack was lost, not the frame.
@@ -158,8 +159,8 @@ class CollectorSession {
   static Result<CollectorSession> Make(const wire::MethodSpec& spec);
 
   /// An empty peer: same spec, and the same immutable Protocol, TenantLedger
-  /// and dedup window as this session, with its own accumulators and no
-  /// WAL. The event-loop server builds one Protocol per process this way —
+  /// and dedup window as this session, with its own accumulators. The
+  /// event-loop server builds one Protocol per process this way —
   /// its per-slot sub-sessions and checkpoint scratch are all peers of the
   /// main session, so budgets and exactly-once claims stay process-global.
   CollectorSession MakePeer() const;
@@ -174,12 +175,8 @@ class CollectorSession {
   /// the frame's tenant context (the default accumulator when untagged).
   /// Snapshot, ack, malformed, and over-budget frames are typed errors; a
   /// failed frame leaves every accumulator, the ledger, and the dedup
-  /// window untouched — except a WAL-append failure AFTER the aggregate
-  /// committed, which keeps the frame absorbed and claimed (releasing it
-  /// would double-count the retry; the error is fatal to serving and the
-  /// frame is never acked). A sequenced frame whose (epoch, seq) was
-  /// already claimed is a DUPLICATE: skipped without error (see
-  /// FrameOutcome).
+  /// window untouched. A sequenced frame whose (epoch, seq) was already
+  /// claimed is a DUPLICATE: skipped without error (see FrameOutcome).
   /// `outcome` (optional) reports what happened, for ack emission.
   Status HandleFrame(std::span<const uint8_t> frame,
                      FrameOutcome* outcome = nullptr);
@@ -232,19 +229,11 @@ class CollectorSession {
   /// RESET semantics, not merge. On failure the session is unchanged.
   Status ResetToSketches(const std::vector<std::string>& sketches);
 
-  /// Replays the WAL at `path` into this session (frames through
-  /// HandleFrame, checkpoints through ResetToSketches, seq checkpoints
-  /// into the dedup window) and keeps the log attached: every
-  /// subsequently accepted frame is appended, and the log is compacted
-  /// every options.checkpoint_every_frames frames. With
-  /// options.segment_bytes > 0 `path` is a segment directory (WalLog).
-  /// The torn-tail contract is ReplayWal's; the returned stats carry it.
-  Result<WalReplayStats> RecoverAndAttachWal(const std::string& path,
-                                             const WalOptions& options = {});
-  /// Compacts the attached WAL down to a checkpoint of the current state
-  /// plus the dedup window (FailedPrecondition when no WAL is attached).
-  Status CompactWal();
-  bool has_wal() const { return wal_ != nullptr; }
+  /// Replay callbacks that rebuild this session from a WAL (WalLog::Open,
+  /// ReplayWal): frames through HandleFrame, checkpoints through
+  /// ResetToSketches, seq checkpoints into the dedup window. The consumer
+  /// points at this session, which must stay put while it is used.
+  WalConsumer ReplayConsumer();
 
   /// Inverts the TOTAL aggregate (default + tenants) into the method
   /// output. Requires num_reports() > 0.
@@ -261,15 +250,10 @@ class CollectorSession {
   const Accumulator* FindTenant(uint32_t tenant) const;
   /// The total aggregate as one freshly merged accumulator.
   Result<std::unique_ptr<Accumulator>> MergedTotal() const;
-  /// The decode-charge-absorb-log core of HandleFrame (dedup handled by
-  /// the caller). `committed` reports whether the accumulator/ledger
-  /// mutation took: false on any rolled-back failure, true once the
-  /// frame is aggregated — including when the trailing WAL append then
-  /// fails, so the caller knows NOT to release the frame's claim.
+  /// The decode-charge-absorb core of HandleFrame (dedup handled by the
+  /// caller); any failure leaves the session and the ledger untouched.
   Status AbsorbFrame(const wire::FrameInfo& info,
-                     std::span<const uint8_t> frame, bool* committed);
-  /// Appends an accepted frame to the WAL and runs the checkpoint cadence.
-  Status LogAccepted(std::span<const uint8_t> frame);
+                     std::span<const uint8_t> frame);
 
   wire::MethodSpec spec_;
   /// Immutable, so peers share it across threads.
@@ -280,42 +264,6 @@ class CollectorSession {
   std::map<uint32_t, std::unique_ptr<Accumulator>> tenants_;
   std::shared_ptr<TenantLedger> ledger_;
   std::shared_ptr<SequenceTracker> tracker_;
-  std::unique_ptr<WalLog> wal_;
-  uint64_t wal_frames_since_checkpoint_ = 0;
 };
-
-/// The collector daemon loop: reads length-prefixed frames from `in` until
-/// a clean EOF, folds each into `session`, then writes the session's
-/// length-prefixed sketch frames to `out` (one per non-empty tenant; a
-/// tenantless session writes exactly one untagged frame, byte-identical
-/// to the pre-tenant protocol). Any frame error aborts the loop with that
-/// error (and writes nothing), so a partial stream can never masquerade
-/// as a completed shard. iostreams cannot time out a blocked read; use
-/// ServeFd when the peer may stall.
-Status ServeStream(std::istream& in, std::ostream& out,
-                   CollectorSession* session);
-
-struct ServeFdOptions {
-  /// Read deadline, armed only while a frame is partially received: a peer
-  /// that stalls for this long MID-FRAME surfaces as the same typed
-  /// OutOfRange error a mid-frame EOF does, instead of hanging the
-  /// collector forever. 0 disables the deadline. A peer idling between
-  /// complete frames is legitimate (an open but quiet client) and never
-  /// times out.
-  int read_timeout_ms = 0;
-  /// Per-frame size ceiling, as in ReadFrame.
-  size_t max_bytes = kMaxFrameBytes;
-};
-
-/// ServeStream over a raw file descriptor (pipes, stdio, sockets): the
-/// same lifecycle — frames to clean EOF, then the sketch frames on `out` —
-/// but read via poll(2) + the incremental FrameDecoder, which is what
-/// makes the mid-frame read deadline implementable at all. Sequenced
-/// frames (wire::kFlagSequence) are acknowledged on `out` as soon as they
-/// are durably absorbed (or recognized as duplicates), interleaved before
-/// the final sketches. On sequence-free input, byte-for-byte
-/// output-compatible with ServeStream.
-Status ServeFd(int in_fd, std::ostream& out, CollectorSession* session,
-               const ServeFdOptions& options = {});
 
 }  // namespace numdist::serve

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <istream>
 #include <ostream>
 
 #include "common/bytes.h"
@@ -39,41 +38,6 @@ void AppendFramePrefix(size_t frame_len, std::string* out) {
   ByteWriter(out).PutU32(static_cast<uint32_t>(frame_len));
 }
 
-Status ReadFrame(std::istream& in, std::string* frame, bool* eof,
-                 size_t max_bytes) {
-  frame->clear();
-  *eof = false;
-  char prefix[4];
-  in.read(prefix, sizeof(prefix));
-  if (in.gcount() == 0 && in.eof()) {
-    *eof = true;  // clean end of stream between frames
-    return Status::OK();
-  }
-  if (static_cast<size_t>(in.gcount()) < sizeof(prefix)) {
-    return Status::OutOfRange(
-        "framing: stream ended inside a length prefix (" +
-        std::to_string(in.gcount()) + " of 4 bytes)");
-  }
-  const uint32_t len =
-      ByteReader(std::string_view(prefix, sizeof(prefix))).U32().value();
-  if (len > max_bytes) {
-    return Status::InvalidArgument(
-        "framing: length prefix of " + std::to_string(len) +
-        " bytes exceeds the " + std::to_string(max_bytes) + "-byte limit");
-  }
-  frame->resize(len);
-  if (len > 0) {
-    in.read(frame->data(), static_cast<std::streamsize>(len));
-    if (static_cast<size_t>(in.gcount()) < len) {
-      return Status::OutOfRange(
-          "framing: stream ended inside a frame (" +
-          std::to_string(in.gcount()) + " of " + std::to_string(len) +
-          " bytes)");
-    }
-  }
-  return Status::OK();
-}
-
 void FrameDecoder::ParsePrefix() {
   if (have_len_ || !error_.ok()) return;
   if (buffered_bytes() < sizeof(uint32_t)) return;
@@ -82,7 +46,6 @@ void FrameDecoder::ParsePrefix() {
           .U32()
           .value();
   if (len > max_bytes_) {
-    // Same wording as ReadFrame: the two decoders must reject identically.
     error_ = Status::InvalidArgument(
         "framing: length prefix of " + std::to_string(len) +
         " bytes exceeds the " + std::to_string(max_bytes_) + "-byte limit");

@@ -1,8 +1,9 @@
 // Stream transport for wire frames: u32 little-endian length prefix +
-// frame bytes, over any std::istream/std::ostream (pipes, sockets wrapped
-// in stdio, files). The length prefix is transport-only — everything
-// inside the frame, including its own integrity checks, is the wire
-// layer's business (wire/wire.h).
+// frame bytes. WriteFrame writes one over any std::ostream; FrameDecoder,
+// the only reader, reassembles frames from bytes split at any point
+// (sockets, pipes, files, a sketch file read whole). The length prefix is
+// transport-only — everything inside the frame, including its own
+// integrity checks, is the wire layer's business (wire/wire.h).
 //
 // Reading is strict: a clean EOF *between* frames is a normal end of
 // stream, but an EOF inside a length prefix or inside a frame body is a
@@ -12,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -37,32 +39,22 @@ Status WriteFrame(std::ostream& out, std::string_view frame,
 /// ceiling first.
 void AppendFramePrefix(size_t frame_len, std::string* out);
 
-/// Reads one length-prefixed frame into `*frame`.
+/// \brief Incremental frame reassembly.
 ///
-/// Returns OK with `*eof = true` (and `*frame` empty) on a clean end of
-/// stream before any prefix byte; OK with `*eof = false` on a full frame;
-/// OutOfRange on a stream that ends mid-prefix or mid-frame; and
-/// InvalidArgument on a prefix above `max_bytes`.
-Status ReadFrame(std::istream& in, std::string* frame, bool* eof,
-                 size_t max_bytes = kMaxFrameBytes);
-
-/// \brief Incremental frame reassembly for non-blocking transports.
-///
-/// The push-mode counterpart of ReadFrame: an event loop Feed()s whatever
-/// bytes a socket produced — at any split granularity, down to one byte at
-/// a time — and Next() pops completed frames. The accept/reject taxonomy
-/// is identical to ReadFrame's, byte for byte of input:
+/// A reader Feed()s whatever bytes its transport produced — at any split
+/// granularity, down to one byte at a time — and Next() pops completed
+/// frames. The accept/reject taxonomy does not depend on the split:
 ///
 ///   hostile prefix  Feed() rejects a length prefix above `max_bytes` with
 ///                   InvalidArgument the moment its 4th byte arrives and
 ///                   before any payload-sized allocation; the decoder is
 ///                   poisoned (every later call reports the same error);
 ///   mid-stream EOF  AtEnd() distinguishes a clean boundary (OK) from a
-///                   connection that died inside a prefix or frame body
-///                   (OutOfRange), exactly like ReadFrame's eof handling.
+///                   stream that died inside a prefix or frame body
+///                   (OutOfRange).
 ///
-/// tests/net_test.cc drives both decoders over identical byte streams cut
-/// at adversarial points and asserts they accept/reject identically.
+/// tests/serve_test.cc checks every truncation of a stream and every
+/// chunking of it against these verdicts.
 class FrameDecoder {
  public:
   explicit FrameDecoder(size_t max_bytes = kMaxFrameBytes)
@@ -78,7 +70,7 @@ class FrameDecoder {
 
   /// End-of-stream verdict: OK on a clean frame boundary, the poisoning
   /// error if poisoned, OutOfRange if the stream ended inside a length
-  /// prefix or frame body (same wording as ReadFrame).
+  /// prefix or frame body.
   Status AtEnd() const;
 
   /// True when a partially received prefix or frame body is buffered —

@@ -367,7 +367,8 @@ TEST(FuzzWire, MutatedWalReplaysToTypedErrorOrPrefix) {
   {
     serve::CollectorSession session =
         serve::CollectorSession::Make(spec).ValueOrDie();
-    EXPECT_TRUE(session.RecoverAndAttachWal(path).ok());
+    serve::WalLog wal =
+        serve::WalLog::Open(path, {}, session.ReplayConsumer()).ValueOrDie();
     for (size_t i = 0; i < 3; ++i) {
       Rng rng(ShardSeed(29, i));
       auto chunk = protocol
@@ -381,8 +382,9 @@ TEST(FuzzWire, MutatedWalReplaysToTypedErrorOrPrefix) {
                                           &frame)
                       .ok());
       EXPECT_TRUE(session.HandleFrame(frame).ok());
+      EXPECT_TRUE(wal.AppendFrame(frame).ok());
       if (i == 1) {
-        EXPECT_TRUE(session.CompactWal().ok());
+        EXPECT_TRUE(wal.Compact(session.EncodeSketches().ValueOrDie()).ok());
       }
     }
   }

@@ -1,21 +1,27 @@
-// Event-loop transport guarantees (net/*, serve/framing.h FrameDecoder,
-// serve/collector.h ServeFd):
-//  - the push-mode FrameDecoder accepts/rejects EXACTLY like the pull-mode
-//    ReadFrame for every stream and every adversarial chunking of it,
-//  - WriteFrame emits prefix+body as one stream write,
-//  - ServeFd is byte-compatible with ServeStream and adds a mid-frame
-//    read deadline (idle-between-frames never times out),
+// Event-loop transport guarantees (net/*, serve/framing.h FrameDecoder):
+//  - FrameDecoder tracks a partially received frame (the read deadline's
+//    trigger), and WriteFrame emits prefix+body as one stream write,
 //  - CollectorServer multiplexes many connections into an aggregate that
 //    is byte-identical to a sequential single-session run for any
 //    connection count, frame distribution, or drain path, applies
 //    backpressure, and survives hostile clients losing only their own
-//    connection.
+//    connection,
+//  - an already-open stream (a pipe, a regular file epoll refuses,
+//    /dev/null) served as a connection is byte-identical too, acks its
+//    sequenced frames on its own sink, and fails typed when cut mid-frame,
+//  - the mid-frame read deadline fails a stalled connection (and so ends
+//    a drain waiting on it) while an idle one never times out,
+//  - the WAL checkpoint cadence keeps the log replaying to the aggregate.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
+#include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -71,59 +77,7 @@ TEST(EndpointTest, RejectsMalformedSpecs) {
 }
 
 // ---------------------------------------------------------------------------
-// Pull/push decoder equivalence (the wire-compat contract of FrameDecoder)
-
-struct DecodeOutcome {
-  std::vector<std::string> frames;
-  Status final;
-};
-
-DecodeOutcome PullDecode(const std::string& bytes, size_t max_bytes) {
-  DecodeOutcome outcome;
-  std::stringstream in(bytes);
-  std::string frame;
-  bool eof = false;
-  while (true) {
-    outcome.final = serve::ReadFrame(in, &frame, &eof, max_bytes);
-    if (!outcome.final.ok() || eof) break;
-    outcome.frames.push_back(frame);
-  }
-  return outcome;
-}
-
-DecodeOutcome PushDecode(const std::string& bytes, size_t chunk,
-                         size_t max_bytes) {
-  DecodeOutcome outcome;
-  serve::FrameDecoder decoder(max_bytes);
-  std::string frame;
-  for (size_t off = 0; off < bytes.size(); off += chunk) {
-    const Status fed = decoder.Feed(
-        std::string_view(bytes).substr(off, std::min(chunk,
-                                                     bytes.size() - off)));
-    while (decoder.Next(&frame)) outcome.frames.push_back(frame);
-    if (!fed.ok()) {
-      outcome.final = fed;
-      return outcome;
-    }
-  }
-  while (decoder.Next(&frame)) outcome.frames.push_back(frame);
-  outcome.final = decoder.AtEnd();
-  return outcome;
-}
-
-void ExpectDecodersAgree(const std::string& bytes, size_t max_bytes) {
-  const DecodeOutcome pull = PullDecode(bytes, max_bytes);
-  // Byte-at-a-time is the most adversarial split; a few coprime chunk
-  // sizes cover prefix/body straddles at every alignment.
-  for (size_t chunk : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
-                       size_t{64}, bytes.empty() ? size_t{1} : bytes.size()}) {
-    const DecodeOutcome push = PushDecode(bytes, chunk, max_bytes);
-    ASSERT_EQ(pull.frames, push.frames) << "chunk=" << chunk;
-    EXPECT_EQ(pull.final.code(), push.final.code()) << "chunk=" << chunk;
-    EXPECT_EQ(pull.final.message(), push.final.message())
-        << "chunk=" << chunk;
-  }
-}
+// FrameDecoder state (the chunking/truncation taxonomy is in serve_test.cc)
 
 std::string EncodeFrames(const std::vector<std::string>& frames) {
   std::stringstream out;
@@ -131,33 +85,6 @@ std::string EncodeFrames(const std::vector<std::string>& frames) {
     EXPECT_TRUE(serve::WriteFrame(out, frame).ok());
   }
   return out.str();
-}
-
-TEST(FrameDecoderTest, AgreesWithReadFrameOnCleanStreams) {
-  ExpectDecodersAgree("", serve::kMaxFrameBytes);
-  ExpectDecodersAgree(EncodeFrames({"hello"}), serve::kMaxFrameBytes);
-  ExpectDecodersAgree(EncodeFrames({"", "a", std::string(5000, 'x'), ""}),
-                      serve::kMaxFrameBytes);
-}
-
-TEST(FrameDecoderTest, AgreesWithReadFrameOnEveryTruncation) {
-  const std::string encoded =
-      EncodeFrames({"first-frame", "", std::string(300, 'y')});
-  for (size_t cut = 0; cut < encoded.size(); ++cut) {
-    ExpectDecodersAgree(encoded.substr(0, cut), serve::kMaxFrameBytes);
-  }
-}
-
-TEST(FrameDecoderTest, AgreesWithReadFrameOnHostilePrefixes) {
-  // 4 GiB claimed up front; also hostile after a valid frame, and a
-  // truncated hostile prefix (which must read as mid-prefix EOF instead).
-  const std::string hostile = "\xFF\xFF\xFF\xFF";
-  ExpectDecodersAgree(hostile, serve::kMaxFrameBytes);
-  ExpectDecodersAgree(EncodeFrames({"ok"}) + hostile, serve::kMaxFrameBytes);
-  ExpectDecodersAgree(hostile.substr(0, 2), serve::kMaxFrameBytes);
-  // A frame over a small explicit limit is hostile for both decoders.
-  ExpectDecodersAgree(EncodeFrames({std::string(100, 'z')}), 50);
-  ExpectDecodersAgree(EncodeFrames({"ok", std::string(100, 'z')}), 50);
 }
 
 TEST(FrameDecoderTest, MidFrameReflectsPartialState) {
@@ -195,10 +122,10 @@ TEST(FramingTest, WriteFrameIsOneStreamWrite) {
   ASSERT_TRUE(serve::WriteFrame(out, "payload-bytes").ok());
   EXPECT_EQ(buf.writes, 1);
   // And the coalesced bytes still decode.
-  std::stringstream in(buf.str());
+  serve::FrameDecoder decoder;
+  ASSERT_TRUE(decoder.Feed(buf.str()).ok());
   std::string frame;
-  bool eof = false;
-  ASSERT_TRUE(serve::ReadFrame(in, &frame, &eof).ok());
+  ASSERT_TRUE(decoder.Next(&frame));
   EXPECT_EQ(frame, "payload-bytes");
 }
 
@@ -240,85 +167,6 @@ NetFixture MakeNetFixture(size_t num_values, size_t shard_size) {
   }
   fx.reference_sketch = reference.EncodeSketch().ValueOrDie();
   return fx;
-}
-
-// ---------------------------------------------------------------------------
-// ServeFd
-
-TEST(ServeFdTest, ByteCompatibleWithServeStream) {
-  const NetFixture fx = MakeNetFixture(4000, 512);
-  const std::string input = EncodeFrames(fx.frames);
-
-  auto stream_session = serve::CollectorSession::Make(fx.spec).ValueOrDie();
-  std::stringstream stream_in(input);
-  std::stringstream stream_out;
-  ASSERT_TRUE(
-      serve::ServeStream(stream_in, stream_out, &stream_session).ok());
-
-  auto fd_session = serve::CollectorSession::Make(fx.spec).ValueOrDie();
-  int fds[2];
-  ASSERT_EQ(pipe(fds), 0);
-  std::thread writer([&, wfd = fds[1]] {
-    size_t off = 0;
-    while (off < input.size()) {
-      const ssize_t wrote = write(wfd, input.data() + off, input.size() - off);
-      ASSERT_GT(wrote, 0);
-      off += static_cast<size_t>(wrote);
-    }
-    close(wfd);
-  });
-  std::stringstream fd_out;
-  const Status served = serve::ServeFd(fds[0], fd_out, &fd_session);
-  writer.join();
-  close(fds[0]);
-  ASSERT_TRUE(served.ok()) << served.message();
-  EXPECT_EQ(fd_out.str(), stream_out.str());
-  EXPECT_EQ(fd_session.num_reports(), fx.total_reports);
-}
-
-TEST(ServeFdTest, MidFrameStallHitsTheDeadline) {
-  const NetFixture fx = MakeNetFixture(600, 512);
-  const std::string input = EncodeFrames({fx.frames[0]});
-  int fds[2];
-  ASSERT_EQ(pipe(fds), 0);
-  // Half a frame, then silence: the deadline must fire as the same typed
-  // OutOfRange a mid-frame EOF produces.
-  ASSERT_GT(write(fds[1], input.data(), input.size() / 2), 0);
-  auto session = serve::CollectorSession::Make(fx.spec).ValueOrDie();
-  std::stringstream out;
-  serve::ServeFdOptions options;
-  options.read_timeout_ms = 50;
-  const Status st = serve::ServeFd(fds[0], out, &session, options);
-  EXPECT_EQ(st.code(), StatusCode::kOutOfRange);
-  EXPECT_NE(st.message().find("timed out"), std::string::npos)
-      << st.message();
-  close(fds[0]);
-  close(fds[1]);
-}
-
-TEST(ServeFdTest, IdleBetweenFramesNeverTimesOut) {
-  const NetFixture fx = MakeNetFixture(600, 600);
-  const std::string input = EncodeFrames({fx.frames[0]});
-  int fds[2];
-  ASSERT_EQ(pipe(fds), 0);
-  std::thread writer([&, wfd = fds[1]] {
-    ASSERT_EQ(write(wfd, input.data(), input.size()),
-              static_cast<ssize_t>(input.size()));
-    // Quiet client, many deadline periods long — legitimate, no timeout.
-    usleep(200 * 1000);
-    ASSERT_EQ(write(wfd, input.data(), input.size()),
-              static_cast<ssize_t>(input.size()));
-    close(wfd);
-  });
-  auto session = serve::CollectorSession::Make(fx.spec).ValueOrDie();
-  std::stringstream out;
-  serve::ServeFdOptions options;
-  options.read_timeout_ms = 50;
-  const Status st = serve::ServeFd(fds[0], out, &session, options);
-  writer.join();
-  close(fds[0]);
-  ASSERT_TRUE(st.ok()) << st.message();
-  EXPECT_EQ(session.num_reports(), 2 * 600u);
 }
 
 // ---------------------------------------------------------------------------
@@ -582,6 +430,275 @@ TEST(CollectorServerTest, SketchFramesMergeOverTheListener) {
   ASSERT_TRUE(run_status.ok()) << run_status.message();
   EXPECT_EQ(server->num_reports(), fx.total_reports);
   EXPECT_EQ(server->EncodeSketch().ValueOrDie(), fx.reference_sketch);
+}
+
+// ---------------------------------------------------------------------------
+// Stream connections (AddStream): how collector_cli serves stdin or --in
+
+// Serves one already-open input stream to EOF (drain_on_disconnect, as
+// collector_cli's stdio mode runs it) with `ack_sink` as its ack fd.
+std::unique_ptr<net::CollectorServer> ServeToEof(const wire::MethodSpec& spec,
+                                                 net::Fd in, net::Fd ack_sink) {
+  net::ServerOptions options;
+  options.drain_on_disconnect = true;
+  auto server = net::CollectorServer::Make(spec, options).ValueOrDie();
+  EXPECT_TRUE(server->AddStream(std::move(in), std::move(ack_sink)).ok());
+  const Status run = server->Run();
+  EXPECT_TRUE(run.ok()) << run.ToString();
+  return server;
+}
+
+net::Fd OpenFd(const std::string& path, int flags) {
+  net::Fd fd(open(path.c_str(), flags | O_CLOEXEC, 0644));
+  EXPECT_TRUE(fd.valid()) << path;
+  return fd;
+}
+
+// A pipe whose write end a thread fills with `bytes` and then closes.
+struct FedPipe {
+  net::Fd read_end;
+  std::thread writer;
+};
+
+FedPipe FeedPipe(std::string bytes) {
+  int fds[2];
+  EXPECT_EQ(pipe(fds), 0);
+  FedPipe fed{net::Fd(fds[0]), {}};
+  fed.writer = std::thread([bytes = std::move(bytes), wfd = fds[1]] {
+    size_t off = 0;
+    while (off < bytes.size()) {
+      const ssize_t wrote = write(wfd, bytes.data() + off, bytes.size() - off);
+      if (wrote <= 0) break;
+      off += static_cast<size_t>(wrote);
+    }
+    close(wfd);
+  });
+  return fed;
+}
+
+TEST(CollectorServerTest, StreamConnectionIsByteIdenticalFromAPipeOrAFile) {
+  const NetFixture fx = MakeNetFixture(4000, 512);
+  const std::string input = EncodeFrames(fx.frames);
+
+  // A pipe: epoll polls it, and the writer races the reads.
+  FedPipe fed = FeedPipe(input);
+  auto from_pipe = ServeToEof(fx.spec, std::move(fed.read_end),
+                               OpenFd("/dev/null", O_WRONLY));
+  fed.writer.join();
+  EXPECT_EQ(from_pipe->EncodeSketch().ValueOrDie(), fx.reference_sketch);
+  EXPECT_EQ(from_pipe->num_reports(), fx.total_reports);
+  EXPECT_EQ(from_pipe->stats().connection_errors, 0u);
+
+  // A regular file: epoll refuses it, so it is read without readiness.
+  const std::string path = testing::TempDir() + "net_test_stream.bin";
+  {
+    std::ofstream file(path, std::ios::binary | std::ios::trunc);
+    file << input;
+  }
+  auto from_file = ServeToEof(fx.spec, OpenFd(path, O_RDONLY),
+                               OpenFd("/dev/null", O_WRONLY));
+  EXPECT_EQ(from_file->EncodeSketch().ValueOrDie(), fx.reference_sketch);
+  EXPECT_EQ(from_file->stats().frames_absorbed, fx.frames.size());
+  std::remove(path.c_str());
+
+  // /dev/null, also refused by epoll: an empty stream, an empty sketch.
+  auto from_null = ServeToEof(fx.spec, OpenFd("/dev/null", O_RDONLY),
+                               OpenFd("/dev/null", O_WRONLY));
+  EXPECT_EQ(from_null->EncodeSketches().ValueOrDie(),
+            std::vector<std::string>{serve::CollectorSession::Make(fx.spec)
+                                         .ValueOrDie()
+                                         .EncodeSketch()
+                                         .ValueOrDie()});
+}
+
+// Every sequenced frame is acknowledged on the stream's own sink in
+// arrival order, a duplicate is re-acked without re-absorbing, and the
+// sketch is byte-identical to a sequence-free run over the same payloads.
+TEST(CollectorServerTest, StreamAcksSequencedFramesAndDeduplicates) {
+  NetFixture fx = MakeNetFixture(120, 40);
+  ASSERT_EQ(fx.frames.size(), 3u);
+  std::vector<std::string> stamped = fx.frames;
+  for (size_t i = 0; i < stamped.size(); ++i) {
+    ASSERT_TRUE(wire::StampSequenceContext(&stamped[i],
+                                           {.epoch = 21, .seq = i + 1})
+                    .ok());
+  }
+  // Seq 2 is re-sent mid-stream (the lost-ack retry shape).
+  FedPipe fed = FeedPipe(
+      EncodeFrames({stamped[0], stamped[1], stamped[1], stamped[2]}));
+  int acks[2];
+  ASSERT_EQ(pipe(acks), 0);
+  net::Fd ack_read(acks[0]);
+  auto server =
+      ServeToEof(fx.spec, std::move(fed.read_end), net::Fd(acks[1]));
+  fed.writer.join();
+  EXPECT_EQ(server->num_reports(), 120u) << "the duplicate must not absorb";
+  EXPECT_EQ(server->stats().duplicates, 1u);
+  server.reset();  // closes the ack sink, so the read below ends
+
+  std::string bytes;
+  char buf[256];
+  for (ssize_t got; (got = read(ack_read.get(), buf, sizeof(buf))) > 0;) {
+    bytes.append(buf, static_cast<size_t>(got));
+  }
+  serve::FrameDecoder decoder;
+  ASSERT_TRUE(decoder.Feed(bytes).ok());
+  const uint64_t expected_seqs[] = {1, 2, 2, 3};
+  std::string frame;
+  for (const uint64_t expected : expected_seqs) {
+    ASSERT_TRUE(decoder.Next(&frame));
+    const auto ack = wire::DecodeAckFrame(frame);
+    ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+    EXPECT_EQ(ack->epoch, 21u);
+    EXPECT_EQ(ack->seq, expected);
+  }
+  EXPECT_FALSE(decoder.Next(&frame)) << "the sink carries acks only";
+  EXPECT_TRUE(decoder.AtEnd().ok());
+}
+
+TEST(CollectorServerTest, StreamEndingMidFrameIsATypedError) {
+  const NetFixture fx = MakeNetFixture(1000, 512);
+  const std::string input = EncodeFrames(fx.frames);
+  FedPipe fed = FeedPipe(input.substr(0, input.size() - 5));
+  auto server = ServeToEof(fx.spec, std::move(fed.read_end),
+                            OpenFd("/dev/null", O_WRONLY));
+  fed.writer.join();
+  EXPECT_EQ(server->stats().connection_errors, 1u);
+  EXPECT_EQ(server->stats().first_error.code(), StatusCode::kOutOfRange)
+      << server->stats().first_error.ToString();
+  EXPECT_EQ(server->stats().frames_absorbed, fx.frames.size() - 1);
+}
+
+// ---------------------------------------------------------------------------
+// The mid-frame read deadline, over TCP
+
+TEST(CollectorServerTest, MidFrameStallHitsTheDeadline) {
+  const NetFixture fx = MakeNetFixture(600, 512);
+  const std::string input = EncodeFrames({fx.frames[0]});
+  net::ServerOptions options;
+  options.read_timeout_ms = 100;
+  auto server = net::CollectorServer::Make(fx.spec, options).ValueOrDie();
+  const net::Endpoint bound =
+      server->AddListener(net::ParseEndpoint("tcp:0").ValueOrDie())
+          .ValueOrDie();
+  std::atomic<bool> done{false};
+  Status run_status;
+  std::thread serving([&] {
+    run_status = server->Run();
+    done = true;
+  });
+  // Half a frame, then silence on a socket held open: only the deadline
+  // can end this connection, and with it a drain that waits for it.
+  net::Fd client = net::Dial(bound).ValueOrDie();
+  ASSERT_TRUE(
+      net::WriteAll(client.get(), input.substr(0, input.size() / 2)).ok());
+  usleep(20 * 1000);
+  const auto drain_at = std::chrono::steady_clock::now();
+  server->RequestDrain();
+  while (!done && std::chrono::steady_clock::now() - drain_at <
+                      std::chrono::seconds(10)) {
+    usleep(1000);
+  }
+  const auto drained_in = std::chrono::steady_clock::now() - drain_at;
+  client.reset();  // ends the stall for a server that ignored the deadline
+  serving.join();
+  ASSERT_TRUE(run_status.ok()) << run_status.ToString();
+  EXPECT_LT(drained_in, std::chrono::seconds(2))
+      << "the drain waited on a stalled connection";
+  EXPECT_EQ(server->stats().connection_errors, 1u);
+  EXPECT_EQ(server->stats().first_error.code(), StatusCode::kOutOfRange);
+  EXPECT_NE(server->stats().first_error.message().find("timed out"),
+            std::string::npos)
+      << server->stats().first_error.ToString();
+  EXPECT_EQ(server->num_reports(), 0u);
+}
+
+TEST(CollectorServerTest, IdleBetweenFramesNeverTimesOut) {
+  const NetFixture fx = MakeNetFixture(600, 600);
+  const std::string input = EncodeFrames({fx.frames[0]});
+  net::ServerOptions options;
+  options.read_timeout_ms = 50;
+  auto server = net::CollectorServer::Make(fx.spec, options).ValueOrDie();
+  const net::Endpoint bound =
+      server->AddListener(net::ParseEndpoint("tcp:0").ValueOrDie())
+          .ValueOrDie();
+  Status run_status;
+  std::thread serving([&] { run_status = server->Run(); });
+  {
+    net::Fd client = net::Dial(bound).ValueOrDie();
+    ASSERT_TRUE(net::WriteAll(client.get(), input).ok());
+    // Quiet client, many deadline periods long — legitimate, no timeout.
+    usleep(200 * 1000);
+    ASSERT_TRUE(net::WriteAll(client.get(), input).ok());
+  }
+  server->RequestDrain();
+  serving.join();
+  ASSERT_TRUE(run_status.ok()) << run_status.ToString();
+  EXPECT_EQ(server->stats().connection_errors, 0u)
+      << server->stats().first_error.ToString();
+  EXPECT_EQ(server->num_reports(), 2 * 600u);
+}
+
+// ---------------------------------------------------------------------------
+// WAL checkpoint cadence: mid-serve and after the drain, the server's log
+// replays to exactly the aggregate it serves.
+
+TEST(CollectorServerTest, CheckpointCadenceLogReplaysToTheServedSketch) {
+  const NetFixture fx = MakeNetFixture(3500, 500);
+  ASSERT_EQ(fx.frames.size(), 7u);
+  const std::string path = testing::TempDir() + "net_wal_cadence.wal";
+  std::remove(path.c_str());
+  net::ServerOptions options;
+  options.wal_path = path;
+  options.wal.checkpoint_every_frames = 2;
+  auto server = net::CollectorServer::Make(fx.spec, options).ValueOrDie();
+  const net::Endpoint bound =
+      server->AddListener(net::ParseEndpoint("tcp:0").ValueOrDie())
+          .ValueOrDie();
+  Status run_status;
+  std::thread serving([&] { run_status = server->Run(); });
+  {
+    auto sender = net::MultiSender::Make(bound, 1).ValueOrDie();
+    for (const std::string& frame : fx.frames) {
+      ASSERT_TRUE(sender.Send(frame).ok());
+    }
+    ASSERT_TRUE(sender.Finish().ok());
+  }
+  const auto replay = [&](serve::WalReplayStats* stats) {
+    auto session = serve::CollectorSession::Make(fx.spec).ValueOrDie();
+    auto replayed = serve::ReplayWal(path, session.ReplayConsumer());
+    EXPECT_TRUE(replayed.ok()) << replayed.status().ToString();
+    if (replayed.ok()) *stats = replayed.value();
+    return session;
+  };
+  // Mid-serve (no drain yet): once the log covers every frame it holds
+  // cadence checkpoints plus the frames appended after the last one.
+  serve::WalReplayStats mid;
+  std::string mid_sketch;
+  for (int spin = 0; spin < 2000; ++spin) {
+    auto session = replay(&mid);
+    if (session.num_reports() == fx.total_reports) {
+      mid_sketch = session.EncodeSketch().ValueOrDie();
+      break;
+    }
+    usleep(5000);
+  }
+  EXPECT_EQ(mid_sketch, fx.reference_sketch);
+  EXPECT_GE(mid.checkpoints, 1u);
+  EXPECT_LT(mid.frames, fx.frames.size());
+
+  server->RequestDrain();
+  serving.join();
+  ASSERT_TRUE(run_status.ok()) << run_status.ToString();
+  EXPECT_EQ(server->EncodeSketch().ValueOrDie(), fx.reference_sketch);
+  // The drain compacted the log to one checkpoint of the served state.
+  serve::WalReplayStats drained;
+  auto session = replay(&drained);
+  EXPECT_EQ(drained.checkpoints, 1u);
+  EXPECT_EQ(drained.frames, 0u);
+  EXPECT_EQ(session.EncodeSketches().ValueOrDie(),
+            server->EncodeSketches().ValueOrDie());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,16 +1,14 @@
 // Collector service guarantees (serve/collector.h, serve/framing.h):
 // length-prefixed transport framing is strict (clean EOF vs mid-frame EOF
-// vs hostile length prefix), CollectorSession reproduces the in-process
-// sharded aggregate bit-for-bit from report + sketch frames, and
-// ServeStream drives a full collector lifecycle over plain iostreams.
+// vs hostile length prefix, at any chunking), and CollectorSession
+// reproduces the in-process sharded aggregate bit-for-bit from report +
+// sketch frames. Serving a stream end to end is net::CollectorServer's
+// job (tests/net_test.cc, tests/stdio_process_test.cc).
 #include "serve/collector.h"
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstring>
-#include <filesystem>
 #include <span>
 #include <sstream>
 #include <string>
@@ -27,65 +25,131 @@ namespace {
 
 std::vector<double> TestValues(size_t n) { return GoldenRatioValues(n); }
 
-TEST(FramingTest, RoundTripAndCleanEof) {
-  std::stringstream stream;
-  ASSERT_TRUE(serve::WriteFrame(stream, "hello").ok());
-  ASSERT_TRUE(serve::WriteFrame(stream, "").ok());
-  ASSERT_TRUE(serve::WriteFrame(stream, std::string(1000, 'x')).ok());
-
-  std::string frame;
-  bool eof = false;
-  ASSERT_TRUE(serve::ReadFrame(stream, &frame, &eof).ok());
-  EXPECT_FALSE(eof);
-  EXPECT_EQ(frame, "hello");
-  ASSERT_TRUE(serve::ReadFrame(stream, &frame, &eof).ok());
-  EXPECT_EQ(frame, "");
-  ASSERT_TRUE(serve::ReadFrame(stream, &frame, &eof).ok());
-  EXPECT_EQ(frame.size(), 1000u);
-
-  // Clean end of stream between frames: OK + eof, not an error.
-  ASSERT_TRUE(serve::ReadFrame(stream, &frame, &eof).ok());
-  EXPECT_TRUE(eof);
-  EXPECT_TRUE(frame.empty());
+std::string EncodeFrames(const std::vector<std::string>& frames) {
+  std::stringstream out;
+  for (const std::string& frame : frames) {
+    EXPECT_TRUE(serve::WriteFrame(out, frame).ok());
+  }
+  return out.str();
 }
 
+// What a FrameDecoder makes of `bytes` fed in `chunk`-sized pieces: the
+// frames it pops and its verdict (the first Feed error, else AtEnd).
+struct Decoded {
+  std::vector<std::string> frames;
+  Status verdict;
+};
+
+Decoded Decode(std::string_view bytes, size_t chunk,
+               size_t max_bytes = serve::kMaxFrameBytes) {
+  Decoded out;
+  serve::FrameDecoder decoder(max_bytes);
+  std::string frame;
+  for (size_t off = 0; off < bytes.size(); off += chunk) {
+    const Status fed = decoder.Feed(bytes.substr(off, chunk));
+    while (decoder.Next(&frame)) out.frames.push_back(frame);
+    if (!fed.ok()) {
+      out.verdict = fed;
+      return out;
+    }
+  }
+  out.verdict = decoder.AtEnd();
+  return out;
+}
+
+TEST(FramingTest, RoundTripAndCleanEof) {
+  const std::string bytes =
+      EncodeFrames({"hello", "", std::string(1000, 'x')});
+  const Decoded decoded = Decode(bytes, bytes.size());
+  ASSERT_EQ(decoded.frames.size(), 3u);
+  EXPECT_EQ(decoded.frames[0], "hello");
+  EXPECT_EQ(decoded.frames[1], "");
+  EXPECT_EQ(decoded.frames[2].size(), 1000u);
+  // Clean end of stream between frames: OK, not an error — including an
+  // empty stream.
+  EXPECT_TRUE(decoded.verdict.ok()) << decoded.verdict.ToString();
+  EXPECT_TRUE(Decode("", 1).verdict.ok());
+}
+
+// Every truncation of a 3-frame stream pops exactly the frames it holds
+// whole and ends in a typed OutOfRange naming where the stream stopped.
 TEST(FramingTest, MidFrameEofIsAnError) {
-  std::string encoded;
-  {
-    std::stringstream stream;
-    ASSERT_TRUE(serve::WriteFrame(stream, "payload-bytes").ok());
-    encoded = stream.str();
-  }
-  // Cut inside the length prefix.
-  {
-    std::stringstream cut(encoded.substr(0, 2));
-    std::string frame;
-    bool eof = false;
-    const Status st = serve::ReadFrame(cut, &frame, &eof);
-    EXPECT_EQ(st.code(), StatusCode::kOutOfRange);
-  }
-  // Cut inside the frame body.
-  {
-    std::stringstream cut(encoded.substr(0, 8));
-    std::string frame;
-    bool eof = false;
-    const Status st = serve::ReadFrame(cut, &frame, &eof);
-    EXPECT_EQ(st.code(), StatusCode::kOutOfRange);
+  const std::vector<std::string> frames = {"first-frame", "",
+                                           std::string(300, 'y')};
+  const std::string encoded = EncodeFrames(frames);
+  size_t boundary = 0;  // the frame boundary at or before `cut`
+  size_t whole = 0;     // frames complete at that boundary
+  for (size_t cut = 0; cut < encoded.size(); ++cut) {
+    if (whole < frames.size() &&
+        cut == boundary + 4 + frames[whole].size()) {
+      boundary = cut;
+      ++whole;
+    }
+    const Decoded decoded = Decode(std::string_view(encoded).substr(0, cut),
+                                   encoded.size());
+    ASSERT_EQ(decoded.frames.size(), whole) << "cut at " << cut;
+    const size_t into = cut - boundary;
+    if (into == 0) {
+      EXPECT_TRUE(decoded.verdict.ok()) << "cut at " << cut;
+      continue;
+    }
+    EXPECT_EQ(decoded.verdict.code(), StatusCode::kOutOfRange)
+        << "cut at " << cut;
+    const std::string expected =
+        into < 4 ? "framing: stream ended inside a length prefix (" +
+                       std::to_string(into) + " of 4 bytes)"
+                 : "framing: stream ended inside a frame (" +
+                       std::to_string(into - 4) + " of " +
+                       std::to_string(frames[whole].size()) + " bytes)";
+    EXPECT_EQ(decoded.verdict.message(), expected) << "cut at " << cut;
   }
 }
 
 TEST(FramingTest, HostileLengthPrefixIsRejectedBeforeAllocation) {
-  std::string bytes = "\xFF\xFF\xFF\xFF";  // 4 GiB claimed
-  std::stringstream stream(bytes);
+  // 4 GiB claimed: refused the moment the 4th prefix byte arrives, with no
+  // payload byte buffered or allocated, and the decoder stays poisoned.
+  serve::FrameDecoder decoder;
+  EXPECT_TRUE(decoder.Feed("\xFF\xFF").ok());
+  const Status st = decoder.Feed("\xFF\xFF");
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
   std::string frame;
-  bool eof = false;
-  const Status st = serve::ReadFrame(stream, &frame, &eof);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(decoder.Next(&frame));
   EXPECT_TRUE(frame.empty());
+  EXPECT_EQ(decoder.buffered_bytes(), 4u);
+  EXPECT_EQ(decoder.Feed("more").code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decoder.AtEnd().code(), StatusCode::kInvalidArgument);
+  // A hostile prefix after a good frame still lets the good frame out; a
+  // frame over an explicit limit is hostile too.
+  const Decoded after_good =
+      Decode(EncodeFrames({"ok"}) + "\xFF\xFF\xFF\xFF", 64);
+  EXPECT_EQ(after_good.frames, std::vector<std::string>{"ok"});
+  EXPECT_EQ(after_good.verdict.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Decode(EncodeFrames({std::string(100, 'z')}), 64, 50)
+                .verdict.code(),
+            StatusCode::kInvalidArgument);
 
   // Writers refuse the same ceiling.
   std::stringstream out;
   EXPECT_FALSE(serve::WriteFrame(out, "abc", /*max_bytes=*/2).ok());
+}
+
+// Where a stream is cut into reads never changes what the decoder makes
+// of it: byte-at-a-time and coprime chunk sizes straddle every prefix and
+// body boundary, on clean, truncated, and hostile streams alike.
+TEST(FramingTest, ChunkingNeverChangesTheVerdict) {
+  const std::string clean =
+      EncodeFrames({"", "a", std::string(5000, 'x'), ""});
+  for (const std::string& bytes :
+       {clean, clean.substr(0, clean.size() - 7), clean.substr(0, 6),
+        EncodeFrames({"ok"}) + "\xFF\xFF\xFF\xFF"}) {
+    const Decoded whole = Decode(bytes, bytes.size() + 1);
+    for (const size_t chunk : {1, 2, 3, 7, 64}) {
+      const Decoded split = Decode(bytes, chunk);
+      EXPECT_EQ(split.frames, whole.frames) << "chunk=" << chunk;
+      EXPECT_EQ(split.verdict.ToString(), whole.verdict.ToString())
+          << "chunk=" << chunk;
+    }
+  }
 }
 
 TEST(CollectorSessionTest, DistributedRunMatchesInProcessShardedRun) {
@@ -318,143 +382,6 @@ TEST(CollectorSessionTest, DefaultTenantBudgetCapsUntaggedFrames) {
   EXPECT_EQ(session.num_reports(), 64u);
 }
 
-TEST(ServeStreamTest, FullCollectorLifecycleOverIostreams) {
-  const std::vector<double> values = TestValues(8000);
-  const auto spec = wire::ParseMethodSpec("cfo-olh-16", 1.0, 64).ValueOrDie();
-  auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
-
-  // Client side: report frames onto the "socket".
-  std::stringstream client_to_collector;
-  const size_t shard_size = 2048;
-  const size_t num_shards = (values.size() + shard_size - 1) / shard_size;
-  for (size_t i = 0; i < num_shards; ++i) {
-    const size_t begin = i * shard_size;
-    const size_t len = std::min(shard_size, values.size() - begin);
-    Rng rng(ShardSeed(3, i));
-    auto chunk = protocol
-                     ->EncodePerturbBatch(
-                         std::span<const double>(values).subspan(begin, len),
-                         rng)
-                     .ValueOrDie();
-    std::string frame;
-    ASSERT_TRUE(wire::EncodeReportFrame(spec, *protocol, *chunk, &frame).ok());
-    ASSERT_TRUE(serve::WriteFrame(client_to_collector, frame).ok());
-  }
-
-  // Collector daemon loop.
-  auto collector = serve::CollectorSession::Make(spec).ValueOrDie();
-  std::stringstream collector_to_coordinator;
-  ASSERT_TRUE(serve::ServeStream(client_to_collector,
-                                 collector_to_coordinator, &collector)
-                  .ok());
-  EXPECT_EQ(collector.num_reports(), values.size());
-
-  // Coordinator reads the emitted sketch frame and reconstructs.
-  std::string sketch;
-  bool eof = false;
-  ASSERT_TRUE(
-      serve::ReadFrame(collector_to_coordinator, &sketch, &eof).ok());
-  ASSERT_FALSE(eof);
-  auto coordinator = serve::CollectorSession::Make(spec).ValueOrDie();
-  ASSERT_TRUE(coordinator.HandleFrame(sketch).ok());
-
-  auto via_stream = coordinator.Reconstruct().ValueOrDie();
-  ShardOptions opts;
-  opts.shard_size = shard_size;
-  auto reference = RunProtocolSharded(*protocol, values, 3, opts).ValueOrDie();
-  EXPECT_EQ(via_stream.distribution, reference.distribution);
-
-  // A truncated stream must error out, not emit a sketch.
-  std::stringstream partial(std::string("\x08\x00\x00\x00half", 8));
-  auto broken = serve::CollectorSession::Make(spec).ValueOrDie();
-  std::stringstream sink;
-  EXPECT_FALSE(serve::ServeStream(partial, sink, &broken).ok());
-  EXPECT_TRUE(sink.str().empty());
-}
-
-// ---------------------------------------------------------------------------
-// ServeFd ack emission (the stdio/socket leg of the exactly-once
-// contract): every sequenced frame is acknowledged in arrival order, a
-// duplicate is re-acked without re-absorbing, and the final sketch is
-// byte-identical to a sequence-free run over the same payloads.
-TEST(ServeFdTest, SequencedFramesAreAckedAndDeduplicated) {
-  const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
-  auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
-
-  // Three distinct payload frames; the stamped copies carry epoch 21,
-  // seqs 1..3.
-  std::vector<std::string> plain;
-  for (uint64_t i = 0; i < 3; ++i) {
-    Rng rng(ShardSeed(31, i));
-    auto chunk =
-        protocol->EncodePerturbBatch(TestValues(40), rng).ValueOrDie();
-    std::string frame;
-    ASSERT_TRUE(
-        wire::EncodeReportFrame(spec, *protocol, *chunk, &frame).ok());
-    plain.push_back(frame);
-  }
-  std::vector<std::string> stamped = plain;
-  for (size_t i = 0; i < stamped.size(); ++i) {
-    ASSERT_TRUE(wire::StampSequenceContext(&stamped[i],
-                                           {.epoch = 21, .seq = i + 1})
-                    .ok());
-  }
-
-  // Reference: the sequence-free ServeStream run.
-  std::string reference_sketch;
-  {
-    std::stringstream in, out;
-    for (const std::string& frame : plain) {
-      ASSERT_TRUE(serve::WriteFrame(in, frame).ok());
-    }
-    auto session = serve::CollectorSession::Make(spec).ValueOrDie();
-    ASSERT_TRUE(serve::ServeStream(in, out, &session).ok());
-    bool eof = false;
-    ASSERT_TRUE(serve::ReadFrame(out, &reference_sketch, &eof).ok());
-  }
-
-  // Sequenced run over a real pipe fd, with seq 2 re-sent mid-stream
-  // (the lost-ack retry shape).
-  int fds[2] = {-1, -1};
-  ASSERT_EQ(pipe(fds), 0);
-  {
-    std::stringstream in;
-    ASSERT_TRUE(serve::WriteFrame(in, stamped[0]).ok());
-    ASSERT_TRUE(serve::WriteFrame(in, stamped[1]).ok());
-    ASSERT_TRUE(serve::WriteFrame(in, stamped[1]).ok());  // duplicate
-    ASSERT_TRUE(serve::WriteFrame(in, stamped[2]).ok());
-    const std::string bytes = in.str();
-    ASSERT_EQ(write(fds[1], bytes.data(), bytes.size()),
-              static_cast<ssize_t>(bytes.size()));
-    close(fds[1]);
-  }
-  auto session = serve::CollectorSession::Make(spec).ValueOrDie();
-  std::stringstream out;
-  const Status served = serve::ServeFd(fds[0], out, &session);
-  close(fds[0]);
-  ASSERT_TRUE(served.ok()) << served.ToString();
-  EXPECT_EQ(session.num_reports(), 120u) << "the duplicate must not absorb";
-
-  // Output: four acks (1, 2, 2 again, 3), then the sketch, then EOF.
-  const uint64_t expected_seqs[] = {1, 2, 2, 3};
-  std::string frame;
-  bool eof = false;
-  for (const uint64_t expected : expected_seqs) {
-    ASSERT_TRUE(serve::ReadFrame(out, &frame, &eof).ok());
-    ASSERT_FALSE(eof);
-    const auto ack = wire::DecodeAckFrame(frame);
-    ASSERT_TRUE(ack.ok()) << ack.status().ToString();
-    EXPECT_EQ(ack->epoch, 21u);
-    EXPECT_EQ(ack->seq, expected);
-  }
-  ASSERT_TRUE(serve::ReadFrame(out, &frame, &eof).ok());
-  ASSERT_FALSE(eof);
-  EXPECT_EQ(frame, reference_sketch)
-      << "sequencing must not perturb the sketch bytes";
-  ASSERT_TRUE(serve::ReadFrame(out, &frame, &eof).ok());
-  EXPECT_TRUE(eof);
-}
-
 // ---------------------------------------------------------------------------
 // SequenceTracker window semantics under the Export/Release race: an
 // Export may fold a claim into the floor while its absorb is still in
@@ -506,51 +433,6 @@ TEST(SequenceTrackerTest, ExportNeverPersistsAReleasedClaimAsAbsorbed) {
   EXPECT_TRUE(restored.Claim(9, 2));
   EXPECT_FALSE(restored.Claim(9, 3));
   EXPECT_FALSE(restored.Claim(9, 1));
-}
-
-// A WAL append failure AFTER the accumulator committed must keep the
-// frame's claim (and ledger charge): the frame IS aggregated in memory,
-// so releasing the claim would let the client's retransmit double-count
-// it. Only pre-commit failures (decode, over-budget) roll the claim back.
-TEST(CollectorSessionTest, WalFailureAfterAbsorbKeepsTheClaim) {
-  const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
-  auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
-  std::vector<std::string> frames;
-  for (uint64_t i = 0; i < 2; ++i) {
-    Rng rng(ShardSeed(47, i));
-    auto chunk =
-        protocol->EncodePerturbBatch(TestValues(40), rng).ValueOrDie();
-    std::string frame;
-    ASSERT_TRUE(
-        wire::EncodeReportFrame(spec, *protocol, *chunk, &frame).ok());
-    ASSERT_TRUE(
-        wire::StampSequenceContext(&frame, {.epoch = 5, .seq = i + 1}).ok());
-    frames.push_back(frame);
-  }
-
-  // Segmented WAL with a tiny segment cap: every append seals the active
-  // segment and rolls to the next, so deleting the directory makes the
-  // next append fail at rotation — AFTER that frame was absorbed.
-  const std::string dir = testing::TempDir() + "serve_wal_fail_claim";
-  std::filesystem::remove_all(dir);
-  auto session = serve::CollectorSession::Make(spec).ValueOrDie();
-  serve::WalOptions wal;
-  wal.segment_bytes = 1;
-  ASSERT_TRUE(session.RecoverAndAttachWal(dir, wal).ok());
-  serve::FrameOutcome outcome;
-  ASSERT_TRUE(session.HandleFrame(frames[0], &outcome).ok());
-  ASSERT_TRUE(outcome.absorbed);
-  ASSERT_EQ(session.num_reports(), 40u);
-
-  std::filesystem::remove_all(dir);
-  const Status failed = session.HandleFrame(frames[1], &outcome);
-  ASSERT_FALSE(failed.ok()) << "the append must fail in the deleted dir";
-  EXPECT_EQ(session.num_reports(), 80u)
-      << "the frame committed before the WAL failure";
-  // The claim survives: the retransmit dedups instead of re-absorbing.
-  ASSERT_TRUE(session.HandleFrame(frames[1], &outcome).ok());
-  EXPECT_TRUE(outcome.duplicate);
-  EXPECT_EQ(session.num_reports(), 80u) << "the retry must not double-count";
 }
 
 }  // namespace

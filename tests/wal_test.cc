@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -81,12 +82,46 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(out.good()) << path;
 }
 
-// Builds a frame-record-only log (no checkpoint cadence) holding `frames`.
+// A session with a WAL attached the way net::CollectorServer attaches one:
+// OpenWal replays the log into the session through ReplayConsumer, then
+// every frame the session absorbs is appended (duplicates never are), and
+// Compact checkpoints the session's sketches plus its dedup window.
+struct LoggedSession : serve::CollectorSession {
+  explicit LoggedSession(const wire::MethodSpec& spec = TestSpec())
+      : serve::CollectorSession(
+            serve::CollectorSession::Make(spec).ValueOrDie()) {}
+
+  Result<serve::WalReplayStats> OpenWal(const std::string& path,
+                                        const serve::WalOptions& options = {}) {
+    NUMDIST_ASSIGN_OR_RETURN(
+        serve::WalLog log,
+        serve::WalLog::Open(path, options, ReplayConsumer()));
+    wal.emplace(std::move(log));
+    return wal->recovery();
+  }
+
+  Status HandleFrame(std::string_view frame,
+                     serve::FrameOutcome* outcome = nullptr) {
+    serve::FrameOutcome local;
+    if (outcome == nullptr) outcome = &local;
+    NUMDIST_RETURN_NOT_OK(serve::CollectorSession::HandleFrame(frame, outcome));
+    return outcome->absorbed ? wal->AppendFrame(frame) : Status::OK();
+  }
+
+  Status Compact() {
+    NUMDIST_ASSIGN_OR_RETURN(const std::vector<std::string> sketches,
+                             EncodeSketches());
+    return wal->Compact(sketches, sequence_tracker()->Export());
+  }
+
+  std::optional<serve::WalLog> wal;
+};
+
+// Builds a frame-record-only log (no checkpoint) holding `frames`.
 void BuildLog(const std::string& path, const std::vector<std::string>& frames) {
   std::remove(path.c_str());
-  serve::CollectorSession session =
-      serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-  auto stats = session.RecoverAndAttachWal(path);
+  LoggedSession session;
+  auto stats = session.OpenWal(path);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   for (const std::string& frame : frames) {
     const Status st = session.HandleFrame(frame);
@@ -96,13 +131,12 @@ void BuildLog(const std::string& path, const std::vector<std::string>& frames) {
 
 // Replays a log into a fresh session; returns the session + stats.
 struct ReplayedSession {
-  serve::CollectorSession session;
+  LoggedSession session;
   serve::WalReplayStats stats;
 };
 ReplayedSession Replay(const std::string& path) {
-  serve::CollectorSession session =
-      serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-  auto stats = session.RecoverAndAttachWal(path);
+  LoggedSession session;
+  auto stats = session.OpenWal(path);
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   return {std::move(session),
           stats.ok() ? stats.value() : serve::WalReplayStats{}};
@@ -260,7 +294,8 @@ TEST(WalTest, MissingFileIsAnEmptyLog) {
 }
 
 // Compaction (checkpoint + truncate) replays to the identical state, and
-// the periodic cadence compacts mid-stream without perturbing anything.
+// frames appended after the checkpoint replay on top of it. (The periodic
+// cadence belongs to net::CollectorServer; tests/net_test.cc covers it.)
 TEST(WalTest, CheckpointCompactionPreservesState) {
   const wire::MethodSpec spec = TestSpec();
   const std::vector<std::string> frames =
@@ -272,13 +307,13 @@ TEST(WalTest, CheckpointCompactionPreservesState) {
 
   BuildLog(plain_path, frames);
 
-  // Same frames through a log that compacts every 2 frames.
-  serve::CollectorSession compacting =
-      serve::CollectorSession::Make(spec).ValueOrDie();
-  serve::WalOptions options;
-  options.checkpoint_every_frames = 2;
-  ASSERT_TRUE(compacting.RecoverAndAttachWal(compact_path, options).ok());
+  // Same frames through a log compacted before the last frame.
+  LoggedSession compacting(spec);
+  ASSERT_TRUE(compacting.OpenWal(compact_path).ok());
   for (const std::string& frame : frames) {
+    if (&frame == &frames.back()) {
+      ASSERT_TRUE(compacting.Compact().ok());
+    }
     ASSERT_TRUE(compacting.HandleFrame(frame).ok());
   }
 
@@ -340,9 +375,8 @@ TEST(WalTest, TenantRoutingSurvivesReplayAndCompaction) {
 
   const std::string path = TempPath("wal_tenants.wal");
   std::remove(path.c_str());
-  serve::CollectorSession live =
-      serve::CollectorSession::Make(spec).ValueOrDie();
-  ASSERT_TRUE(live.RecoverAndAttachWal(path).ok());
+  LoggedSession live(spec);
+  ASSERT_TRUE(live.OpenWal(path).ok());
   for (const auto* frames : {&def_frames, &t5_frames, &t9_frames}) {
     for (const std::string& frame : *frames) {
       ASSERT_TRUE(live.HandleFrame(frame).ok());
@@ -361,7 +395,7 @@ TEST(WalTest, TenantRoutingSurvivesReplayAndCompaction) {
             live.EncodeSketches().ValueOrDie());
 
   // Compact (checkpoint currency = per-tenant sketches) and replay again.
-  ASSERT_TRUE(replayed.session.CompactWal().ok());
+  ASSERT_TRUE(replayed.session.Compact().ok());
   ReplayedSession after_compact = Replay(path);
   EXPECT_EQ(after_compact.stats.checkpoints, 1u);
   EXPECT_EQ(after_compact.stats.frames, 0u);
@@ -381,17 +415,15 @@ TEST(WalTest, BudgetsAreRestoredByReplay) {
   const std::string path = TempPath("wal_budget.wal");
   std::remove(path.c_str());
 
-  serve::CollectorSession live =
-      serve::CollectorSession::Make(spec).ValueOrDie();
+  LoggedSession live(spec);
   live.SetTenantBudget(3, {.max_reports = 40});
-  ASSERT_TRUE(live.RecoverAndAttachWal(path).ok());
+  ASSERT_TRUE(live.OpenWal(path).ok());
   ASSERT_TRUE(live.HandleFrame(frames[0]).ok());
   ASSERT_TRUE(live.HandleFrame(frames[1]).ok());
 
-  serve::CollectorSession restarted =
-      serve::CollectorSession::Make(spec).ValueOrDie();
+  LoggedSession restarted(spec);
   restarted.SetTenantBudget(3, {.max_reports = 40});
-  ASSERT_TRUE(restarted.RecoverAndAttachWal(path).ok());
+  ASSERT_TRUE(restarted.OpenWal(path).ok());
   EXPECT_EQ(restarted.ledger()->spent_reports(3), 40u);
   const std::vector<std::string> more = MakeReportFrames(
       spec, /*shards=*/1, /*shard_size=*/20, /*seed=*/6, /*tenant=*/3);
@@ -428,9 +460,8 @@ constexpr uint64_t kTestSegmentBytes = 1024;
 // Builds a segmented frame-only log and returns the live session's state.
 AccumulatorState BuildSegmentedLog(const std::string& dir,
                                    const std::vector<std::string>& frames) {
-  serve::CollectorSession session =
-      serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-  auto stats = session.RecoverAndAttachWal(
+  LoggedSession session;
+  auto stats = session.OpenWal(
       dir, {.segment_bytes = kTestSegmentBytes});
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   for (const std::string& frame : frames) {
@@ -457,9 +488,8 @@ TEST(WalSegmentTest, RotationReplaysAcrossAContiguousSegmentRun) {
   EXPECT_EQ(files.back(), expected);
 
   // Replay walks the whole run and reproduces the exact state.
-  serve::CollectorSession restarted =
-      serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-  auto stats = restarted.RecoverAndAttachWal(
+  LoggedSession restarted;
+  auto stats = restarted.OpenWal(
       dir, {.segment_bytes = kTestSegmentBytes});
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->frames, frames.size());
@@ -477,9 +507,8 @@ TEST(WalSegmentTest, NumberingGapIsAHardError) {
   // Unlink a MIDDLE segment: no crash schedule can explain the hole.
   ASSERT_TRUE(std::filesystem::remove(dir + "/" + files[1]));
 
-  serve::CollectorSession restarted =
-      serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-  const auto stats = restarted.RecoverAndAttachWal(
+  LoggedSession restarted;
+  const auto stats = restarted.OpenWal(
       dir, {.segment_bytes = kTestSegmentBytes});
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
@@ -504,9 +533,8 @@ TEST(WalSegmentTest, TornTailTaxonomyIsPerSegment) {
   WriteFileBytes(final_path,
                  final_bytes.substr(0, final_bytes.size() - 3));
   {
-    serve::CollectorSession restarted =
-        serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-    const auto stats = restarted.RecoverAndAttachWal(
+    LoggedSession restarted;
+    const auto stats = restarted.OpenWal(
         dir, {.segment_bytes = kTestSegmentBytes});
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_FALSE(stats->tail.ok()) << "a cut final record must be typed";
@@ -521,9 +549,8 @@ TEST(WalSegmentTest, TornTailTaxonomyIsPerSegment) {
   WriteFileBytes(sealed_path,
                  sealed_bytes.substr(0, sealed_bytes.size() - 3));
   {
-    serve::CollectorSession restarted =
-        serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-    const auto stats = restarted.RecoverAndAttachWal(
+    LoggedSession restarted;
+    const auto stats = restarted.OpenWal(
         dir, {.segment_bytes = kTestSegmentBytes});
     ASSERT_FALSE(stats.ok());
     EXPECT_NE(stats.status().message().find("sealed"), std::string::npos)
@@ -537,10 +564,9 @@ TEST(WalSegmentTest, CompactionCollapsesToOneFreshSegment) {
   const std::vector<std::string> frames =
       MakeReportFrames(TestSpec(), 8, 50, 24);
 
-  serve::CollectorSession session =
-      serve::CollectorSession::Make(TestSpec()).ValueOrDie();
+  LoggedSession session;
   ASSERT_TRUE(session
-                  .RecoverAndAttachWal(dir,
+                  .OpenWal(dir,
                                        {.segment_bytes = kTestSegmentBytes})
                   .ok());
   for (const std::string& frame : frames) {
@@ -548,7 +574,7 @@ TEST(WalSegmentTest, CompactionCollapsesToOneFreshSegment) {
   }
   const size_t before = SegmentFiles(dir).size();
   ASSERT_GT(before, 1u);
-  ASSERT_TRUE(session.CompactWal().ok());
+  ASSERT_TRUE(session.Compact().ok());
 
   // GC left exactly one segment — the fresh checkpoint segment, numbered
   // PAST the sealed run (the numbering never reuses a unlinked slot).
@@ -559,9 +585,8 @@ TEST(WalSegmentTest, CompactionCollapsesToOneFreshSegment) {
   EXPECT_EQ(files[0], expected);
 
   // The checkpoint replays to the exact pre-compaction state.
-  serve::CollectorSession restarted =
-      serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-  const auto stats = restarted.RecoverAndAttachWal(
+  LoggedSession restarted;
+  const auto stats = restarted.OpenWal(
       dir, {.segment_bytes = kTestSegmentBytes});
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->frames, 0u);
@@ -583,10 +608,9 @@ TEST(WalSegmentTest, DedupWindowSurvivesReplayAndCompaction) {
                     .ok());
   }
 
-  serve::CollectorSession session =
-      serve::CollectorSession::Make(TestSpec()).ValueOrDie();
+  LoggedSession session;
   ASSERT_TRUE(session
-                  .RecoverAndAttachWal(dir,
+                  .OpenWal(dir,
                                        {.segment_bytes = kTestSegmentBytes})
                   .ok());
   for (const std::string& frame : frames) {
@@ -599,10 +623,9 @@ TEST(WalSegmentTest, DedupWindowSurvivesReplayAndCompaction) {
   // Path 1: crash before any compaction — frame replay re-claims seqs,
   // so a full client retransmission dedups to a no-op.
   {
-    serve::CollectorSession restarted =
-        serve::CollectorSession::Make(TestSpec()).ValueOrDie();
+    LoggedSession restarted;
     ASSERT_TRUE(restarted
-                    .RecoverAndAttachWal(
+                    .OpenWal(
                         dir, {.segment_bytes = kTestSegmentBytes})
                     .ok());
     const AccumulatorState recovered = restarted.ExportState();
@@ -618,11 +641,10 @@ TEST(WalSegmentTest, DedupWindowSurvivesReplayAndCompaction) {
 
   // Path 2: compaction replaces the frame records with a checkpoint +
   // type-3 dedup record; the window must survive that representation too.
-  ASSERT_TRUE(session.CompactWal().ok());
+  ASSERT_TRUE(session.Compact().ok());
   {
-    serve::CollectorSession restarted =
-        serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-    const auto stats = restarted.RecoverAndAttachWal(
+    LoggedSession restarted;
+    const auto stats = restarted.OpenWal(
         dir, {.segment_bytes = kTestSegmentBytes});
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ(stats->seq_checkpoints, 1u);

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -117,10 +118,14 @@ void RunCrossProcessCheck(const ProcessRunConfig& config) {
   for (const std::string& path : sketch_paths) {
     std::ifstream in(path, std::ios::binary);
     ASSERT_TRUE(in.good()) << path;
+    serve::FrameDecoder decoder;
+    ASSERT_TRUE(decoder
+                    .Feed(std::string(std::istreambuf_iterator<char>(in),
+                                      std::istreambuf_iterator<char>()))
+                    .ok())
+        << path;
     std::string frame;
-    bool eof = false;
-    ASSERT_TRUE(serve::ReadFrame(in, &frame, &eof).ok()) << path;
-    ASSERT_FALSE(eof) << path;
+    ASSERT_TRUE(decoder.Next(&frame)) << path;
     ASSERT_TRUE(coordinator.HandleFrame(frame).ok()) << path;
   }
   EXPECT_EQ(coordinator.num_reports(), values.size());

@@ -1,9 +1,16 @@
 // collector_cli — one aggregator process of the distributed collector.
+// Collector, listen and network-coordinator modes all serve through one
+// engine, net::CollectorServer.
 //
 // Collector mode (default): read length-prefixed wire frames (report
 // chunks from clients and/or sketch frames from other collectors) from
-// stdin or --in until EOF, then emit this process's aggregate as one
-// length-prefixed sketch frame on stdout or --out:
+// stdin or --in until EOF, then emit this process's aggregate as
+// length-prefixed sketch frames (one per tenant; exactly one for untagged
+// input) on stdout or --out. Acks for sequence-stamped frames go to
+// stdout as they become durable, ahead of any sketch written there. The
+// input is the server's one connection, so it exits once the input ends;
+// a stream that ends mid-frame (or stalls past --read-timeout-ms) exits
+// non-zero with the typed error and writes no sketch:
 //
 //   report_client ... | collector_cli --method=sw-ems --epsilon=1.0
 //       --buckets=64 --out=shard0.sketch
@@ -12,7 +19,8 @@
 // epoll event loop multiplexing any number of concurrent client
 // connections (report_client --connect --connections=N) into one
 // aggregate. SIGTERM/SIGINT trigger a graceful drain: stop accepting,
-// serve every open connection to EOF, flush, emit the sketch. The result
+// serve every open connection to EOF (or, with --read-timeout-ms, until it
+// stalls mid-frame that long), flush, emit the sketch. The result
 // is byte-identical to the stdio pipeline over the same frames, for any
 // connection interleaving:
 //
@@ -20,8 +28,8 @@
 //       --listen=tcp:0 --port-file=port.txt --out=shard0.sketch
 //
 // --out may itself be an endpoint (tcp:HOST:PORT or unix:PATH): the
-// sketch frame is dialed upstream to a coordinator instead of written to
-// a file, which is how a collector tree is assembled without shared
+// sketch frames are dialed upstream to a coordinator instead of written
+// to a file, which is how a collector tree is assembled without shared
 // filesystems.
 //
 // Coordinator mode (--merge): merge sketches, reconstruct, and print the
@@ -64,6 +72,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -72,7 +81,6 @@
 #include <vector>
 
 #include "cli_common.h"
-#include "common/bytes.h"
 #include "eval/streaming.h"
 #include "net/server.h"
 #include "net/socket.h"
@@ -132,6 +140,7 @@ void Usage() {
           "                     [--out=FILE|tcp:HOST:PORT|unix:PATH]\n"
           "       collector_cli ... --listen=tcp:PORT|unix:PATH\n"
           "                     [--port-file=FILE] [--expect-frames=N]\n"
+          "                     [--read-timeout-ms=T]\n"
           "       collector_cli ... --merge=a.sketch,b.sketch[,...] [--csv]\n"
           "       collector_cli ... --merge=... --emit-sketch [--out=FILE]\n"
           "       collector_cli ... --merge --listen=tcp:PORT\n"
@@ -283,11 +292,11 @@ bool IsEndpointSpec(const std::string& s) {
   return s.rfind("tcp:", 0) == 0 || s.rfind("unix:", 0) == 0;
 }
 
+using TenantBudgets = std::vector<std::pair<uint32_t, serve::TenantBudget>>;
+
 // Parses --tenant-budget=ID:MAX_REPORTS[:MAX_EPSILON][,...]. A cap of 0
 // means unlimited on that axis (TenantBudget's convention).
-bool ParseTenantBudgets(
-    const std::string& spec,
-    std::vector<std::pair<uint32_t, serve::TenantBudget>>* out) {
+bool ParseTenantBudgets(const std::string& spec, TenantBudgets* out) {
   std::stringstream ss(spec);
   std::string entry;
   while (std::getline(ss, entry, ',')) {
@@ -342,15 +351,16 @@ Status MergeSketchFile(const std::string& path,
   if (!in) {
     return Status::InvalidArgument("collector: cannot open '" + path + "'");
   }
+  serve::FrameDecoder decoder;
+  NUMDIST_RETURN_NOT_OK(decoder.Feed(std::string(
+      std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>())));
   std::string frame;
-  bool eof = false;
   size_t frames = 0;
-  while (true) {
-    NUMDIST_RETURN_NOT_OK(serve::ReadFrame(in, &frame, &eof));
-    if (eof) break;
+  while (decoder.Next(&frame)) {
     NUMDIST_RETURN_NOT_OK(session->HandleFrame(frame));
     ++frames;
   }
+  NUMDIST_RETURN_NOT_OK(decoder.AtEnd());
   if (frames == 0) {
     return Status::InvalidArgument("collector: '" + path +
                                    "' holds no sketch frame");
@@ -409,8 +419,39 @@ int PrintEstimate(const CliFlags& flags, const wire::MethodSpec& spec,
   return 0;
 }
 
+// Writes length-prefixed sketch frames either to a local file/stdout or
+// upstream over a freshly dialed connection (--out=tcp:/unix:). Multiple
+// frames (one per tenant; EncodeSketches) go over one connection / into
+// one file, exactly as a serving collector would emit them.
 Status EmitSketches(const CliFlags& flags,
-                    const std::vector<std::string>& sketches);
+                    const std::vector<std::string>& sketches) {
+  if (IsEndpointSpec(flags.out_path)) {
+    NUMDIST_ASSIGN_OR_RETURN(const net::Endpoint upstream,
+                             net::ParseEndpoint(flags.out_path));
+    NUMDIST_ASSIGN_OR_RETURN(net::Fd fd, net::Dial(upstream));
+    std::string prefixed;
+    for (const std::string& sketch : sketches) {
+      serve::AppendFramePrefix(sketch.size(), &prefixed);
+      prefixed.append(sketch);
+    }
+    return net::WriteAll(fd.get(), prefixed);
+  }
+  std::ofstream file_out;
+  if (!flags.out_path.empty()) {
+    file_out.open(flags.out_path, std::ios::binary);
+    if (!file_out) {
+      return Status::InvalidArgument("collector: cannot open '" +
+                                     flags.out_path + "'");
+    }
+  }
+  std::ostream& out = flags.out_path.empty() ? std::cout : file_out;
+  for (const std::string& sketch : sketches) {
+    NUMDIST_RETURN_NOT_OK(serve::WriteFrame(out, sketch));
+  }
+  out.flush();
+  if (!out) return Status::Internal("collector: sketch write failed");
+  return Status::OK();
+}
 
 int RunCoordinator(const CliFlags& flags, serve::CollectorSession* session) {
   std::vector<std::string> paths;
@@ -447,45 +488,6 @@ int RunCoordinator(const CliFlags& flags, serve::CollectorSession* session) {
           static_cast<unsigned long long>(session->num_reports()));
   return PrintEstimate(flags, session->spec(), session->num_reports(),
                        output.value());
-}
-
-// Writes length-prefixed sketch frames either to a local file/stdout or
-// upstream over a freshly dialed connection (--out=tcp:/unix:). Multiple
-// frames (one per tenant; EncodeSketches) go over one connection / into
-// one file, exactly as a serving collector would emit them.
-Status EmitSketches(const CliFlags& flags,
-                    const std::vector<std::string>& sketches) {
-  if (IsEndpointSpec(flags.out_path)) {
-    NUMDIST_ASSIGN_OR_RETURN(const net::Endpoint upstream,
-                             net::ParseEndpoint(flags.out_path));
-    NUMDIST_ASSIGN_OR_RETURN(net::Fd fd, net::Dial(upstream));
-    std::string prefixed;
-    for (const std::string& sketch : sketches) {
-      prefixed.reserve(prefixed.size() + 4 + sketch.size());
-      ByteWriter(&prefixed).PutU32(static_cast<uint32_t>(sketch.size()));
-      prefixed.append(sketch);
-    }
-    return net::WriteAll(fd.get(), prefixed);
-  }
-  std::ofstream file_out;
-  if (!flags.out_path.empty()) {
-    file_out.open(flags.out_path, std::ios::binary);
-    if (!file_out) {
-      return Status::InvalidArgument("collector: cannot open '" +
-                                     flags.out_path + "'");
-    }
-  }
-  std::ostream& out = flags.out_path.empty() ? std::cout : file_out;
-  for (const std::string& sketch : sketches) {
-    NUMDIST_RETURN_NOT_OK(serve::WriteFrame(out, sketch));
-  }
-  out.flush();
-  if (!out) return Status::Internal("collector: sketch write failed");
-  return Status::OK();
-}
-
-Status EmitSketch(const CliFlags& flags, const std::string& sketch) {
-  return EmitSketches(flags, {sketch});
 }
 
 // Shared between RunServer and the estimate sink closure: the sink is
@@ -545,9 +547,57 @@ void OnDrainSignal(int) {
   if (g_server != nullptr) g_server->RequestDrain();
 }
 
-int RunServer(const CliFlags& flags, const wire::MethodSpec& spec) {
+// Opens the collector's input stream as a connection of `server`: stdin or
+// --in, with stdout as the ack sink. The server owns duplicates, so closing
+// them never closes the process's stdio.
+Status AttachStdio(const CliFlags& flags, net::CollectorServer* server) {
+  net::Fd in(flags.in_path.empty()
+                 ? fcntl(STDIN_FILENO, F_DUPFD_CLOEXEC, 0)
+                 : open(flags.in_path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (!in.valid()) {
+    return Status::InvalidArgument(
+        "collector: cannot open '" +
+        (flags.in_path.empty() ? std::string("stdin") : flags.in_path) + "'");
+  }
+  net::Fd out(fcntl(STDOUT_FILENO, F_DUPFD_CLOEXEC, 0));
+  if (!out.valid()) {
+    return Status::InvalidArgument("collector: cannot open stdout");
+  }
+  return server->AddStream(std::move(in), std::move(out));
+}
+
+// Opens --listen, publishes the bound endpoint, and wires SIGTERM/SIGINT
+// to a graceful drain.
+Status AttachListener(const CliFlags& flags, net::CollectorServer* server) {
+  NUMDIST_ASSIGN_OR_RETURN(const net::Endpoint listen_at,
+                           net::ParseEndpoint(flags.listen));
+  NUMDIST_ASSIGN_OR_RETURN(const net::Endpoint bound,
+                           server->AddListener(listen_at));
+  const std::string bound_name = net::EndpointName(bound);
+  if (!flags.port_file.empty()) {
+    std::ofstream pf(flags.port_file, std::ios::trunc);
+    pf << bound_name << "\n";
+    if (!pf) {
+      return Status::InvalidArgument("collector: cannot write '" +
+                                     flags.port_file + "'");
+    }
+  }
+  fprintf(stderr, "collector listening on %s\n", bound_name.c_str());
+  g_server = server;
+  struct sigaction sa;
+  std::memset(&sa, 0, sizeof(sa));
+  sa.sa_handler = OnDrainSignal;
+  sigaction(SIGTERM, &sa, nullptr);
+  sigaction(SIGINT, &sa, nullptr);
+  return Status::OK();
+}
+
+int RunServer(const CliFlags& flags, const wire::MethodSpec& spec,
+              const TenantBudgets& budgets) {
+  const bool stdio = flags.listen.empty();
   net::ServerOptions options;
   options.expect_frames = flags.expect_frames;
+  options.read_timeout_ms = flags.read_timeout_ms;
   options.wal_path = flags.wal_path;
   options.wal.checkpoint_every_frames = flags.wal_checkpoint_every;
   options.wal.sync_each_record = flags.wal_sync;
@@ -560,8 +610,9 @@ int RunServer(const CliFlags& flags, const wire::MethodSpec& spec) {
     // final close into an RST that discards the tail), and it promotes —
     // drains and emits its sketch — the moment the stream ends.
     options.send_acks = false;
-    options.drain_on_disconnect = true;
   }
+  // A stdio collector likewise finishes when its one stream ends.
+  options.drain_on_disconnect = flags.standby || stdio;
   options.estimate_every_frames = flags.estimate_every_frames;
   options.estimate_every_ms = flags.estimate_every_ms;
   if (flags.estimate_mode == "minibatch") {
@@ -585,59 +636,47 @@ int RunServer(const CliFlags& flags, const wire::MethodSpec& spec) {
       HandleEstimateTick(est.get(), tick);
     };
   }
-  Result<std::unique_ptr<net::CollectorServer>> server =
-      net::CollectorServer::Make(spec, options);
-  if (!server.ok()) return Fail(server.status());
-  if (!flags.wal_path.empty()) {
-    ReportWalRecovery(server.value()->wal_recovery());
+  // A file --out is truncated before serving: a bad path fails before any
+  // input is consumed, and a failed run leaves it empty instead of holding
+  // an older sketch.
+  if (!flags.merge_listen && !flags.out_path.empty() &&
+      !IsEndpointSpec(flags.out_path) &&
+      !std::ofstream(flags.out_path, std::ios::binary | std::ios::trunc)) {
+    fprintf(stderr, "error: cannot open '%s'\n", flags.out_path.c_str());
+    return 1;
   }
-  if (!flags.tenant_budgets.empty()) {
-    std::vector<std::pair<uint32_t, serve::TenantBudget>> budgets;
-    if (!ParseTenantBudgets(flags.tenant_budgets, &budgets)) return 2;
-    for (const auto& [tenant, budget] : budgets) {
-      server.value()->SetTenantBudget(tenant, budget);
-    }
+  Result<std::unique_ptr<net::CollectorServer>> made =
+      net::CollectorServer::Make(spec, options);
+  if (!made.ok()) return Fail(made.status());
+  net::CollectorServer* server = made.value().get();
+  if (!flags.wal_path.empty()) ReportWalRecovery(server->wal_recovery());
+  for (const auto& [tenant, budget] : budgets) {
+    server->SetTenantBudget(tenant, budget);
   }
   if (estimating) {
     est->scratch.emplace(
-        StreamingAggregator::ForEstimator(server.value()->live_estimator()));
+        StreamingAggregator::ForEstimator(server->live_estimator()));
   }
+  // SIGTERM keeps its default action on stdio; with --listen it drains.
+  const Status attached =
+      stdio ? AttachStdio(flags, server) : AttachListener(flags, server);
+  if (!attached.ok()) return Fail(attached);
 
-  Result<net::Endpoint> listen_at = net::ParseEndpoint(flags.listen);
-  if (!listen_at.ok()) return Fail(listen_at.status());
-  Result<net::Endpoint> bound = server.value()->AddListener(listen_at.value());
-  if (!bound.ok()) return Fail(bound.status());
-  const std::string bound_name = net::EndpointName(bound.value());
-  if (!flags.port_file.empty()) {
-    std::ofstream pf(flags.port_file, std::ios::trunc);
-    pf << bound_name << "\n";
-    if (!pf) {
-      fprintf(stderr, "error: cannot write '%s'\n", flags.port_file.c_str());
-      return 1;
-    }
-  }
-  fprintf(stderr, "collector listening on %s\n", bound_name.c_str());
-
-  g_server = server.value().get();
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sa_handler = OnDrainSignal;
-  sigaction(SIGTERM, &sa, nullptr);
-  sigaction(SIGINT, &sa, nullptr);
-
-  const Status run = server.value()->Run();
+  const Status run = server->Run();
   g_server = nullptr;
   if (!run.ok()) return Fail(run);
 
-  const net::ServerStats& stats = server.value()->stats();
+  const net::ServerStats& stats = server->stats();
   fprintf(stderr,
           "collector drained: %llu connection(s), %llu frame(s), "
           "%llu report(s), %llu pause(s) (%s)\n",
           static_cast<unsigned long long>(stats.connections_accepted),
           static_cast<unsigned long long>(stats.frames_absorbed),
-          static_cast<unsigned long long>(server.value()->num_reports()),
+          static_cast<unsigned long long>(server->num_reports()),
           static_cast<unsigned long long>(stats.pauses),
           wire::MethodSpecName(spec).c_str());
+  // A stdio stream that failed is not a completed shard: no sketch.
+  if (stdio && stats.connection_errors > 0) return Fail(stats.first_error);
   if (stats.connection_errors > 0) {
     fprintf(stderr,
             "warning: %llu connection(s) dropped on error; first: %s\n",
@@ -662,75 +701,14 @@ int RunServer(const CliFlags& flags, const wire::MethodSpec& spec) {
   if (flags.merge_listen) {
     // Network coordinator: the listener fed us sketch frames; reconstruct
     // and print instead of re-encoding a sketch.
-    Result<MethodOutput> output = server.value()->Reconstruct();
+    Result<MethodOutput> output = server->Reconstruct();
     if (!output.ok()) return Fail(output.status());
-    return PrintEstimate(flags, spec, server.value()->num_reports(),
-                         output.value());
+    return PrintEstimate(flags, spec, server->num_reports(), output.value());
   }
-  Result<std::string> sketch = server.value()->EncodeSketch();
-  if (!sketch.ok()) return Fail(sketch.status());
-  const Status emitted = EmitSketch(flags, sketch.value());
+  Result<std::vector<std::string>> sketches = server->EncodeSketches();
+  if (!sketches.ok()) return Fail(sketches.status());
+  const Status emitted = EmitSketches(flags, sketches.value());
   if (!emitted.ok()) return Fail(emitted);
-  return 0;
-}
-
-int RunCollector(const CliFlags& flags, serve::CollectorSession* session) {
-  // Stdio/pipe/file mode serves through the same poll-driven loop the
-  // network server uses per connection, which is what gives --in streams
-  // a mid-frame read deadline; output bytes are identical to ServeStream.
-  if (!flags.wal_path.empty()) {
-    serve::WalOptions wal_options;
-    wal_options.checkpoint_every_frames = flags.wal_checkpoint_every;
-    wal_options.sync_each_record = flags.wal_sync;
-    wal_options.segment_bytes = flags.wal_segment_bytes;
-    Result<serve::WalReplayStats> recovered =
-        session->RecoverAndAttachWal(flags.wal_path, wal_options);
-    if (!recovered.ok()) return Fail(recovered.status());
-    ReportWalRecovery(recovered.value());
-  }
-  int in_fd = STDIN_FILENO;
-  net::Fd file_fd;
-  if (!flags.in_path.empty()) {
-    file_fd.reset(open(flags.in_path.c_str(), O_RDONLY | O_CLOEXEC));
-    if (!file_fd.valid()) {
-      fprintf(stderr, "error: cannot open '%s'\n", flags.in_path.c_str());
-      return 1;
-    }
-    in_fd = file_fd.get();
-  }
-  std::ofstream file_out;
-  if (!flags.out_path.empty() && !IsEndpointSpec(flags.out_path)) {
-    file_out.open(flags.out_path, std::ios::binary);
-    if (!file_out) {
-      fprintf(stderr, "error: cannot open '%s'\n", flags.out_path.c_str());
-      return 1;
-    }
-  }
-  serve::ServeFdOptions options;
-  options.read_timeout_ms = flags.read_timeout_ms;
-  if (IsEndpointSpec(flags.out_path)) {
-    // Absorb locally, then dial the sketch upstream.
-    std::ostringstream sink;
-    const Status st = serve::ServeFd(in_fd, sink, session, options);
-    if (!st.ok()) return Fail(st);
-    Result<std::string> sketch = session->EncodeSketch();
-    if (!sketch.ok()) return Fail(sketch.status());
-    const Status emitted = EmitSketch(flags, sketch.value());
-    if (!emitted.ok()) return Fail(emitted);
-  } else {
-    std::ostream& out = flags.out_path.empty() ? std::cout : file_out;
-    const Status st = serve::ServeFd(in_fd, out, session, options);
-    if (!st.ok()) return Fail(st);
-  }
-  if (session->has_wal()) {
-    // Clean EOF: compact the log to one checkpoint of the final state so
-    // a restart replays a single record instead of the whole stream.
-    const Status compacted = session->CompactWal();
-    if (!compacted.ok()) return Fail(compacted);
-  }
-  fprintf(stderr, "collector absorbed %llu reports (%s)\n",
-          static_cast<unsigned long long>(session->num_reports()),
-          wire::MethodSpecName(session->spec()).c_str());
   return 0;
 }
 
@@ -749,21 +727,17 @@ int main(int argc, char** argv) {
       flags.method, flags.epsilon, static_cast<uint32_t>(flags.buckets));
   if (!spec.ok()) return Fail(spec.status());
 
-  if (!flags.listen.empty()) {
-    return RunServer(flags, spec.value());
+  TenantBudgets budgets;
+  if (!flags.tenant_budgets.empty() &&
+      !ParseTenantBudgets(flags.tenant_budgets, &budgets)) {
+    return 2;
   }
+  if (flags.merge.empty()) return RunServer(flags, spec.value(), budgets);
   Result<serve::CollectorSession> session =
       serve::CollectorSession::Make(spec.value());
   if (!session.ok()) return Fail(session.status());
-  if (!flags.tenant_budgets.empty()) {
-    std::vector<std::pair<uint32_t, serve::TenantBudget>> budgets;
-    if (!ParseTenantBudgets(flags.tenant_budgets, &budgets)) return 2;
-    for (const auto& [tenant, budget] : budgets) {
-      session.value().SetTenantBudget(tenant, budget);
-    }
+  for (const auto& [tenant, budget] : budgets) {
+    session.value().SetTenantBudget(tenant, budget);
   }
-  if (!flags.merge.empty()) {
-    return RunCoordinator(flags, &session.value());
-  }
-  return RunCollector(flags, &session.value());
+  return RunCoordinator(flags, &session.value());
 }
