@@ -100,15 +100,14 @@ struct ServerOptions {
   /// times out. 0 disables the deadline and all of its bookkeeping.
   int read_timeout_ms = 0;
 
-  /// Write-ahead log path (empty = no durability). Make replays the log
-  /// into the main session before serving (crash recovery), every
-  /// absorbed frame is appended in absorption order, and the log is
-  /// compacted to a checkpoint of the final state at drain. A collector
-  /// killed at any byte offset restarts byte-identical to an
-  /// uninterrupted run over the logged frames (serve/wal.h). With
-  /// wal.segment_bytes > 0 the path is a segment directory (WalLog).
+  /// Write-ahead log directory (empty = no durability; created when
+  /// missing). Make replays the log into the main session before serving
+  /// (crash recovery), every absorbed frame is appended in absorption
+  /// order, and the log is compacted to a checkpoint of the final state at
+  /// drain. A collector killed at any byte offset restarts byte-identical
+  /// to an uninterrupted run over the logged frames (serve/wal.h).
   std::string wal_path;
-  /// Checkpoint cadence / sync / segmentation policy for wal_path.
+  /// Checkpoint cadence / sync / segment size policy for wal_path.
   serve::WalOptions wal;
 
   /// Hot-standby replication endpoint (empty = none). Make dials it once;

@@ -100,6 +100,13 @@ Status TornTail(uint64_t offset, const std::string& why) {
                             std::to_string(offset) + ": " + why);
 }
 
+// A valid-CRC record whose payload does not decode is corruption a torn
+// write cannot explain, so a short field is InvalidArgument here too, never
+// the OutOfRange that marks a torn tail.
+Status Malformed(const Status& decoded) {
+  return decoded.ok() ? decoded : Status::InvalidArgument(decoded.message());
+}
+
 Status DecodeCheckpointBody(std::string_view payload,
                             std::vector<std::string>* sketches) {
   ByteReader in(payload);
@@ -158,27 +165,16 @@ Status DecodeSeqCheckpointBody(std::string_view payload,
   return Status::OK();
 }
 
-}  // namespace
-
-Result<WalReplayStats> ReplayWal(const std::string& path,
-                                 const WalConsumer& consumer) {
+// Replays one segment, already open at offset 0, from its header on.
+Result<WalReplayStats> ReplaySegment(int fd, const std::string& path,
+                                     const WalConsumer& consumer) {
   WalReplayStats stats;
-  const int fd = open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (errno == ENOENT) return stats;  // no log yet: empty history
-    return Errno("open '" + path + "'");
-  }
-  struct FdCloser {
-    int fd;
-    ~FdCloser() { close(fd); }
-  } closer{fd};
-
   char header[kWalHeaderBytes];
   NUMDIST_ASSIGN_OR_RETURN(const size_t header_got,
                            ReadUpTo(fd, header, sizeof(header)));
-  if (header_got == 0) return stats;  // empty file: empty history
+  if (header_got == 0) return stats;  // empty segment: empty history
   if (header_got < sizeof(header)) {
-    stats.tail = TornTail(0, "log shorter than the file header");
+    stats.tail = TornTail(0, "segment shorter than the file header");
     return stats;
   }
   {
@@ -249,14 +245,16 @@ Result<WalReplayStats> ReplayWal(const std::string& path,
         ++stats.frames;
         break;
       case WalRecordType::kCheckpoint:
-        NUMDIST_RETURN_NOT_OK(DecodeCheckpointBody(payload, &sketches));
+        NUMDIST_RETURN_NOT_OK(
+            Malformed(DecodeCheckpointBody(payload, &sketches)));
         if (consumer.on_checkpoint) {
           NUMDIST_RETURN_NOT_OK(consumer.on_checkpoint(sketches));
         }
         ++stats.checkpoints;
         break;
       case WalRecordType::kSeqCheckpoint:
-        NUMDIST_RETURN_NOT_OK(DecodeSeqCheckpointBody(payload, &seq_entries));
+        NUMDIST_RETURN_NOT_OK(
+            Malformed(DecodeSeqCheckpointBody(payload, &seq_entries)));
         if (consumer.on_seq_checkpoint) {
           NUMDIST_RETURN_NOT_OK(consumer.on_seq_checkpoint(seq_entries));
         }
@@ -266,151 +264,12 @@ Result<WalReplayStats> ReplayWal(const std::string& path,
         return Status::InvalidArgument(
             "wal: unknown record type " +
             std::to_string(static_cast<int>(type)) + " at byte " +
-            std::to_string(stats.clean_bytes));
+            std::to_string(stats.clean_bytes) + " of '" + path + "'");
     }
     stats.clean_bytes += sizeof(record_header) + len;
   }
   return stats;
 }
-
-Status SyncParentDir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : (slash == 0 ? "/" : path.substr(0, slash));
-  const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return Errno("open dir '" + dir + "'");
-  Status st = Status::OK();
-  // Some filesystems refuse to fsync a directory fd; a crashed rename on
-  // those is as durable as it gets, so EINVAL is not an error here.
-  if (fsync(fd) != 0 && errno != EINVAL) st = Errno("fsync dir '" + dir + "'");
-  close(fd);
-  return st;
-}
-
-Result<WalWriter> WalWriter::Open(const std::string& path, uint64_t resume_at,
-                                  const WalOptions& options) {
-  const int fd = open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd < 0) return Errno("open '" + path + "'");
-  uint64_t bytes = 0;
-  if (resume_at < kWalHeaderBytes) {
-    // Fresh (or unreadably short) log: rewrite from scratch.
-    if (ftruncate(fd, 0) != 0) {
-      close(fd);
-      return Errno("ftruncate '" + path + "'");
-    }
-    std::string header;
-    AppendHeader(&header);
-    const Status wrote = WriteAllFd(fd, header);
-    if (!wrote.ok()) {
-      close(fd);
-      return wrote;
-    }
-    bytes = kWalHeaderBytes;
-  } else {
-    // Resume after the replayed clean prefix; the torn tail (if any) is
-    // discarded here so a crashed write can never precede fresh records.
-    if (ftruncate(fd, static_cast<off_t>(resume_at)) != 0) {
-      close(fd);
-      return Errno("ftruncate '" + path + "'");
-    }
-    if (lseek(fd, 0, SEEK_END) < 0) {
-      close(fd);
-      return Errno("lseek '" + path + "'");
-    }
-    bytes = resume_at;
-  }
-  return WalWriter(fd, path, bytes, options);
-}
-
-WalWriter::WalWriter(int fd, std::string path, uint64_t bytes,
-                     WalOptions options)
-    : fd_(fd), path_(std::move(path)), bytes_(bytes), options_(options) {}
-
-WalWriter::~WalWriter() {
-  if (fd_ >= 0) close(fd_);
-}
-
-WalWriter::WalWriter(WalWriter&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      path_(std::move(other.path_)),
-      bytes_(other.bytes_),
-      options_(other.options_) {}
-
-WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) close(fd_);
-    fd_ = std::exchange(other.fd_, -1);
-    path_ = std::move(other.path_);
-    bytes_ = other.bytes_;
-    options_ = other.options_;
-  }
-  return *this;
-}
-
-Status WalWriter::AppendFrame(std::string_view frame) {
-  std::string record;
-  record.reserve(8 + 1 + frame.size());
-  std::string body;
-  body.reserve(1 + frame.size());
-  ByteWriter(&body).PutU8(static_cast<uint8_t>(WalRecordType::kFrame));
-  body.append(frame);
-  AppendRecord(body, &record);
-  NUMDIST_RETURN_NOT_OK(WriteAllFd(fd_, record));
-  bytes_ += record.size();
-  if (options_.sync_each_record) return Sync();
-  return Status::OK();
-}
-
-Status WalWriter::Compact(const std::vector<std::string>& sketches) {
-  return Compact(sketches, {});
-}
-
-Status WalWriter::Compact(const std::vector<std::string>& sketches,
-                          const std::vector<WalSeqEntry>& seqs) {
-  const std::string tmp_path = path_ + ".compact.tmp";
-  const int tmp_fd =
-      open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (tmp_fd < 0) return Errno("open '" + tmp_path + "'");
-  std::string log;
-  AppendHeader(&log);
-  AppendRecord(CheckpointBody(sketches), &log);
-  if (!seqs.empty()) AppendRecord(SeqCheckpointBody(seqs), &log);
-  Status st = WriteAllFd(tmp_fd, log);
-  // The rename is what makes compaction atomic: a crash before it leaves
-  // the old log intact, a crash after it leaves the checkpoint-only log.
-  // fsync the temp file first so the rename never publishes empty bytes.
-  if (st.ok() && fsync(tmp_fd) != 0) st = Errno("fsync '" + tmp_path + "'");
-  if (close(tmp_fd) != 0 && st.ok()) st = Errno("close '" + tmp_path + "'");
-  if (!st.ok()) {
-    unlink(tmp_path.c_str());
-    return st;
-  }
-  if (rename(tmp_path.c_str(), path_.c_str()) != 0) {
-    unlink(tmp_path.c_str());
-    return Errno("rename '" + tmp_path + "'");
-  }
-  // File contents are durable (temp-file fsync); the rename's dirent is
-  // not until the directory itself is synced.
-  NUMDIST_RETURN_NOT_OK(SyncParentDir(path_));
-  const int new_fd = open(path_.c_str(), O_RDWR | O_CLOEXEC);
-  if (new_fd < 0) return Errno("reopen '" + path_ + "'");
-  if (lseek(new_fd, 0, SEEK_END) < 0) {
-    close(new_fd);
-    return Errno("lseek '" + path_ + "'");
-  }
-  if (fd_ >= 0) close(fd_);
-  fd_ = new_fd;
-  bytes_ = log.size();
-  return Status::OK();
-}
-
-Status WalWriter::Sync() {
-  if (fsync(fd_) != 0) return Errno("fsync '" + path_ + "'");
-  return Status::OK();
-}
-
-namespace {
 
 // Segment files are named wal-00000001.ndwl, wal-00000002.ndwl, ...;
 // numbering is 1-based and zero-padded so lexicographic order matches
@@ -441,12 +300,21 @@ uint64_t ParseSegmentName(const std::string& name) {
   return seq;
 }
 
-// Lists the segment numbers present in `dir`, ascending. Files that do
-// not match the segment naming (including .tmp leftovers from a crashed
-// compaction) are ignored.
+// Lists the segment numbers present in `dir`, ascending; a missing `dir`
+// is an empty log. Files that do not match the segment naming are
+// ignored.
 Result<std::vector<uint64_t>> ListSegments(const std::string& dir) {
   DIR* d = opendir(dir.c_str());
-  if (d == nullptr) return Errno("opendir '" + dir + "'");
+  if (d == nullptr) {
+    if (errno == ENOENT) return std::vector<uint64_t>{};
+    if (errno == ENOTDIR) {
+      return Status::InvalidArgument(
+          "wal: '" + dir + "' is not a directory; a WAL is a directory of " +
+          "segments (a log from the single-file layout replays as-is once " +
+          "moved to '" + SegmentPath(dir, 1) + "')");
+    }
+    return Errno("opendir '" + dir + "'");
+  }
   std::vector<uint64_t> seqs;
   for (;;) {
     errno = 0;
@@ -467,147 +335,222 @@ Result<std::vector<uint64_t>> ListSegments(const std::string& dir) {
   return seqs;
 }
 
-}  // namespace
-
-Result<WalLog> WalLog::Open(const std::string& path, const WalOptions& options,
-                            const WalConsumer& consumer) {
-  WalLog log;
-  log.path_ = path;
-  log.options_ = options;
-  if (options.segment_bytes == 0) {
-    // Single-file layout: replay, then resume at the clean prefix.
-    NUMDIST_ASSIGN_OR_RETURN(log.recovery_, ReplayWal(path, consumer));
-    NUMDIST_ASSIGN_OR_RETURN(
-        WalWriter writer,
-        WalWriter::Open(path, log.recovery_.clean_bytes, options));
-    log.writer_.emplace(std::move(writer));
-    return log;
-  }
-  // Segmented layout: `path` is a directory of segment files.
-  if (mkdir(path.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Errno("mkdir '" + path + "'");
-  }
-  struct stat sb;
-  if (stat(path.c_str(), &sb) != 0) return Errno("stat '" + path + "'");
-  if (!S_ISDIR(sb.st_mode)) {
-    return Status::InvalidArgument(
-        "wal: segmented mode needs a directory, but '" + path +
-        "' is a file (a single-file log cannot be reopened with "
-        "--wal-segment-bytes)");
-  }
-  NUMDIST_ASSIGN_OR_RETURN(std::vector<uint64_t> seqs, ListSegments(path));
-  if (seqs.empty()) {
-    // Fresh log: create segment 1 and persist its dirent.
-    log.active_seq_ = 1;
-    log.segments_ = 1;
-    NUMDIST_ASSIGN_OR_RETURN(
-        WalWriter writer, WalWriter::Open(SegmentPath(path, 1), 0, options));
-    log.writer_.emplace(std::move(writer));
-    NUMDIST_RETURN_NOT_OK(SyncParentDir(SegmentPath(path, 1)));
-    return log;
-  }
-  // GC deletes oldest-first and the writer appends highest-last, so the
-  // live set must be one contiguous run; a hole means lost records.
+// Lists the segment run in `dir`, refusing a hole: GC deletes
+// oldest-first and the writer appends highest-last, so the live set must
+// be one contiguous run, and a hole means lost records.
+Result<std::vector<uint64_t>> ListRun(const std::string& dir) {
+  NUMDIST_ASSIGN_OR_RETURN(std::vector<uint64_t> seqs, ListSegments(dir));
   for (size_t i = 1; i < seqs.size(); ++i) {
     if (seqs[i] != seqs[i - 1] + 1) {
       return Status::InvalidArgument(
-          "wal: segment gap in '" + path + "': " + SegmentFileName(seqs[i - 1]) +
+          "wal: segment gap in '" + dir + "': " + SegmentFileName(seqs[i - 1]) +
           " is followed by " + SegmentFileName(seqs[i]));
     }
   }
-  for (size_t i = 0; i < seqs.size(); ++i) {
-    const std::string seg_path = SegmentPath(path, seqs[i]);
-    NUMDIST_ASSIGN_OR_RETURN(const WalReplayStats stats,
-                             ReplayWal(seg_path, consumer));
-    log.recovery_.frames += stats.frames;
-    log.recovery_.checkpoints += stats.checkpoints;
-    log.recovery_.seq_checkpoints += stats.seq_checkpoints;
-    log.recovery_.clean_bytes = stats.clean_bytes;
-    if (!stats.tail.ok() && i + 1 < seqs.size()) {
+  return seqs;
+}
+
+// Replays the segment run in `dir`; `*last` receives the final segment's
+// number (0 for an empty log).
+Result<WalReplayStats> ReplayDir(const std::string& dir,
+                                 const WalConsumer& consumer,
+                                 uint64_t* last) {
+  NUMDIST_ASSIGN_OR_RETURN(std::vector<uint64_t> run, ListRun(dir));
+  WalReplayStats stats;
+  size_t i = 0;
+  while (i < run.size()) {
+    const std::string path = SegmentPath(dir, run[i]);
+    const int fd = open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0 && errno == ENOENT) {
+      // A live writer's compaction unlinked the segment after the
+      // listing, which it does only once a newer checkpoint segment is
+      // durable: go on with the run past it, whose checkpoint resets
+      // whatever the unread records would have built.
+      NUMDIST_ASSIGN_OR_RETURN(std::vector<uint64_t> relisted, ListRun(dir));
+      if (!relisted.empty() && relisted.front() > run[i]) {
+        run = std::move(relisted);
+        i = 0;
+        continue;
+      }
+      errno = ENOENT;
+    }
+    if (fd < 0) return Errno("open '" + path + "'");
+    struct FdCloser {
+      int fd;
+      ~FdCloser() { close(fd); }
+    } closer{fd};
+    NUMDIST_ASSIGN_OR_RETURN(const WalReplayStats segment,
+                             ReplaySegment(fd, path, consumer));
+    if (!segment.tail.ok() && i + 1 < run.size()) {
       // Only the final segment can end mid-write: sealed segments were
       // fsynced before the next was opened, so a torn record here is
       // corruption, not a crash artifact.
-      return Status::InvalidArgument(
-          "wal: torn record in sealed segment '" + seg_path +
-          "': " + stats.tail.message());
+      return Status::InvalidArgument("wal: torn record in sealed segment '" +
+                                     path + "': " + segment.tail.message());
     }
-    log.recovery_.tail = stats.tail;
+    stats.frames += segment.frames;
+    stats.checkpoints += segment.checkpoints;
+    stats.seq_checkpoints += segment.seq_checkpoints;
+    stats.clean_bytes = segment.clean_bytes;
+    stats.tail = segment.tail;
+    ++stats.segments;
+    ++i;
   }
-  log.recovery_.segments = seqs.size();
-  log.active_seq_ = seqs.back();
-  log.segments_ = seqs.size();
-  NUMDIST_ASSIGN_OR_RETURN(
-      WalWriter writer,
-      WalWriter::Open(SegmentPath(path, seqs.back()),
-                      log.recovery_.clean_bytes, options));
-  log.writer_.emplace(std::move(writer));
+  *last = run.empty() ? 0 : run.back();
+  return stats;
+}
+
+// fsyncs a directory, making entries just created or unlinked in it
+// durable against power loss (file-content fsync alone does not persist
+// a dirent). Filesystems that reject directory fsync (EINVAL) are
+// treated as OK: on those a dirent is as durable as it gets.
+Status SyncDir(const std::string& dir) {
+  const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return Errno("open dir '" + dir + "'");
+  Status st = Status::OK();
+  if (fsync(fd) != 0 && errno != EINVAL) st = Errno("fsync dir '" + dir + "'");
+  close(fd);
+  return st;
+}
+
+// The directory holding `path`'s final component. Trailing slashes name
+// the same entry ("a/wal/" is "a/wal"), so they never make `path` its own
+// parent.
+std::string ParentDir(std::string path) {
+  while (path.size() > 1 && path.back() == '/') path.pop_back();
+  const size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  return slash == 0 ? "/" : path.substr(0, slash);
+}
+
+}  // namespace
+
+Result<WalReplayStats> ReplayWal(const std::string& path,
+                                 const WalConsumer& consumer) {
+  uint64_t last = 0;
+  return ReplayDir(path, consumer, &last);
+}
+
+Result<WalLog> WalLog::Open(const std::string& path, const WalOptions& options,
+                            const WalConsumer& consumer) {
+  if (mkdir(path.c_str(), 0755) == 0) {
+    // The new directory's own entry lives in its parent. Power loss could
+    // drop the directory with every fsynced record in it, so the
+    // power-loss tier (sync_each_record) syncs the parent once.
+    if (options.sync_each_record) {
+      NUMDIST_RETURN_NOT_OK(SyncDir(ParentDir(path)));
+    }
+  } else if (errno != EEXIST) {
+    return Errno("mkdir '" + path + "'");
+  }
+  WalLog log;
+  log.dir_ = path;
+  log.options_ = options;
+  uint64_t last = 0;
+  NUMDIST_ASSIGN_OR_RETURN(log.recovery_, ReplayDir(path, consumer, &last));
+  if (last == 0) {
+    // Fresh log: create segment 1 and persist its dirent.
+    log.first_seq_ = 1;
+    NUMDIST_RETURN_NOT_OK(log.OpenSegment(1, 0));
+    NUMDIST_RETURN_NOT_OK(SyncDir(path));
+  } else {
+    log.first_seq_ = last + 1 - log.recovery_.segments;
+    NUMDIST_RETURN_NOT_OK(log.OpenSegment(last, log.recovery_.clean_bytes));
+  }
   return log;
 }
 
-Status WalLog::AppendFrame(std::string_view frame) {
-  NUMDIST_RETURN_NOT_OK(writer_->AppendFrame(frame));
-  if (options_.segment_bytes == 0 ||
-      writer_->bytes() < options_.segment_bytes) {
-    return Status::OK();
+WalLog::~WalLog() {
+  if (fd_ >= 0) close(fd_);
+}
+
+WalLog::WalLog(WalLog&& other) noexcept
+    : dir_(std::move(other.dir_)),
+      options_(other.options_),
+      recovery_(std::move(other.recovery_)),
+      fd_(std::exchange(other.fd_, -1)),
+      bytes_(other.bytes_),
+      first_seq_(other.first_seq_),
+      active_seq_(other.active_seq_) {}
+
+Status WalLog::OpenSegment(uint64_t seq, uint64_t resume_at) {
+  const std::string path = SegmentPath(dir_, seq);
+  const int fd =
+      open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+  if (fd < 0) return Errno("open '" + path + "'");
+  if (fd_ >= 0) close(fd_);
+  fd_ = fd;
+  active_seq_ = seq;
+  // Resume after the replayed clean prefix: the torn tail (if any) is
+  // discarded here so a crashed write can never precede fresh records. A
+  // fresh (or unreadably short) segment starts over from its header.
+  const bool fresh = resume_at < kWalHeaderBytes;
+  bytes_ = fresh ? 0 : resume_at;
+  if (ftruncate(fd_, static_cast<off_t>(bytes_)) != 0) {
+    return Errno("ftruncate '" + path + "'");
   }
-  // Seal the active segment (fsync so a sealed segment can never be torn)
-  // and roll to the next. The new header's dirent is synced so replay
-  // after power loss sees the same contiguous run the writer left.
-  NUMDIST_RETURN_NOT_OK(writer_->Sync());
-  const std::string next_path = SegmentPath(path_, active_seq_ + 1);
-  NUMDIST_ASSIGN_OR_RETURN(WalWriter writer,
-                           WalWriter::Open(next_path, 0, options_));
-  writer_.emplace(std::move(writer));
-  ++active_seq_;
-  ++segments_;
-  return SyncParentDir(next_path);
+  if (!fresh) return Status::OK();
+  std::string header;
+  AppendHeader(&header);
+  return Write(header);
+}
+
+Status WalLog::Write(std::string_view bytes) {
+  NUMDIST_RETURN_NOT_OK(WriteAllFd(fd_, bytes));
+  bytes_ += bytes.size();
+  return Status::OK();
+}
+
+Status WalLog::AppendFrame(std::string_view frame) {
+  std::string body;
+  body.reserve(1 + frame.size());
+  ByteWriter(&body).PutU8(static_cast<uint8_t>(WalRecordType::kFrame));
+  body.append(frame);
+  std::string record;
+  record.reserve(8 + body.size());
+  AppendRecord(body, &record);
+  NUMDIST_RETURN_NOT_OK(Write(record));
+  if (options_.sync_each_record) NUMDIST_RETURN_NOT_OK(Sync());
+  if (options_.segment_bytes > 0 && bytes_ >= options_.segment_bytes) {
+    // Seal the active segment (fsync so a sealed segment can never be
+    // torn) and roll to the next. The new segment's dirent is synced so
+    // replay after power loss sees the same contiguous run the writer
+    // left.
+    NUMDIST_RETURN_NOT_OK(Sync());
+    NUMDIST_RETURN_NOT_OK(OpenSegment(active_seq_ + 1, 0));
+    NUMDIST_RETURN_NOT_OK(SyncDir(dir_));
+  }
+  return Status::OK();
 }
 
 Status WalLog::Compact(const std::vector<std::string>& sketches,
                        const std::vector<WalSeqEntry>& seqs) {
-  if (options_.segment_bytes == 0) return writer_->Compact(sketches, seqs);
-  // Segmented compaction: publish the checkpoint as a fresh segment
-  // (temp file + fsync + rename + dir sync), THEN garbage-collect the
-  // older segments oldest-first. A crash mid-GC leaves a contiguous
-  // suffix whose replay still starts at the checkpoint.
-  const uint64_t new_seq = active_seq_ + 1;
-  const std::string final_path = SegmentPath(path_, new_seq);
-  const std::string tmp_path = final_path + ".tmp";
-  const int tmp_fd =
-      open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (tmp_fd < 0) return Errno("open '" + tmp_path + "'");
-  std::string log;
-  AppendHeader(&log);
-  AppendRecord(CheckpointBody(sketches), &log);
-  if (!seqs.empty()) AppendRecord(SeqCheckpointBody(seqs), &log);
-  Status st = WriteAllFd(tmp_fd, log);
-  if (st.ok() && fsync(tmp_fd) != 0) st = Errno("fsync '" + tmp_path + "'");
-  if (close(tmp_fd) != 0 && st.ok()) st = Errno("close '" + tmp_path + "'");
-  if (!st.ok()) {
-    unlink(tmp_path.c_str());
-    return st;
-  }
-  if (rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    unlink(tmp_path.c_str());
-    return Errno("rename '" + tmp_path + "'");
-  }
-  NUMDIST_RETURN_NOT_OK(SyncParentDir(final_path));
-  // The checkpoint segment is durable; everything before it is garbage.
-  for (uint64_t seq = new_seq - segments_; seq < new_seq; ++seq) {
-    const std::string old_path = SegmentPath(path_, seq);
+  // A rotation whose fresh segment starts with the checkpoint. Until GC
+  // starts, the new segment is the final one, so a crash inside it is an
+  // ordinary torn tail over the intact older run; once it and its dirent
+  // are durable, every older segment is garbage, unlinked oldest-first so
+  // a crash mid-GC leaves a contiguous run that still ends in it.
+  NUMDIST_RETURN_NOT_OK(OpenSegment(active_seq_ + 1, 0));
+  std::string records;
+  AppendRecord(CheckpointBody(sketches), &records);
+  if (!seqs.empty()) AppendRecord(SeqCheckpointBody(seqs), &records);
+  NUMDIST_RETURN_NOT_OK(Write(records));
+  NUMDIST_RETURN_NOT_OK(Sync());
+  NUMDIST_RETURN_NOT_OK(SyncDir(dir_));
+  for (; first_seq_ < active_seq_; ++first_seq_) {
+    const std::string old_path = SegmentPath(dir_, first_seq_);
     if (unlink(old_path.c_str()) != 0 && errno != ENOENT) {
       return Errno("unlink '" + old_path + "'");
     }
   }
-  NUMDIST_RETURN_NOT_OK(SyncParentDir(final_path));
-  NUMDIST_ASSIGN_OR_RETURN(WalWriter writer,
-                           WalWriter::Open(final_path, log.size(), options_));
-  writer_.emplace(std::move(writer));
-  active_seq_ = new_seq;
-  segments_ = 1;
-  return Status::OK();
+  return SyncDir(dir_);
 }
 
-Status WalLog::Sync() { return writer_->Sync(); }
+Status WalLog::Sync() {
+  if (fsync(fd_) != 0) {
+    return Errno("fsync '" + SegmentPath(dir_, active_seq_) + "'");
+  }
+  return Status::OK();
+}
 
 }  // namespace numdist::serve

@@ -11,8 +11,10 @@
 // same frames (tests/wal_process_test.cc proves this across real
 // processes).
 //
-// File layout (all integers little-endian; docs/WIRE_FORMAT.md has the
-// byte-level spec):
+// Layout: the log is a DIRECTORY of segment files named
+// wal-00000001.ndwl, wal-00000002.ndwl, ... Each segment is one NDWL file
+// (all integers little-endian; docs/WIRE_FORMAT.md has the byte-level
+// spec):
 //
 //   header   u32 magic "NDWL", u16 version (1), u16 reserved (0)
 //   record   u32 body length, u32 CRC-32C of body, body
@@ -27,31 +29,30 @@
 //                          many u64 sequence numbers; replay RESETS the
 //                          window to this state)
 //
-// Segmented mode (WalOptions::segment_bytes > 0): the log is a DIRECTORY
-// of size-bounded segment files named wal-00000001.ndwl, wal-00000002.ndwl,
-// ... — each an NDWL file as above. The writer seals the active segment
-// once it reaches segment_bytes and opens the next; compaction writes the
-// checkpoint into a fresh segment, then garbage-collects all older
-// segments oldest-first, so a crash at any point leaves a contiguous
-// segment suffix. Replay walks segments in ascending order; the torn-tail
-// taxonomy applies to the FINAL segment only — a torn record in a sealed
-// (non-final) segment is corruption a crash cannot explain, and a gap in
-// the segment numbering is a hard error.
+// The writer appends to the highest-numbered segment. With
+// WalOptions::segment_bytes > 0 it seals (fsyncs) the active segment once
+// it reaches that size and opens the next; 0 means one unbounded
+// segment. Compaction is a rotation whose fresh segment starts with the
+// checkpoint: the segment is written and fsynced and its dirent synced,
+// then all older segments are unlinked oldest-first, so a crash at any
+// point leaves a contiguous run whose replay ends in the checkpointed
+// state (a cut inside the checkpoint segment is an ordinary torn tail
+// over the intact older run).
 //
-// Failure model: the log tolerates truncation and bit rot at its tail —
-// a record cut short or failing its CRC ends replay with a typed error
-// in WalReplayStats::tail, the intact prefix's state is kept, and the
-// writer truncates the torn tail before appending (so a crashed write is
-// discarded, never replayed as garbage). Corruption that a torn write
-// cannot explain (bad file magic, a valid-CRC record with an unknown
-// type or malformed checkpoint payload) is a hard replay error instead.
-// Without sync_each_record the log survives process death (page cache);
-// power-loss durability needs sync_each_record = true.
+// Failure model: the log tolerates truncation and bit rot at the tail of
+// its FINAL segment — a record cut short or failing its CRC ends replay
+// with a typed error in WalReplayStats::tail, the intact prefix's state is
+// kept, and the writer truncates the torn tail before appending (so a
+// crashed write is discarded, never replayed as garbage). Corruption that
+// a torn write cannot explain (a gap in the segment numbering, a torn
+// record in a sealed segment, bad file magic, a valid-CRC record with an
+// unknown type or malformed checkpoint payload) is a hard replay error
+// instead. Without sync_each_record the log survives process death (page
+// cache); power-loss durability needs sync_each_record = true.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,10 +61,10 @@
 
 namespace numdist::serve {
 
-/// First 4 bytes of every WAL file: "NDWL" on disk.
+/// First 4 bytes of every WAL segment: "NDWL" on disk.
 inline constexpr uint32_t kWalMagic = 0x4C57444E;
 inline constexpr uint16_t kWalVersion = 1;
-/// Bytes of the file header preceding the first record.
+/// Bytes of the segment header preceding the first record.
 inline constexpr uint64_t kWalHeaderBytes = 8;
 /// Per-record body ceiling: a frame record holds at most one
 /// kMaxFrameBytes frame, a checkpoint at most a handful of sketches.
@@ -79,15 +80,15 @@ enum class WalRecordType : uint8_t {
 };
 
 struct WalOptions {
-  /// Compact the log (checkpoint + truncate) after this many appended
-  /// frame records (0 = only compact when the owner asks, e.g. at drain).
+  /// Compact the log (checkpoint + GC) after this many appended frame
+  /// records (0 = only compact when the owner asks, e.g. at drain).
   uint64_t checkpoint_every_frames = 0;
   /// fsync after every record (power-loss durability). Off by default:
   /// surviving process death needs no fsync, only the page cache.
   bool sync_each_record = false;
-  /// Segmented mode: > 0 makes the WAL path a DIRECTORY of segment files,
-  /// each sealed once it reaches this many bytes (see the header comment).
-  /// 0 keeps the original single-file layout.
+  /// Seal the active segment once it reaches this many bytes and open the
+  /// next (0 = one unbounded segment). A size bound only: the layout is
+  /// the same segment directory either way.
   uint64_t segment_bytes = 0;
 };
 
@@ -100,16 +101,17 @@ struct WalSeqEntry {
   std::vector<uint64_t> sparse;
 };
 
-/// What a replay pass found. `tail` is OK when the log ends exactly on a
-/// record boundary; otherwise it is the typed torn-tail error (truncation
-/// or CRC mismatch) and `clean_bytes` is where the intact prefix ends —
-/// the offset WalWriter::Open truncates to before appending.
+/// What a replay pass found. `tail` is OK when the final segment ends
+/// exactly on a record boundary; otherwise it is the typed torn-tail
+/// error (truncation or CRC mismatch) and `clean_bytes` is where the final
+/// segment's intact prefix ends — the offset WalLog::Open truncates to
+/// before appending.
 struct WalReplayStats {
   uint64_t frames = 0;
   uint64_t checkpoints = 0;
   uint64_t seq_checkpoints = 0;
   uint64_t clean_bytes = 0;
-  /// Segment files replayed (0 in single-file mode).
+  /// Segment files replayed.
   uint64_t segments = 0;
   Status tail = Status::OK();
 };
@@ -128,112 +130,75 @@ struct WalConsumer {
       on_seq_checkpoint;
 };
 
-/// Replays the log at `path` through `consumer`. A missing or empty file
-/// is an empty log (zero records, OK tail). See WalReplayStats for the
-/// torn-tail contract; bad header magic/version and valid-CRC-but-
-/// malformed records are hard errors.
+/// Replays the segment directory at `path` through `consumer`, read-only:
+/// lists the segments, refuses a numbering gap, and walks them in order,
+/// allowing a torn tail only in the final segment. A missing or empty
+/// directory is an empty log (zero records, OK tail); a regular file at
+/// `path` is InvalidArgument (a log from the old single-file layout
+/// replays as-is once moved to `path`/wal-00000001.ndwl). Safe beside a
+/// live writer: when its compaction unlinks a segment before the replay
+/// reaches it, the replay goes on past it and the checkpoint segment ahead
+/// resets the state. See WalReplayStats for the torn-tail contract.
 Result<WalReplayStats> ReplayWal(const std::string& path,
                                  const WalConsumer& consumer);
 
-/// fsyncs the directory containing `path`, making a just-renamed,
-/// -created, or -unlinked entry durable against power loss (file-content
-/// fsync alone does not persist the dirent). Filesystems that reject
-/// directory fsync (EINVAL) are treated as OK.
-Status SyncParentDir(const std::string& path);
-
-/// \brief Appender for one collector's write-ahead log.
-class WalWriter {
- public:
-  /// Opens `path` for appending at offset `resume_at` — the replay's
-  /// clean_bytes — truncating any torn tail past it. A fresh or empty
-  /// log (resume_at < header size) is (re)initialized with the file
-  /// header. The caller replays BEFORE opening: opening truncates.
-  static Result<WalWriter> Open(const std::string& path, uint64_t resume_at,
-                                const WalOptions& options = {});
-  ~WalWriter();
-  WalWriter(WalWriter&& other) noexcept;
-  WalWriter& operator=(WalWriter&& other) noexcept;
-  WalWriter(const WalWriter&) = delete;
-  WalWriter& operator=(const WalWriter&) = delete;
-
-  /// Appends one accepted wire frame as a frame record.
-  Status AppendFrame(std::string_view frame);
-
-  /// Log compaction: atomically replaces the whole log with one
-  /// checkpoint record holding `sketches` (written to a temp file,
-  /// fsynced, renamed over the log, parent directory fsynced). After
-  /// Compact the log replays to exactly the checkpointed state. The
-  /// two-argument form also persists the dedup window as a type-3
-  /// record (omitted when `seqs` is empty).
-  Status Compact(const std::vector<std::string>& sketches);
-  Status Compact(const std::vector<std::string>& sketches,
-                 const std::vector<WalSeqEntry>& seqs);
-
-  /// fsyncs the log fd (a no-op durability-wise if nothing was written).
-  Status Sync();
-
-  /// Current log size in bytes (header + intact records).
-  uint64_t bytes() const { return bytes_; }
-  const std::string& path() const { return path_; }
-  const WalOptions& options() const { return options_; }
-
- private:
-  WalWriter(int fd, std::string path, uint64_t bytes, WalOptions options);
-
-  int fd_ = -1;
-  std::string path_;
-  uint64_t bytes_ = 0;
-  WalOptions options_;
-};
-
-/// \brief Mode-dispatching facade over the single-file and segmented WAL
-/// layouts: replays existing state through `consumer`, then attaches a
-/// writer resumed at the clean prefix. Collectors hold a WalLog and never
-/// care which layout is underneath (WalOptions::segment_bytes decides).
+/// \brief The collector's write-ahead log: replays existing state through
+/// `consumer`, then appends to the final segment at its clean prefix.
 class WalLog {
  public:
-  /// Replays the log at `path` (a file, or a segment directory when
-  /// options.segment_bytes > 0 — created if missing) through `consumer`,
-  /// then opens the writer at the replay's clean prefix. Replay findings
-  /// are kept in recovery().
+  /// Creates the directory at `path` when missing (syncing its parent when
+  /// sync_each_record asks for power-loss durability), replays it through
+  /// `consumer` exactly as ReplayWal does, then opens the final segment for
+  /// appending at the replay's clean prefix — truncating any torn tail — or
+  /// creates segment 1 for a fresh log. Replay findings are kept in
+  /// recovery().
   static Result<WalLog> Open(const std::string& path,
                              const WalOptions& options,
                              const WalConsumer& consumer);
+  ~WalLog();
+  WalLog(WalLog&& other) noexcept;
+  WalLog& operator=(WalLog&&) = delete;
 
-  /// Appends one accepted wire frame; in segmented mode, seals the active
+  /// Appends one accepted wire frame as a frame record; seals the active
   /// segment and opens the next once it reaches segment_bytes.
   Status AppendFrame(std::string_view frame);
 
-  /// Compaction. Single-file: atomic whole-log replacement (see
-  /// WalWriter::Compact). Segmented: writes the checkpoint (+ dedup
-  /// window) into a FRESH segment, then unlinks all older segments
-  /// oldest-first — a crash at any point leaves a contiguous,
-  /// replayable segment suffix.
+  /// Compaction: starts a fresh segment holding one checkpoint record
+  /// with `sketches` (plus a type-3 record with `seqs` when non-empty),
+  /// fsyncs it and its dirent, then unlinks every older segment
+  /// oldest-first. After Compact the log replays to exactly the
+  /// checkpointed state. An error from Compact or AppendFrame is fatal:
+  /// the owner stops appending, and the log on disk still replays to a
+  /// state it held.
   Status Compact(const std::vector<std::string>& sketches,
                  const std::vector<WalSeqEntry>& seqs = {});
 
-  /// fsyncs the active log file.
+  /// fsyncs the active segment.
   Status Sync();
 
   /// What replay found when this log was opened.
   const WalReplayStats& recovery() const { return recovery_; }
-  /// Bytes in the active file/segment (header + intact records).
-  uint64_t bytes() const { return writer_->bytes(); }
-  /// Live segment-file count (0 in single-file mode).
-  uint64_t segments() const { return segments_; }
-  const std::string& path() const { return path_; }
-  const WalOptions& options() const { return options_; }
+  /// Bytes in the active segment (header + intact records).
+  uint64_t bytes() const { return bytes_; }
 
  private:
   WalLog() = default;
 
-  std::string path_;
+  /// Makes segment `seq` the active one, opened for appending at
+  /// `resume_at` (truncating past it); below the header size the segment
+  /// is (re)initialized with a fresh header.
+  Status OpenSegment(uint64_t seq, uint64_t resume_at);
+  Status Write(std::string_view bytes);
+
+  std::string dir_;
   WalOptions options_;
-  std::optional<WalWriter> writer_;
   WalReplayStats recovery_;
-  /// Segmented mode: the active segment's number (segments are 1-based).
+  /// The active segment's descriptor; -1 after a move.
+  int fd_ = -1;
+  uint64_t bytes_ = 0;
+  /// Oldest live and active (highest) segment numbers; 1-based.
+  uint64_t first_seq_ = 0;
   uint64_t active_seq_ = 0;
-  uint64_t segments_ = 0;
 };
 
 }  // namespace numdist::serve

@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <span>
@@ -25,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
+#include "common/crc32.h"
 #include "common/mutator.h"
 #include "common/rng.h"
 #include "data/datasets.h"
@@ -352,23 +355,28 @@ TEST(FuzzWire, FrameDecoderChunkingsAgreeOnHostileStreams) {
 }
 
 // The WAL replay surface under corruption (serve/wal.h): every mutant of
-// a valid log — frame records, a checkpoint record, tenant-tagged
-// contents — must replay to either a hard typed error or an intact-prefix
-// state with a typed torn tail. Never a crash, hang, or sanitizer report.
+// a valid log segment — stamped frame records, a checkpoint record with
+// its dedup-window record, tenant-tagged contents — must replay to either
+// a hard typed error or an intact-prefix state with a typed torn tail.
+// Never a crash, hang, or sanitizer report. Every other mutant corrupts
+// one record's body and re-seals its length and CRC, so the hostile bytes
+// get past the CRC into the record decoders, SequenceTracker::Restore and
+// the session's frame and checkpoint paths.
 TEST(FuzzWire, MutatedWalReplaysToTypedErrorOrPrefix) {
   const wire::MethodSpec spec =
       wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
   ProtocolPtr protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
   const std::vector<double> values = GoldenRatioValues(120);
 
-  // A pristine log: checkpoint (via compaction) + tenant + plain frames.
-  const std::string path = testing::TempDir() + "fuzz_wal_base.wal";
-  std::remove(path.c_str());
+  // A pristine log: checkpoint + seq checkpoint (via compaction), then
+  // tenant and plain stamped frames, all in the final segment.
+  const std::string dir = testing::TempDir() + "fuzz_wal_base";
+  std::filesystem::remove_all(dir);
   {
     serve::CollectorSession session =
         serve::CollectorSession::Make(spec).ValueOrDie();
     serve::WalLog wal =
-        serve::WalLog::Open(path, {}, session.ReplayConsumer()).ValueOrDie();
+        serve::WalLog::Open(dir, {}, session.ReplayConsumer()).ValueOrDie();
     for (size_t i = 0; i < 3; ++i) {
       Rng rng(ShardSeed(29, i));
       auto chunk = protocol
@@ -381,26 +389,62 @@ TEST(FuzzWire, MutatedWalReplaysToTypedErrorOrPrefix) {
       EXPECT_TRUE(wire::EncodeReportFrame(spec, tenant, *protocol, *chunk,
                                           &frame)
                       .ok());
+      EXPECT_TRUE(
+          wire::StampSequenceContext(&frame, {.epoch = 3, .seq = 2 * i + 1})
+              .ok());
       EXPECT_TRUE(session.HandleFrame(frame).ok());
       EXPECT_TRUE(wal.AppendFrame(frame).ok());
       if (i == 1) {
-        EXPECT_TRUE(wal.Compact(session.EncodeSketches().ValueOrDie()).ok());
+        EXPECT_TRUE(wal.Compact(session.EncodeSketches().ValueOrDie(),
+                                session.sequence_tracker()->Export())
+                        .ok());
       }
     }
   }
+  std::vector<std::filesystem::path> segments;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    segments.push_back(entry.path());
+  }
+  ASSERT_EQ(segments.size(), 1u) << "compaction leaves one segment";
   std::string base;
   {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(segments[0], std::ios::binary);
     base.assign(std::istreambuf_iterator<char>(in),
                 std::istreambuf_iterator<char>());
   }
   ASSERT_GT(base.size(), serve::kWalHeaderBytes);
+  // The base's record boundaries: [offset, body length) per record.
+  std::vector<std::pair<size_t, uint32_t>> records;
+  for (size_t at = serve::kWalHeaderBytes; at < base.size();) {
+    ByteReader in(std::string_view(base).substr(at, 4));
+    const uint32_t len = in.U32().ValueOrDie();
+    records.emplace_back(at, len);
+    at += 8 + len;
+  }
+  ASSERT_EQ(records.size(), 3u) << "checkpoint, seq checkpoint, frame";
 
-  const std::string mutant_path = testing::TempDir() + "fuzz_wal_mutant.wal";
+  const std::string mutant_dir = testing::TempDir() + "fuzz_wal_mutant";
+  std::filesystem::remove_all(mutant_dir);
+  std::filesystem::create_directory(mutant_dir);
+  const std::string mutant_path = mutant_dir + "/wal-00000001.ndwl";
   ByteMutator mutator(0xD6E8FEB86659FD93ULL);
   size_t replayed_ok = 0;
+  size_t resealed_refused = 0;
   for (size_t i = 0; i < 2000; ++i) {
-    const std::string mutant = mutator.Mutate(base);
+    std::string mutant;
+    const bool reseal = i % 2 == 1;
+    if (reseal) {
+      const auto [at, len] = records[(i / 2) % records.size()];
+      const std::string body = mutator.Mutate(base.substr(at + 8, len));
+      mutant = base.substr(0, at);
+      ByteWriter writer(&mutant);
+      writer.PutU32(static_cast<uint32_t>(body.size()));
+      writer.PutU32(Crc32c(body));
+      mutant += body;
+      mutant += base.substr(at + 8 + len);
+    } else {
+      mutant = mutator.Mutate(base);
+    }
     SCOPED_TRACE("wal mutant iteration " + std::to_string(i) + " " +
                  std::string(MutationKindName(mutator.last_kind())));
     {
@@ -409,14 +453,7 @@ TEST(FuzzWire, MutatedWalReplaysToTypedErrorOrPrefix) {
     }
     serve::CollectorSession session =
         serve::CollectorSession::Make(spec).ValueOrDie();
-    serve::WalConsumer consumer;
-    consumer.on_frame = [&session](std::string_view frame) {
-      return session.HandleFrame(frame);
-    };
-    consumer.on_checkpoint = [&session](const std::vector<std::string>& s) {
-      return session.ResetToSketches(s);
-    };
-    auto stats = serve::ReplayWal(mutant_path, consumer);
+    auto stats = serve::ReplayWal(mutant_dir, session.ReplayConsumer());
     if (stats.ok()) {
       ++replayed_ok;
       // An OK replay keeps only an intact prefix: its clean byte count
@@ -425,14 +462,18 @@ TEST(FuzzWire, MutatedWalReplaysToTypedErrorOrPrefix) {
       if (!stats.value().tail.ok()) {
         EXPECT_EQ(stats.value().tail.code(), StatusCode::kOutOfRange);
       }
+    } else if (reseal) {
+      ++resealed_refused;
     }
     // A non-OK replay is a typed hard error — reaching here at all means
     // no crash; nothing else to assert.
   }
-  // Tail corruption is survivable by design, so many mutants replay OK.
+  // Tail corruption is survivable by design, so many mutants replay OK;
+  // re-sealed hostile bodies reach the decoders, which refuse some.
   EXPECT_GT(replayed_ok, 0u);
-  std::remove(path.c_str());
-  std::remove(mutant_path.c_str());
+  EXPECT_GT(resealed_refused, 0u);
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(mutant_dir);
 }
 
 // The seeded sweep is replayable: the same seed produces the same mutants.

@@ -647,7 +647,7 @@ TEST(CollectorServerTest, CheckpointCadenceLogReplaysToTheServedSketch) {
   const NetFixture fx = MakeNetFixture(3500, 500);
   ASSERT_EQ(fx.frames.size(), 7u);
   const std::string path = testing::TempDir() + "net_wal_cadence.wal";
-  std::remove(path.c_str());
+  std::filesystem::remove_all(path);
   net::ServerOptions options;
   options.wal_path = path;
   options.wal.checkpoint_every_frames = 2;
@@ -698,7 +698,7 @@ TEST(CollectorServerTest, CheckpointCadenceLogReplaysToTheServedSketch) {
   EXPECT_EQ(drained.frames, 0u);
   EXPECT_EQ(session.EncodeSketches().ValueOrDie(),
             server->EncodeSketches().ValueOrDie());
-  std::remove(path.c_str());
+  std::filesystem::remove_all(path);
 }
 
 }  // namespace

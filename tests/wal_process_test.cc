@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <random>
@@ -203,7 +204,7 @@ void RunKillAndRestart(uint64_t seed, const std::vector<std::string>& frames,
   const std::string tag = "wal_process_" + std::to_string(seed);
   const std::string wal = testing::TempDir() + tag + ".wal";
   const std::string resume_sketch = testing::TempDir() + tag + ".sketch";
-  std::remove(wal.c_str());
+  std::filesystem::remove_all(wal);
 
   // Phase 1: live collector, killed mid-stream.
   ChildProc victim = SpawnCollector({"--wal=" + wal, "--out=/dev/null"},
@@ -251,7 +252,7 @@ void RunKillAndRestart(uint64_t seed, const std::vector<std::string>& frames,
   EXPECT_EQ(compacted.checkpoints, 1u);
   EXPECT_EQ(compacted.frames, 0u);
 
-  std::remove(wal.c_str());
+  std::filesystem::remove_all(wal);
   std::remove(rest.c_str());
   std::remove(resume_sketch.c_str());
 }
@@ -287,7 +288,7 @@ TEST(WalProcessTest, DoubleCrashStillRecoversExactly) {
       MakeFrames(/*shards=*/8, /*shard_size=*/150, /*seed=*/19);
   const std::string wal = testing::TempDir() + "wal_process_double.wal";
   const std::string out = testing::TempDir() + "wal_process_double.sketch";
-  std::remove(wal.c_str());
+  std::filesystem::remove_all(wal);
 
   size_t fed = 0;
   for (const size_t kill_after : {3u, 6u}) {
@@ -321,7 +322,7 @@ TEST(WalProcessTest, DoubleCrashStillRecoversExactly) {
   EXPECT_EQ(ReadFileBytes(out),
             Prefixed(ref_session.EncodeSketch().ValueOrDie()));
 
-  std::remove(wal.c_str());
+  std::filesystem::remove_all(wal);
   std::remove(rest.c_str());
   std::remove(out.c_str());
 }
@@ -342,7 +343,7 @@ void RunNetworkKillAndRestart(const std::string& tag, uint64_t seed,
   const std::string wal = base + ".wal";
   const std::string port_file = base + ".port";
   const std::string out = base + ".sketch";
-  std::remove(wal.c_str());
+  std::filesystem::remove_all(wal);
   std::remove(port_file.c_str());
 
   std::vector<std::string> flags = {"--listen=tcp:0",
@@ -430,7 +431,7 @@ void RunNetworkKillAndRestart(const std::string& tag, uint64_t seed,
   EXPECT_EQ(ReadFileBytes(out),
             Prefixed(ref_session.EncodeSketch().ValueOrDie()));
 
-  std::remove(wal.c_str());
+  std::filesystem::remove_all(wal);
   std::remove(port_file.c_str());
   std::remove(rest.c_str());
   std::remove(out.c_str());

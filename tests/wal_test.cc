@@ -1,9 +1,11 @@
 // Write-ahead log guarantees (serve/wal.h): replaying ANY truncation of a
 // log yields the state of an intact record prefix with a typed torn-tail
 // error (never a crash, never garbage state), checkpoint compaction is
-// state-preserving, replay is deterministic, and tenant routing survives
-// the log round trip. The cross-process SIGKILL variant of these claims
-// lives in tests/wal_process_test.cc.
+// state-preserving at every crash point, replay is deterministic, and
+// tenant routing survives the log round trip. Every log is a segment
+// directory; the WalTest cases use one unbounded segment, the
+// WalSegmentTest cases small bounded ones. The cross-process SIGKILL
+// variant of these claims lives in tests/wal_process_test.cc.
 #include "serve/wal.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
+#include "common/crc32.h"
 #include "data/datasets.h"
 #include "protocol/sharded.h"
 #include "serve/collector.h"
@@ -65,8 +69,19 @@ bool SameState(const AccumulatorState& a, const AccumulatorState& b) {
   return true;
 }
 
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + name;
+// A fresh (removed-then-absent) WAL directory path under TempDir.
+std::string TempWalDir(const std::string& name) {
+  const std::string dir = testing::TempDir() + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+// Segment `seq` of the log in `dir` (wal-00000001.ndwl, ...).
+std::string SegmentPath(const std::string& dir, uint64_t seq) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "/wal-%08llu.ndwl",
+                static_cast<unsigned long long>(seq));
+  return dir + name;
 }
 
 std::string ReadFileBytes(const std::string& path) {
@@ -80,6 +95,22 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(out.good()) << path;
+}
+
+// Writes segment `seq` of the log in `dir`, creating the directory.
+void WriteSegment(const std::string& dir, uint64_t seq,
+                  const std::string& bytes) {
+  std::filesystem::create_directories(dir);
+  WriteFileBytes(SegmentPath(dir, seq), bytes);
+}
+
+// Total bytes of every segment in a WAL directory.
+uint64_t LogBytes(const std::string& dir) {
+  uint64_t total = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    total += entry.file_size();
+  }
+  return total;
 }
 
 // A session with a WAL attached the way net::CollectorServer attaches one:
@@ -119,7 +150,7 @@ struct LoggedSession : serve::CollectorSession {
 
 // Builds a frame-record-only log (no checkpoint) holding `frames`.
 void BuildLog(const std::string& path, const std::vector<std::string>& frames) {
-  std::remove(path.c_str());
+  std::filesystem::remove_all(path);
   LoggedSession session;
   auto stats = session.OpenWal(path);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
@@ -151,9 +182,9 @@ TEST(WalTest, EveryByteTruncationYieldsAPrefixState) {
   const std::vector<std::string> frames =
       MakeReportFrames(spec, /*shards=*/5, /*shard_size=*/20, /*seed=*/11);
 
-  const std::string log_path = TempPath("wal_sweep.wal");
-  BuildLog(log_path, frames);
-  const std::string log_bytes = ReadFileBytes(log_path);
+  const std::string log_dir = TempWalDir("wal_sweep");
+  BuildLog(log_dir, frames);
+  const std::string log_bytes = ReadFileBytes(SegmentPath(log_dir, 1));
   ASSERT_GT(log_bytes.size(), serve::kWalHeaderBytes);
 
   // Expected state after each intact frame prefix.
@@ -168,11 +199,11 @@ TEST(WalTest, EveryByteTruncationYieldsAPrefixState) {
     }
   }
 
-  const std::string cut_path = TempPath("wal_sweep_cut.wal");
+  const std::string cut_dir = TempWalDir("wal_sweep_cut");
   std::vector<bool> prefix_reached(frames.size() + 1, false);
   for (size_t len = 0; len <= log_bytes.size(); ++len) {
-    WriteFileBytes(cut_path, log_bytes.substr(0, len));
-    ReplayedSession replayed = Replay(cut_path);
+    WriteSegment(cut_dir, 1, log_bytes.substr(0, len));
+    ReplayedSession replayed = Replay(cut_dir);
     ASSERT_LE(replayed.stats.frames, frames.size()) << "cut at " << len;
     ASSERT_EQ(replayed.stats.checkpoints, 0u) << "cut at " << len;
     prefix_reached[replayed.stats.frames] = true;
@@ -193,8 +224,8 @@ TEST(WalTest, EveryByteTruncationYieldsAPrefixState) {
   for (size_t k = 0; k <= frames.size(); ++k) {
     EXPECT_TRUE(prefix_reached[k]) << "no truncation replayed to prefix " << k;
   }
-  std::remove(log_path.c_str());
-  std::remove(cut_path.c_str());
+  std::filesystem::remove_all(log_dir);
+  std::filesystem::remove_all(cut_dir);
 }
 
 // After recovery from a torn log, the writer truncates the tail and new
@@ -204,11 +235,11 @@ TEST(WalTest, TornTailIsTruncatedBeforeNewAppends) {
   const std::vector<std::string> frames =
       MakeReportFrames(spec, /*shards=*/4, /*shard_size=*/20, /*seed=*/5);
 
-  const std::string path = TempPath("wal_torn_append.wal");
+  const std::string path = TempWalDir("wal_torn_append");
   BuildLog(path, {frames[0], frames[1], frames[2]});
-  std::string bytes = ReadFileBytes(path);
+  std::string bytes = ReadFileBytes(SegmentPath(path, 1));
   // Cut inside the final record.
-  WriteFileBytes(path, bytes.substr(0, bytes.size() - 3));
+  WriteSegment(path, 1, bytes.substr(0, bytes.size() - 3));
 
   ReplayedSession replayed = Replay(path);
   EXPECT_EQ(replayed.stats.frames, 2u);
@@ -224,18 +255,18 @@ TEST(WalTest, TornTailIsTruncatedBeforeNewAppends) {
   ASSERT_TRUE(expect.HandleFrame(frames[1]).ok());
   ASSERT_TRUE(expect.HandleFrame(frames[3]).ok());
   EXPECT_TRUE(SameState(again.session.ExportState(), expect.ExportState()));
-  std::remove(path.c_str());
+  std::filesystem::remove_all(path);
 }
 
 // A flipped body byte fails the CRC: typed torn tail, prefix state kept.
 TEST(WalTest, CorruptRecordIsATypedTornTail) {
   const std::vector<std::string> frames =
       MakeReportFrames(TestSpec(), /*shards=*/3, /*shard_size=*/20, /*seed=*/2);
-  const std::string path = TempPath("wal_crc.wal");
+  const std::string path = TempWalDir("wal_crc");
   BuildLog(path, frames);
-  std::string bytes = ReadFileBytes(path);
+  std::string bytes = ReadFileBytes(SegmentPath(path, 1));
   bytes[bytes.size() - 1] ^= 0x40;  // inside the last record's body
-  WriteFileBytes(path, bytes);
+  WriteSegment(path, 1, bytes);
 
   ReplayedSession replayed = Replay(path);
   EXPECT_EQ(replayed.stats.frames, 2u);
@@ -243,7 +274,7 @@ TEST(WalTest, CorruptRecordIsATypedTornTail) {
   EXPECT_NE(replayed.stats.tail.message().find("torn tail"),
             std::string::npos)
       << replayed.stats.tail.ToString();
-  std::remove(path.c_str());
+  std::filesystem::remove_all(path);
 }
 
 // A zero-filled tail (preallocated blocks after a crash) cannot pass as a
@@ -251,46 +282,146 @@ TEST(WalTest, CorruptRecordIsATypedTornTail) {
 TEST(WalTest, ZeroFilledTailIsATypedTornTail) {
   const std::vector<std::string> frames =
       MakeReportFrames(TestSpec(), /*shards=*/2, /*shard_size=*/20, /*seed=*/3);
-  const std::string path = TempPath("wal_zeros.wal");
+  const std::string path = TempWalDir("wal_zeros");
   BuildLog(path, frames);
-  std::string bytes = ReadFileBytes(path);
+  std::string bytes = ReadFileBytes(SegmentPath(path, 1));
   const uint64_t clean = bytes.size();
   bytes.append(64, '\0');
-  WriteFileBytes(path, bytes);
+  WriteSegment(path, 1, bytes);
 
   ReplayedSession replayed = Replay(path);
   EXPECT_EQ(replayed.stats.frames, 2u);
   EXPECT_EQ(replayed.stats.clean_bytes, clean);
   EXPECT_EQ(replayed.stats.tail.code(), StatusCode::kOutOfRange);
-  std::remove(path.c_str());
+  std::filesystem::remove_all(path);
 }
 
-// Corruption a torn write cannot explain is a HARD error, not a tail.
+// Corruption a torn write cannot explain is a HARD error, not a tail:
+// bad magic, version skew, and valid-CRC records whose content is
+// malformed (each body below is sealed with its true length and CRC, so
+// replay reaches the record decoders).
 TEST(WalTest, BadMagicAndVersionSkewAreHardErrors) {
-  const std::string path = TempPath("wal_magic.wal");
-  WriteFileBytes(path, std::string("XXXX\x01\x00\x00\x00", 8));
+  const std::string dir = TempWalDir("wal_magic");
   serve::WalConsumer consumer;
-  auto bad_magic = serve::ReplayWal(path, consumer);
+  WriteSegment(dir, 1, std::string("XXXX\x01\x00\x00\x00", 8));
+  auto bad_magic = serve::ReplayWal(dir, consumer);
   ASSERT_FALSE(bad_magic.ok());
   EXPECT_EQ(bad_magic.status().code(), StatusCode::kInvalidArgument);
 
-  WriteFileBytes(path, std::string("NDWL\x09\x00\x00\x00", 8));
-  auto bad_version = serve::ReplayWal(path, consumer);
+  WriteSegment(dir, 1, std::string("NDWL\x09\x00\x00\x00", 8));
+  auto bad_version = serve::ReplayWal(dir, consumer);
   ASSERT_FALSE(bad_version.ok());
   EXPECT_EQ(bad_version.status().code(), StatusCode::kFailedPrecondition);
-  std::remove(path.c_str());
+
+  const auto u32 = [](uint32_t v) {
+    std::string out;
+    ByteWriter(&out).PutU32(v);
+    return out;
+  };
+  const auto u64 = [](uint64_t v) {
+    std::string out;
+    ByteWriter(&out).PutU64(v);
+    return out;
+  };
+  const std::string checkpoint(1, '\x02');
+  const std::string seq_checkpoint(1, '\x03');
+  const std::vector<std::pair<std::string, std::string>> bodies = {
+      {"unknown type byte", std::string(1, '\x07') + "abc"},
+      {"checkpoint payload shorter than its count", checkpoint + "ab"},
+      {"checkpoint sketch length past the payload",
+       checkpoint + u32(1) + u32(100) + "abc"},
+      {"trailing byte after a checkpoint payload", checkpoint + u32(0) + "x"},
+      {"trailing byte after a seq payload", seq_checkpoint + u32(0) + "x"},
+      {"seq entry count past the payload",
+       seq_checkpoint + u32(5) + u64(1) + u64(2) + u32(0)},
+      {"seq sparse count past the payload",
+       seq_checkpoint + u32(1) + u64(1) + u64(2) + u32(10) + u64(3)},
+  };
+  for (const auto& [what, body] : bodies) {
+    std::string segment("NDWL\x01\x00\x00\x00", 8);
+    ByteWriter writer(&segment);
+    writer.PutU32(static_cast<uint32_t>(body.size()));
+    writer.PutU32(Crc32c(body));
+    writer.PutBytes(body.data(), body.size());
+    WriteSegment(dir, 1, segment);
+    auto replayed = serve::ReplayWal(dir, consumer);
+    ASSERT_FALSE(replayed.ok()) << what << " ended as a torn tail";
+    EXPECT_EQ(replayed.status().code(), StatusCode::kInvalidArgument)
+        << what << ": " << replayed.status().ToString();
+  }
+  std::filesystem::remove_all(dir);
 }
 
-// A missing file is an empty log, not an error (first boot).
-TEST(WalTest, MissingFileIsAnEmptyLog) {
-  const std::string path = TempPath("wal_missing_never_created.wal");
-  std::remove(path.c_str());
+// A missing or empty directory is an empty log, not an error (first boot).
+TEST(WalTest, MissingOrEmptyDirectoryIsAnEmptyLog) {
+  const std::string dir = TempWalDir("wal_missing_never_created");
   serve::WalConsumer consumer;
-  auto stats = serve::ReplayWal(path, consumer);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats.value().frames, 0u);
-  EXPECT_EQ(stats.value().clean_bytes, 0u);
-  EXPECT_TRUE(stats.value().tail.ok());
+  for (const bool exists : {false, true}) {
+    if (exists) std::filesystem::create_directory(dir);
+    auto stats = serve::ReplayWal(dir, consumer);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats.value().frames, 0u);
+    EXPECT_EQ(stats.value().segments, 0u);
+    EXPECT_EQ(stats.value().clean_bytes, 0u);
+    EXPECT_TRUE(stats.value().tail.ok());
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A regular file where the log directory belongs is refused with a typed
+// error naming where it goes; a log written in the single-file layout is
+// byte-identical to a segment, so once moved there it replays as-is.
+TEST(WalTest, RegularFileIsRefusedUntilMovedIntoTheDirectory) {
+  const wire::MethodSpec spec = TestSpec();
+  const std::vector<std::string> frames =
+      MakeReportFrames(spec, /*shards=*/3, /*shard_size=*/20, /*seed=*/12);
+  const std::string dir = TempWalDir("wal_migrate");
+  BuildLog(dir, frames);
+  const std::string log_bytes = ReadFileBytes(SegmentPath(dir, 1));
+  const std::string sketch = Replay(dir).session.EncodeSketch().ValueOrDie();
+  std::filesystem::remove_all(dir);
+  WriteFileBytes(dir, log_bytes);
+
+  const auto refused = serve::ReplayWal(dir, {});
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find(SegmentPath(dir, 1)),
+            std::string::npos)
+      << refused.status().ToString();
+  LoggedSession opener(spec);
+  const auto open = opener.OpenWal(dir);
+  ASSERT_FALSE(open.ok());
+  EXPECT_EQ(open.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ReadFileBytes(dir), log_bytes) << "a refused open must not write";
+
+  std::filesystem::rename(dir, dir + ".old");
+  std::filesystem::create_directory(dir);
+  std::filesystem::rename(dir + ".old", SegmentPath(dir, 1));
+  ReplayedSession moved = Replay(dir);
+  EXPECT_EQ(moved.stats.frames, frames.size());
+  EXPECT_TRUE(moved.stats.tail.ok()) << moved.stats.tail.ToString();
+  EXPECT_EQ(moved.session.EncodeSketch().ValueOrDie(), sketch);
+  std::filesystem::remove_all(dir);
+}
+
+// "DIR/" names the same log as "DIR". Open creates the directory either
+// way; with sync_each_record it also syncs the parent's entry for it (not
+// DIR itself), an fsync no in-process test can observe but this one runs.
+TEST(WalTest, TrailingSlashNamesTheSameDirectory) {
+  const std::vector<std::string> frames =
+      MakeReportFrames(TestSpec(), /*shards=*/2, /*shard_size=*/20, /*seed=*/13);
+  const std::string dir = TempWalDir("wal_slash");
+  {
+    LoggedSession session;
+    ASSERT_TRUE(session.OpenWal(dir + "/", {.sync_each_record = true}).ok());
+    for (const std::string& frame : frames) {
+      ASSERT_TRUE(session.HandleFrame(frame).ok());
+    }
+  }
+  ReplayedSession replayed = Replay(dir);
+  EXPECT_EQ(replayed.stats.frames, frames.size());
+  EXPECT_EQ(replayed.stats.segments, 1u);
+  std::filesystem::remove_all(dir);
 }
 
 // Compaction (checkpoint + truncate) replays to the identical state, and
@@ -300,10 +431,8 @@ TEST(WalTest, CheckpointCompactionPreservesState) {
   const wire::MethodSpec spec = TestSpec();
   const std::vector<std::string> frames =
       MakeReportFrames(spec, /*shards=*/6, /*shard_size=*/20, /*seed=*/17);
-  const std::string plain_path = TempPath("wal_plain.wal");
-  const std::string compact_path = TempPath("wal_compact.wal");
-  std::remove(plain_path.c_str());
-  std::remove(compact_path.c_str());
+  const std::string plain_path = TempWalDir("wal_plain");
+  const std::string compact_path = TempWalDir("wal_compact");
 
   BuildLog(plain_path, frames);
 
@@ -331,10 +460,10 @@ TEST(WalTest, CheckpointCompactionPreservesState) {
             compacting.EncodeSketch().ValueOrDie());
   // The compacted log is the smaller one (6 frame records vs a
   // checkpoint plus at most 1 trailing frame).
-  EXPECT_LT(ReadFileBytes(compact_path).size(),
-            ReadFileBytes(plain_path).size() + frames.back().size());
-  std::remove(plain_path.c_str());
-  std::remove(compact_path.c_str());
+  EXPECT_LT(LogBytes(compact_path),
+            LogBytes(plain_path) + frames.back().size());
+  std::filesystem::remove_all(plain_path);
+  std::filesystem::remove_all(compact_path);
 }
 
 // Replay is deterministic: for several seeds, two independent replays of
@@ -344,8 +473,7 @@ TEST(WalTest, ReplayIsDeterministicAcrossSeeds) {
   for (const uint64_t seed : {1u, 2u, 3u}) {
     const std::vector<std::string> frames =
         MakeReportFrames(spec, /*shards=*/4, /*shard_size=*/25, seed);
-    const std::string path =
-        TempPath("wal_seed_" + std::to_string(seed) + ".wal");
+    const std::string path = TempWalDir("wal_seed_" + std::to_string(seed));
     BuildLog(path, frames);
 
     ReplayedSession a = Replay(path);
@@ -358,7 +486,7 @@ TEST(WalTest, ReplayIsDeterministicAcrossSeeds) {
     EXPECT_EQ(a.session.EncodeSketch().ValueOrDie(),
               b.session.EncodeSketch().ValueOrDie())
         << "seed " << seed;
-    std::remove(path.c_str());
+    std::filesystem::remove_all(path);
   }
 }
 
@@ -373,8 +501,7 @@ TEST(WalTest, TenantRoutingSurvivesReplayAndCompaction) {
   const std::vector<std::string> t9_frames = MakeReportFrames(
       spec, /*shards=*/1, /*shard_size=*/20, /*seed=*/10, /*tenant=*/9);
 
-  const std::string path = TempPath("wal_tenants.wal");
-  std::remove(path.c_str());
+  const std::string path = TempWalDir("wal_tenants");
   LoggedSession live(spec);
   ASSERT_TRUE(live.OpenWal(path).ok());
   for (const auto* frames : {&def_frames, &t5_frames, &t9_frames}) {
@@ -403,7 +530,7 @@ TEST(WalTest, TenantRoutingSurvivesReplayAndCompaction) {
             (std::vector<uint32_t>{5, 9}));
   EXPECT_EQ(after_compact.session.EncodeSketches().ValueOrDie(),
             live.EncodeSketches().ValueOrDie());
-  std::remove(path.c_str());
+  std::filesystem::remove_all(path);
 }
 
 // Budget accounting is restored from the log: a tenant that exhausted its
@@ -412,8 +539,7 @@ TEST(WalTest, BudgetsAreRestoredByReplay) {
   const wire::MethodSpec spec = TestSpec();
   const std::vector<std::string> frames = MakeReportFrames(
       spec, /*shards=*/2, /*shard_size=*/20, /*seed=*/4, /*tenant=*/3);
-  const std::string path = TempPath("wal_budget.wal");
-  std::remove(path.c_str());
+  const std::string path = TempWalDir("wal_budget");
 
   LoggedSession live(spec);
   live.SetTenantBudget(3, {.max_reports = 40});
@@ -430,13 +556,14 @@ TEST(WalTest, BudgetsAreRestoredByReplay) {
   const Status over = restarted.HandleFrame(more[0]);
   EXPECT_EQ(over.code(), StatusCode::kFailedPrecondition)
       << over.ToString();
-  std::remove(path.c_str());
+  std::filesystem::remove_all(path);
 }
 
 // ---------------------------------------------------------------------------
-// Segmented layout (WalOptions::segment_bytes > 0): rotation, replay
-// across a segment directory, the hardened gap / sealed-torn taxonomy,
-// compaction GC, and the exactly-once dedup-window checkpoint.
+// Bounded segments (WalOptions::segment_bytes > 0): rotation, replay
+// across a multi-segment run, the hardened gap / sealed-torn taxonomy,
+// compaction GC at every crash point, and the exactly-once dedup-window
+// checkpoint.
 
 std::vector<std::string> SegmentFiles(const std::string& dir) {
   std::vector<std::string> names;
@@ -445,13 +572,6 @@ std::vector<std::string> SegmentFiles(const std::string& dir) {
   }
   std::sort(names.begin(), names.end());
   return names;
-}
-
-// A fresh (removed-then-absent) segment-directory path under TempDir.
-std::string TempSegDir(const std::string& name) {
-  const std::string dir = testing::TempDir() + name;
-  std::filesystem::remove_all(dir);
-  return dir;
 }
 
 // Small segments so a handful of report frames forces several rotations.
@@ -472,7 +592,7 @@ AccumulatorState BuildSegmentedLog(const std::string& dir,
 }
 
 TEST(WalSegmentTest, RotationReplaysAcrossAContiguousSegmentRun) {
-  const std::string dir = TempSegDir("wal_seg_rotate");
+  const std::string dir = TempWalDir("wal_seg_rotate");
   const std::vector<std::string> frames =
       MakeReportFrames(TestSpec(), /*shards=*/8, /*shard_size=*/50,
                        /*seed=*/21);
@@ -500,7 +620,7 @@ TEST(WalSegmentTest, RotationReplaysAcrossAContiguousSegmentRun) {
 }
 
 TEST(WalSegmentTest, NumberingGapIsAHardError) {
-  const std::string dir = TempSegDir("wal_seg_gap");
+  const std::string dir = TempWalDir("wal_seg_gap");
   BuildSegmentedLog(dir, MakeReportFrames(TestSpec(), 8, 50, 22));
   const std::vector<std::string> files = SegmentFiles(dir);
   ASSERT_GT(files.size(), 2u);
@@ -518,7 +638,7 @@ TEST(WalSegmentTest, NumberingGapIsAHardError) {
 }
 
 TEST(WalSegmentTest, TornTailTaxonomyIsPerSegment) {
-  const std::string dir = TempSegDir("wal_seg_torn");
+  const std::string dir = TempWalDir("wal_seg_torn");
   const std::vector<std::string> frames =
       MakeReportFrames(TestSpec(), 8, 50, 23);
   BuildSegmentedLog(dir, frames);
@@ -560,7 +680,7 @@ TEST(WalSegmentTest, TornTailTaxonomyIsPerSegment) {
 }
 
 TEST(WalSegmentTest, CompactionCollapsesToOneFreshSegment) {
-  const std::string dir = TempSegDir("wal_seg_compact");
+  const std::string dir = TempWalDir("wal_seg_compact");
   const std::vector<std::string> frames =
       MakeReportFrames(TestSpec(), 8, 50, 24);
 
@@ -595,11 +715,117 @@ TEST(WalSegmentTest, CompactionCollapsesToOneFreshSegment) {
   std::filesystem::remove_all(dir);
 }
 
+// Compaction without a rename: a crash at ANY byte of the checkpoint
+// segment while the old run is still present is an ordinary torn tail over
+// that run, a crash anywhere in the oldest-first GC leaves a suffix of the
+// run ahead of the checkpoint segment, and after GC the checkpoint segment
+// replays alone. Every case recovers the pre-compaction sketch and dedup
+// window: each stamped frame re-sent comes back as a duplicate.
+TEST(WalSegmentTest, CompactionCrashAtAnyPointKeepsSketchAndDedupWindow) {
+  const std::string dir = TempWalDir("wal_seg_compact_crash");
+  std::vector<std::string> frames = MakeReportFrames(TestSpec(), 6, 50, 27);
+  for (size_t i = 0; i < frames.size(); ++i) {
+    ASSERT_TRUE(wire::StampSequenceContext(
+                    &frames[i], {.epoch = 4, .seq = i + 1})
+                    .ok());
+  }
+  const serve::WalOptions options{.segment_bytes = kTestSegmentBytes};
+  LoggedSession live;
+  ASSERT_TRUE(live.OpenWal(dir, options).ok());
+  for (const std::string& frame : frames) {
+    ASSERT_TRUE(live.HandleFrame(frame).ok());
+  }
+  // The old run, byte for byte, before compaction unlinks it.
+  std::vector<std::pair<std::string, std::string>> old_run;
+  for (const std::string& name : SegmentFiles(dir)) {
+    old_run.emplace_back(name, ReadFileBytes(dir + "/" + name));
+  }
+  ASSERT_GT(old_run.size(), 1u);
+  const std::vector<std::string> sketches = live.EncodeSketches().ValueOrDie();
+  const std::vector<serve::WalSeqEntry> window =
+      live.sequence_tracker()->Export();
+  ASSERT_EQ(window.size(), 1u);
+  ASSERT_TRUE(live.Compact().ok());
+  const std::vector<std::string> compacted = SegmentFiles(dir);
+  ASSERT_EQ(compacted.size(), 1u);
+  const std::string checkpoint = ReadFileBytes(dir + "/" + compacted[0]);
+
+  const auto expect_recovers = [&](const std::string& crash_dir,
+                                   const std::string& what) {
+    LoggedSession restarted;
+    const auto stats = restarted.OpenWal(crash_dir, options);
+    ASSERT_TRUE(stats.ok()) << what << ": " << stats.status().ToString();
+    EXPECT_EQ(restarted.EncodeSketches().ValueOrDie(), sketches) << what;
+    const std::vector<serve::WalSeqEntry> got =
+        restarted.sequence_tracker()->Export();
+    ASSERT_EQ(got.size(), 1u) << what;
+    EXPECT_EQ(got[0].epoch, window[0].epoch) << what;
+    EXPECT_EQ(got[0].floor, window[0].floor) << what;
+    EXPECT_EQ(got[0].sparse, window[0].sparse) << what;
+    for (const std::string& frame : frames) {
+      serve::FrameOutcome outcome;
+      ASSERT_TRUE(restarted.HandleFrame(frame, &outcome).ok()) << what;
+      EXPECT_TRUE(outcome.duplicate) << what;
+    }
+  };
+  const std::string crash_dir = TempWalDir("wal_seg_compact_crash_cut");
+  std::filesystem::create_directory(crash_dir);
+  for (const auto& [name, bytes] : old_run) {
+    WriteFileBytes(crash_dir + "/" + name, bytes);
+  }
+  for (size_t len = 0; len <= checkpoint.size(); ++len) {
+    WriteFileBytes(crash_dir + "/" + compacted[0], checkpoint.substr(0, len));
+    expect_recovers(crash_dir,
+                    "checkpoint segment cut at " + std::to_string(len));
+  }
+  // GC unlinks oldest-first; the last step leaves the checkpoint alone.
+  for (const auto& [name, bytes] : old_run) {
+    ASSERT_TRUE(std::filesystem::remove(crash_dir + "/" + name));
+    expect_recovers(crash_dir, "GC past " + name);
+  }
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(crash_dir);
+}
+
+// ReplayWal beside a live writer: a compaction that unlinks the old run
+// mid-replay (here from inside the replay's first frame callback) makes
+// the replay go on past the vanished segments, and the checkpoint segment
+// ahead brings it to the live state.
+TEST(WalSegmentTest, ReplayBesideALiveCompactionEndsInTheCheckpoint) {
+  const std::string dir = TempWalDir("wal_seg_live_compact");
+  LoggedSession live;
+  ASSERT_TRUE(live.OpenWal(dir, {.segment_bytes = kTestSegmentBytes}).ok());
+  for (const std::string& frame : MakeReportFrames(TestSpec(), 8, 50, 28)) {
+    ASSERT_TRUE(live.HandleFrame(frame).ok());
+  }
+  ASSERT_GT(SegmentFiles(dir).size(), 2u);
+
+  serve::CollectorSession reader =
+      serve::CollectorSession::Make(TestSpec()).ValueOrDie();
+  serve::WalConsumer consumer = reader.ReplayConsumer();
+  const auto absorb = consumer.on_frame;
+  bool compacted = false;
+  consumer.on_frame = [&](std::string_view frame) {
+    if (!compacted) {
+      compacted = true;
+      EXPECT_TRUE(live.Compact().ok());
+    }
+    return absorb(frame);
+  };
+  const auto stats = serve::ReplayWal(dir, consumer);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_TRUE(compacted);
+  EXPECT_EQ(stats->checkpoints, 1u);
+  EXPECT_EQ(reader.EncodeSketch().ValueOrDie(),
+            live.EncodeSketch().ValueOrDie());
+  std::filesystem::remove_all(dir);
+}
+
 // The exactly-once window survives BOTH recovery paths: frame replay
 // re-claims each logged (epoch, seq), and compaction persists the window
 // as a type-3 record that replay restores.
 TEST(WalSegmentTest, DedupWindowSurvivesReplayAndCompaction) {
-  const std::string dir = TempSegDir("wal_seg_dedup");
+  const std::string dir = TempWalDir("wal_seg_dedup");
   std::vector<std::string> frames =
       MakeReportFrames(TestSpec(), 4, 50, 25);
   for (size_t i = 0; i < frames.size(); ++i) {

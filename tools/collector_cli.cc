@@ -51,10 +51,11 @@
 // output feeds another --merge level. Any tree shape over the same shards
 // yields a byte-identical root sketch (tests/merge_tree_test.cc).
 //
-// --wal=PATH makes collector and listen modes durable: the write-ahead log
-// (serve/wal.h) is replayed before serving and every accepted frame is
-// appended, so a collector SIGKILLed at any byte offset restarts with the
-// exact pre-crash state (tests/wal_process_test.cc).
+// --wal=DIR makes collector and listen modes durable: the write-ahead log
+// (serve/wal.h), a directory of segment files, is replayed before serving
+// and every accepted frame is appended, so a collector SIGKILLed at any
+// byte offset restarts with the exact pre-crash state
+// (tests/wal_process_test.cc).
 //
 // All endpoints must agree on (--method, --epsilon, --buckets): frames
 // carrying any other configuration are rejected with a typed error
@@ -115,12 +116,12 @@ struct CliFlags {
   double estimate_half_life = 0.0;     // minibatch forgetting (reports)
   size_t estimate_max_iterations = 0;  // per-tick EM budget (0 = default)
   std::string estimate_out;            // snapshot-frame stream per tick
-  // Durability (serve/wal.h): replay PATH before serving, append every
+  // Durability (serve/wal.h): replay the log before serving, append every
   // accepted frame, compact to a checkpoint at clean exit.
   std::string wal_path;
   uint64_t wal_checkpoint_every = 0;  // compact after N appended frames
   bool wal_sync = false;              // fsync after every record
-  uint64_t wal_segment_bytes = 0;     // > 0: --wal is a segment directory
+  uint64_t wal_segment_bytes = 0;     // seal segments at N bytes (0 = never)
   // Fault tolerance (net/server.h): stream absorbed frames to a hot
   // standby, or BE that standby (serve the replication stream, promote
   // on primary death).
@@ -146,8 +147,8 @@ void Usage() {
           "       collector_cli ... --merge --listen=tcp:PORT\n"
           "                     --expect-frames=N [--csv]\n"
           "durability (collector + listen modes; serve/wal.h):\n"
-          "       --wal=PATH [--wal-checkpoint-every=N] [--wal-sync]\n"
-          "       [--wal-segment-bytes=N]   (PATH becomes a segment dir)\n"
+          "       --wal=DIR [--wal-checkpoint-every=N] [--wal-sync]\n"
+          "       [--wal-segment-bytes=N]   (seal each DIR/wal-*.ndwl at N)\n"
           "replication (listen mode; net/server.h):\n"
           "       primary: --replicate-to=tcp:HOST:PORT|unix:PATH\n"
           "       standby: --standby --listen=...   (promotes on primary\n"
@@ -240,7 +241,7 @@ bool ParseCli(int argc, char** argv, CliFlags* flags) {
        flags->wal_segment_bytes > 0)) {
     fprintf(stderr,
             "--wal-checkpoint-every/--wal-sync/--wal-segment-bytes "
-            "need --wal=PATH\n");
+            "need --wal=DIR\n");
     return false;
   }
   if (!flags->replicate_to.empty() && flags->listen.empty()) {
@@ -326,15 +327,13 @@ bool ParseTenantBudgets(const std::string& spec, TenantBudgets* out) {
 void ReportWalRecovery(const serve::WalReplayStats& stats) {
   fprintf(stderr,
           "wal: recovered %llu frame(s), %llu checkpoint(s), "
+          "%llu sequence checkpoint(s) from %llu segment(s), "
           "%llu clean byte(s)\n",
           static_cast<unsigned long long>(stats.frames),
           static_cast<unsigned long long>(stats.checkpoints),
+          static_cast<unsigned long long>(stats.seq_checkpoints),
+          static_cast<unsigned long long>(stats.segments),
           static_cast<unsigned long long>(stats.clean_bytes));
-  if (stats.segments > 0) {
-    fprintf(stderr, "wal: %llu segment(s), %llu sequence checkpoint(s)\n",
-            static_cast<unsigned long long>(stats.segments),
-            static_cast<unsigned long long>(stats.seq_checkpoints));
-  }
   if (!stats.tail.ok()) {
     fprintf(stderr, "wal: discarded torn tail: %s\n",
             stats.tail.message().c_str());
