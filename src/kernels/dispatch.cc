@@ -146,4 +146,8 @@ void GrrResponseMap(const double* u, const uint32_t* values, uint32_t* out,
   Active()->grr_response_map(u, values, out, n, p, inv_rest, domain);
 }
 
+uint32_t Crc32c(const void* data, size_t len, uint32_t seed) {
+  return Active()->crc32c(data, len, seed);
+}
+
 }  // namespace numdist::kernels

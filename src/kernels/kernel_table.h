@@ -19,6 +19,7 @@ struct KernelTable {
   void (*less_than)(const double*, double, uint8_t*, size_t);
   void (*grr_response_map)(const double*, const uint32_t*, uint32_t*, size_t,
                            double, double, uint32_t);
+  uint32_t (*crc32c)(const void*, size_t, uint32_t);
 };
 
 /// The portable blocked-scalar build (always available).

@@ -22,6 +22,9 @@
 //     per element. No FMA contraction is used on any path (the kernel
 //     TUs are compiled with -ffp-contract=off), so a fused multiply-add
 //     can never make one path round differently from another.
+//   * Crc32c is integer arithmetic: the scalar build's table loop is the
+//     reference, and the vector builds' SSE4.2 crc32 instruction computes
+//     the same polynomial, so every tier returns the same checksum.
 //
 // Dispatch: resolved on first use. NUMDIST_FORCE_ISA={scalar,avx2,avx512}
 // in the environment pins one build (used by CI to diff the tiers; a pinned
@@ -34,6 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 namespace numdist::kernels {
 
@@ -108,5 +112,16 @@ void LessThan(const double* u, double threshold, uint8_t* out, size_t n);
 /// past values[i]. Requires domain >= 2 and inv_rest == 1 / (1 - p).
 void GrrResponseMap(const double* u, const uint32_t* values, uint32_t* out,
                     size_t n, double p, double inv_rest, uint32_t domain);
+
+/// CRC-32C (Castagnoli, polynomial 0x1EDC6F41, reflected 0x82F63B78) of
+/// `data`, continuing from `seed`: pass the previous call's return value
+/// to checksum a record fed in pieces. The empty string checksums to 0.
+/// The integrity check of every write-ahead log record (serve/wal.h,
+/// docs/WIRE_FORMAT.md).
+uint32_t Crc32c(const void* data, size_t len, uint32_t seed = 0);
+
+inline uint32_t Crc32c(std::string_view data, uint32_t seed = 0) {
+  return Crc32c(data.data(), data.size(), seed);
+}
 
 }  // namespace numdist::kernels

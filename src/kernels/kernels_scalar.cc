@@ -5,6 +5,8 @@
 // -ffp-contract=off so the compiler cannot fuse a multiply-add here that
 // the explicit mul/add intrinsics on the AVX2 side would keep separate —
 // that is what makes the two builds bit-exact (kernels.h contract).
+#include <array>
+
 #include "kernels/kernel_table.h"
 
 namespace numdist::kernels {
@@ -99,10 +101,35 @@ void GrrResponseMapScalar(const double* u, const uint32_t* values,
   }
 }
 
+// 256-entry table for the reflected Castagnoli polynomial 0x82F63B78,
+// generated at compile time.
+constexpr std::array<uint32_t, 256> kCrc32cTable = [] {
+  constexpr uint32_t kPoly = 0x82F63B78u;
+  std::array<uint32_t, 256> table{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? kPoly : 0u);
+    }
+    table[i] = crc;
+  }
+  return table;
+}();
+
+// The reference CRC-32C: one table lookup per byte.
+uint32_t Crc32cScalar(const void* data, size_t len, uint32_t seed) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < len; ++i) {
+    crc = (crc >> 8) ^ kCrc32cTable[(crc ^ p[i]) & 0xFFu];
+  }
+  return ~crc;
+}
+
 constexpr KernelTable kScalarTable = {
     DotScalar,         SumScalar,           AxpyScalar,
     MulAndSumScalar,   ScaleScalar,         WindowCombineScalar,
-    LessThanScalar,    GrrResponseMapScalar,
+    LessThanScalar,    GrrResponseMapScalar, Crc32cScalar,
 };
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -22,6 +23,37 @@ using Clock = std::chrono::steady_clock;
 Status Errno(const char* what) {
   return Status::Internal(std::string("net: ") + what + " failed (" +
                           std::strerror(errno) + ")");
+}
+
+// Frames per replication write. A standby running with send_acks on acks
+// each sequenced frame it is sent (a few dozen bytes each) and those acks
+// are drained only between writes, so no write carries enough frames for
+// their acks to fill the socket buffer they come back through.
+constexpr size_t kReplicaFramesPerWrite = 256;
+
+// Sends every byte of the `count` iovecs at `iov` on a blocking socket,
+// resuming after a short send; consumes the iovecs in place. MSG_NOSIGNAL
+// turns a reset peer into an EPIPE error instead of a SIGPIPE.
+Status SendAll(int fd, iovec* iov, size_t count) {
+  msghdr msg{};
+  while (count > 0) {
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t sent = sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (sent < 0) {
+      if (errno == EINTR) continue;
+      return Errno("send");
+    }
+    size_t left = static_cast<size_t>(sent);
+    for (; count > 0 && left >= iov->iov_len; ++iov, --count) {
+      left -= iov->iov_len;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
+  }
+  return Status::OK();
 }
 
 // Common first base of everything registered with the reactor, so an
@@ -138,9 +170,9 @@ Result<std::unique_ptr<CollectorServer>> CollectorServer::Make(
       // attached after a recovery dedups from the first synced frame on.)
       NUMDIST_ASSIGN_OR_RETURN(const std::vector<std::string> sketches,
                                server->main_.EncodeSketches());
-      for (const std::string& sketch : sketches) {
-        NUMDIST_RETURN_NOT_OK(server->ForwardToReplica(sketch));
-      }
+      const std::vector<std::string_view> frames(sketches.begin(),
+                                                 sketches.end());
+      NUMDIST_RETURN_NOT_OK(server->ForwardToReplica(frames));
     }
   }
   return server;
@@ -356,28 +388,46 @@ void CollectorServer::QueueAck(Connection* conn, const wire::FrameSeq& seq) {
   ++stats_.acks_queued;
 }
 
-Status CollectorServer::ForwardToReplica(std::string_view frame) {
-  // The standby acks the sequenced frames we forward (it cannot tell a
-  // primary from a client). Drain and discard before writing so its send
-  // buffer never fills up and deadlocks both collectors.
-  char scratch[4096];
-  for (;;) {
-    const ssize_t got = recv(replica_fd_.get(), scratch, sizeof(scratch),
-                             MSG_DONTWAIT);
-    if (got > 0) continue;
-    if (got < 0 && errno == EINTR) continue;
-    if (got == 0) {
-      return Status::Internal(
-          "net: standby closed the replication stream mid-serve");
+Status CollectorServer::ForwardToReplica(
+    std::span<const std::string_view> frames) {
+  std::string prefixes;
+  prefixes.reserve(kReplicaFramesPerWrite * sizeof(uint32_t));
+  iovec iov[2 * kReplicaFramesPerWrite];
+  for (size_t first = 0; first < frames.size();
+       first += kReplicaFramesPerWrite) {
+    // The standby acks the sequenced frames we forward (it cannot tell a
+    // primary from a client). Drain and discard them before each write so
+    // they never fill the socket buffer. Any error other than "nothing
+    // buffered" is a broken link: a reset standby must fail Run, not fall
+    // through to a write into a dead socket.
+    char scratch[4096];
+    for (;;) {
+      const ssize_t got = recv(replica_fd_.get(), scratch, sizeof(scratch),
+                               MSG_DONTWAIT);
+      if (got > 0) continue;
+      if (got == 0) {
+        return Status::Internal(
+            "net: standby closed the replication stream mid-serve");
+      }
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      return Errno("recv from standby");
     }
-    break;  // EAGAIN: nothing buffered
+    const size_t count =
+        std::min(kReplicaFramesPerWrite, frames.size() - first);
+    const std::span<const std::string_view> chunk =
+        frames.subspan(first, count);
+    prefixes.clear();
+    for (const std::string_view frame : chunk) {
+      serve::AppendFramePrefix(frame.size(), &prefixes);
+    }
+    for (size_t k = 0; k < count; ++k) {
+      iov[2 * k] = {prefixes.data() + k * sizeof(uint32_t), sizeof(uint32_t)};
+      iov[2 * k + 1] = {const_cast<char*>(chunk[k].data()), chunk[k].size()};
+    }
+    NUMDIST_RETURN_NOT_OK(SendAll(replica_fd_.get(), iov, 2 * count));
+    stats_.frames_replicated += count;
   }
-  std::string framed;
-  framed.reserve(sizeof(uint32_t) + frame.size());
-  serve::AppendFramePrefix(frame.size(), &framed);
-  framed.append(frame);
-  NUMDIST_RETURN_NOT_OK(WriteAll(replica_fd_.get(), framed));
-  ++stats_.frames_replicated;
   return Status::OK();
 }
 
@@ -418,53 +468,36 @@ void CollectorServer::AbsorbPending() {
   }
   // Durability gate for the acks below: an ack a client ever sees refers
   // to a frame that is both locally durable (when a WAL is attached) and
-  // on the standby (when replicating). A mid-batch failure truncates the
-  // durable prefix at the failing frame — everything from there on is
-  // neither forwarded nor acked, so the client retransmits it after the
-  // restarted collector replays a log that does not contain it. Acking
-  // past the failure would retire frames recovery cannot reproduce.
-  size_t durable = n;
-  if (wal_ != nullptr) {
-    if (!wal_status_.ok()) {
-      durable = 0;
-    } else {
-      // Accepted frames hit the log in batch (= absorption) order, which
-      // is the order recovery replays them in. Absorption itself is
-      // order-independent (exact commutative merges), so the replayed
-      // aggregate is byte-identical regardless of batching. Duplicates
-      // never reach the log — replay would double-claim their ids.
-      for (size_t i = 0; i < n; ++i) {
-        if (!statuses[i].ok() || outcomes[i].duplicate) continue;
-        const Status appended = wal_->AppendFrame(pending_[i].frame);
-        if (!appended.ok()) {
-          wal_status_ = appended;
-          durable = i;
-          break;
-        }
-        ++wal_frames_since_checkpoint_;
-      }
+  // on the standby (when replicating). The batch's accepted frames go to
+  // the log in one append (one fsync under sync_each_record), then to the
+  // standby; a failure of either is fatal to Run and suppresses every ack
+  // of the batch. A frame logged but never acked comes back as a
+  // retransmit, which the recovered dedup window refuses.
+  //
+  // Accepted frames hit the log in batch (= absorption) order, which is
+  // the order recovery replays them in. Absorption itself is
+  // order-independent (exact commutative merges), so the replayed
+  // aggregate is byte-identical regardless of batching. Duplicates never
+  // reach the log — replay would double-claim their ids.
+  std::vector<std::string_view> accepted;
+  accepted.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (statuses[i].ok() && !outcomes[i].duplicate) {
+      accepted.push_back(pending_[i].frame);
     }
   }
-  if (replica_fd_.valid()) {
-    if (!replica_status_.ok()) {
-      durable = 0;
-    } else {
-      // Replication covers only the locally durable prefix: a frame the
-      // WAL rejected must not reach the standby either, or a failover
-      // would serve state the acknowledged stream never contained.
-      for (size_t i = 0; i < durable; ++i) {
-        if (!statuses[i].ok() || outcomes[i].duplicate) continue;
-        const Status forwarded = ForwardToReplica(pending_[i].frame);
-        if (!forwarded.ok()) {
-          replica_status_ = forwarded;
-          durable = i;
-          break;
-        }
-      }
-    }
+  if (wal_ != nullptr && wal_status_.ok()) {
+    wal_status_ = wal_->AppendFrames(accepted);
+    if (wal_status_.ok()) wal_frames_since_checkpoint_ += accepted.size();
   }
-  if (options_.send_acks) {
-    for (size_t i = 0; i < durable; ++i) {
+  // Replication covers only frames the log holds: a batch the WAL
+  // rejected must not reach the standby either, or a failover would serve
+  // state the acknowledged stream never contained.
+  if (replica_fd_.valid() && wal_status_.ok() && replica_status_.ok()) {
+    replica_status_ = ForwardToReplica(accepted);
+  }
+  if (options_.send_acks && wal_status_.ok() && replica_status_.ok()) {
+    for (size_t i = 0; i < n; ++i) {
       if (!statuses[i].ok() || !outcomes[i].has_seq) continue;
       QueueAck(pending_[i].conn, outcomes[i].seq);
     }

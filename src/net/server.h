@@ -42,7 +42,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -113,12 +115,15 @@ struct ServerOptions {
   /// Hot-standby replication endpoint (empty = none). Make dials it once;
   /// every absorbed non-duplicate frame is then streamed there verbatim
   /// (u32-prefixed, sequence context intact — the standby rebuilds the
-  /// same dedup window) AFTER the local WAL append and BEFORE the
-  /// client's ack, so an acked frame is always on the standby when the
-  /// primary dies. State recovered from the WAL is synced ahead of the
-  /// first frame as untagged/tenant-tagged sketch frames. A replication
-  /// write failure is fatal to Run — acks promise the standby has the
-  /// frame, so serving must not continue without it.
+  /// same dedup window). Each reactor batch's frames go out in one write
+  /// (at most 256 frames per write) AFTER the batch's WAL append and
+  /// BEFORE any of its acks, so an acked frame is always on the standby
+  /// when the primary dies. State recovered from the WAL is synced ahead
+  /// of the first frame as untagged/tenant-tagged sketch frames. A
+  /// replication failure, a standby that resets or closes the link
+  /// included, is fatal to Run and suppresses every ack of its batch —
+  /// acks promise the standby has the frame, so serving must not
+  /// continue without it.
   std::string replicate_to;
 
   /// When false, sequenced frames are absorbed and deduplicated but never
@@ -269,9 +274,10 @@ class CollectorServer {
   /// Re-registers a connection's epoll interest from its paused/want_write
   /// state.
   void UpdateInterest(Connection* conn);
-  /// Streams one absorbed frame to the standby (u32-prefixed, blocking),
-  /// discarding any acks the standby has sent back first.
-  Status ForwardToReplica(std::string_view frame);
+  /// Streams absorbed frames to the standby (u32-prefixed, blocking), one
+  /// write per 256 frames, discarding any acks the standby has sent back
+  /// before each write.
+  Status ForwardToReplica(std::span<const std::string_view> frames);
   /// Compacts the WAL to a checkpoint of the merged live state once the
   /// append cadence is due (no-op without a WAL or cadence).
   Status MaybeCheckpointWal();

@@ -3,6 +3,7 @@
 #include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,7 +13,7 @@
 #include <utility>
 
 #include "common/bytes.h"
-#include "common/crc32.h"
+#include "kernels/kernels.h"
 
 namespace numdist::serve {
 
@@ -23,18 +24,33 @@ Status Errno(const std::string& what) {
                           std::strerror(errno) + ")");
 }
 
-Status WriteAllFd(int fd, std::string_view data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t wrote = write(fd, data.data() + off, data.size() - off);
+// Writes every byte of the `count` iovecs at `iov` with writev(2),
+// resuming after a short write; consumes the iovecs in place.
+Status WriteAllFd(int fd, iovec* iov, int count) {
+  while (count > 0) {
+    const ssize_t wrote = writev(fd, iov, count);
     if (wrote < 0) {
       if (errno == EINTR) continue;
       return Errno("write");
     }
-    off += static_cast<size_t>(wrote);
+    size_t left = static_cast<size_t>(wrote);
+    for (; count > 0 && left >= iov->iov_len; ++iov, --count) {
+      left -= iov->iov_len;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
   }
   return Status::OK();
 }
+
+// Frame records per writev(2) in WalLog::AppendFrames: two iovecs each
+// (record head, frame), within Linux's IOV_MAX of 1024. Bounds the
+// staging memory of a batch of any size.
+constexpr size_t kRecordsPerWrite = 512;
+// A frame record's head: u32 body length, u32 CRC-32C, the type byte.
+constexpr size_t kFrameRecordHeadBytes = 9;
 
 // Reads exactly `len` bytes unless EOF intervenes; returns bytes read.
 Result<size_t> ReadUpTo(int fd, char* dst, size_t len) {
@@ -62,7 +78,7 @@ void AppendHeader(std::string* out) {
 void AppendRecord(std::string_view body, std::string* out) {
   ByteWriter writer(out);
   writer.PutU32(static_cast<uint32_t>(body.size()));
-  writer.PutU32(Crc32c(body));
+  writer.PutU32(kernels::Crc32c(body));
   writer.PutBytes(body.data(), body.size());
 }
 
@@ -228,7 +244,7 @@ Result<WalReplayStats> ReplaySegment(int fd, const std::string& path,
       stats.tail = TornTail(stats.clean_bytes, "record body cut short");
       return stats;
     }
-    if (Crc32c(body) != crc) {
+    if (kernels::Crc32c(body) != crc) {
       stats.tail = TornTail(stats.clean_bytes, "record CRC mismatch");
       return stats;
     }
@@ -496,27 +512,55 @@ Status WalLog::OpenSegment(uint64_t seq, uint64_t resume_at) {
 }
 
 Status WalLog::Write(std::string_view bytes) {
-  NUMDIST_RETURN_NOT_OK(WriteAllFd(fd_, bytes));
+  iovec iov{const_cast<char*>(bytes.data()), bytes.size()};
+  NUMDIST_RETURN_NOT_OK(WriteAllFd(fd_, &iov, 1));
   bytes_ += bytes.size();
   return Status::OK();
 }
 
 Status WalLog::AppendFrame(std::string_view frame) {
-  std::string body;
-  body.reserve(1 + frame.size());
-  ByteWriter(&body).PutU8(static_cast<uint8_t>(WalRecordType::kFrame));
-  body.append(frame);
-  std::string record;
-  record.reserve(8 + body.size());
-  AppendRecord(body, &record);
-  NUMDIST_RETURN_NOT_OK(Write(record));
-  if (options_.sync_each_record) NUMDIST_RETURN_NOT_OK(Sync());
-  if (options_.segment_bytes > 0 && bytes_ >= options_.segment_bytes) {
-    // Seal the active segment (fsync so a sealed segment can never be
-    // torn) and roll to the next. The new segment's dirent is synced so
-    // replay after power loss sees the same contiguous run the writer
-    // left.
-    NUMDIST_RETURN_NOT_OK(Sync());
+  return AppendFrames(std::span<const std::string_view>(&frame, 1));
+}
+
+Status WalLog::AppendFrames(std::span<const std::string_view> frames) {
+  if (frames.empty()) return Status::OK();
+  constexpr auto kType = static_cast<uint8_t>(WalRecordType::kFrame);
+  // A frame record's body is the type byte, then the frame: chaining the
+  // CRC over the two checksums it without copying the frame.
+  const uint32_t type_crc = kernels::Crc32c(&kType, 1);
+  std::string heads;
+  heads.reserve(std::min(frames.size(), kRecordsPerWrite) *
+                kFrameRecordHeadBytes);
+  iovec iov[2 * kRecordsPerWrite];
+  for (size_t first = 0; first < frames.size(); first += kRecordsPerWrite) {
+    const size_t count = std::min(kRecordsPerWrite, frames.size() - first);
+    const std::span<const std::string_view> chunk =
+        frames.subspan(first, count);
+    heads.clear();
+    ByteWriter writer(&heads);
+    uint64_t chunk_bytes = 0;
+    for (const std::string_view frame : chunk) {
+      writer.PutU32(static_cast<uint32_t>(1 + frame.size()));
+      writer.PutU32(kernels::Crc32c(frame, type_crc));
+      writer.PutU8(kType);
+      chunk_bytes += kFrameRecordHeadBytes + frame.size();
+    }
+    for (size_t k = 0; k < count; ++k) {
+      iov[2 * k] = {heads.data() + k * kFrameRecordHeadBytes,
+                    kFrameRecordHeadBytes};
+      iov[2 * k + 1] = {const_cast<char*>(chunk[k].data()), chunk[k].size()};
+    }
+    NUMDIST_RETURN_NOT_OK(WriteAllFd(fd_, iov, static_cast<int>(2 * count)));
+    bytes_ += chunk_bytes;
+  }
+  // Group commit: one fsync covers every record of the batch. A batch
+  // seals its segment only after its last record; the seal fsyncs so a
+  // sealed segment can never be torn, and the new segment's dirent is
+  // synced so replay after power loss sees the run the writer left.
+  const bool seal =
+      options_.segment_bytes > 0 && bytes_ >= options_.segment_bytes;
+  if (options_.sync_each_record || seal) NUMDIST_RETURN_NOT_OK(Sync());
+  if (seal) {
     NUMDIST_RETURN_NOT_OK(OpenSegment(active_seq_ + 1, 0));
     NUMDIST_RETURN_NOT_OK(SyncDir(dir_));
   }

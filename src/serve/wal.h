@@ -53,6 +53,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -83,8 +84,11 @@ struct WalOptions {
   /// Compact the log (checkpoint + GC) after this many appended frame
   /// records (0 = only compact when the owner asks, e.g. at drain).
   uint64_t checkpoint_every_frames = 0;
-  /// fsync after every record (power-loss durability). Off by default:
-  /// surviving process death needs no fsync, only the page cache.
+  /// fsync every appended record before its append call returns
+  /// (power-loss durability): AppendFrames fsyncs once for its whole
+  /// batch — group commit, so a collector fsyncs once per reactor batch,
+  /// before any ack of it. Off by default: surviving process death needs
+  /// no fsync, only the page cache.
   bool sync_each_record = false;
   /// Seal the active segment once it reaches this many bytes and open the
   /// next (0 = one unbounded segment). A size bound only: the layout is
@@ -159,9 +163,17 @@ class WalLog {
   WalLog(WalLog&& other) noexcept;
   WalLog& operator=(WalLog&&) = delete;
 
-  /// Appends one accepted wire frame as a frame record; seals the active
-  /// segment and opens the next once it reaches segment_bytes.
+  /// Appends one accepted wire frame as a frame record; AppendFrames of
+  /// that one frame.
   Status AppendFrame(std::string_view frame);
+
+  /// Appends `frames` as frame records, in order, with one writev(2) per
+  /// 512 records; the bytes are identical to appending them one by one.
+  /// With sync_each_record, fsyncs once before returning. Seals the
+  /// active segment and opens the next once it reaches segment_bytes,
+  /// checked after the last record, so a batch never straddles two
+  /// segments.
+  Status AppendFrames(std::span<const std::string_view> frames);
 
   /// Compaction: starts a fresh segment holding one checkpoint record
   /// with `sketches` (plus a type-3 record with `seqs` when non-empty),

@@ -27,11 +27,11 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/crc32.h"
 #include "common/mutator.h"
 #include "common/rng.h"
 #include "data/datasets.h"
 #include "eval/streaming.h"
+#include "kernels/kernels.h"
 #include "protocol/sharded.h"
 #include "serve/collector.h"
 #include "serve/framing.h"
@@ -439,7 +439,7 @@ TEST(FuzzWire, MutatedWalReplaysToTypedErrorOrPrefix) {
       mutant = base.substr(0, at);
       ByteWriter writer(&mutant);
       writer.PutU32(static_cast<uint32_t>(body.size()));
-      writer.PutU32(Crc32c(body));
+      writer.PutU32(kernels::Crc32c(body));
       mutant += body;
       mutant += base.substr(at + 8 + len);
     } else {

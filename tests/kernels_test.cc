@@ -7,6 +7,8 @@
 //   3. whole encode paths: every protocol family's EncodePerturbBatch wire
 //      payload, and a full sharded pipeline run, byte-compared across
 //      dispatch.
+// Crc32c is checked against the standard's known answers on every tier,
+// since the WAL tests reseal records with the same function they check.
 // Every sweep compares the scalar reference against EVERY vector tier:
 // forcing a tier the host lacks clamps down the fallback ladder
 // (avx512 -> avx2 -> scalar), so those comparisons degrade to trivially
@@ -17,6 +19,8 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -359,6 +363,66 @@ TEST(KernelDispatchTest, Avx512TierIsBitExactAgainstBothLowerTiers) {
         << "avx512 reductions differ from avx2, n=" << n;
     EXPECT_EQ(scalar.second, avx512.second) << "elementwise n=" << n;
     EXPECT_EQ(avx2.second, avx512.second) << "elementwise n=" << n;
+  }
+}
+
+const Isa kAllIsas[] = {Isa::kScalar, Isa::kAvx2, Isa::kAvx512};
+
+// RFC 3720 B.4's CRC-32C vectors, the "123456789" check value, and the
+// empty string, on every tier.
+TEST(KernelDispatchTest, Crc32cMatchesKnownAnswersOnEveryTier) {
+  IsaGuard guard;
+  std::string ascending(32, '\0');
+  std::string descending(32, '\0');
+  for (size_t i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<char>(i);
+    descending[i] = static_cast<char>(31 - i);
+  }
+  for (const Isa isa : kAllIsas) {
+    kernels::ForceIsaForTest(isa);
+    SCOPED_TRACE(kernels::IsaName(isa));
+    EXPECT_EQ(kernels::Crc32c(std::string(32, '\x00')), 0x8A9136AAu);
+    EXPECT_EQ(kernels::Crc32c(std::string(32, '\xFF')), 0x62A8AB43u);
+    EXPECT_EQ(kernels::Crc32c(ascending), 0x46DD794Eu);
+    EXPECT_EQ(kernels::Crc32c(descending), 0x113FDB5Cu);
+    EXPECT_EQ(kernels::Crc32c("123456789"), 0xE3069283u);
+    EXPECT_EQ(kernels::Crc32c(""), 0u);
+  }
+}
+
+// Every tier equals the scalar table loop over random lengths 0..9000 at
+// every start offset mod 8, and a CRC chained through a seed at any cut
+// equals the one-shot CRC, whichever tiers compute the two pieces.
+TEST(KernelDispatchTest, Crc32cIsIdenticalAcrossIsasAndChains) {
+  IsaGuard guard;
+  Rng rng(97);
+  std::string bytes(9000 + 8, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.UniformInt(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    std::vector<size_t> lengths;
+    for (size_t len = 0; len <= 17; ++len) lengths.push_back(len);
+    lengths.push_back(9000);
+    for (int i = 0; i < 24; ++i) lengths.push_back(rng.UniformInt(9001));
+    for (const size_t len : lengths) {
+      const std::string_view data(bytes.data() + offset, len);
+      kernels::ForceIsaForTest(Isa::kScalar);
+      const uint32_t scalar = kernels::Crc32c(data);
+      const size_t cut = rng.UniformInt(len + 1);
+      for (const Isa first : kAllIsas) {
+        kernels::ForceIsaForTest(first);
+        EXPECT_EQ(kernels::Crc32c(data), scalar)
+            << "offset=" << offset << " len=" << len
+            << " isa=" << kernels::IsaName(first);
+        const uint32_t head = kernels::Crc32c(data.substr(0, cut));
+        for (const Isa second : kAllIsas) {
+          kernels::ForceIsaForTest(second);
+          EXPECT_EQ(kernels::Crc32c(data.substr(cut), head), scalar)
+              << "offset=" << offset << " len=" << len << " cut=" << cut
+              << " isas=" << kernels::IsaName(first) << "+"
+              << kernels::IsaName(second);
+        }
+      }
+    }
   }
 }
 

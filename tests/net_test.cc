@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 #include <fcntl.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -311,6 +312,50 @@ TEST(CollectorServerTest, WalFailureNeverAcksNonDurableFrames) {
   }
   EXPECT_EQ(acked_bytes, 0u)
       << "a non-durable frame's ack reached the client";
+}
+
+TEST(CollectorServerTest, ResetStandbyFailsRunWithoutSigpipe) {
+  // A standby that dies with unread data resets the replication link.
+  // The primary must return the typed error from Run and ack nothing; a
+  // write into the reset socket must not raise SIGPIPE, which would kill
+  // this binary (nothing here ignores the signal).
+  NetFixture fx = MakeNetFixture(600, 256);
+  for (size_t i = 0; i < fx.frames.size(); ++i) {
+    ASSERT_TRUE(wire::StampSequenceContext(&fx.frames[i],
+                                           {.epoch = 12, .seq = i + 1})
+                    .ok());
+  }
+  net::Fd standby_listener =
+      net::ListenOn(net::ParseEndpoint("tcp:127.0.0.1:0").ValueOrDie())
+          .ValueOrDie();
+  const net::Endpoint standby =
+      net::LocalEndpoint(standby_listener.get(), net::Endpoint::Kind::kTcp)
+          .ValueOrDie();
+  net::ServerOptions options;
+  options.replicate_to = net::EndpointName(standby);
+  auto server = net::CollectorServer::Make(fx.spec, options).ValueOrDie();
+  {
+    // Make's dial is in the accept backlog: accept it, then close with a
+    // zero linger, which sends a reset instead of a FIN.
+    net::Fd link(accept(standby_listener.get(), nullptr, nullptr));
+    ASSERT_TRUE(link.valid());
+    const linger reset{.l_onoff = 1, .l_linger = 0};
+    ASSERT_EQ(setsockopt(link.get(), SOL_SOCKET, SO_LINGER, &reset,
+                         sizeof(reset)),
+              0);
+  }
+  const net::Endpoint bound =
+      server->AddListener(net::ParseEndpoint("tcp:0").ValueOrDie())
+          .ValueOrDie();
+  Status run_status;
+  std::thread serving([&] { run_status = server->Run(); });
+  net::Fd client = net::Dial(bound).ValueOrDie();
+  ASSERT_TRUE(net::WriteAll(client.get(), EncodeFrames(fx.frames)).ok());
+  serving.join();
+  EXPECT_FALSE(run_status.ok()) << "a reset standby must be fatal to Run";
+  EXPECT_EQ(server->stats().acks_queued, 0u)
+      << "no ack may cover a frame the standby does not hold";
+  EXPECT_EQ(server->stats().frames_replicated, 0u);
 }
 
 TEST(CollectorServerTest, HostileClientLosesOnlyItsOwnConnection) {

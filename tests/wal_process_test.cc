@@ -335,7 +335,7 @@ TEST(WalProcessTest, DoubleCrashStillRecoversExactly) {
 // stream: with one connection WAL order equals send order, so it covers
 // exactly the first reports / shard_size frames.
 void RunNetworkKillAndRestart(const std::string& tag, uint64_t seed,
-                              uint64_t checkpoint_every) {
+                              uint64_t checkpoint_every, bool wal_sync) {
   constexpr size_t kShardSize = 100;
   const std::vector<std::string> frames =
       MakeFrames(/*shards=*/12, kShardSize, seed);
@@ -353,6 +353,7 @@ void RunNetworkKillAndRestart(const std::string& tag, uint64_t seed,
     flags.push_back("--wal-checkpoint-every=" +
                     std::to_string(checkpoint_every));
   }
+  if (wal_sync) flags.push_back("--wal-sync");
   ChildProc server = SpawnCollector(flags, /*with_stdin=*/false);
   ASSERT_GT(server.pid, 0);
   std::string endpoint_name;
@@ -438,13 +439,22 @@ void RunNetworkKillAndRestart(const std::string& tag, uint64_t seed,
 }
 
 TEST(WalProcessTest, NetworkServerKillAndRestartRecovers) {
-  RunNetworkKillAndRestart("net", /*seed=*/31, /*checkpoint_every=*/0);
+  RunNetworkKillAndRestart("net", /*seed=*/31, /*checkpoint_every=*/0,
+                           /*wal_sync=*/false);
 }
 
 // The server's own MaybeCheckpointWal compactions, which no session-level
 // test reaches.
 TEST(WalProcessTest, NetworkServerKillAfterCheckpointRecovers) {
-  RunNetworkKillAndRestart("ckpt", /*seed=*/37, /*checkpoint_every=*/4);
+  RunNetworkKillAndRestart("ckpt", /*seed=*/37, /*checkpoint_every=*/4,
+                           /*wal_sync=*/false);
+}
+
+// The server's group commit (--wal-sync: one fsync per reactor batch,
+// before any of its acks), which no other test appends through.
+TEST(WalProcessTest, NetworkServerKillWithWalSyncRecovers) {
+  RunNetworkKillAndRestart("sync", /*seed=*/41, /*checkpoint_every=*/0,
+                           /*wal_sync=*/true);
 }
 
 #else

@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/crc32.h"
 #include "data/datasets.h"
+#include "kernels/kernels.h"
 #include "protocol/sharded.h"
 #include "serve/collector.h"
 #include "wire/wire.h"
@@ -139,6 +139,19 @@ struct LoggedSession : serve::CollectorSession {
     return outcome->absorbed ? wal->AppendFrame(frame) : Status::OK();
   }
 
+  // Absorbs `frames`, then logs the absorbed ones with one AppendFrames,
+  // the way net::CollectorServer logs a reactor batch.
+  Status HandleBatch(std::span<const std::string> frames) {
+    std::vector<std::string_view> absorbed;
+    for (const std::string& frame : frames) {
+      serve::FrameOutcome outcome;
+      NUMDIST_RETURN_NOT_OK(
+          serve::CollectorSession::HandleFrame(frame, &outcome));
+      if (outcome.absorbed) absorbed.push_back(frame);
+    }
+    return wal->AppendFrames(absorbed);
+  }
+
   Status Compact() {
     NUMDIST_ASSIGN_OR_RETURN(const std::vector<std::string> sketches,
                              EncodeSketches());
@@ -148,14 +161,20 @@ struct LoggedSession : serve::CollectorSession {
   std::optional<serve::WalLog> wal;
 };
 
-// Builds a frame-record-only log (no checkpoint) holding `frames`.
-void BuildLog(const std::string& path, const std::vector<std::string>& frames) {
+// Builds a frame-record-only log (no checkpoint) holding `frames`: one
+// AppendFrame per frame, or with `batch` > 1 one AppendFrames per `batch`
+// frames.
+void BuildLog(const std::string& path, const std::vector<std::string>& frames,
+              size_t batch = 1, const serve::WalOptions& options = {}) {
   std::filesystem::remove_all(path);
   LoggedSession session;
-  auto stats = session.OpenWal(path);
+  auto stats = session.OpenWal(path, options);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  for (const std::string& frame : frames) {
-    const Status st = session.HandleFrame(frame);
+  for (size_t first = 0; first < frames.size(); first += batch) {
+    const Status st =
+        batch == 1 ? session.HandleFrame(frames[first])
+                   : session.HandleBatch(std::span(frames).subspan(
+                         first, std::min(batch, frames.size() - first)));
     ASSERT_TRUE(st.ok()) << st.ToString();
   }
 }
@@ -176,16 +195,13 @@ ReplayedSession Replay(const std::string& path) {
 // The headline sweep: truncate the log at EVERY byte length and replay.
 // Each truncation must recover the state of some intact record prefix,
 // report the cut as a typed torn-tail error (except on record
-// boundaries), and never hard-fail or crash.
+// boundaries), and never hard-fail or crash. The log is built both frame
+// by frame and in AppendFrames batches: a cut inside a batch keeps
+// exactly the whole records before it.
 TEST(WalTest, EveryByteTruncationYieldsAPrefixState) {
   const wire::MethodSpec spec = TestSpec();
   const std::vector<std::string> frames =
       MakeReportFrames(spec, /*shards=*/5, /*shard_size=*/20, /*seed=*/11);
-
-  const std::string log_dir = TempWalDir("wal_sweep");
-  BuildLog(log_dir, frames);
-  const std::string log_bytes = ReadFileBytes(SegmentPath(log_dir, 1));
-  ASSERT_GT(log_bytes.size(), serve::kWalHeaderBytes);
 
   // Expected state after each intact frame prefix.
   std::vector<AccumulatorState> prefix_states;
@@ -199,33 +215,61 @@ TEST(WalTest, EveryByteTruncationYieldsAPrefixState) {
     }
   }
 
+  const std::string log_dir = TempWalDir("wal_sweep");
   const std::string cut_dir = TempWalDir("wal_sweep_cut");
-  std::vector<bool> prefix_reached(frames.size() + 1, false);
-  for (size_t len = 0; len <= log_bytes.size(); ++len) {
-    WriteSegment(cut_dir, 1, log_bytes.substr(0, len));
-    ReplayedSession replayed = Replay(cut_dir);
-    ASSERT_LE(replayed.stats.frames, frames.size()) << "cut at " << len;
-    ASSERT_EQ(replayed.stats.checkpoints, 0u) << "cut at " << len;
-    prefix_reached[replayed.stats.frames] = true;
-    // The recovered state is exactly the intact prefix's state.
-    ASSERT_TRUE(SameState(replayed.session.ExportState(),
-                          prefix_states[replayed.stats.frames]))
-        << "cut at " << len << " replayed " << replayed.stats.frames;
-    if (!replayed.stats.tail.ok()) {
-      EXPECT_EQ(replayed.stats.tail.code(), StatusCode::kOutOfRange)
-          << "cut at " << len << ": " << replayed.stats.tail.ToString();
-    } else {
-      // An OK tail means the cut landed exactly on a record boundary.
-      EXPECT_EQ(replayed.stats.clean_bytes, len) << "cut at " << len;
+  for (const size_t batch : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    BuildLog(log_dir, frames, batch);
+    const std::string log_bytes = ReadFileBytes(SegmentPath(log_dir, 1));
+    ASSERT_GT(log_bytes.size(), serve::kWalHeaderBytes);
+    std::vector<bool> prefix_reached(frames.size() + 1, false);
+    for (size_t len = 0; len <= log_bytes.size(); ++len) {
+      WriteSegment(cut_dir, 1, log_bytes.substr(0, len));
+      ReplayedSession replayed = Replay(cut_dir);
+      ASSERT_LE(replayed.stats.frames, frames.size()) << "cut at " << len;
+      ASSERT_EQ(replayed.stats.checkpoints, 0u) << "cut at " << len;
+      prefix_reached[replayed.stats.frames] = true;
+      // The recovered state is exactly the intact prefix's state.
+      ASSERT_TRUE(SameState(replayed.session.ExportState(),
+                            prefix_states[replayed.stats.frames]))
+          << "cut at " << len << " replayed " << replayed.stats.frames;
+      if (!replayed.stats.tail.ok()) {
+        EXPECT_EQ(replayed.stats.tail.code(), StatusCode::kOutOfRange)
+            << "cut at " << len << ": " << replayed.stats.tail.ToString();
+      } else {
+        // An OK tail means the cut landed exactly on a record boundary.
+        EXPECT_EQ(replayed.stats.clean_bytes, len) << "cut at " << len;
+      }
+      ASSERT_LE(replayed.stats.clean_bytes, len) << "cut at " << len;
     }
-    ASSERT_LE(replayed.stats.clean_bytes, len) << "cut at " << len;
-  }
-  // The sweep exercised every prefix length, 0 through all frames.
-  for (size_t k = 0; k <= frames.size(); ++k) {
-    EXPECT_TRUE(prefix_reached[k]) << "no truncation replayed to prefix " << k;
+    // The sweep exercised every prefix length, 0 through all frames.
+    for (size_t k = 0; k <= frames.size(); ++k) {
+      EXPECT_TRUE(prefix_reached[k])
+          << "no truncation replayed to prefix " << k;
+    }
   }
   std::filesystem::remove_all(log_dir);
   std::filesystem::remove_all(cut_dir);
+}
+
+// AppendFrames writes the very bytes AppendFrame does, across more frames
+// than one writev carries, in uneven batches, with sync_each_record on.
+TEST(WalTest, BatchedAppendWritesTheSameLogByteForByte) {
+  const std::vector<std::string> frames =
+      MakeReportFrames(TestSpec(), /*shards=*/1200, /*shard_size=*/1,
+                       /*seed=*/41);
+  const std::string one_dir = TempWalDir("wal_batch_one");
+  const std::string batch_dir = TempWalDir("wal_batch_many");
+  BuildLog(one_dir, frames);
+  BuildLog(batch_dir, frames, /*batch=*/700, {.sync_each_record = true});
+  const std::string one = ReadFileBytes(SegmentPath(one_dir, 1));
+  EXPECT_GT(one.size(), serve::kWalHeaderBytes);
+  EXPECT_EQ(one, ReadFileBytes(SegmentPath(batch_dir, 1)));
+  const ReplayedSession replayed = Replay(batch_dir);
+  EXPECT_EQ(replayed.stats.frames, frames.size());
+  EXPECT_TRUE(replayed.stats.tail.ok()) << replayed.stats.tail.ToString();
+  std::filesystem::remove_all(one_dir);
+  std::filesystem::remove_all(batch_dir);
 }
 
 // After recovery from a torn log, the writer truncates the tail and new
@@ -341,7 +385,7 @@ TEST(WalTest, BadMagicAndVersionSkewAreHardErrors) {
     std::string segment("NDWL\x01\x00\x00\x00", 8);
     ByteWriter writer(&segment);
     writer.PutU32(static_cast<uint32_t>(body.size()));
-    writer.PutU32(Crc32c(body));
+    writer.PutU32(kernels::Crc32c(body));
     writer.PutBytes(body.data(), body.size());
     WriteSegment(dir, 1, segment);
     auto replayed = serve::ReplayWal(dir, consumer);
@@ -616,6 +660,54 @@ TEST(WalSegmentTest, RotationReplaysAcrossAContiguousSegmentRun) {
   EXPECT_EQ(stats->segments, files.size());
   EXPECT_TRUE(stats->tail.ok()) << stats->tail.ToString();
   EXPECT_TRUE(SameState(live, restarted.ExportState()));
+  std::filesystem::remove_all(dir);
+}
+
+// Frame records in one segment file, walked by their length fields.
+size_t CountRecords(const std::string& segment) {
+  size_t count = 0;
+  for (size_t off = serve::kWalHeaderBytes; off + 8 <= segment.size();
+       ++count) {
+    off += 8 + ByteReader(std::string_view(segment).substr(off, 4))
+                   .U32()
+                   .ValueOrDie();
+  }
+  return count;
+}
+
+// With segments smaller than one batch, each batch still lands whole in
+// one segment: the writer seals only after a batch's last record.
+TEST(WalSegmentTest, BatchSealsItsSegmentOnlyAfterItsLastRecord) {
+  const std::string dir = TempWalDir("wal_seg_batch");
+  const std::vector<std::string> frames =
+      MakeReportFrames(TestSpec(), /*shards=*/10, /*shard_size=*/50,
+                       /*seed=*/23);
+  // Frame by frame, a segment would seal after three records; a batch of
+  // four outgrows it, and the final batch of two does not fill it.
+  const uint64_t record = 9 + frames[0].size();
+  ASSERT_LT(serve::kWalHeaderBytes + 2 * record, kTestSegmentBytes);
+  ASSERT_GE(serve::kWalHeaderBytes + 3 * record, kTestSegmentBytes);
+  LoggedSession session;
+  ASSERT_TRUE(session.OpenWal(dir, {.segment_bytes = kTestSegmentBytes}).ok());
+  constexpr size_t kBatch = 4;
+  for (size_t first = 0; first < frames.size(); first += kBatch) {
+    const Status st = session.HandleBatch(std::span(frames).subspan(
+        first, std::min(kBatch, frames.size() - first)));
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+  const std::vector<std::string> files = SegmentFiles(dir);
+  std::vector<size_t> records;
+  for (const std::string& file : files) {
+    records.push_back(CountRecords(ReadFileBytes(dir + "/" + file)));
+  }
+  EXPECT_EQ(records, (std::vector<size_t>{4, 4, 2}));
+
+  LoggedSession restarted;
+  auto stats = restarted.OpenWal(dir, {.segment_bytes = kTestSegmentBytes});
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->frames, frames.size());
+  EXPECT_TRUE(stats->tail.ok()) << stats->tail.ToString();
+  EXPECT_TRUE(SameState(session.ExportState(), restarted.ExportState()));
   std::filesystem::remove_all(dir);
 }
 

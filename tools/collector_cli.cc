@@ -120,7 +120,7 @@ struct CliFlags {
   // accepted frame, compact to a checkpoint at clean exit.
   std::string wal_path;
   uint64_t wal_checkpoint_every = 0;  // compact after N appended frames
-  bool wal_sync = false;              // fsync after every record
+  bool wal_sync = false;              // fsync once per reactor batch
   uint64_t wal_segment_bytes = 0;     // seal segments at N bytes (0 = never)
   // Fault tolerance (net/server.h): stream absorbed frames to a hot
   // standby, or BE that standby (serve the replication stream, promote
