@@ -5,10 +5,8 @@
 // interrupt a blocked Wait without races.
 //
 // Level-triggered on purpose: a handler that reads PART of a socket's
-// backlog (the server caps per-round reads for fairness and pauses
-// sessions for backpressure) is re-notified on the next Wait instead of
-// needing edge-triggered drain loops. Un-registering a paused fd's
-// interest (Mod with events=0) is exactly how backpressure pauses reads.
+// backlog (the server caps per-round reads for fairness) is re-notified on
+// the next Wait instead of needing edge-triggered drain loops.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +38,7 @@ class Reactor {
   /// regular file or /dev/null: EPERM); such an fd is always readable.
   Status Add(int fd, uint32_t events, void* tag);
   /// Changes a registered fd's interest set (0 = keep registered, report
-  /// nothing — a paused session).
+  /// nothing).
   Status Mod(int fd, uint32_t events, void* tag);
   /// Unregisters a fd.
   Status Del(int fd);

@@ -25,6 +25,11 @@ Status Errno(const char* what) {
                           std::strerror(errno) + ")");
 }
 
+// Most bytes read from one connection in one reactor round (fairness: one
+// fast client cannot starve 10k slow ones). The round absorbs all of it
+// before the next epoll_wait, which is the server's only throttle.
+constexpr size_t kReadChunk = 256u << 10;
+
 // Frames per replication write. A standby running with send_acks on acks
 // each sequenced frame it is sent (a few dozen bytes each) and those acks
 // are drained only between writes, so no write carries enough frames for
@@ -72,8 +77,7 @@ struct CollectorServer::Listener : IoHandle {
 };
 
 struct CollectorServer::Connection : IoHandle {
-  explicit Connection(size_t max_frame_bytes)
-      : IoHandle(false), decoder(max_frame_bytes) {}
+  Connection() : IoHandle(false) {}
   Fd fd;
   /// Streams only (AddStream): the ack sink, separate from `fd`.
   Fd out_fd;
@@ -81,10 +85,7 @@ struct CollectorServer::Connection : IoHandle {
   bool polled = true;
   /// When bytes last arrived (kept only with read_timeout_ms > 0).
   Clock::time_point last_read;
-  serve::FrameDecoder decoder;
-  /// Bytes of decoded frames queued but not yet absorbed (backpressure).
-  size_t inflight_bytes = 0;
-  bool paused = false;
+  serve::FrameDecoder decoder;  // frames of at most serve::kMaxFrameBytes
   bool closed = false;
   /// Queued outbound bytes (ack frames) not yet accepted by the kernel.
   std::string out_buf;
@@ -135,22 +136,21 @@ Result<std::unique_ptr<CollectorServer>> CollectorServer::Make(
     server->inc_ =
         std::make_unique<IncrementalReconstructor>(std::move(inc));
   }
-  // One sub-aggregate per executor slot, created up front so absorption
-  // can never fail on allocation mid-serve. ParallelFor's slot ids are
-  // always below slots(). Each is a peer of the main session: one shared
+  // One session per executor slot. ParallelFor's slot ids are always
+  // below slots(). Each is a peer of the main session: one shared
   // Protocol for the whole process, one ledger (tenant budgets cap the
   // process-global spend), and one dedup window (a re-sent sequenced
   // frame is recognized no matter which slot claims it).
   const size_t slots = Executor::Shared().slots();
-  server->sub_sessions_.reserve(slots);
+  server->slot_sessions_.reserve(slots);
   for (size_t s = 0; s < slots; ++s) {
-    server->sub_sessions_.push_back(server->main_.MakePeer());
+    server->slot_sessions_.push_back(server->main_.MakePeer());
   }
   if (!options.wal_path.empty()) {
     // Crash recovery happens here, before the first listener exists:
-    // the log's clean prefix replays into the main session (sub-sessions
-    // start empty either way), then the writer truncates any torn tail
-    // and appends from the recovered offset.
+    // the log's clean prefix replays into the main session, then the
+    // writer truncates any torn tail and appends from the recovered
+    // offset.
     NUMDIST_ASSIGN_OR_RETURN(
         serve::WalLog log,
         serve::WalLog::Open(options.wal_path, options.wal,
@@ -204,7 +204,7 @@ Result<Endpoint> CollectorServer::AddListener(const Endpoint& endpoint) {
 }
 
 Status CollectorServer::AddStream(Fd in, Fd out) {
-  auto conn = std::make_unique<Connection>(options_.max_frame_bytes);
+  auto conn = std::make_unique<Connection>();
   conn->fd = std::move(in);
   conn->out_fd = std::move(out);
   const Status added = reactor_.Add(conn->fd.get(), EPOLLIN,
@@ -257,7 +257,7 @@ Status CollectorServer::HandleAccept(Listener* listener) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       return Errno("accept4");
     }
-    auto conn = std::make_unique<Connection>(options_.max_frame_bytes);
+    auto conn = std::make_unique<Connection>();
     conn->fd.reset(cfd);
     const Status added =
         reactor_.Add(cfd, EPOLLIN, static_cast<IoHandle*>(conn.get()));
@@ -268,9 +268,9 @@ Status CollectorServer::HandleAccept(Listener* listener) {
 }
 
 void CollectorServer::HandleReadable(Connection* conn) {
-  if (conn->closed || conn->paused) return;
+  if (conn->closed) return;
   char buf[64 * 1024];
-  size_t budget = options_.read_chunk;
+  size_t budget = kReadChunk;
   while (budget > 0) {
     const size_t want = std::min(sizeof(buf), budget);
     const ssize_t got = read(conn->fd.get(), buf, want);
@@ -302,8 +302,6 @@ void CollectorServer::HandleReadable(Connection* conn) {
     }
     std::string frame;
     while (conn->decoder.Next(&frame)) {
-      conn->inflight_bytes += frame.size();
-      pending_bytes_ += frame.size();
       pending_.push_back({conn, std::move(frame),
                           options_.record_latency ? Clock::now()
                                                   : Clock::time_point()});
@@ -316,26 +314,14 @@ void CollectorServer::HandleReadable(Connection* conn) {
     // to the OS every round.
     if (conn->out_fd.valid()) break;
   }
-  if (!conn->paused && conn->inflight_bytes > options_.pause_bytes) {
-    // Backpressure: drop read interest (level-triggered, so nothing is
-    // lost) until the absorb stage catches up; the kernel buffer then
-    // flow-controls the sender.
-    conn->paused = true;
-    ++stats_.pauses;
-    UpdateInterest(conn);
-  }
 }
 
 void CollectorServer::UpdateInterest(Connection* conn) {
   if (conn->closed || !conn->polled) return;
-  const uint32_t events = (conn->paused ? 0u : static_cast<uint32_t>(EPOLLIN)) |
-                          (conn->want_write ? static_cast<uint32_t>(EPOLLOUT)
-                                            : 0u);
-  if (!reactor_.Mod(conn->fd.get(), events, static_cast<IoHandle*>(conn))
-           .ok()) {
-    // Un-pausing a dead fd etc.; surfaced by the next read/write instead.
-    conn->paused = false;
-  }
+  const uint32_t events =
+      EPOLLIN | (conn->want_write ? static_cast<uint32_t>(EPOLLOUT) : 0u);
+  // A dead fd fails here too; the next read or write surfaces it.
+  (void)reactor_.Mod(conn->fd.get(), events, static_cast<IoHandle*>(conn));
 }
 
 void CollectorServer::FlushConn(Connection* conn) {
@@ -431,20 +417,28 @@ Status CollectorServer::ForwardToReplica(
   return Status::OK();
 }
 
-void CollectorServer::AbsorbPending() {
-  if (pending_.empty()) return;
+Status CollectorServer::AbsorbPending() {
+  if (pending_.empty()) return Status::OK();
   const size_t n = pending_.size();
   std::vector<Status> statuses(n);
   std::vector<serve::FrameOutcome> outcomes(n);
   Executor::Shared().ParallelFor(
       n, options_.max_parallelism, [&](size_t task, size_t slot) {
-        statuses[task] = sub_sessions_[slot].HandleFrame(pending_[task].frame,
-                                                         &outcomes[task]);
+        statuses[task] = slot_sessions_[slot].HandleFrame(pending_[task].frame,
+                                                          &outcomes[task]);
       });
   const Clock::time_point done = Clock::now();
+  // Settle the round: fold every slot into the main session and start it
+  // afresh. AbsorbSession never charges the shared ledger (those reports
+  // were charged when their frames were absorbed), and merges are exact
+  // integers, so the aggregate is independent of slot assignment.
+  for (serve::CollectorSession& slot : slot_sessions_) {
+    if (slot.num_reports() == 0) continue;
+    NUMDIST_RETURN_NOT_OK(main_.AbsorbSession(slot));
+    slot = main_.MakePeer();
+  }
   for (size_t i = 0; i < n; ++i) {
     PendingFrame& pf = pending_[i];
-    pf.conn->inflight_bytes -= pf.frame.size();
     if (statuses[i].ok()) {
       if (outcomes[i].duplicate) {
         ++stats_.duplicates;
@@ -459,11 +453,6 @@ void CollectorServer::AbsorbPending() {
       }
     } else {
       FailConnection(pf.conn, statuses[i]);
-    }
-    if (pf.conn->paused && !pf.conn->closed &&
-        pf.conn->inflight_bytes <= options_.pause_bytes / 2) {
-      pf.conn->paused = false;
-      UpdateInterest(pf.conn);
     }
   }
   // Durability gate for the acks below: an ack a client ever sees refers
@@ -486,17 +475,15 @@ void CollectorServer::AbsorbPending() {
       accepted.push_back(pending_[i].frame);
     }
   }
-  if (wal_ != nullptr && wal_status_.ok()) {
-    wal_status_ = wal_->AppendFrames(accepted);
-    if (wal_status_.ok()) wal_frames_since_checkpoint_ += accepted.size();
-  }
   // Replication covers only frames the log holds: a batch the WAL
-  // rejected must not reach the standby either, or a failover would serve
+  // rejected never reaches the standby either, or a failover would serve
   // state the acknowledged stream never contained.
-  if (replica_fd_.valid() && wal_status_.ok() && replica_status_.ok()) {
-    replica_status_ = ForwardToReplica(accepted);
+  if (wal_ != nullptr) {
+    NUMDIST_RETURN_NOT_OK(wal_->AppendFrames(accepted));
+    wal_frames_since_checkpoint_ += accepted.size();
   }
-  if (options_.send_acks && wal_status_.ok() && replica_status_.ok()) {
+  if (replica_fd_.valid()) NUMDIST_RETURN_NOT_OK(ForwardToReplica(accepted));
+  if (options_.send_acks) {
     for (size_t i = 0; i < n; ++i) {
       if (!statuses[i].ok() || !outcomes[i].has_seq) continue;
       QueueAck(pending_[i].conn, outcomes[i].seq);
@@ -507,28 +494,24 @@ void CollectorServer::AbsorbPending() {
     if (!conn->out_buf.empty()) FlushConn(conn);
   }
   pending_.clear();
-  pending_bytes_ = 0;
+  return Status::OK();
 }
 
-Status CollectorServer::MaybeCheckpointWal() {
-  if (wal_ == nullptr || options_.wal.checkpoint_every_frames == 0 ||
-      wal_frames_since_checkpoint_ < options_.wal.checkpoint_every_frames) {
+Status CollectorServer::MaybeCheckpointWal(bool drained) {
+  if (wal_ == nullptr) return Status::OK();
+  if (!drained && (options_.wal.checkpoint_every_frames == 0 ||
+                   wal_frames_since_checkpoint_ <
+                       options_.wal.checkpoint_every_frames)) {
     return Status::OK();
   }
-  // Checkpoint = the merged live state (main + every slot), gathered
-  // into a scratch peer so the serving accumulators stay untouched (the
-  // peer reuses the process's Protocol; AbsorbSession never charges the
-  // shared ledger). Merges are exact integers, so the checkpointed state
-  // is independent of slot assignment and merge order.
-  serve::CollectorSession scratch = main_.MakePeer();
-  NUMDIST_RETURN_NOT_OK(scratch.AbsorbSession(main_));
-  for (const serve::CollectorSession& sub : sub_sessions_) {
-    NUMDIST_RETURN_NOT_OK(scratch.AbsorbSession(sub));
-  }
+  // Runs between rounds, when main_ holds the whole aggregate and the
+  // dedup window holds no pending claim. The window rides along in the
+  // checkpoint: after a crash the recovered collector still refuses the
+  // retransmits it already acked. At drain this compacts the log to one
+  // checkpoint of the final state, so a restart replays a single record
+  // instead of the whole stream.
   NUMDIST_ASSIGN_OR_RETURN(const std::vector<std::string> sketches,
-                           scratch.EncodeSketches());
-  // The dedup window rides along in the checkpoint: after a crash the
-  // recovered collector still refuses the retransmits it already acked.
+                           main_.EncodeSketches());
   NUMDIST_RETURN_NOT_OK(
       wal_->Compact(sketches, main_.sequence_tracker()->Export()));
   wal_frames_since_checkpoint_ = 0;
@@ -551,7 +534,6 @@ void CollectorServer::CloseConnection(Connection* conn) {
   conn->fd.reset();
   conn->out_fd.reset();
   conn->closed = true;
-  conn->paused = false;
   conn->want_write = false;
   conn->out_buf.clear();
   conn->out_off = 0;
@@ -569,10 +551,9 @@ void CollectorServer::CloseConnection(Connection* conn) {
 }
 
 void CollectorServer::ReapClosed() {
-  // A closed connection may still be referenced by queued frames; it is
-  // destroyed only once its in-flight bytes are absorbed.
+  // Runs between rounds, when no queued frame points at a connection.
   std::erase_if(connections_, [](const std::unique_ptr<Connection>& conn) {
-    return conn->closed && conn->inflight_bytes == 0;
+    return conn->closed;
   });
 }
 
@@ -582,7 +563,7 @@ void CollectorServer::ExpireStalledReads() {
   // Indexed: a failure can drain, and a drain accepts the backlog.
   for (size_t i = 0; i < connections_.size(); ++i) {
     Connection* conn = connections_[i].get();
-    if (conn->closed || conn->paused || !conn->decoder.mid_frame() ||
+    if (conn->closed || !conn->decoder.mid_frame() ||
         now - conn->last_read < timeout) {
       continue;
     }
@@ -603,7 +584,7 @@ int CollectorServer::WaitTimeoutMs() const {
   if (options_.read_timeout_ms > 0) {
     const auto timeout = std::chrono::milliseconds(options_.read_timeout_ms);
     for (const auto& conn : connections_) {
-      if (!conn->closed && !conn->paused && conn->decoder.mid_frame()) {
+      if (!conn->closed && conn->decoder.mid_frame()) {
         deadline = std::min(deadline, conn->last_read + timeout);
       }
     }
@@ -635,24 +616,21 @@ void CollectorServer::MaybeEstimate() {
   if (!due) return;
   last_estimate_frames_ = stats_.frames_absorbed;
 
-  // Sum the exact per-bucket counts across the main and per-slot
-  // accumulators. Read-only: the aggregate the final sketch is encoded
-  // from is never touched, so the live path cannot perturb it.
+  // The exact per-bucket counts of the main session, which holds the
+  // whole aggregate between rounds. Read-only: the aggregate the final
+  // sketch is encoded from is never touched, so the live path cannot
+  // perturb it.
   const size_t buckets = live_estimator_->output_buckets();
   estimate_totals_.assign(buckets, 0);
-  uint64_t reports = 0;
-  const auto add_counts = [&](const serve::CollectorSession& session) {
-    const AccumulatorState state = session.ExportState();
-    reports += state.num_reports;
-    if (state.tables.empty()) return;
+  const AccumulatorState state = main_.ExportState();
+  const uint64_t reports = state.num_reports;
+  if (reports == 0) return;  // nothing ingested yet; tick again later
+  if (!state.tables.empty()) {
     const std::vector<int64_t>& counts = state.tables[0].counts;
     for (size_t j = 0; j < buckets && j < counts.size(); ++j) {
-      estimate_totals_[j] += static_cast<uint64_t>(counts[j]);
+      estimate_totals_[j] = static_cast<uint64_t>(counts[j]);
     }
-  };
-  add_counts(main_);
-  for (const serve::CollectorSession& sub : sub_sessions_) add_counts(sub);
-  if (reports == 0) return;  // nothing ingested yet; tick again later
+  }
 
   const Result<EmResult> run =
       inc_->UpdateFromTotals(estimate_totals_, reports);
@@ -682,7 +660,7 @@ Status CollectorServer::Run() {
       EnterDrain(/*cut_connections=*/false);
     }
     ReapClosed();
-    if (draining_ && connections_.empty() && pending_.empty()) break;
+    if (draining_ && connections_.empty()) break;
     NUMDIST_ASSIGN_OR_RETURN(const size_t n,
                              reactor_.Wait(events, WaitTimeoutMs()));
     if (unpolled_ > 0) {
@@ -705,75 +683,19 @@ Status CollectorServer::Run() {
       }
     }
     if (options_.read_timeout_ms > 0) ExpireStalledReads();
-    AbsorbPending();
-    if (!wal_status_.ok()) return wal_status_;
-    if (!replica_status_.ok()) return replica_status_;
-    NUMDIST_RETURN_NOT_OK(MaybeCheckpointWal());
+    NUMDIST_RETURN_NOT_OK(AbsorbPending());
+    NUMDIST_RETURN_NOT_OK(MaybeCheckpointWal(/*drained=*/false));
     MaybeEstimate();
     if (options_.expect_frames > 0 &&
         stats_.frames_absorbed >= options_.expect_frames) {
       EnterDrain(/*cut_connections=*/true);
     }
   }
-  NUMDIST_RETURN_NOT_OK(MergeSubSessions());
-  if (wal_ != nullptr) {
-    // Clean drain: compact down to one checkpoint of the final state, so
-    // a restart replays a single record instead of the whole stream.
-    NUMDIST_ASSIGN_OR_RETURN(const std::vector<std::string> sketches,
-                             main_.EncodeSketches());
-    NUMDIST_RETURN_NOT_OK(
-        wal_->Compact(sketches, main_.sequence_tracker()->Export()));
-    wal_frames_since_checkpoint_ = 0;
-  }
+  NUMDIST_RETURN_NOT_OK(MaybeCheckpointWal(/*drained=*/true));
   // A clean shutdown ends the replication stream with an orderly EOF, which
   // the standby reads as "primary finished" rather than a failure.
   if (replica_fd_.valid()) replica_fd_.reset();
   return Status::OK();
-}
-
-Status CollectorServer::MergeSubSessions() {
-  if (merged_) return Status::OK();
-  for (const serve::CollectorSession& sub : sub_sessions_) {
-    if (sub.num_reports() == 0) continue;
-    // AbsorbSession (not a sketch-frame round trip): per-tenant merges
-    // without re-charging the shared ledger — those reports were charged
-    // when their frames were first absorbed.
-    NUMDIST_RETURN_NOT_OK(main_.AbsorbSession(sub));
-  }
-  merged_ = true;
-  return Status::OK();
-}
-
-uint64_t CollectorServer::num_reports() const {
-  uint64_t total = main_.num_reports();
-  if (!merged_) {
-    for (const serve::CollectorSession& sub : sub_sessions_) {
-      total += sub.num_reports();
-    }
-  }
-  return total;
-}
-
-Status CollectorServer::CheckMerged(const char* what) const {
-  if (merged_) return Status::OK();
-  return Status::FailedPrecondition(
-      std::string("net: ") + what +
-      " before Run completed (sub-aggregates unmerged)");
-}
-
-Result<std::string> CollectorServer::EncodeSketch() const {
-  NUMDIST_RETURN_NOT_OK(CheckMerged("EncodeSketch"));
-  return main_.EncodeSketch();
-}
-
-Result<std::vector<std::string>> CollectorServer::EncodeSketches() const {
-  NUMDIST_RETURN_NOT_OK(CheckMerged("EncodeSketches"));
-  return main_.EncodeSketches();
-}
-
-Result<MethodOutput> CollectorServer::Reconstruct() const {
-  NUMDIST_RETURN_NOT_OK(CheckMerged("Reconstruct"));
-  return main_.Reconstruct();
 }
 
 }  // namespace numdist::net

@@ -12,6 +12,13 @@
 //              ─▶ completed frames queue as one batch
 //              ─▶ Executor::Shared().ParallelFor absorbs the batch into
 //                 per-slot CollectorSessions (no locks, no contention)
+//              ─▶ each slot folds into the main session; WAL append,
+//                 standby forward, acks
+//
+// The round settles all serving state: every frame read in a round is
+// absorbed, folded, logged and acked before the next epoll_wait, so no
+// queued frame, slot aggregate or pending dedup claim outlives it. Between
+// rounds (and after Run) the main session alone holds the aggregate.
 //
 // Determinism: which connection a frame arrived on, how reads interleave,
 // how batches are cut, and which executor slot absorbs a frame are all
@@ -22,10 +29,12 @@
 // (tests/net_test.cc in-process, tests/net_process_test.cc across real
 // TCP connections and processes).
 //
-// Backpressure is level-triggered pause/resume: a connection whose decoded
-// frames sit unabsorbed past `pause_bytes` has its read interest dropped
-// (epoll Mod to 0) and picks it back up once the batch drains — the kernel
-// socket buffer then throttles the sender via TCP flow control.
+// Backpressure: a round reads at most one 256 KiB chunk per connection
+// and absorbs all of it before the next epoll_wait. While the round
+// absorbs, the kernel socket buffer fills and TCP flow control holds the
+// sender back. Memory is bounded the same way: one round holds at most
+// one read chunk, plus one partial frame of at most serve::kMaxFrameBytes,
+// per readable connection.
 //
 // Drain/shutdown: RequestDrain (async-signal-safe — SIGTERM handlers call
 // it directly) closes the listeners, lets every open connection finish its
@@ -76,15 +85,6 @@ struct EstimateTick {
 };
 
 struct ServerOptions {
-  /// Per-frame size ceiling (serve/framing.h).
-  size_t max_frame_bytes = serve::kMaxFrameBytes;
-  /// Pause reading a connection once its decoded-but-unabsorbed frame
-  /// bytes exceed this; resume when they drop to half. Bounds per-session
-  /// memory no matter how fast a client floods.
-  size_t pause_bytes = 4u << 20;
-  /// Most bytes read from one connection in one reactor round (fairness:
-  /// one fast client cannot starve 10k slow ones).
-  size_t read_chunk = 256u << 10;
   /// Executor parallelism cap for batch absorption (0 = all slots).
   size_t max_parallelism = 0;
   /// When > 0: initiate drain automatically after this many frames have
@@ -167,7 +167,8 @@ struct ServerStats {
   uint64_t connections_accepted = 0;
   uint64_t frames_absorbed = 0;
   uint64_t bytes_received = 0;
-  /// Times a connection was paused for backpressure.
+  /// Always 0: the round throttles reads, never a pause (see the
+  /// backpressure note above). Kept because perfbench reports it.
   uint64_t pauses = 0;
   /// Connections dropped on a typed frame/decode error (the error is in
   /// `first_error`; the server keeps serving everyone else).
@@ -223,14 +224,15 @@ class CollectorServer {
 
   const wire::MethodSpec& spec() const { return main_.spec(); }
   const ServerStats& stats() const { return stats_; }
-  /// Reports aggregated so far. Complete only after Run returns.
-  uint64_t num_reports() const;
+  /// Reports aggregated so far. Valid between rounds; complete only
+  /// after Run returns.
+  uint64_t num_reports() const { return main_.num_reports(); }
 
   /// What WAL recovery replayed before serving began (zeroes when
   /// ServerOptions::wal_path was empty or named a fresh log).
   const serve::WalReplayStats& wal_recovery() const { return wal_recovery_; }
 
-  /// Caps one tenant's global spend across every sub-session (the ledger
+  /// Caps one tenant's global spend across every absorb slot (the ledger
   /// is shared, so parallel absorption enforces one process-wide budget).
   void SetTenantBudget(uint32_t tenant, serve::TenantBudget budget);
 
@@ -245,11 +247,14 @@ class CollectorServer {
 
   /// The aggregate as one untagged wire sketch frame, as one sketch frame
   /// per tenant (CollectorSession::EncodeSketches, what collector_cli
-  /// emits), or as the reconstructed estimate. Valid after Run has
-  /// returned (sub-session state is merged at drain).
-  Result<std::string> EncodeSketch() const;
-  Result<std::vector<std::string>> EncodeSketches() const;
-  Result<MethodOutput> Reconstruct() const;
+  /// emits), or as the reconstructed estimate. Valid between rounds as
+  /// well as after Run has returned: each round folds its slots into the
+  /// main session.
+  Result<std::string> EncodeSketch() const { return main_.EncodeSketch(); }
+  Result<std::vector<std::string>> EncodeSketches() const {
+    return main_.EncodeSketches();
+  }
+  Result<MethodOutput> Reconstruct() const { return main_.Reconstruct(); }
 
  private:
   struct Listener;
@@ -264,29 +269,28 @@ class CollectorServer {
   void HandleReadable(Connection* conn);
   /// Fails every connection stalled mid-frame past read_timeout_ms.
   void ExpireStalledReads();
-  void AbsorbPending();
+  /// Absorbs the round's frames, folds every slot into main_, then logs,
+  /// replicates and acks them. A fold, WAL or standby failure is fatal to
+  /// Run and suppresses every ack of the batch.
+  Status AbsorbPending();
   /// Queues one ack frame on the source connection (sent after the frame
   /// is locally durable and replicated).
   void QueueAck(Connection* conn, const wire::FrameSeq& seq);
   /// Pushes a connection's queued output (acks) to the socket; arms
   /// EPOLLOUT when the kernel buffer is full.
   void FlushConn(Connection* conn);
-  /// Re-registers a connection's epoll interest from its paused/want_write
-  /// state.
+  /// Re-registers a connection's epoll interest from its want_write state.
   void UpdateInterest(Connection* conn);
   /// Streams absorbed frames to the standby (u32-prefixed, blocking), one
   /// write per 256 frames, discarding any acks the standby has sent back
   /// before each write.
   Status ForwardToReplica(std::span<const std::string_view> frames);
-  /// Compacts the WAL to a checkpoint of the merged live state once the
-  /// append cadence is due (no-op without a WAL or cadence).
-  Status MaybeCheckpointWal();
+  /// Compacts the WAL to a checkpoint of main_ at drain, or mid-serve once
+  /// the append cadence is due (no-op without a WAL).
+  Status MaybeCheckpointWal(bool drained);
   void FailConnection(Connection* conn, const Status& error);
   void CloseConnection(Connection* conn);
   void ReapClosed();
-  Status MergeSubSessions();
-  /// FailedPrecondition naming `what` until Run has merged the slots.
-  Status CheckMerged(const char* what) const;
   /// Runs a live-estimation tick when one is due (frame or time cadence).
   void MaybeEstimate();
   /// Milliseconds until the next timed event — an estimate tick or a
@@ -304,37 +308,33 @@ class CollectorServer {
   /// Open streams epoll refused (AddStream); Run reads them every round.
   size_t unpolled_ = 0;
   std::vector<PendingFrame> pending_;
-  size_t pending_bytes_ = 0;
-  /// Per-executor-slot sub-aggregates, merged into main_ at drain. Peers
-  /// of main_ (CollectorSession::MakePeer): the process builds its
-  /// Protocol once, in Make.
-  std::vector<serve::CollectorSession> sub_sessions_;
-  bool merged_ = false;
+  /// Per-executor-slot sessions, folded into main_ at the end of every
+  /// round's absorb. Peers of main_ (CollectorSession::MakePeer): the
+  /// process builds its Protocol once, in Make.
+  std::vector<serve::CollectorSession> slot_sessions_;
 
   /// Durability (null unless ServerOptions::wal_path was set). The only
   /// WAL writer in the process: appends happen from the batch loop in
-  /// absorption order, checkpoints on the cadence and at drain.
+  /// absorption order, checkpoints on the cadence and at drain. An append
+  /// failure is fatal (Run returns it — an aggregate the log no longer
+  /// covers must not keep growing silently).
   std::unique_ptr<serve::WalLog> wal_;
   serve::WalReplayStats wal_recovery_;
   uint64_t wal_frames_since_checkpoint_ = 0;
-  /// First WAL append failure; fatal (Run returns it — an aggregate the
-  /// log no longer covers must not keep growing silently).
-  Status wal_status_ = Status::OK();
 
   /// Standby replication (invalid fd unless ServerOptions::replicate_to
   /// was set). Blocking socket written from the batch loop; a write
-  /// failure lands in replica_status_ and is fatal like a WAL failure.
+  /// failure is fatal like a WAL failure.
   Fd replica_fd_;
-  Status replica_status_ = Status::OK();
 
   /// Live estimation (null unless a cadence is configured). The
-  /// reconstructor only ever READS accumulator state (ExportState sums),
-  /// so the final drained sketch is byte-identical with or without it.
+  /// reconstructor only ever READS main_'s state (ExportState), so the
+  /// final drained sketch is byte-identical with or without it.
   std::shared_ptr<const SwEstimator> live_estimator_;
   std::unique_ptr<IncrementalReconstructor> inc_;
   uint64_t last_estimate_frames_ = 0;
   std::chrono::steady_clock::time_point next_estimate_at_{};
-  std::vector<uint64_t> estimate_totals_;  // per-tick gather scratch
+  std::vector<uint64_t> estimate_totals_;  // per-tick scratch
 
   std::atomic<bool> drain_requested_{false};
   bool draining_ = false;

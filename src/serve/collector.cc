@@ -56,69 +56,55 @@ void TenantLedger::SetSpent(uint32_t tenant, uint64_t num_reports) {
   entries_[tenant].spent = num_reports;
 }
 
+void SequenceTracker::AdvanceFloor(Window& window) {
+  while (!window.above.empty() &&
+         window.above.begin()->first == window.floor + 1 &&
+         window.above.begin()->second) {
+    ++window.floor;
+    window.above.erase(window.above.begin());
+  }
+}
+
 bool SequenceTracker::Claim(uint64_t epoch, uint64_t seq) {
   std::lock_guard<std::mutex> lock(mu_);
   Window& window = windows_[epoch];
-  if (seq <= window.floor) {
-    // Normally a duplicate — unless this claim was released after an
-    // Export folded it into the floor (the absorb was in flight on
-    // another slot and later failed). Such a hole lives in `released`;
-    // claiming it closes the hole again.
-    return window.released.erase(seq) > 0;
-  }
-  return window.sparse.insert(seq).second;
+  if (seq <= window.floor) return false;
+  return window.above.emplace(seq, false).second;
+}
+
+void SequenceTracker::Commit(uint64_t epoch, uint64_t seq) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = windows_.find(epoch);
+  if (it == windows_.end()) return;
+  Window& window = it->second;
+  const auto claim = window.above.find(seq);
+  if (claim == window.above.end()) return;
+  claim->second = true;
+  AdvanceFloor(window);
 }
 
 void SequenceTracker::Release(uint64_t epoch, uint64_t seq) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = windows_.find(epoch);
   if (it == windows_.end()) return;
-  Window& window = it->second;
-  if (seq <= window.floor) {
-    // An Export folded this claim into the floor while its absorb was
-    // still in flight. The floor cannot move back (seqs between are
-    // genuinely absorbed), so record the hole: the client's retry is
-    // accepted through Claim, and the next Export re-opens the window
-    // below it so a checkpoint never persists the frame as absorbed.
-    window.released.insert(seq);
-  } else {
-    window.sparse.erase(seq);
+  const auto claim = it->second.above.find(seq);
+  if (claim != it->second.above.end() && !claim->second) {
+    it->second.above.erase(claim);
   }
 }
 
-std::vector<WalSeqEntry> SequenceTracker::Export() {
+std::vector<WalSeqEntry> SequenceTracker::Export() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<WalSeqEntry> entries;
   entries.reserve(windows_.size());
-  for (auto& [epoch, window] : windows_) {
-    // Un-fold any holes a Release punched below the floor since the last
-    // Export: drop the floor to just under the lowest hole and lift the
-    // still-absorbed seqs above it back into the sparse set. The
-    // exported window then claims exactly the frames that were actually
-    // absorbed, holes excluded. (Releases land at most a batch below the
-    // floor, so this loop is short.)
-    if (!window.released.empty()) {
-      const uint64_t new_floor = *window.released.begin() - 1;
-      for (uint64_t seq = new_floor + 1; seq <= window.floor; ++seq) {
-        if (!window.released.contains(seq)) window.sparse.insert(seq);
-      }
-      window.floor = new_floor;
-      window.released.clear();
-    }
-    // Compress: fold the contiguous run above the floor into the floor.
-    // Claim/Release never raise the floor, and a release below it is
-    // re-opened above, so a parallel absorb slot releasing a failed
-    // claim cannot be lost to this advance.
-    while (!window.sparse.empty() &&
-           *window.sparse.begin() == window.floor + 1) {
-      ++window.floor;
-      window.sparse.erase(window.sparse.begin());
-    }
-    if (window.floor == 0 && window.sparse.empty()) continue;
+  for (const auto& [epoch, window] : windows_) {
     WalSeqEntry entry;
     entry.epoch = epoch;
     entry.floor = window.floor;
-    entry.sparse.assign(window.sparse.begin(), window.sparse.end());
+    for (const auto& [seq, committed] : window.above) {
+      if (committed) entry.sparse.push_back(seq);
+    }
+    if (entry.floor == 0 && entry.sparse.empty()) continue;
     entries.push_back(std::move(entry));
   }
   return entries;
@@ -130,8 +116,18 @@ void SequenceTracker::Restore(const std::vector<WalSeqEntry>& entries) {
   for (const WalSeqEntry& entry : entries) {
     Window& window = windows_[entry.epoch];
     window.floor = entry.floor;
-    window.sparse.insert(entry.sparse.begin(), entry.sparse.end());
+    for (const uint64_t seq : entry.sparse) {
+      if (seq > window.floor) window.above.emplace(seq, true);
+    }
+    AdvanceFloor(window);
   }
+}
+
+size_t SequenceTracker::held_seqs() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  size_t held = 0;
+  for (const auto& [epoch, window] : windows_) held += window.above.size();
+  return held;
 }
 
 Result<CollectorSession> CollectorSession::Make(const wire::MethodSpec& spec) {
@@ -186,18 +182,22 @@ Status CollectorSession::HandleFrame(std::span<const uint8_t> frame,
   }
   // The exactly-once window: claim the (epoch, seq) before doing any
   // work. A failed claim is a duplicate re-send — succeed without
-  // touching anything so the caller re-acks it; a failed absorb left
-  // everything untouched, so its claim is released and the client's
-  // retry is accepted.
+  // touching anything so the caller re-acks it. The absorb's outcome then
+  // settles the claim: committed on success; dropped on failure, which
+  // left everything untouched, so the client's retry is accepted.
   if (info.has_seq && !tracker_->Claim(info.seq.epoch, info.seq.seq)) {
     if (outcome != nullptr) outcome->duplicate = true;
     return Status::OK();
   }
   const Status absorbed = AbsorbFrame(info, frame);
-  if (!absorbed.ok()) {
-    if (info.has_seq) tracker_->Release(info.seq.epoch, info.seq.seq);
-    return absorbed;
+  if (info.has_seq) {
+    if (absorbed.ok()) {
+      tracker_->Commit(info.seq.epoch, info.seq.seq);
+    } else {
+      tracker_->Release(info.seq.epoch, info.seq.seq);
+    }
   }
+  if (!absorbed.ok()) return absorbed;
   if (outcome != nullptr) outcome->absorbed = true;
   return Status::OK();
 }

@@ -22,7 +22,7 @@
 // are routed to per-tenant accumulators inside the same session, with
 // per-tenant report/epsilon budgets enforced by a TenantLedger shared
 // across every session of one process (so the event-loop server's parallel
-// sub-sessions enforce one global budget). An over-budget frame is a typed
+// absorb slots enforce one global budget). An over-budget frame is a typed
 // FailedPrecondition rejection that leaves every accumulator untouched.
 //
 // Durability: a session holds no log. net::CollectorServer, the one ingest
@@ -40,7 +40,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -67,7 +66,7 @@ struct TenantBudget {
 /// CollectorSession of one collector process.
 ///
 /// The event-loop server absorbs frames in parallel into per-slot
-/// sub-sessions; sharing one ledger is what makes the budget a single
+/// sessions; sharing one ledger is what makes the budget a single
 /// global cap instead of one cap per slot. Charges are reservations: a
 /// frame is charged before it is absorbed and refunded if absorption
 /// fails, so the spend always equals the reports actually aggregated.
@@ -99,41 +98,49 @@ class TenantLedger {
 
 /// \brief Thread-safe exactly-once window over (epoch, seq) frame ids,
 /// shared across every CollectorSession of one collector process (like
-/// the TenantLedger, so the event-loop server's parallel sub-sessions
+/// the TenantLedger, so the event-loop server's parallel absorb slots
 /// dedup against one global window).
 ///
-/// Per epoch the window is a floor (every seq <= floor absorbed) plus a
-/// sparse set above it. Claim/Release only touch the sparse set; the
-/// floor advances in Export, which call sites run single-threaded
-/// between absorption batches. Defense in depth for the remaining race
-/// (an Export folding a claim whose absorb is still in flight on
-/// another slot): a Release at or below the floor records the seq as a
-/// hole that Claim re-accepts and the next Export re-opens the window
-/// around, so a failed absorb can never strand its client's retry as a
-/// false duplicate.
+/// Claims are two-phase: Claim marks a seq pending, and the absorb's
+/// outcome then either commits it or drops it again (Release). Per epoch
+/// the window is a floor (every seq <= floor committed) plus the claims
+/// above it. A commit advances the floor through the run of contiguous
+/// committed seqs, so an in-order client holds no per-seq entries once
+/// its claims commit; only pending claims and commits above a gap stay
+/// held. Export snapshots committed seqs alone, so a checkpoint never
+/// carries a frame whose absorb has not succeeded.
 class SequenceTracker {
  public:
-  /// Claims (epoch, seq): true when first seen (the caller absorbs the
-  /// frame), false when already claimed (the frame is a duplicate re-send
-  /// — skip it, but ack it again).
+  /// Claims (epoch, seq) as pending: true when first seen (the caller
+  /// absorbs the frame, then commits or releases the claim), false when
+  /// already pending or committed (the frame is a duplicate re-send —
+  /// skip it, but ack it again).
   bool Claim(uint64_t epoch, uint64_t seq);
-  /// Rolls back a claim whose absorb failed, so the client's re-send is
-  /// accepted.
+  /// Commits a pending claim whose absorb succeeded.
+  void Commit(uint64_t epoch, uint64_t seq);
+  /// Drops a pending claim whose absorb failed, so the client's re-send
+  /// is accepted.
   void Release(uint64_t epoch, uint64_t seq);
-  /// Compressed snapshot (floors advanced through contiguous sparse runs)
-  /// for WAL checkpointing; empty when nothing was ever claimed.
-  std::vector<WalSeqEntry> Export();
-  /// RESETS the window to a checkpointed snapshot.
+  /// Snapshot of the committed window (floor plus committed seqs above
+  /// it, per epoch) for WAL checkpointing; pending claims are left out.
+  /// Empty when nothing was ever committed.
+  std::vector<WalSeqEntry> Export() const;
+  /// RESETS the window to a checkpointed snapshot (every seq committed).
   void Restore(const std::vector<WalSeqEntry>& entries);
+  /// Per-seq entries held across every epoch: pending claims plus
+  /// commits above a gap. Zero for in-order clients whose claims have all
+  /// committed.
+  size_t held_seqs() const;
 
  private:
   struct Window {
     uint64_t floor = 0;
-    std::set<uint64_t> sparse;
-    /// Claims released at or below the floor (a failed absorb racing an
-    /// Export fold): holes in the window until re-claimed or exported.
-    std::set<uint64_t> released;
+    /// Every claim above the floor: seq -> committed (false = pending).
+    std::map<uint64_t, bool> above;
   };
+  /// Folds the run of committed seqs just above the floor into it.
+  static void AdvanceFloor(Window& window);
+
   mutable std::mutex mu_;
   std::map<uint64_t, Window> windows_;
 };
@@ -160,9 +167,9 @@ class CollectorSession {
 
   /// An empty peer: same spec, and the same immutable Protocol, TenantLedger
   /// and dedup window as this session, with its own accumulators. The
-  /// event-loop server builds one Protocol per process this way —
-  /// its per-slot sub-sessions and checkpoint scratch are all peers of the
-  /// main session, so budgets and exactly-once claims stay process-global.
+  /// event-loop server builds one Protocol per process this way — its
+  /// per-slot sessions are all peers of the main session, so budgets and
+  /// exactly-once claims stay process-global.
   CollectorSession MakePeer() const;
 
   const wire::MethodSpec& spec() const { return spec_; }
@@ -196,9 +203,8 @@ class CollectorSession {
 
   /// Exact-integer snapshot of the aggregate (protocol.h). With tenants
   /// in play this is the MERGED total state; ExportTenantState reads one
-  /// tenant. Read-only: live estimation sums these across sessions
-  /// without touching the aggregate, so periodic estimates can never
-  /// perturb the final sketch.
+  /// tenant. Read-only: live estimation reads it without touching the
+  /// aggregate, so periodic estimates can never perturb the final sketch.
   AccumulatorState ExportState() const;
   /// One tenant's exact state (wire::kDefaultTenant = the default
   /// accumulator). Unknown tenants are InvalidArgument.
@@ -220,8 +226,8 @@ class CollectorSession {
   /// Merges every accumulator of `other` (default + tenants, per tenant)
   /// into this session WITHOUT charging the ledger — the frames behind
   /// `other`'s state were charged when first absorbed. This is how the
-  /// server folds its per-slot sub-sessions into the main session at
-  /// drain without double-spending budgets or collapsing tenants.
+  /// server folds each per-slot session into the main session every
+  /// reactor round without double-spending budgets or collapsing tenants.
   Status AbsorbSession(const CollectorSession& other);
 
   /// Replaces the session's state with the given sketch frames (one per

@@ -77,7 +77,7 @@ class FrameDecoder {
   /// i.e. an EOF right now would be a mid-stream error.
   bool mid_frame() const { return have_len_ || buffered_bytes() > 0; }
 
-  /// Undecoded bytes currently held (a backpressure signal).
+  /// Undecoded bytes currently held.
   size_t buffered_bytes() const { return buf_.size() - pos_; }
 
  private:

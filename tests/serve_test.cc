@@ -383,45 +383,56 @@ TEST(CollectorSessionTest, DefaultTenantBudgetCapsUntaggedFrames) {
 }
 
 // ---------------------------------------------------------------------------
-// SequenceTracker window semantics under the Export/Release race: an
-// Export may fold a claim into the floor while its absorb is still in
-// flight on another executor slot. If that absorb then fails, the Release
-// must re-open the window — otherwise the client's retry is rejected as a
-// duplicate and the frame is silently lost.
+// SequenceTracker two-phase claims: a claim is pending until its absorb
+// commits or releases it, and a frame whose absorb fails must never be
+// stranded as a duplicate — otherwise the client's retry is rejected and
+// the frame is silently lost.
 
-TEST(SequenceTrackerTest, ReleaseBelowTheFloorReopensTheWindow) {
+TEST(SequenceTrackerTest, ReleasedClaimIsAcceptedExactlyOnceOnRetry) {
   serve::SequenceTracker tracker;
   ASSERT_TRUE(tracker.Claim(7, 1));
   ASSERT_TRUE(tracker.Claim(7, 2));
   ASSERT_TRUE(tracker.Claim(7, 3));
-  // Export folds 1..3 into the floor...
+  // Seqs 1 and 3 commit while seq 2's absorb is still in flight...
+  tracker.Commit(7, 1);
+  tracker.Commit(7, 3);
   {
     const std::vector<serve::WalSeqEntry> entries = tracker.Export();
     ASSERT_EQ(entries.size(), 1u);
     EXPECT_EQ(entries[0].epoch, 7u);
-    EXPECT_EQ(entries[0].floor, 3u);
-    EXPECT_TRUE(entries[0].sparse.empty());
+    EXPECT_EQ(entries[0].floor, 1u);
+    EXPECT_EQ(entries[0].sparse, (std::vector<uint64_t>{3}));
   }
-  // ...then seq 2's in-flight absorb fails and releases its claim.
+  // ...then seq 2's absorb fails and releases its claim.
   tracker.Release(7, 2);
   // The retry must be accepted exactly once, then dedup again.
   EXPECT_TRUE(tracker.Claim(7, 2));
   EXPECT_FALSE(tracker.Claim(7, 2));
-  // Still-absorbed neighbors stay duplicates throughout.
+  // Committed neighbors stay duplicates throughout.
   EXPECT_FALSE(tracker.Claim(7, 1));
   EXPECT_FALSE(tracker.Claim(7, 3));
+  // The retry's commit closes the gap: the floor runs through 3.
+  tracker.Commit(7, 2);
+  const std::vector<serve::WalSeqEntry> entries = tracker.Export();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].floor, 3u);
+  EXPECT_TRUE(entries[0].sparse.empty());
 }
 
-TEST(SequenceTrackerTest, ExportNeverPersistsAReleasedClaimAsAbsorbed) {
+TEST(SequenceTrackerTest, ExportNeverCarriesAPendingOrReleasedClaim) {
   serve::SequenceTracker tracker;
   for (uint64_t seq = 1; seq <= 4; ++seq) {
     ASSERT_TRUE(tracker.Claim(9, seq));
   }
-  ASSERT_EQ(tracker.Export().at(0).floor, 4u);
+  for (const uint64_t seq : {1, 3, 4}) tracker.Commit(9, seq);
+  // A checkpoint cut while seq 2 is pending leaves it out: the floor
+  // stops below it and the committed seqs above it stay sparse.
+  const std::vector<serve::WalSeqEntry> pending = tracker.Export();
+  ASSERT_EQ(pending.size(), 1u);
+  EXPECT_EQ(pending[0].floor, 1u);
+  EXPECT_EQ(pending[0].sparse, (std::vector<uint64_t>{3, 4}));
+  // So does one cut after its release.
   tracker.Release(9, 2);
-  // A checkpoint cut between the release and the retry must carry the
-  // hole: the floor drops below it and the genuinely absorbed seqs above
-  // it move back into the sparse set.
   const std::vector<serve::WalSeqEntry> entries = tracker.Export();
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].floor, 1u);
@@ -433,6 +444,45 @@ TEST(SequenceTrackerTest, ExportNeverPersistsAReleasedClaimAsAbsorbed) {
   EXPECT_TRUE(restored.Claim(9, 2));
   EXPECT_FALSE(restored.Claim(9, 3));
   EXPECT_FALSE(restored.Claim(9, 1));
+}
+
+// The window's memory is O(live epochs + gaps): commits advance the floor,
+// so an in-order client holds no per-seq entry once its claims commit, and
+// out-of-order commits are held only until the gap below them fills.
+TEST(SequenceTrackerTest, CommitsAdvanceTheFloorSoInOrderClaimsHoldNothing) {
+  serve::SequenceTracker tracker;
+  constexpr uint64_t kInOrder = 100000;
+  for (uint64_t seq = 1; seq <= kInOrder; ++seq) {
+    ASSERT_TRUE(tracker.Claim(3, seq));
+    tracker.Commit(3, seq);
+    ASSERT_EQ(tracker.held_seqs(), 0u) << "after committing seq " << seq;
+  }
+  std::vector<serve::WalSeqEntry> entries = tracker.Export();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].floor, kInOrder);
+  EXPECT_TRUE(entries[0].sparse.empty());
+
+  // Seq kInOrder + 1 is late: the ten commits after it wait above the gap.
+  constexpr uint64_t gap = kInOrder + 1;
+  for (uint64_t seq = gap + 1; seq <= gap + 10; ++seq) {
+    ASSERT_TRUE(tracker.Claim(3, seq));
+    tracker.Commit(3, seq);
+    EXPECT_EQ(tracker.held_seqs(), seq - gap);
+  }
+  entries = tracker.Export();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].floor, kInOrder);
+  EXPECT_EQ(entries[0].sparse.size(), 10u);
+  // The late frame's pending claim is one more held entry; its commit
+  // fills the gap and folds the whole run into the floor.
+  ASSERT_TRUE(tracker.Claim(3, gap));
+  EXPECT_EQ(tracker.held_seqs(), 11u);
+  tracker.Commit(3, gap);
+  EXPECT_EQ(tracker.held_seqs(), 0u);
+  entries = tracker.Export();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].floor, gap + 10);
+  EXPECT_TRUE(entries[0].sparse.empty());
 }
 
 }  // namespace

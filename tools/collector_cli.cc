@@ -668,11 +668,10 @@ int RunServer(const CliFlags& flags, const wire::MethodSpec& spec,
   const net::ServerStats& stats = server->stats();
   fprintf(stderr,
           "collector drained: %llu connection(s), %llu frame(s), "
-          "%llu report(s), %llu pause(s) (%s)\n",
+          "%llu report(s) (%s)\n",
           static_cast<unsigned long long>(stats.connections_accepted),
           static_cast<unsigned long long>(stats.frames_absorbed),
           static_cast<unsigned long long>(server->num_reports()),
-          static_cast<unsigned long long>(stats.pauses),
           wire::MethodSpecName(spec).c_str());
   // A stdio stream that failed is not a completed shard: no sketch.
   if (stdio && stats.connection_errors > 0) return Fail(stats.first_error);
