@@ -196,9 +196,8 @@ BENCHMARK(BM_EmsConvergenceSliding)
 // ---- Incremental reconstruction: warm-started / mini-batch EM ----
 //
 // Rolling-snapshot fixture: a growing report stream cut into cumulative
-// count snapshots, reconstructed after each increment. The EM_WARM_ /
-// EM_MINIBATCH_ series are registered in the CI --require list, so their
-// names are load-bearing.
+// count snapshots, reconstructed after each increment. README cites the
+// EM_WARM_ series by name.
 
 struct RollingFixture {
   SlidingWindowObservationModel sliding;

@@ -283,10 +283,10 @@ BENCHMARK(BM_DswEncodeBatch);
 //
 // The same bulk-encode bodies as above under forced kAvx512 dispatch
 // (clamped down the fallback ladder on machines without it; the avx512
-// counter records what actually ran). Registered in the CI --require
-// list, so the ENC_AVX512_ names are load-bearing. Forcing is reset to
-// the machine's best tier afterwards, which on every ladder equals the
-// default resolution, so neighbouring benches are unaffected.
+// counter records what actually ran). README cites the ENC_AVX512_
+// series by name. Forcing is reset to the machine's best tier afterwards,
+// which on every ladder equals the default resolution, so neighbouring
+// benches are unaffected.
 
 void ENC_AVX512_SwEncodeBatch(benchmark::State& state) {
   const SquareWave sw = SquareWave::Make(1.0).ValueOrDie();

@@ -3,13 +3,12 @@
 // the built-in drift scenario across shard counts and thread budgets.
 //
 //   scenario_throughput [--reports=N] [--threads=W] [--incremental]
-//                       [--attack] [--json=FILE]
+//                       [--attack]
 //
 // --attack appends the adversarial table: RunFoAttack (scenario/attack.h)
 // across the GRR/OLH/OUE channels with a 5% output-poisoning cohort,
 // reporting end-to-end poisoned-collection throughput plus the measured
-// attack gain and the consistency defense's verdict. --json writes every
-// ATK_ series in google-benchmark shape for tools/compare_bench.py.
+// attack gain and the consistency defense's verdict.
 //
 // --incremental appends the drift-tracking table: the drift scenario rerun
 // with mini-batch EM (scenario/scenario.h IncrementalMode::kMiniBatch)
@@ -23,7 +22,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "scenario/attack.h"
 #include "scenario/scenario.h"
@@ -35,7 +33,6 @@ int main(int argc, char** argv) {
   size_t threads = 0;
   bool incremental = false;
   bool attack = false;
-  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--reports=", 0) == 0) {
@@ -46,12 +43,10 @@ int main(int argc, char** argv) {
       incremental = true;
     } else if (arg == "--attack") {
       attack = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
     } else {
       fprintf(stderr,
               "usage: scenario_throughput [--reports=N] [--threads=W]"
-              " [--incremental] [--attack] [--json=FILE]\n");
+              " [--incremental] [--attack]\n");
       return 2;
     }
   }
@@ -77,13 +72,6 @@ int main(int argc, char** argv) {
            1000.0 * static_cast<double>(result.total_reports) / ms);
   }
 
-  struct AtkRow {
-    std::string name;
-    uint64_t n = 0;
-    double seconds = 0.0;
-    double gain = 0.0;
-  };
-  std::vector<AtkRow> atk_rows;
   if (attack) {
     // Poisoned collection end to end: perturb + craft + shard merge +
     // debias + norm-sub + consistency scan. The gain/def columns make the
@@ -108,13 +96,6 @@ int main(int argc, char** argv) {
       const auto end = std::chrono::steady_clock::now();
       const double seconds =
           std::chrono::duration<double>(end - start).count();
-      AtkRow row;
-      row.name = std::string("ATK_poison_") +
-                 std::string(FoChannelName(channel));
-      row.n = config.n;
-      row.seconds = seconds;
-      row.gain = result.target_gain;
-      atk_rows.push_back(row);
       printf("%-10s %10llu %12.1f %14.0f %10.4f %9s\n",
              std::string(FoChannelName(channel)).c_str(),
              static_cast<unsigned long long>(config.n), seconds * 1000.0,
@@ -133,44 +114,13 @@ int main(int argc, char** argv) {
       const auto end = std::chrono::steady_clock::now();
       const double seconds =
           std::chrono::duration<double>(end - start).count();
-      AtkRow row;
-      row.name = "ATK_scenario_poison";
-      row.n = result.total_reports;
-      row.seconds = seconds;
-      row.gain = result.checkpoints.back().atk_gain;
-      atk_rows.push_back(row);
+      const uint64_t n = result.total_reports;
       printf("%-10s %10llu %12.1f %14.0f %10.4f %9s\n", "sw-poison",
-             static_cast<unsigned long long>(row.n), seconds * 1000.0,
-             static_cast<double>(row.n) / seconds, row.gain,
+             static_cast<unsigned long long>(n), seconds * 1000.0,
+             static_cast<double>(n) / seconds,
+             result.checkpoints.back().atk_gain,
              result.checkpoints.back().def_flagged ? "yes" : "no");
     }
-  }
-
-  if (!json_path.empty()) {
-    // google-benchmark JSON shape, so tools/compare_bench.py can diff this
-    // file against artifacts and the committed fallback baseline.
-    FILE* out = fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-      fprintf(stderr, "cannot write '%s'\n", json_path.c_str());
-      return 1;
-    }
-    fprintf(out, "{\n \"context\": {\"executable\": \"scenario_throughput\"},"
-                 "\n \"benchmarks\": [\n");
-    for (size_t i = 0; i < atk_rows.size(); ++i) {
-      const AtkRow& r = atk_rows[i];
-      const double ns_per_report =
-          r.seconds * 1e9 / static_cast<double>(r.n);
-      fprintf(out,
-              "%s  {\"name\": \"%s\", \"run_name\": \"%s\", "
-              "\"run_type\": \"iteration\", \"iterations\": 1, "
-              "\"real_time\": %.3f, \"cpu_time\": %.3f, "
-              "\"time_unit\": \"ns\", \"items_per_second\": %.3f}",
-              i == 0 ? "" : ",\n", r.name.c_str(), r.name.c_str(),
-              ns_per_report, ns_per_report,
-              static_cast<double>(r.n) / r.seconds);
-    }
-    fprintf(out, "\n ]\n}\n");
-    fclose(out);
   }
 
   if (incremental) {

@@ -13,7 +13,7 @@
 // nothing fails — shared-runner noise must not gate merges).
 //
 //   wire_throughput [--n=N] [--d=D] [--methods=a,b,...] [--shard-size=K]
-//                   [--fuzz] [--json=FILE]
+//                   [--fuzz] [--wal]
 //
 // --fuzz appends the hostile-input table: seeded ByteMutator corruption
 // (common/mutator.h, the same mutants tests/fuzz_wire_test.cc drives)
@@ -21,14 +21,13 @@
 // — the rejection path is hot on any internet-facing collector, so its
 // throughput is tracked like the happy path's.
 //
-// --wal appends the durability table (serve/wal.h): WAL_append is the
-// write path (accepted report frames appended as CRC-framed records) and
-// WAL_replay the crash-recovery path (the same log replayed into a fresh
+// --wal appends the durability table (serve/wal.h): append is the write
+// path (accepted report frames appended as CRC-framed records) and replay
+// the crash-recovery path (the same log replayed into a fresh
 // CollectorSession), both in reports/s — recovery time bounds restart
 // downtime, so it is tracked like serving throughput.
 //
-// --json writes the FUZZ_/WAL_ series in google-benchmark shape for
-// tools/compare_bench.py.
+// Any codec, merge or WAL-replay error exits 1.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -63,7 +62,6 @@ int main(int argc, char** argv) {
   size_t shard_size = 8192;
   bool fuzz = false;
   bool wal = false;
-  std::string json_path;
   std::string methods = "sw-ems,cfo-olh-1024,cfo-grr-16,hh";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -79,13 +77,10 @@ int main(int argc, char** argv) {
       fuzz = true;
     } else if (arg == "--wal") {
       wal = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
     } else {
       fprintf(stderr,
               "usage: wire_throughput [--n=N] [--d=D] [--methods=a,b,...]\n"
-              "                       [--shard-size=K] [--fuzz] [--wal]"
-              " [--json=FILE]\n");
+              "                       [--shard-size=K] [--fuzz] [--wal]\n");
       return 2;
     }
   }
@@ -219,15 +214,6 @@ int main(int argc, char** argv) {
            "not part of this run; the 1M reports/s radar did not fire\n");
   }
 
-  // One JSON series entry: items/s with the series-prefixed name
-  // (FUZZ_* = mutants/s, WAL_* = reports/s).
-  struct JsonRow {
-    std::string name;
-    size_t items = 0;
-    double seconds = 0.0;
-  };
-  std::vector<JsonRow> json_rows;
-
   if (fuzz) {
     // Hostile-input rejection throughput: a representative report and
     // sketch frame (OLH, the wire acceptance method), corrupted by the
@@ -258,8 +244,8 @@ int main(int argc, char** argv) {
       std::string name;
       const std::string* base;
     };
-    const Surface surfaces[] = {{"FUZZ_report", &report_frame},
-                                {"FUZZ_sketch", &sketch_frame}};
+    const Surface surfaces[] = {{"report", &report_frame},
+                                {"sketch", &sketch_frame}};
     for (const Surface& surface : surfaces) {
       ByteMutator mutator(0x9E3779B97F4A7C15ULL);
       size_t rejected = 0;
@@ -279,7 +265,6 @@ int main(int argc, char** argv) {
       const double seconds = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - start)
                                  .count();
-      json_rows.push_back({surface.name, mutants, seconds});
       printf("%-14s %10zu %12.1f %14.0f %10zu\n", surface.name.c_str(),
              mutants, seconds * 1000.0,
              static_cast<double>(mutants) / seconds, rejected);
@@ -288,10 +273,10 @@ int main(int argc, char** argv) {
 
   if (wal) {
     // Durability throughput: the same accepted report frames a serving
-    // collector would log, appended to a fresh WAL (WAL_append, the write
-    // path the collector pays per accepted frame) and then replayed into a
-    // fresh CollectorSession (WAL_replay, the restart path whose rate
-    // bounds crash-recovery downtime).
+    // collector would log, appended to a fresh WAL (append, the write path
+    // the collector pays per accepted frame) and then replayed into a
+    // fresh CollectorSession (replay, the restart path whose rate bounds
+    // crash-recovery downtime).
     const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 64).ValueOrDie();
     const auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
     const size_t num_shards = (values.size() + shard_size - 1) / shard_size;
@@ -346,8 +331,7 @@ int main(int argc, char** argv) {
                                 std::chrono::steady_clock::now() -
                                 append_start)
                                 .count();
-    json_rows.push_back({"WAL_append", wal_reports, append_s});
-    printf("%-14s %10llu %12.1f %14.0f\n", "WAL_append",
+    printf("%-14s %10llu %12.1f %14.0f\n", "append",
            static_cast<unsigned long long>(wal_reports), append_s * 1000.0,
            static_cast<double>(wal_reports) / append_s);
 
@@ -369,38 +353,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(wal_reports));
       return 1;
     }
-    json_rows.push_back({"WAL_replay", wal_reports, replay_s});
-    printf("%-14s %10llu %12.1f %14.0f\n", "WAL_replay",
+    printf("%-14s %10llu %12.1f %14.0f\n", "replay",
            static_cast<unsigned long long>(wal_reports), replay_s * 1000.0,
            static_cast<double>(wal_reports) / replay_s);
     std::filesystem::remove_all(wal_path);
   }
 
-  if (!json_path.empty()) {
-    // google-benchmark JSON shape, so tools/compare_bench.py can diff this
-    // file against artifacts and the committed fallback baseline.
-    FILE* out = fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-      fprintf(stderr, "cannot write '%s'\n", json_path.c_str());
-      return 1;
-    }
-    fprintf(out, "{\n \"context\": {\"executable\": \"wire_throughput\"},\n"
-                 " \"benchmarks\": [\n");
-    for (size_t i = 0; i < json_rows.size(); ++i) {
-      const JsonRow& r = json_rows[i];
-      const double ns_per_item =
-          r.seconds * 1e9 / static_cast<double>(r.items);
-      fprintf(out,
-              "%s  {\"name\": \"%s\", \"run_name\": \"%s\", "
-              "\"run_type\": \"iteration\", \"iterations\": 1, "
-              "\"real_time\": %.3f, \"cpu_time\": %.3f, "
-              "\"time_unit\": \"ns\", \"items_per_second\": %.3f}",
-              i == 0 ? "" : ",\n", r.name.c_str(), r.name.c_str(),
-              ns_per_item, ns_per_item,
-              static_cast<double>(r.items) / r.seconds);
-    }
-    fprintf(out, "\n ]\n}\n");
-    fclose(out);
-  }
   return 0;
 }

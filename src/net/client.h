@@ -2,7 +2,7 @@
 // Opens N non-blocking connections to one collector endpoint and
 // round-robins frames across them, buffering per connection and flushing
 // via EPOLLOUT readiness — one thread drives thousands of connections,
-// which is how report_client --connections and bench/net_throughput put a
+// which is how report_client --connections and net_test's fan-in case put a
 // 10k-connection load on a collector without 10k threads.
 //
 // Frame order across connections is intentionally unspecified: the

@@ -4,9 +4,9 @@
 // connection attempt: "on attempt 0, RST the connection after 1 337 bytes;
 // on attempt 1, split the write crossing byte 4 096 and delay 5 ms". The
 // plan is pure data — building one touches no sockets — so the SAME plan
-// can drive an in-process test (tests/fault_test.cc), a client process
-// (report_client --fault-resets), and a bench series (net_throughput
-// --faults), and every run replays the identical fault sequence.
+// can drive in-process tests (tests/fault_test.cc, tests/net_test.cc)
+// and a client process (report_client --fault-resets, which the chaos
+// tier runs), and every run replays the identical fault sequence.
 //
 // Faults are injected on the SENDING side, where byte offsets are exact:
 // a receiver cannot know which syscall boundaries the sender used, but the

@@ -30,9 +30,9 @@
 // runs bit-identical to builds without this header).
 //
 // RunFoAttack is the self-contained categorical-channel harness behind
-// `scenario_cli --attack` and the ATK_ bench series: an n-user sharded
-// GRR/OLH/OUE collection with a malicious cohort, scored against the
-// honest cohort's exact histogram and run through the
+// `scenario_cli --attack` and `scenario_throughput --attack`: an n-user
+// sharded GRR/OLH/OUE collection with a malicious cohort, scored against
+// the honest cohort's exact histogram and run through the
 // postprocess/defense.h consistency detectors.
 #pragma once
 

@@ -3,8 +3,11 @@
 //    trigger), and WriteFrame emits prefix+body as one stream write,
 //  - CollectorServer multiplexes many connections into an aggregate that
 //    is byte-identical to a sequential single-session run for any
-//    connection count, frame distribution, or drain path, and survives
-//    hostile clients losing only their own connection,
+//    connection count (up to 10 000, clamped to the fd limit), frame
+//    distribution, or drain path, and survives hostile clients losing
+//    only their own connection,
+//  - a RetrySender delivers every frame exactly once, cleanly and through
+//    a seeded script of connection resets that all fire,
 //  - an already-open stream (a pipe, a regular file epoll refuses,
 //    /dev/null) served as a connection is byte-identical too, acks its
 //    sequenced frames on its own sink, and fails typed when cut mid-frame,
@@ -16,11 +19,14 @@
 
 #include <gtest/gtest.h>
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -32,6 +38,8 @@
 #include "common/rng.h"
 #include "data/datasets.h"
 #include "net/client.h"
+#include "net/fault.h"
+#include "net/retry.h"
 #include "net/socket.h"
 #include "protocol/sharded.h"
 #include "serve/collector.h"
@@ -207,17 +215,51 @@ std::string ServeOverConnections(const NetFixture& fx, size_t connections,
   return server->EncodeSketch().ValueOrDie();
 }
 
+void ExpectByteIdenticalOverConnections(const NetFixture& fx,
+                                        size_t connections) {
+  net::ServerStats stats;
+  const std::string sketch = ServeOverConnections(fx, connections, {}, &stats);
+  EXPECT_EQ(sketch, fx.reference_sketch) << connections << " connections";
+  EXPECT_EQ(stats.connections_accepted, connections);
+  EXPECT_EQ(stats.frames_absorbed, fx.frames.size());
+  EXPECT_EQ(stats.connection_errors, 0u);
+}
+
+// Both ends of every loopback connection live in this process: one fd per
+// side, plus slack for the listener, epoll, eventfds and stdio. Raises the
+// soft RLIMIT_NOFILE to the hard limit, then returns how many connections
+// fit under it.
+size_t MaxLoopbackConnections() {
+  rlimit rl{};
+  if (getrlimit(RLIMIT_NOFILE, &rl) == 0 && rl.rlim_cur < rl.rlim_max) {
+    rl.rlim_cur = rl.rlim_max;
+    setrlimit(RLIMIT_NOFILE, &rl);
+  }
+  EXPECT_EQ(getrlimit(RLIMIT_NOFILE, &rl), 0);
+  return (static_cast<size_t>(rl.rlim_cur) - 64) / 2;
+}
+
 TEST(CollectorServerTest, AnyConnectionCountIsByteIdentical) {
   const NetFixture fx = MakeNetFixture(6000, 256);
   for (size_t connections : {size_t{1}, size_t{2}, size_t{3}, size_t{16}}) {
-    net::ServerStats stats;
-    const std::string sketch =
-        ServeOverConnections(fx, connections, {}, &stats);
-    EXPECT_EQ(sketch, fx.reference_sketch)
-        << connections << " connections";
-    EXPECT_EQ(stats.connections_accepted, connections);
-    EXPECT_EQ(stats.frames_absorbed, fx.frames.size());
-    EXPECT_EQ(stats.connection_errors, 0u);
+    ExpectByteIdenticalOverConnections(fx, connections);
+  }
+  // Fan-in: 1000 connections, and 10 000 clamped to the fd limit. The
+  // frames are small and two per connection, so every connection carries
+  // traffic (MultiSender round-robins).
+  const size_t max_connections = MaxLoopbackConnections();
+  constexpr size_t kFanInShard = 16;
+  for (const size_t requested : {size_t{1000}, size_t{10000}}) {
+    const size_t connections = std::min(requested, max_connections);
+    if (connections < requested) {
+      printf("# NOTE: clamping %zu connections to %zu (RLIMIT_NOFILE)\n",
+             requested, connections);
+    }
+    SCOPED_TRACE(std::to_string(connections) + " connections");
+    const NetFixture fan_in =
+        MakeNetFixture(2 * connections * kFanInShard, kFanInShard);
+    ASSERT_EQ(fan_in.frames.size(), 2 * connections);
+    ExpectByteIdenticalOverConnections(fan_in, connections);
   }
 }
 
@@ -473,6 +515,62 @@ TEST(CollectorServerTest, SketchFramesMergeOverTheListener) {
   ASSERT_TRUE(run_status.ok()) << run_status.message();
   EXPECT_EQ(server->num_reports(), fx.total_reports);
   EXPECT_EQ(server->EncodeSketch().ValueOrDie(), fx.reference_sketch);
+}
+
+// ---------------------------------------------------------------------------
+// RetrySender into a CollectorServer: sequence stamps, acks, retransmits
+
+// Sends fx's frames through one RetrySender to a fresh server, drains it,
+// checks exactly-once delivery against the single-session reference, and
+// returns the sender's stats.
+net::RetryStats ExpectRetrySenderExactlyOnce(const NetFixture& fx,
+                                             const net::FaultPlan* faults) {
+  auto server = net::CollectorServer::Make(fx.spec).ValueOrDie();
+  const net::Endpoint bound =
+      server->AddListener(net::ParseEndpoint("tcp:0").ValueOrDie())
+          .ValueOrDie();
+  Status run_status;
+  std::thread serving([&] { run_status = server->Run(); });
+  net::RetryOptions options;
+  options.base_backoff_ms = 1;
+  options.max_backoff_ms = 20;
+  options.faults = faults;
+  auto sender = net::RetrySender::Make({bound}, options).ValueOrDie();
+  for (const std::string& frame : fx.frames) {
+    const Status sent = sender.Send(frame);
+    EXPECT_TRUE(sent.ok()) << sent.ToString();
+  }
+  const Status finished = sender.Finish();
+  EXPECT_TRUE(finished.ok()) << finished.ToString();
+  EXPECT_EQ(sender.unacked(), 0u);
+  server->RequestDrain();
+  serving.join();
+  EXPECT_TRUE(run_status.ok()) << run_status.ToString();
+  EXPECT_EQ(server->num_reports(), fx.total_reports);
+  EXPECT_EQ(server->EncodeSketch().ValueOrDie(), fx.reference_sketch);
+  return sender.stats();
+}
+
+TEST(RetrySenderTest, ExactlyOnceCleanAndThroughScriptedResets) {
+  const NetFixture fx = MakeNetFixture(20000, 100);
+  {
+    SCOPED_TRACE("clean");
+    const net::RetryStats stats = ExpectRetrySenderExactlyOnce(fx, nullptr);
+    EXPECT_EQ(stats.frames, fx.frames.size());
+    EXPECT_EQ(stats.injected_faults, 0u);
+  }
+  {
+    // Attempts 0-2 reset at seeded offsets below 4 KiB; attempt 3 is
+    // clean. Each reconnect retransmits the whole unacked window, so a
+    // frame the server absorbed but had not acked arrives again and must
+    // dedup.
+    SCOPED_TRACE("3 scripted resets, seed 17");
+    const net::FaultPlan plan = net::FaultPlan::Resets(17, 3, 4096);
+    const net::RetryStats stats = ExpectRetrySenderExactlyOnce(fx, &plan);
+    EXPECT_EQ(stats.frames, fx.frames.size());
+    EXPECT_EQ(stats.injected_faults, 3u) << "the fault plan did not fire";
+    EXPECT_GE(stats.reconnects, 3u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -112,8 +112,7 @@ struct CliFlags {
   // on both knobs leaves estimation off entirely.
   uint64_t estimate_every_frames = 0;  // tick after N newly absorbed frames
   int64_t estimate_every_ms = 0;       // ...and/or every T milliseconds
-  std::string estimate_mode = "warm";  // warm | minibatch
-  double estimate_half_life = 0.0;     // minibatch forgetting (reports)
+  double estimate_half_life = 0.0;     // > 0: minibatch forgetting (reports)
   size_t estimate_max_iterations = 0;  // per-tick EM budget (0 = default)
   std::string estimate_out;            // snapshot-frame stream per tick
   // Durability (serve/wal.h): replay the log before serving, append every
@@ -157,8 +156,8 @@ void Usage() {
           "       --tenant-budget=ID:MAX_REPORTS[:MAX_EPSILON][,...]\n"
           "live estimation (listen mode, sw-ems/sw-em only):\n"
           "       --estimate-every-frames=N and/or --estimate-every-ms=T\n"
-          "       [--estimate-mode=warm|minibatch]\n"
-          "       [--estimate-half-life=R] [--estimate-max-iterations=K]\n"
+          "       [--estimate-half-life=R]   (R > 0: mini-batch window)\n"
+          "       [--estimate-max-iterations=K]\n"
           "       [--estimate-out=FILE]   (snapshot frame per tick)\n"
           "methods: sw-ems sw-em cfo-<bins> cfo-grr-<bins> cfo-olh-<bins>\n"
           "         cfo-oue-<bins> hh hh-admm haar-hrr\n");
@@ -193,8 +192,6 @@ bool ParseCli(int argc, char** argv, CliFlags* flags) {
       flags->estimate_every_frames = static_cast<uint64_t>(atoll(v));
     } else if (const char* v = FlagValue(arg, "--estimate-every-ms=")) {
       flags->estimate_every_ms = atoll(v);
-    } else if (const char* v = FlagValue(arg, "--estimate-mode=")) {
-      flags->estimate_mode = v;
     } else if (const char* v = FlagValue(arg, "--estimate-half-life=")) {
       flags->estimate_half_life = atof(v);
     } else if (const char* v = FlagValue(arg, "--estimate-max-iterations=")) {
@@ -266,24 +263,16 @@ bool ParseCli(int argc, char** argv, CliFlags* flags) {
     return false;
   }
   if (!estimating &&
-      (!flags->estimate_out.empty() || flags->estimate_half_life > 0.0 ||
-       flags->estimate_max_iterations > 0 || flags->estimate_mode != "warm")) {
+      (!flags->estimate_out.empty() || flags->estimate_half_life != 0.0 ||
+       flags->estimate_max_iterations > 0)) {
     fprintf(stderr,
             "estimate flags need a cadence (--estimate-every-frames "
             "and/or --estimate-every-ms)\n");
     return false;
   }
-  if (flags->estimate_mode != "warm" && flags->estimate_mode != "minibatch") {
-    fprintf(stderr, "--estimate-mode must be 'warm' or 'minibatch'\n");
-    return false;
-  }
-  if (flags->estimate_mode == "minibatch" &&
-      !(flags->estimate_half_life > 0.0)) {
-    fprintf(stderr, "--estimate-mode=minibatch needs --estimate-half-life\n");
-    return false;
-  }
-  if (flags->estimate_mode == "warm" && flags->estimate_half_life > 0.0) {
-    fprintf(stderr, "--estimate-half-life needs --estimate-mode=minibatch\n");
+  if (!std::isfinite(flags->estimate_half_life) ||
+      flags->estimate_half_life < 0.0) {
+    fprintf(stderr, "--estimate-half-life must be a finite R >= 0\n");
     return false;
   }
   return true;
@@ -614,9 +603,7 @@ int RunServer(const CliFlags& flags, const wire::MethodSpec& spec,
   options.drain_on_disconnect = flags.standby || stdio;
   options.estimate_every_frames = flags.estimate_every_frames;
   options.estimate_every_ms = flags.estimate_every_ms;
-  if (flags.estimate_mode == "minibatch") {
-    options.estimate_half_life = flags.estimate_half_life;
-  }
+  options.estimate_half_life = flags.estimate_half_life;
   options.estimate_max_iterations = flags.estimate_max_iterations;
   auto est = std::make_shared<EstimateSinkState>();
   const bool estimating =
@@ -693,7 +680,7 @@ int RunServer(const CliFlags& flags, const wire::MethodSpec& spec,
   if (estimating) {
     fprintf(stderr, "live estimation: %llu tick(s) (%s mode)\n",
             static_cast<unsigned long long>(stats.estimate_ticks),
-            flags.estimate_mode.c_str());
+            flags.estimate_half_life > 0.0 ? "minibatch" : "warm");
   }
 
   if (flags.merge_listen) {
