@@ -1,7 +1,8 @@
 // Endian-stable byte IO: the primitives every wire layout in the library is
 // built from. All multi-byte integers are little-endian on the wire
-// regardless of host order; doubles travel as their IEEE-754 bit pattern
-// (exact — encode/decode round-trips are bit-identical, never lossy).
+// regardless of host order; a double travels as its IEEE-754 bit pattern
+// in a u64 (exact — encode/decode round-trips are bit-identical, never
+// lossy).
 //
 // ByteWriter appends to a caller-owned std::string; ByteReader consumes a
 // read-only byte span with strict bounds checking — every underflow is a
@@ -29,15 +30,15 @@ class ByteWriter {
   void PutU32(uint32_t v) { PutLittleEndian(v); }
   void PutU64(uint64_t v) { PutLittleEndian(v); }
   void PutI64(int64_t v) { PutLittleEndian(static_cast<uint64_t>(v)); }
-  /// Writes the IEEE-754 bit pattern (exact round-trip).
-  void PutF64(double v) {
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    PutU64(bits);
-  }
   void PutBytes(const void* data, size_t len) {
     out_->append(static_cast<const char*>(data), len);
+  }
+  /// Appends `len` bytes for the caller to fill in place; the pointer is
+  /// valid until the next write.
+  uint8_t* Extend(size_t len) {
+    const size_t at = out_->size();
+    out_->resize(at + len);
+    return reinterpret_cast<uint8_t*>(out_->data() + at);
   }
 
  private:
@@ -81,19 +82,18 @@ class ByteReader {
     if (!v.ok()) return v.status();
     return static_cast<int64_t>(*v);
   }
-  /// Reads an IEEE-754 bit pattern written by ByteWriter::PutF64.
-  Result<double> F64() {
-    Result<uint64_t> bits = U64();
-    if (!bits.ok()) return bits.status();
-    double v = 0.0;
-    std::memcpy(&v, &*bits, sizeof(v));
-    return v;
-  }
   Status Bytes(void* dst, size_t len) {
     NUMDIST_RETURN_NOT_OK(Require(len));
     std::memcpy(dst, data_.data() + pos_, len);
     pos_ += len;
     return Status::OK();
+  }
+  /// The next `len` bytes, borrowed from the underlying buffer (no copy).
+  Result<std::span<const uint8_t>> View(size_t len) {
+    NUMDIST_RETURN_NOT_OK(Require(len));
+    const std::span<const uint8_t> view = data_.subspan(pos_, len);
+    pos_ += len;
+    return view;
   }
 
  private:

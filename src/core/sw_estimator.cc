@@ -98,11 +98,43 @@ void SwEstimator::PerturbBatch(std::span<const double> values, Rng& rng,
     return;
   }
   constexpr size_t kChunk = 512;
-  uint32_t buckets[kChunk];
   uint32_t reports[kChunk];
+  for (size_t i = 0; i < values.size(); i += kChunk) {
+    const size_t m = std::min(kChunk, values.size() - i);
+    PerturbDiscrete(values.subspan(i, m), rng, reports);
+    for (size_t k = 0; k < m; ++k) {
+      (*out)[i + k] = static_cast<double>(reports[k]);
+    }
+  }
+}
+
+void SwEstimator::PerturbBatchToBuckets(std::span<const double> values,
+                                        Rng& rng, uint32_t* out) const {
+  if (options_.pipeline ==
+      SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize) {
+    PerturbDiscrete(values, rng, out);
+    return;
+  }
+  // The reports of one chunk live on the stack. Uniform draws are
+  // sequential, so chunking leaves the stream exactly as one
+  // SquareWave::PerturbBatch over the whole span would.
+  constexpr size_t kChunk = 512;
+  double reports[kChunk];
+  for (size_t i = 0; i < values.size(); i += kChunk) {
+    const size_t m = std::min(kChunk, values.size() - i);
+    sw_.PerturbBatch(values.subspan(i, m), rng, reports);
+    for (size_t k = 0; k < m; ++k) {
+      out[i + k] = static_cast<uint32_t>(OutputBucketOf(reports[k]));
+    }
+  }
+}
+
+void SwEstimator::PerturbDiscrete(std::span<const double> values, Rng& rng,
+                                  uint32_t* out) const {
+  constexpr size_t kChunk = 512;
+  uint32_t buckets[kChunk];
   const double d_scale = static_cast<double>(options_.d);
-  size_t i = 0;
-  while (i < values.size()) {
+  for (size_t i = 0; i < values.size(); i += kChunk) {
     const size_t m = std::min(kChunk, values.size() - i);
     for (size_t k = 0; k < m; ++k) {
       const double v = values[i + k];
@@ -110,11 +142,7 @@ void SwEstimator::PerturbBatch(std::span<const double> values, Rng& rng,
       buckets[k] = static_cast<uint32_t>(
           std::min<size_t>(static_cast<size_t>(v * d_scale), options_.d - 1));
     }
-    dsw_.PerturbBatch(std::span<const uint32_t>(buckets, m), rng, reports);
-    for (size_t k = 0; k < m; ++k) {
-      (*out)[i + k] = static_cast<double>(reports[k]);
-    }
-    i += m;
+    dsw_.PerturbBatch(std::span<const uint32_t>(buckets, m), rng, out + i);
   }
 }
 

@@ -72,12 +72,21 @@ class SwEstimator {
   void PerturbBatch(std::span<const double> values, Rng& rng,
                     std::vector<double>* out) const;
 
+  /// Bulk client encode straight to output buckets: out[i] is
+  /// OutputBucketOf the report PerturbBatch draws for values[i] from the
+  /// same stream, so counting `out` equals Aggregate over PerturbBatch's
+  /// reports. Bucketizing an eps-LDP report is post-processing; this is
+  /// what SW report frames carry. `out` holds values.size() entries.
+  void PerturbBatchToBuckets(std::span<const double> values, Rng& rng,
+                             uint32_t* out) const;
+
   /// Server-side: histogram of raw reports over the output buckets.
   std::vector<uint64_t> Aggregate(const std::vector<double>& reports) const;
 
-  /// Server-side: output bucket index of a single report — the O(1)
-  /// per-report primitive behind Aggregate, used by streaming ingestion
-  /// (eval/streaming.h) so one report never allocates a histogram.
+  /// Output bucket index of a single report — the O(1) per-report
+  /// primitive behind Aggregate and PerturbBatchToBuckets, used by
+  /// streaming ingestion (eval/streaming.h) so one report never allocates
+  /// a histogram.
   size_t OutputBucketOf(double report) const;
 
   /// Server-side: reconstructs the d-bucket input distribution from
@@ -120,6 +129,11 @@ class SwEstimator {
   SwEstimator(SwEstimatorOptions options, SquareWave sw,
               DiscreteSquareWave dsw, SlidingWindowObservationModel model,
               EmOptions em_options);
+
+  /// The discrete pipeline's bulk encode: bucketizes each input into one
+  /// of d buckets and randomizes it; the report is its output bucket.
+  void PerturbDiscrete(std::span<const double> values, Rng& rng,
+                       uint32_t* out) const;
 
   SwEstimatorOptions options_;
   SquareWave sw_;           // used by the continuous pipeline

@@ -25,10 +25,11 @@ Status Errno(const char* what) {
                           std::strerror(errno) + ")");
 }
 
-// Most bytes read from one connection in one reactor round (fairness: one
-// fast client cannot starve 10k slow ones). The round absorbs all of it
-// before the next epoll_wait, which is the server's only throttle.
-constexpr size_t kReadChunk = 256u << 10;
+// Bytes one connection's single read of a reactor round may return
+// (fairness: one fast client cannot starve 10k slow ones). The round
+// absorbs all of it before the next epoll_wait, which is the server's
+// only throttle.
+constexpr size_t kReadChunk = 64u << 10;
 
 // Frames per replication write. A standby running with send_acks on acks
 // each sequenced frame it is sent (a few dozen bytes each) and those acks
@@ -269,50 +270,44 @@ Status CollectorServer::HandleAccept(Listener* listener) {
 
 void CollectorServer::HandleReadable(Connection* conn) {
   if (conn->closed) return;
-  char buf[64 * 1024];
-  size_t budget = kReadChunk;
-  while (budget > 0) {
-    const size_t want = std::min(sizeof(buf), budget);
-    const ssize_t got = read(conn->fd.get(), buf, want);
-    if (got < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
+  // Exactly one read per connection per round: a stream may be blocking,
+  // and a second read could stall the loop while its client waits for an
+  // ack.
+  char buf[kReadChunk];
+  ssize_t got;
+  do {
+    got = read(conn->fd.get(), buf, sizeof(buf));
+  } while (got < 0 && errno == EINTR);
+  if (got < 0) {
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
       FailConnection(conn, Errno("read"));
-      return;
     }
-    if (got == 0) {
-      // Peer finished. A clean frame boundary is a completed stream; a
-      // mid-frame cut is the typed error, and costs only this connection.
-      const Status end = conn->decoder.AtEnd();
-      if (end.ok()) {
-        CloseConnection(conn);
-      } else {
-        FailConnection(conn, end);
-      }
-      return;
+    return;
+  }
+  if (got == 0) {
+    // Peer finished. A clean frame boundary is a completed stream; a
+    // mid-frame cut is the typed error, and costs only this connection.
+    const Status end = conn->decoder.AtEnd();
+    if (end.ok()) {
+      CloseConnection(conn);
+    } else {
+      FailConnection(conn, end);
     }
-    budget -= static_cast<size_t>(got);
-    stats_.bytes_received += static_cast<uint64_t>(got);
-    if (options_.read_timeout_ms > 0) conn->last_read = Clock::now();
-    const Status fed =
-        conn->decoder.Feed(std::string_view(buf, static_cast<size_t>(got)));
-    if (!fed.ok()) {
-      FailConnection(conn, fed);
-      return;
-    }
-    std::string frame;
-    while (conn->decoder.Next(&frame)) {
-      pending_.push_back({conn, std::move(frame),
-                          options_.record_latency ? Clock::now()
-                                                  : Clock::time_point()});
-    }
-    if (got < static_cast<ssize_t>(want)) break;  // socket drained
-    // A stream is read once per round. A polled one may be blocking, so a
-    // second read could stall the loop while its client waits for an ack;
-    // an unpolled one (a file) then hands each batch one read's worth of
-    // frames, whose buffers the allocator recycles instead of returning
-    // to the OS every round.
-    if (conn->out_fd.valid()) break;
+    return;
+  }
+  stats_.bytes_received += static_cast<uint64_t>(got);
+  if (options_.read_timeout_ms > 0) conn->last_read = Clock::now();
+  const Status fed =
+      conn->decoder.Feed(std::string_view(buf, static_cast<size_t>(got)));
+  if (!fed.ok()) {
+    FailConnection(conn, fed);
+    return;
+  }
+  std::string frame;
+  while (conn->decoder.Next(&frame)) {
+    pending_.push_back({conn, std::move(frame),
+                        options_.record_latency ? Clock::now()
+                                                : Clock::time_point()});
   }
 }
 

@@ -7,7 +7,7 @@
 //
 // Ingestion pipeline, per reactor round:
 //
-//   epoll_wait ─▶ accept / read ready connections (bounded bytes per round)
+//   epoll_wait ─▶ accept / read ready connections (one read each)
 //              ─▶ FrameDecoder reassembles u32-prefixed frames incrementally
 //              ─▶ completed frames queue as one batch
 //              ─▶ Executor::Shared().ParallelFor absorbs the batch into
@@ -29,12 +29,12 @@
 // (tests/net_test.cc in-process, tests/net_process_test.cc across real
 // TCP connections and processes).
 //
-// Backpressure: a round reads at most one 256 KiB chunk per connection
-// and absorbs all of it before the next epoll_wait. While the round
-// absorbs, the kernel socket buffer fills and TCP flow control holds the
-// sender back. Memory is bounded the same way: one round holds at most
-// one read chunk, plus one partial frame of at most serve::kMaxFrameBytes,
-// per readable connection.
+// Backpressure: a round makes exactly one read of at most 64 KiB per
+// readable connection and absorbs all of it before the next epoll_wait.
+// While the round absorbs, the kernel socket buffer fills and TCP flow
+// control holds the sender back. Memory is bounded the same way: one
+// round holds at most one read, plus one partial frame of at most
+// serve::kMaxFrameBytes, per readable connection.
 //
 // Drain/shutdown: RequestDrain (async-signal-safe — SIGTERM handlers call
 // it directly) closes the listeners, lets every open connection finish its

@@ -21,6 +21,18 @@ Status Errno(const std::string& what) {
                           std::strerror(errno) + ")");
 }
 
+// Sends each write at once. The library already batches its writes (one
+// send per frame, one write of acks per round), so Nagle's algorithm
+// would only hold a small frame or ack back until the peer acknowledges
+// the previous segment.
+Status SetNoDelay(int fd) {
+  const int one = 1;
+  if (setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) < 0) {
+    return Errno("setsockopt(TCP_NODELAY)");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 void Fd::reset(int fd) {
@@ -128,6 +140,8 @@ Result<Fd> ListenOn(const Endpoint& endpoint, int backlog) {
         0) {
       return Errno("setsockopt(SO_REUSEADDR)");
     }
+    // Accepted sockets inherit it from the listener.
+    NUMDIST_RETURN_NOT_OK(SetNoDelay(fd.get()));
   } else {
     ::unlink(endpoint.path.c_str());  // stale socket file from a dead run
   }
@@ -172,6 +186,9 @@ Result<Fd> Dial(const Endpoint& endpoint) {
       endpoint.kind == Endpoint::Kind::kUnix ? AF_UNIX : AF_INET;
   Fd fd(socket(family, SOCK_STREAM | SOCK_CLOEXEC, 0));
   if (!fd.valid()) return Errno("socket");
+  if (endpoint.kind == Endpoint::Kind::kTcp) {
+    NUMDIST_RETURN_NOT_OK(SetNoDelay(fd.get()));
+  }
   sockaddr_storage addr;
   socklen_t addr_len = 0;
   NUMDIST_RETURN_NOT_OK(FillSockaddr(endpoint, /*for_listen=*/false, &addr,

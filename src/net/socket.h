@@ -74,15 +74,17 @@ Result<Endpoint> ParseEndpoint(std::string_view spec);
 std::string EndpointName(const Endpoint& endpoint);
 
 /// Creates a non-blocking listening socket on `endpoint`. TCP listeners
-/// set SO_REUSEADDR; Unix listeners unlink a stale socket file first (two
-/// live listeners on one path is a deployment error the bind still
-/// catches). Use LocalEndpoint to learn the bound port when it was 0.
+/// set SO_REUSEADDR and TCP_NODELAY (which accepted sockets inherit);
+/// Unix listeners unlink a stale socket file first (two live listeners on
+/// one path is a deployment error the bind still catches). Use
+/// LocalEndpoint to learn the bound port when it was 0.
 Result<Fd> ListenOn(const Endpoint& endpoint, int backlog = 512);
 
 /// The address a bound socket actually listens on (resolves port 0).
 Result<Endpoint> LocalEndpoint(int fd, Endpoint::Kind kind);
 
-/// Blocking connect to `endpoint`; the returned fd is blocking.
+/// Blocking connect to `endpoint`; the returned fd is blocking, and a TCP
+/// one has TCP_NODELAY set.
 Result<Fd> Dial(const Endpoint& endpoint);
 
 /// Switches an fd to non-blocking mode.

@@ -1,26 +1,78 @@
 #include "protocol/sw_protocol.h"
 
-#include <cmath>
+#include <algorithm>
+#include <span>
 #include <utility>
 
 namespace numdist {
 
 namespace {
 
-// Wire format: the raw per-user SW reports (a real in [-b, 1+b] for the
-// continuous pipeline, an output bucket index for the discrete one).
+// Wire format: each report's output-bucket index, the only part of a
+// report EM/EMS reads. The client bucketizes (post-processing of an
+// eps-LDP report), so absorbing is one count increment per report.
 class SwChunk final : public ReportChunk {
  public:
-  size_t num_reports() const override { return reports.size(); }
-  std::vector<double> reports;
+  size_t num_reports() const override { return buckets.size(); }
+  std::vector<uint32_t> buckets;  // each < output_buckets
   size_t output_buckets = 0;  // aggregation shape the chunk was encoded for
   bool discrete = false;      // bucketize-before-randomize pipeline
 };
 
+// Bytes per index on the wire: the narrowest of 1, 2 and 4 that holds
+// every output bucket.
+size_t IndexWidth(size_t output_buckets) {
+  if (output_buckets <= (size_t{1} << 8)) return 1;
+  if (output_buckets <= (size_t{1} << 16)) return 2;
+  return 4;
+}
+
+template <size_t Width>
+void PackFixed(std::span<const uint32_t> in, uint8_t* out) {
+  for (size_t i = 0; i < in.size(); ++i) {
+    for (size_t b = 0; b < Width; ++b) {
+      out[i * Width + b] = static_cast<uint8_t>(in[i] >> (8 * b));
+    }
+  }
+}
+
+template <size_t Width>
+bool UnpackFixed(const uint8_t* in, uint32_t limit, std::span<uint32_t> out) {
+  uint32_t max = 0;
+  for (size_t i = 0; i < out.size(); ++i) {
+    uint32_t j = 0;
+    for (size_t b = 0; b < Width; ++b) {
+      j |= static_cast<uint32_t>(in[i * Width + b]) << (8 * b);
+    }
+    out[i] = j;
+    max = std::max(max, j);
+  }
+  return max < limit;
+}
+
+// Writes each index little-endian in `width` bytes.
+void PackIndices(std::span<const uint32_t> in, size_t width, uint8_t* out) {
+  switch (width) {
+    case 1: return PackFixed<1>(in, out);
+    case 2: return PackFixed<2>(in, out);
+    default: return PackFixed<4>(in, out);
+  }
+}
+
+// Reads out.size() little-endian `width`-byte indices into `out`; false
+// iff one of them is >= limit.
+bool UnpackIndices(const uint8_t* in, size_t width, uint32_t limit,
+                   std::span<uint32_t> out) {
+  switch (width) {
+    case 1: return UnpackFixed<1>(in, limit, out);
+    case 2: return UnpackFixed<2>(in, limit, out);
+    default: return UnpackFixed<4>(in, limit, out);
+  }
+}
+
 class SwAccumulator final : public Accumulator {
  public:
-  SwAccumulator(const SwEstimator* estimator, size_t buckets)
-      : estimator_(estimator), counts_(buckets, 0) {}
+  explicit SwAccumulator(size_t buckets) : counts_(buckets, 0) {}
 
   Status Absorb(const ReportChunk& chunk) override {
     const auto* sw_chunk = dynamic_cast<const SwChunk*>(&chunk);
@@ -30,20 +82,10 @@ class SwAccumulator final : public Accumulator {
     if (sw_chunk->output_buckets != counts_.size()) {
       return Status::InvalidArgument("SW: chunk shape mismatch");
     }
-    if (sw_chunk->discrete) {
-      // Discrete reports index the count vector directly; reports come
-      // from untrusted clients, so range-check before aggregation
-      // (the continuous pipeline clamps instead).
-      for (double r : sw_chunk->reports) {
-        if (!(r >= 0.0) || r >= static_cast<double>(counts_.size())) {
-          return Status::InvalidArgument("SW: report out of output domain");
-        }
-      }
-    }
-    const std::vector<uint64_t> batch =
-        estimator_->Aggregate(sw_chunk->reports);
-    for (size_t j = 0; j < counts_.size(); ++j) counts_[j] += batch[j];
-    n_ += sw_chunk->reports.size();
+    // Every index is below output_buckets: the encoder produces them so
+    // and the decoder, the trust boundary, rejects any other.
+    for (uint32_t j : sw_chunk->buckets) ++counts_[j];
+    n_ += sw_chunk->buckets.size();
     return Status::OK();
   }
 
@@ -111,7 +153,6 @@ class SwAccumulator final : public Accumulator {
   }
 
  private:
-  const SwEstimator* estimator_;
   std::vector<uint64_t> counts_;
   uint64_t n_ = 0;
 };
@@ -129,8 +170,7 @@ class SwProtocol final : public Protocol {
   size_t granularity() const override { return estimator_.options().d; }
 
   std::unique_ptr<Accumulator> MakeAccumulator() const override {
-    return std::make_unique<SwAccumulator>(&estimator_,
-                                           estimator_.output_buckets());
+    return std::make_unique<SwAccumulator>(estimator_.output_buckets());
   }
 
   Result<std::unique_ptr<ReportChunk>> EncodePerturbBatch(
@@ -140,12 +180,14 @@ class SwProtocol final : public Protocol {
     chunk->discrete =
         estimator_.options().pipeline ==
         SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize;
-    estimator_.PerturbBatch(values, rng, &chunk->reports);
+    chunk->buckets.resize(values.size());
+    estimator_.PerturbBatchToBuckets(values, rng, chunk->buckets.data());
     return std::unique_ptr<ReportChunk>(std::move(chunk));
   }
 
   // Wire payload (docs/WIRE_FORMAT.md): u8 pipeline flag, u32 output
-  // buckets, u64 report count, then one f64 bit pattern per report.
+  // buckets, u64 report count, then one little-endian index per report
+  // at IndexWidth(output buckets) bytes.
   Status EncodeChunkPayload(const ReportChunk& chunk,
                             ByteWriter* out) const override {
     const auto* sw_chunk = dynamic_cast<const SwChunk*>(&chunk);
@@ -154,8 +196,10 @@ class SwProtocol final : public Protocol {
     }
     out->PutU8(sw_chunk->discrete ? 1 : 0);
     out->PutU32(static_cast<uint32_t>(sw_chunk->output_buckets));
-    out->PutU64(sw_chunk->reports.size());
-    for (double r : sw_chunk->reports) out->PutF64(r);
+    out->PutU64(sw_chunk->buckets.size());
+    const size_t width = IndexWidth(sw_chunk->output_buckets);
+    PackIndices(sw_chunk->buckets, width,
+                out->Extend(sw_chunk->buckets.size() * width));
     return Status::OK();
   }
 
@@ -178,26 +222,22 @@ class SwProtocol final : public Protocol {
           "SW: chunk output-bucket count does not match this protocol");
     }
     NUMDIST_ASSIGN_OR_RETURN(const uint64_t count, in->U64());
-    if (count > in->remaining() / sizeof(uint64_t)) {
+    const size_t width = IndexWidth(buckets);
+    if (count > in->remaining() / width) {
       return Status::OutOfRange(
           "SW: chunk report count exceeds the remaining payload");
     }
+    NUMDIST_ASSIGN_OR_RETURN(const std::span<const uint8_t> packed,
+                             in->View(count * width));
     auto chunk = std::make_unique<SwChunk>();
     chunk->discrete = discrete == 1;
     chunk->output_buckets = buckets;
-    chunk->reports.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      NUMDIST_ASSIGN_OR_RETURN(const double r, in->F64());
-      // Wire reports are untrusted. Finite out-of-range values are safe
-      // downstream (the continuous path clamps, the discrete path
-      // range-checks in Absorb), but a NaN would sail through the clamp —
-      // NaN comparisons are all false — into a float->index cast that is
-      // UB. Reject non-finite payloads here, at the trust boundary.
-      if (!std::isfinite(r)) {
-        return Status::InvalidArgument(
-            "SW: non-finite report in chunk payload");
-      }
-      chunk->reports.push_back(r);
+    chunk->buckets.resize(count);
+    // Wire reports are untrusted: this range check is what lets Absorb
+    // index the count vector directly.
+    if (!UnpackIndices(packed.data(), width, buckets, chunk->buckets)) {
+      return Status::InvalidArgument(
+          "SW: report bucket index outside the output domain");
     }
     return std::unique_ptr<ReportChunk>(std::move(chunk));
   }

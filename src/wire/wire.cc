@@ -51,7 +51,8 @@ Result<Preamble> ReadPreamble(ByteReader* in) {
   if ((flags & ~(kFlagTenantContext | kFlagSequence)) != 0) {
     return Status::InvalidArgument(
         "wire: unknown flags " + std::to_string(flags) +
-        " (version 1 defines only the tenant-context and sequence bits)");
+        " (version " + std::to_string(kVersion) +
+        " defines only the tenant-context and sequence bits)");
   }
   Preamble preamble;
   preamble.type = static_cast<FrameType>(type);

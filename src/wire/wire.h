@@ -44,13 +44,13 @@ namespace numdist::wire {
 inline constexpr uint32_t kMagic = 0x5057444E;
 /// Current (and only) format version. Decoders accept exactly this version;
 /// see docs/WIRE_FORMAT.md for the compatibility policy.
-inline constexpr uint16_t kVersion = 1;
+inline constexpr uint16_t kVersion = 2;
 
 /// Preamble flag bit 0: the frame carries a tenant context — a u32 tenant
 /// id immediately after the method context block, routing the frame to a
 /// per-tenant accumulator (serve/collector.h). Defined for report and
 /// sketch frames only; a flagged snapshot frame is a typed error. This is
-/// the first use of the v1 flags byte, the documented forward-compatibility
+/// the first use of the flags byte, the documented forward-compatibility
 /// escape hatch: frames without the flag are byte-identical to pre-tenant
 /// encoders, and all other bits must still be zero.
 inline constexpr uint8_t kFlagTenantContext = 0x01;

@@ -318,7 +318,7 @@ TEST(ChaosProcessTest, ExactlyOnceAcrossSegmentedWalRestart) {
 
   std::vector<std::string> base_args = MethodFlags();
   base_args.insert(base_args.end(),
-                   {"--wal=" + wal_dir, "--wal-segment-bytes=4096",
+                   {"--wal=" + wal_dir, "--wal-segment-bytes=512",
                     "--listen=tcp:127.0.0.1:0"});
 
   std::vector<std::string> first_args = base_args;

@@ -19,6 +19,9 @@
 
 #include <gtest/gtest.h>
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -27,6 +30,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -83,6 +87,46 @@ TEST(EndpointTest, RejectsMalformedSpecs) {
   EXPECT_EQ(
       net::ParseEndpoint("unix:/" + std::string(200, 'a')).status().code(),
       StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Socket options
+
+int NoDelay(int fd) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  EXPECT_EQ(getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+  return value;
+}
+
+// Frames and acks already leave in one send each, so Nagle's algorithm
+// could only delay them: a dialed TCP socket and one accepted on a TCP
+// listener both have TCP_NODELAY set. Unix sockets have no Nagle (and no
+// such option) and still listen and dial.
+TEST(SocketTest, TcpSocketsSendWithoutNagle) {
+  const net::Fd listener =
+      net::ListenOn(net::ParseEndpoint("tcp:127.0.0.1:0").ValueOrDie())
+          .ValueOrDie();
+  const net::Endpoint bound =
+      net::LocalEndpoint(listener.get(), net::Endpoint::Kind::kTcp)
+          .ValueOrDie();
+  const net::Fd dialed = net::Dial(bound).ValueOrDie();
+  EXPECT_EQ(NoDelay(dialed.get()), 1);
+  pollfd ready{listener.get(), POLLIN, 0};
+  ASSERT_EQ(poll(&ready, 1, 5000), 1);
+  const net::Fd accepted(accept4(listener.get(), nullptr, nullptr,
+                                 SOCK_CLOEXEC));
+  ASSERT_TRUE(accepted.valid()) << std::strerror(errno);
+  EXPECT_EQ(NoDelay(accepted.get()), 1);
+
+  const net::Endpoint unix_endpoint =
+      net::ParseEndpoint("unix:" + testing::TempDir() + "nodelay.sock")
+          .ValueOrDie();
+  const auto unix_listener = net::ListenOn(unix_endpoint);
+  ASSERT_TRUE(unix_listener.ok()) << unix_listener.status().ToString();
+  const auto unix_dialed = net::Dial(unix_endpoint);
+  EXPECT_TRUE(unix_dialed.ok()) << unix_dialed.status().ToString();
+  ::unlink(unix_endpoint.path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@
 #include "common/bytes.h"
 #include "data/datasets.h"
 #include "kernels/kernels.h"
+#include "net/server.h"
 #include "protocol/sharded.h"
 #include "serve/collector.h"
 #include "wire/wire.h"
@@ -619,7 +620,7 @@ std::vector<std::string> SegmentFiles(const std::string& dir) {
 }
 
 // Small segments so a handful of report frames forces several rotations.
-constexpr uint64_t kTestSegmentBytes = 1024;
+constexpr uint64_t kTestSegmentBytes = 256;
 
 // Builds a segmented frame-only log and returns the live session's state.
 AccumulatorState BuildSegmentedLog(const std::string& dir,
@@ -984,6 +985,89 @@ TEST(WalSegmentTest, DedupWindowSurvivesReplayAndCompaction) {
     EXPECT_FALSE(outcome.duplicate);
   }
   std::filesystem::remove_all(dir);
+}
+
+// Opens the log in `dir` as a session and as a collector, both of which
+// must refuse it with the wire layer's version skew naming `version 1`
+// and this build's version, and leave every segment as it was: the
+// refusal comes during replay, before the writer could truncate a torn
+// tail. CollectorServer::Make opens its log through WalLog::Open.
+void ExpectVersionOneLogRefused(const std::string& dir) {
+  const std::vector<std::string> files = SegmentFiles(dir);
+  // A torn tail the writer would cut if it opened the log.
+  const std::string last = dir + "/" + files.back();
+  WriteFileBytes(last, ReadFileBytes(last) + std::string("\x05\x00", 2));
+  std::vector<std::string> before;
+  for (const std::string& file : files) {
+    before.push_back(ReadFileBytes(dir + "/" + file));
+  }
+  const auto expect_untouched = [&](const char* who) {
+    EXPECT_EQ(SegmentFiles(dir), files) << who;
+    for (size_t i = 0; i < files.size(); ++i) {
+      EXPECT_EQ(ReadFileBytes(dir + "/" + files[i]), before[i])
+          << who << " changed " << files[i];
+    }
+  };
+
+  LoggedSession session;
+  const auto opened =
+      session.OpenWal(dir, {.segment_bytes = kTestSegmentBytes});
+  ASSERT_FALSE(opened.ok());
+  const Status& st = opened.status();
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  EXPECT_NE(st.message().find("version 1"), std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.message().find("version " + std::to_string(wire::kVersion)),
+            std::string::npos)
+      << st.ToString();
+  expect_untouched("WalLog::Open");
+
+  net::ServerOptions options;
+  options.wal_path = dir;
+  options.wal.segment_bytes = kTestSegmentBytes;
+  const auto server = net::CollectorServer::Make(TestSpec(), options);
+  ASSERT_FALSE(server.ok());
+  EXPECT_EQ(server.status().code(), StatusCode::kFailedPrecondition);
+  expect_untouched("CollectorServer::Make");
+}
+
+// A version-1 build logged SW reports as f64 frames, which this build
+// cannot read: its frame records and its checkpoint sketch frames both
+// carry version 1 in their preamble.
+TEST(WalSegmentTest, VersionOneLogIsRefusedAndLeftUntouched) {
+  std::vector<std::string> frames = MakeReportFrames(TestSpec(), 8, 50, 27);
+  LoggedSession live;
+  for (const std::string& frame : frames) {
+    ASSERT_TRUE(live.CollectorSession::HandleFrame(frame).ok());
+  }
+  std::vector<std::string> sketches = live.EncodeSketches().ValueOrDie();
+  for (std::string& frame : frames) frame[4] = 1;  // preamble version
+  for (std::string& sketch : sketches) sketch[4] = 1;
+
+  const std::string frame_dir = TempWalDir("wal_seg_v1_frames");
+  {
+    auto log = serve::WalLog::Open(frame_dir,
+                                   {.segment_bytes = kTestSegmentBytes},
+                                   serve::WalConsumer{});
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    for (const std::string& frame : frames) {
+      ASSERT_TRUE(log->AppendFrame(frame).ok());
+    }
+  }
+  ASSERT_GT(SegmentFiles(frame_dir).size(), 1u);
+  ExpectVersionOneLogRefused(frame_dir);
+  std::filesystem::remove_all(frame_dir);
+
+  const std::string checkpoint_dir = TempWalDir("wal_seg_v1_checkpoint");
+  {
+    auto log = serve::WalLog::Open(checkpoint_dir,
+                                   {.segment_bytes = kTestSegmentBytes},
+                                   serve::WalConsumer{});
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    ASSERT_TRUE(log->Compact(sketches, {}).ok());
+  }
+  ExpectVersionOneLogRefused(checkpoint_dir);
+  std::filesystem::remove_all(checkpoint_dir);
 }
 
 }  // namespace

@@ -4,9 +4,13 @@
 //    d {16, 256, 1024};
 //  - merging decoded sketches reproduces the bit-identical in-process
 //    aggregate (and therefore the bit-identical reconstruction);
+//  - an SW report frame (one output-bucket index per report) absorbs to
+//    the counts of SwEstimator::Aggregate over the raw reports, on both
+//    pipelines and at every index width;
 //  - malformed input — truncated at any byte, bad magic, version skew,
 //    unknown enums, mismatched method/epsilon/dimension context, trailing
-//    bytes, corrupted counts — is a typed error, never UB.
+//    bytes, corrupted counts, out-of-domain report indices — is a typed
+//    error, never UB.
 #include "wire/wire.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +26,7 @@
 #include "eval/streaming.h"
 #include "protocol/sharded.h"
 #include "protocol/sw_protocol.h"
+#include "serve/collector.h"
 
 namespace numdist {
 namespace {
@@ -157,6 +162,85 @@ TEST(WireRoundTrip, DiscretePipelineChunksSurviveTheWire) {
   auto rejected = wire::DecodeReportFrame(spec, *continuous_protocol,
                                           wire::FrameBytes(frame));
   EXPECT_FALSE(rejected.ok());
+}
+
+// SW frames carry each report's output-bucket index, which the client
+// computes with the collector's own OutputBucketOf. So a frame absorbs to
+// exactly the counts of the f64 server path: Aggregate over the raw
+// reports PerturbBatch draws from the same seed.
+TEST(WireRoundTrip, SwIndexFramesCountLikeAggregateOverRawReports) {
+  using Pipeline = SwEstimatorOptions::Pipeline;
+  std::vector<SwEstimatorOptions> configs;
+  for (const Pipeline pipeline : {Pipeline::kRandomizeBeforeBucketize,
+                                  Pipeline::kBucketizeBeforeRandomize}) {
+    for (const double epsilon : {0.5, 1.0, 4.0}) {
+      for (const size_t d : {16u, 256u, 1024u}) {
+        configs.push_back(
+            {.epsilon = epsilon, .d = d, .pipeline = pipeline});
+      }
+    }
+  }
+  // 70 000 output buckets take 4-byte indices.
+  configs.push_back({.epsilon = 1.0, .d = 256, .d_out = 70000});
+
+  const std::vector<double> values = TestValues(1500);
+  for (const SwEstimatorOptions& options : configs) {
+    const std::string context =
+        std::string(options.pipeline == Pipeline::kBucketizeBeforeRandomize
+                        ? "discrete"
+                        : "continuous") +
+        " eps=" + std::to_string(options.epsilon) +
+        " d=" + std::to_string(options.d) +
+        " d_out=" + std::to_string(options.d_out);
+    const SwEstimator estimator = SwEstimator::Make(options).ValueOrDie();
+    auto protocol = MakeSwProtocol(options).ValueOrDie();
+    const auto spec =
+        wire::ParseMethodSpec("sw-ems", options.epsilon,
+                              static_cast<uint32_t>(options.d))
+            .ValueOrDie();
+
+    Rng client_rng(41);
+    auto chunk = protocol->EncodePerturbBatch(values, client_rng).ValueOrDie();
+    std::string frame;
+    ASSERT_TRUE(wire::EncodeReportFrame(spec, *protocol, *chunk, &frame).ok())
+        << context;
+    auto decoded =
+        wire::DecodeReportFrame(spec, *protocol, wire::FrameBytes(frame));
+    ASSERT_TRUE(decoded.ok()) << context << ": "
+                              << decoded.status().ToString();
+    auto acc = protocol->MakeAccumulator();
+    ASSERT_TRUE(acc->Absorb(**decoded).ok()) << context;
+
+    Rng reference_rng(41);
+    std::vector<double> reports;
+    estimator.PerturbBatch(values, reference_rng, &reports);
+    const std::vector<uint64_t> expected = estimator.Aggregate(reports);
+    const AccumulatorState state = acc->ExportState();
+    ASSERT_EQ(state.tables.size(), 1u) << context;
+    EXPECT_EQ(state.num_reports, values.size()) << context;
+    EXPECT_EQ(std::vector<uint64_t>(state.tables[0].counts.begin(),
+                                    state.tables[0].counts.end()),
+              expected)
+        << context;
+  }
+}
+
+TEST(WireRoundTrip, SwReportFramesCarryOneNarrowIndexPerReport) {
+  // 38 bytes of preamble, method block, pipeline flag, output buckets and
+  // count, then one index per report: 1 byte up to 256 output buckets, 2
+  // up to 65 536, 4 beyond.
+  const std::vector<double> values = TestValues(500);
+  for (const auto& [d, bytes] : {std::pair<uint32_t, size_t>{256, 538},
+                                 {1024, 1038},
+                                 {70000, 2038}}) {
+    const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, d).ValueOrDie();
+    auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
+    Rng rng(5);
+    auto chunk = protocol->EncodePerturbBatch(values, rng).ValueOrDie();
+    std::string frame;
+    ASSERT_TRUE(wire::EncodeReportFrame(spec, *protocol, *chunk, &frame).ok());
+    EXPECT_EQ(frame.size(), bytes) << "d=" << d;
+  }
 }
 
 TEST(WireRoundTrip, ReconstructionAfterTheWireIsBitIdentical) {
@@ -355,13 +439,20 @@ TEST_F(WireRejectionTest, BadMagicVersionSkewFlagsAndFrameType) {
   EXPECT_NE(st.message().find("magic"), std::string::npos);
 
   frame = report_frame_;
-  frame[4] = 2;  // version low byte
+  frame[4] = static_cast<char>(wire::kVersion + 1);  // version low byte
   st = DecodeReport(frame);
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(st.message().find("version"), std::string::npos);
 
+  // A version-1 frame (f64 SW reports) is skew too, never a misread.
   frame = report_frame_;
-  frame[7] = 1;  // flags must be zero in v1
+  frame[4] = 1;
+  st = DecodeReport(frame);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(st.message().find("version 1"), std::string::npos);
+
+  frame = report_frame_;
+  frame[7] = 1;  // tenant flag on a frame without a tenant block
   EXPECT_FALSE(DecodeReport(frame).ok());
 
   frame = report_frame_;
@@ -497,21 +588,58 @@ TEST_F(WireRejectionTest, PoisonedHierarchyCountsAreRejected) {
   }
 }
 
-TEST_F(WireRejectionTest, NonFiniteReportsAreRejected) {
-  // A NaN report would sail through the continuous pipeline's clamp (NaN
-  // comparisons are all false) into a float->index cast that is UB, so
-  // the decoder must refuse it at the trust boundary. Report payload
-  // layout: preamble (8) + method block (17) + pipeline flag (1) +
-  // output buckets (4) + count (8) puts the first f64 at offset 38.
-  ASSERT_GT(report_frame_.size(), 46u);
-  std::string frame = report_frame_;
-  const uint64_t nan_bits = 0x7FF8000000000000ULL;
-  for (size_t i = 0; i < 8; ++i) {
-    frame[38 + i] = static_cast<char>((nan_bits >> (8 * i)) & 0xFF);
+TEST_F(WireRejectionTest, OutOfDomainIndicesAreRejected) {
+  // An SW report is an output-bucket index, and Absorb indexes the count
+  // vector with it, so the decoder must refuse any index >= the output
+  // buckets at every index width. Report payload layout: preamble (8) +
+  // method block (17) + pipeline flag (1) + output buckets (4) + count (8)
+  // puts the first index at offset 38. A collector handed such a frame
+  // keeps its sketch byte for byte.
+  struct Case {
+    uint32_t d;  // = output buckets on the continuous pipeline
+    size_t width;
+    std::vector<uint32_t> bad;
+  };
+  const std::vector<Case> cases = {
+      {16, 1, {16, 0xFF}},
+      {1024, 2, {1024, 0xFFFF}},
+      {70000, 4, {70000, 0xFFFFFFFF}},
+  };
+  for (const Case& c : cases) {
+    const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, c.d).ValueOrDie();
+    auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
+    Rng rng(3);
+    auto chunk = protocol->EncodePerturbBatch(TestValues(8), rng).ValueOrDie();
+    std::string frame;
+    ASSERT_TRUE(wire::EncodeReportFrame(spec, *protocol, *chunk, &frame).ok());
+    ASSERT_EQ(frame.size(), 38 + 8 * c.width) << "d=" << c.d;
+
+    auto session = serve::CollectorSession::Make(spec).ValueOrDie();
+    ASSERT_TRUE(session.HandleFrame(frame).ok());
+    const std::string sketch = session.EncodeSketch().ValueOrDie();
+    for (const uint32_t index : c.bad) {
+      for (const size_t report : {size_t{0}, size_t{7}}) {
+        const std::string context = "d=" + std::to_string(c.d) +
+                                    " index=" + std::to_string(index) +
+                                    " report=" + std::to_string(report);
+        std::string hostile = frame;
+        for (size_t b = 0; b < c.width; ++b) {
+          hostile[38 + report * c.width + b] =
+              static_cast<char>((index >> (8 * b)) & 0xFF);
+        }
+        const Status st = wire::DecodeReportFrame(spec, *protocol,
+                                                  wire::FrameBytes(hostile))
+                              .status();
+        EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << context;
+        EXPECT_NE(st.message().find("output domain"), std::string::npos)
+            << context << ": " << st.ToString();
+        EXPECT_EQ(session.HandleFrame(hostile).code(),
+                  StatusCode::kInvalidArgument)
+            << context;
+        EXPECT_EQ(session.EncodeSketch().ValueOrDie(), sketch) << context;
+      }
+    }
   }
-  const Status st = DecodeReport(frame);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("non-finite"), std::string::npos);
 }
 
 TEST_F(WireRejectionTest, WrappingCountSumsAreRejected) {
