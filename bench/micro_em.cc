@@ -17,7 +17,6 @@
 #include "core/square_wave.h"
 #include "core/sw_estimator.h"
 #include "eval/incremental.h"
-#include "eval/streaming.h"
 #include "hierarchy/admm.h"
 #include "hierarchy/constrained.h"
 #include "hierarchy/hh.h"
@@ -285,7 +284,7 @@ void EM_MINIBATCH_RollingWindow(benchmark::State& state) {
   options.d = d;
   const auto estimator = std::make_shared<const SwEstimator>(
       SwEstimator::Make(options).ValueOrDie());
-  StreamingAggregator agg = StreamingAggregator::ForEstimator(estimator);
+  std::vector<uint64_t> counts(estimator->output_buckets(), 0);
   Rng rng(77);
   std::vector<std::vector<uint64_t>> totals;
   std::vector<uint64_t> ns;
@@ -295,10 +294,10 @@ void EM_MINIBATCH_RollingWindow(benchmark::State& state) {
         0.2 + 0.6 * static_cast<double>(k) / (increments - 1);
     for (size_t i = 0; i < per_increment; ++i) {
       const double v = rng.Bernoulli(0.7) ? mode : 1.0 - mode;
-      agg.Accept(estimator->PerturbOne(v, rng));
+      ++counts[estimator->OutputBucketOf(estimator->PerturbOne(v, rng))];
     }
-    totals.push_back(agg.counts());
-    ns.push_back(agg.count());
+    totals.push_back(counts);
+    ns.push_back((k + 1) * per_increment);
   }
   IncrementalOptions inc_options;
   inc_options.mode = IncrementalOptions::Mode::kMiniBatch;

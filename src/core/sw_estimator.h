@@ -84,9 +84,9 @@ class SwEstimator {
   std::vector<uint64_t> Aggregate(const std::vector<double>& reports) const;
 
   /// Output bucket index of a single report — the O(1) per-report
-  /// primitive behind Aggregate and PerturbBatchToBuckets, used by
-  /// streaming ingestion (eval/streaming.h) so one report never allocates
-  /// a histogram.
+  /// primitive behind Aggregate and PerturbBatchToBuckets, used by the
+  /// scenario engine's shard counts so one report never allocates a
+  /// histogram.
   size_t OutputBucketOf(double report) const;
 
   /// Server-side: reconstructs the d-bucket input distribution from

@@ -18,7 +18,7 @@
 //    drift instead of averaging over it.
 //
 // Both modes consume cumulative per-bucket totals (what a live collector
-// or a StreamingAggregator actually exposes) and diff them internally, so
+// or a scenario checkpoint actually exposes) and diff them internally, so
 // callers never materialize per-tick deltas. Everything is deterministic —
 // no RNG, single-threaded — and the inputs (exact integer counts) are
 // thread-count-invariant, so incremental estimates inherit the system's
@@ -31,7 +31,6 @@
 
 #include "common/result.h"
 #include "core/sw_estimator.h"
-#include "eval/streaming.h"
 
 namespace numdist {
 
@@ -62,14 +61,9 @@ class IncrementalReconstructor {
   /// Advances the rolling window to the cumulative per-bucket `totals`
   /// (size = output buckets, monotone non-decreasing across calls, summing
   /// to `n`) and re-reconstructs. Errors on shrinking or mismatched
-  /// totals; n == 0 (nothing ingested yet) is an error like Snapshot().
+  /// totals; n == 0 (nothing ingested yet) is an error.
   Result<EmResult> UpdateFromTotals(const std::vector<uint64_t>& totals,
                                     uint64_t n);
-
-  /// Convenience: UpdateFromTotals on a live aggregator's counts.
-  Result<EmResult> Update(const StreamingAggregator& aggregator) {
-    return UpdateFromTotals(aggregator.counts(), aggregator.count());
-  }
 
   /// Resumable EM state: latest fixed point + cumulative iteration budget
   /// spent across all updates.

@@ -109,22 +109,11 @@ Result<std::unique_ptr<CollectorServer>> CollectorServer::Make(
   std::unique_ptr<CollectorServer> server(
       new CollectorServer(std::move(main), std::move(reactor), options));
   if (options.estimate_every_frames > 0 || options.estimate_every_ms > 0) {
-    if (spec.method != wire::MethodId::kSwEms &&
-        spec.method != wire::MethodId::kSwEm) {
-      return Status::InvalidArgument(
-          "net: live estimation supports SW methods only");
-    }
-    // Same spec -> estimator mapping the SW protocol uses, so the
-    // estimator's output buckets match the accumulator's count layout.
-    SwEstimatorOptions est_options;
-    est_options.epsilon = spec.epsilon;
-    est_options.d = spec.d;
-    est_options.post = spec.method == wire::MethodId::kSwEms
-                           ? SwEstimatorOptions::Post::kEms
-                           : SwEstimatorOptions::Post::kEm;
+    // Same spec -> estimator mapping the SW protocol uses (SW specs only),
+    // so the estimator's output buckets match the accumulator's counts.
+    NUMDIST_ASSIGN_OR_RETURN(const SwEstimatorOptions est_options,
+                             wire::SwEstimatorOptionsForSpec(spec));
     NUMDIST_ASSIGN_OR_RETURN(SwEstimator est, SwEstimator::Make(est_options));
-    server->live_estimator_ =
-        std::make_shared<const SwEstimator>(std::move(est));
     IncrementalOptions inc_options;
     inc_options.mode = options.estimate_half_life > 0.0
                            ? IncrementalOptions::Mode::kMiniBatch
@@ -133,7 +122,8 @@ Result<std::unique_ptr<CollectorServer>> CollectorServer::Make(
     inc_options.max_iterations_per_update = options.estimate_max_iterations;
     NUMDIST_ASSIGN_OR_RETURN(
         IncrementalReconstructor inc,
-        IncrementalReconstructor::Make(server->live_estimator_, inc_options));
+        IncrementalReconstructor::Make(
+            std::make_shared<const SwEstimator>(std::move(est)), inc_options));
     server->inc_ =
         std::make_unique<IncrementalReconstructor>(std::move(inc));
   }
@@ -615,7 +605,7 @@ void CollectorServer::MaybeEstimate() {
   // whole aggregate between rounds. Read-only: the aggregate the final
   // sketch is encoded from is never touched, so the live path cannot
   // perturb it.
-  const size_t buckets = live_estimator_->output_buckets();
+  const size_t buckets = inc_->estimator().output_buckets();
   estimate_totals_.assign(buckets, 0);
   const AccumulatorState state = main_.ExportState();
   const uint64_t reports = state.num_reports;

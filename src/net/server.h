@@ -80,7 +80,8 @@ struct EstimateTick {
   /// Cumulative iteration-budget bookkeeping across all ticks.
   const EmCheckpoint& checkpoint;
   /// Cumulative per-bucket report histogram the estimate was computed
-  /// from (exact integers; what a snapshot frame of the live state holds).
+  /// from (exact integers; the counts CollectorServer::EncodeSketch holds
+  /// while the sink runs).
   const std::vector<uint64_t>& totals;
 };
 
@@ -156,9 +157,11 @@ struct ServerOptions {
   double estimate_half_life = 0.0;
   /// Per-tick EM iteration budget (0 = the estimator's own cap).
   size_t estimate_max_iterations = 0;
-  /// Called after each successful tick (e.g. to emit a snapshot frame of
-  /// the live counts plus the estimate). Failures in the sink are the
-  /// sink's problem; the server keeps serving.
+  /// Called after each successful tick, between rounds, so
+  /// CollectorServer::EncodeSketch then holds exactly `totals` (how
+  /// collector_cli --estimate-out emits one sketch frame per tick).
+  /// Failures in the sink are the sink's problem; the server keeps
+  /// serving.
   std::function<void(const EstimateTick&)> estimate_sink;
 };
 
@@ -236,13 +239,8 @@ class CollectorServer {
   /// is shared, so parallel absorption enforces one process-wide budget).
   void SetTenantBudget(uint32_t tenant, serve::TenantBudget budget);
 
-  /// The shared estimator behind live estimation (null unless a cadence
-  /// was configured). Sinks use it to build snapshot frames
-  /// (StreamingAggregator::ForEstimator) matching the live counts.
-  const std::shared_ptr<const SwEstimator>& live_estimator() const {
-    return live_estimator_;
-  }
-  /// The incremental reconstruction state (null unless configured).
+  /// The incremental reconstruction state and its estimator (null unless
+  /// a cadence was configured).
   const IncrementalReconstructor* incremental() const { return inc_.get(); }
 
   /// The aggregate as one untagged wire sketch frame, as one sketch frame
@@ -330,7 +328,6 @@ class CollectorServer {
   /// Live estimation (null unless a cadence is configured). The
   /// reconstructor only ever READS main_'s state (ExportState), so the
   /// final drained sketch is byte-identical with or without it.
-  std::shared_ptr<const SwEstimator> live_estimator_;
   std::unique_ptr<IncrementalReconstructor> inc_;
   uint64_t last_estimate_frames_ = 0;
   std::chrono::steady_clock::time_point next_estimate_at_{};

@@ -70,7 +70,8 @@ Result<DefenseReport> AnalyzeFrequencies(const std::vector<double>& estimate,
 Result<DefenseReport> AnalyzeCounts(const std::vector<int64_t>& counts,
                                     const DefenseOptions& options = {});
 
-/// Overload for unsigned count state (e.g. StreamingAggregator::counts()).
+/// Overload for unsigned count state (e.g. a scenario checkpoint's summed
+/// output counts).
 Result<DefenseReport> AnalyzeCounts(const std::vector<uint64_t>& counts,
                                     const DefenseOptions& options = {});
 

@@ -15,11 +15,9 @@
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "eval/incremental.h"
-#include "eval/streaming.h"
 #include "metrics/distance.h"
 #include "postprocess/defense.h"
 #include "scenario/attack.h"
-#include "wire/wire.h"
 
 namespace numdist {
 
@@ -56,14 +54,15 @@ Status ValidateMixture(const std::vector<MixtureComponent>& mixture,
 // Per-epsilon aggregation group: the shard topology plus the group's exact
 // running ground truth, both cumulative across phases.
 struct EpsilonGroup {
-  double epsilon = 0.0;
-  std::vector<StreamingAggregator> shards;
-  // Per-shard truth counts: workers touch only their own shard's vector,
-  // merged in shard order at each checkpoint.
+  // One immutable estimator for the whole group: shards only need its
+  // per-report primitives, checkpoints its reconstruction.
+  std::shared_ptr<const SwEstimator> estimator;
+  // Per-shard output-bucket counts and truth counts: workers touch only
+  // their own shard's vectors, summed in shard order at each checkpoint.
+  std::vector<std::vector<uint64_t>> counts;
   std::vector<std::vector<uint64_t>> truth_counts;
-  // Reusable merge target for checkpoints: built once with the group's
-  // (expensive) transition model, Reset() per snapshot.
-  std::optional<StreamingAggregator> merge_scratch;
+  // Reusable checkpoint sum of `counts`, the group's whole histogram.
+  std::vector<uint64_t> merged;
   uint64_t reports = 0;
 
   // Incremental-reconstruction companion (ScenarioConfig::incremental):
@@ -161,22 +160,19 @@ Result<ScenarioResult> RunScenario(const ScenarioConfig& config) {
     auto it = groups.find(bits);
     if (it != groups.end()) return &it->second;
     EpsilonGroup group;
-    group.epsilon = epsilon;
     SwEstimatorOptions options;
     options.epsilon = epsilon;
     options.d = config.d;
-    // One immutable estimator serves the whole group: shard aggregators
-    // and the merge target only need its per-report primitives.
     Result<SwEstimator> estimator = SwEstimator::Make(options);
     if (!estimator.ok()) return estimator.status();
-    const auto shared =
+    group.estimator =
         std::make_shared<const SwEstimator>(std::move(estimator).value());
-    for (size_t s = 0; s < config.shards; ++s) {
-      group.shards.push_back(StreamingAggregator::ForEstimator(shared));
-      group.truth_counts.emplace_back(config.d, 0);
-    }
+    const size_t buckets = group.estimator->output_buckets();
+    group.counts.assign(config.shards, std::vector<uint64_t>(buckets, 0));
+    group.truth_counts.assign(config.shards,
+                              std::vector<uint64_t>(config.d, 0));
+    group.merged.assign(buckets, 0);
     group.attacked_counts.assign(config.shards, 0);
-    group.merge_scratch.emplace(StreamingAggregator::ForEstimator(shared));
     if (config.incremental != IncrementalMode::kOff) {
       IncrementalOptions inc_options;
       inc_options.mode = config.incremental == IncrementalMode::kMiniBatch
@@ -184,7 +180,7 @@ Result<ScenarioResult> RunScenario(const ScenarioConfig& config) {
                              : IncrementalOptions::Mode::kWarm;
       inc_options.half_life = config.half_life;
       Result<IncrementalReconstructor> inc =
-          IncrementalReconstructor::Make(shared, inc_options);
+          IncrementalReconstructor::Make(group.estimator, inc_options);
       if (!inc.ok()) return inc.status();
       group.inc.emplace(std::move(inc).value());
       group.decayed_truth.assign(config.d, 0.0);
@@ -250,12 +246,12 @@ Result<ScenarioResult> RunScenario(const ScenarioConfig& config) {
       // Shard task: report i of the phase lands on shard i % shards; the
       // task draws the (possibly drifting) mixture value, records it in
       // the shard's truth counts, perturbs it with the group's SW
-      // mechanism, and streams the report into the shard aggregator. All
-      // state is keyed by the shard index (one RNG stream, aggregator, and
-      // truth histogram per shard), so the executor's schedule cannot
-      // change results. Static mixtures sample through the phase's alias
-      // table (O(1) per report); drifting mixtures rebuild per-report
-      // weights and keep the linear scan.
+      // mechanism, and counts the report's output bucket. All state is
+      // keyed by the shard index (one RNG stream, count vector, and truth
+      // histogram per shard), so the executor's schedule cannot change
+      // results. Static mixtures sample through the phase's alias table
+      // (O(1) per report); drifting mixtures rebuild per-report weights
+      // and keep the linear scan.
       const bool drifting = !phase.end_mixture.empty();
       Executor::Shared().ParallelFor(
           config.shards, threads, [&](size_t s, size_t /*slot*/) {
@@ -265,7 +261,8 @@ Result<ScenarioResult> RunScenario(const ScenarioConfig& config) {
             std::vector<MixtureComponent> mix;
             if (drifting) mix = start;
             Rng& rng = shard_rngs[s];
-            StreamingAggregator& agg = group->shards[s];
+            const SwEstimator& est = *group->estimator;
+            std::vector<uint64_t>& counts = group->counts[s];
             std::vector<uint64_t>& truth = group->truth_counts[s];
             size_t i = begin + (s + config.shards - begin % config.shards) %
                                    config.shards;
@@ -274,8 +271,8 @@ Result<ScenarioResult> RunScenario(const ScenarioConfig& config) {
                   attack_rngs[s].Bernoulli(phase.attack.fraction)) {
                 // Malicious report: crafted from the attack stream, never
                 // recorded in the clean ground truth.
-                agg.Accept(CraftSwReport(agg.estimator(), phase.attack,
-                                         config.d, attack_rngs[s]));
+                ++counts[est.OutputBucketOf(CraftSwReport(
+                    est, phase.attack, config.d, attack_rngs[s]))];
                 ++group->attacked_counts[s];
                 continue;
               }
@@ -289,33 +286,23 @@ Result<ScenarioResult> RunScenario(const ScenarioConfig& config) {
                 v = SampleMixture(start, *static_sampler, rng);
               }
               ++truth[hist::BucketOf(v, config.d)];
-              agg.Accept(agg.estimator().PerturbOne(v, rng));
+              ++counts[est.OutputBucketOf(est.PerturbOne(v, rng))];
             }
           });
       group->reports += chunk_end - begin;
       result.total_reports += chunk_end - begin;
 
-      // Merge-then-snapshot: fold every shard of the group, in shard order,
-      // into the group's reusable merge target and reconstruct from the
-      // merged counts. With wire_checkpoints each shard's state crosses
-      // the codec (snapshot frame encode -> strict decode -> count merge)
-      // first — the same path a cross-process shard fleet uses — which is
-      // bit-identical to the direct merge because counts are exact.
-      StreamingAggregator& merged = *group->merge_scratch;
-      merged.Reset();
-      std::string frame;
-      for (const StreamingAggregator& shard : group->shards) {
-        if (config.wire_checkpoints) {
-          frame.clear();
-          NUMDIST_RETURN_NOT_OK(
-              wire::EncodeSnapshotFrame(group->epsilon, shard, &frame));
-          NUMDIST_RETURN_NOT_OK(wire::DecodeSnapshotFrameInto(
-              group->epsilon, wire::FrameBytes(frame), &merged));
-        } else {
-          NUMDIST_RETURN_NOT_OK(merged.Merge(shard));
+      // Merge-then-snapshot: sum every shard's counts, in shard order,
+      // into the group's reusable histogram and reconstruct from it.
+      std::vector<uint64_t>& merged = group->merged;
+      std::fill(merged.begin(), merged.end(), 0);
+      for (const std::vector<uint64_t>& shard_counts : group->counts) {
+        for (size_t j = 0; j < merged.size(); ++j) {
+          merged[j] += shard_counts[j];
         }
       }
-      NUMDIST_ASSIGN_OR_RETURN(EmResult em, merged.Snapshot());
+      NUMDIST_ASSIGN_OR_RETURN(EmResult em,
+                               group->estimator->Reconstruct(merged));
 
       std::vector<double> truth(config.d, 0.0);
       for (const std::vector<uint64_t>& shard_truth : group->truth_counts) {
@@ -332,7 +319,8 @@ Result<ScenarioResult> RunScenario(const ScenarioConfig& config) {
       EmResult inc_em;
       std::vector<double> inc_truth;
       if (group->inc.has_value()) {
-        NUMDIST_ASSIGN_OR_RETURN(inc_em, group->inc->Update(merged));
+        NUMDIST_ASSIGN_OR_RETURN(
+            inc_em, group->inc->UpdateFromTotals(merged, group->reports));
         const double n_now = static_cast<double>(group->reports);
         double lambda = 1.0;
         if (config.incremental == IncrementalMode::kMiniBatch) {
@@ -385,7 +373,7 @@ Result<ScenarioResult> RunScenario(const ScenarioConfig& config) {
         // glaring there and already smoothed away in the EM estimate.
         NUMDIST_ASSIGN_OR_RETURN(
             const DefenseReport def,
-            AnalyzeCounts(merged.counts(), config.defense_options));
+            AnalyzeCounts(merged, config.defense_options));
         checkpoint.def_spike_z = def.max_spike_z;
         checkpoint.def_spike_bucket = def.spike_bucket;
         checkpoint.def_flagged = def.flagged;
@@ -532,15 +520,6 @@ Result<ScenarioConfig> ParseScenarioText(const std::string& text) {
                                  ParseCount(key, value, line_no));
       } else if (key == "seed") {
         NUMDIST_ASSIGN_OR_RETURN(config.seed, ParseCount(key, value, line_no));
-      } else if (key == "wire_checkpoints") {
-        NUMDIST_ASSIGN_OR_RETURN(const uint64_t flag,
-                                 ParseCount(key, value, line_no));
-        if (flag > 1) {
-          return Status::InvalidArgument(
-              "scenario line " + std::to_string(line_no) +
-              ": 'wire_checkpoints' must be 0 or 1");
-        }
-        config.wire_checkpoints = flag == 1;
       } else if (key == "incremental") {
         if (value == "off") {
           config.incremental = IncrementalMode::kOff;

@@ -3,9 +3,9 @@
 // phases; each phase draws its population from a dataset mixture that can
 // drift over the phase (temporal distribution shift), ramps in its own
 // report volume, and may run under its own privacy budget (epsilon
-// schedules). Reports are collected on a fixed shard topology of
-// StreamingAggregator instances; at periodic checkpoints the shards are
-// merged into a fresh aggregator and the distribution is reconstructed
+// schedules). Reports are collected on a fixed shard topology, each shard
+// one vector of SW output-bucket counts; at periodic checkpoints the
+// shards' counts are summed and the distribution is reconstructed
 // (merge-then-snapshot), yielding Wasserstein/KS trajectories against the
 // scenario's exact running ground truth.
 //
@@ -77,20 +77,12 @@ struct ScenarioConfig {
   /// Reconstruction granularity (input buckets).
   size_t d = 64;
   /// Collector shards: every report stream is split over this many
-  /// StreamingAggregator instances (part of the scenario semantics, unlike
+  /// output-count vectors (part of the scenario semantics, unlike
   /// `threads`, which is pure execution parallelism).
   size_t shards = 4;
   uint64_t seed = 42;
   /// Worker threads; 0 = hardware concurrency. Never changes the results.
   size_t threads = 0;
-  /// Route every checkpoint merge through the wire codec: each shard is
-  /// serialized to a snapshot frame (wire/wire.h) and decoded-merged into
-  /// the checkpoint aggregate, exactly as a cross-process shard fleet
-  /// would ship its state to a coordinator. Counts are exact integers, so
-  /// results are bit-identical to the direct in-memory merge (asserted by
-  /// tests/scenario_test.cc); the flag exists to exercise the distributed
-  /// path end-to-end, not to change semantics.
-  bool wire_checkpoints = false;
   /// Run an incremental reconstructor per epsilon group next to the cold
   /// snapshots (see IncrementalMode). Off by default so existing outputs
   /// stay bit-identical.
@@ -176,8 +168,8 @@ Result<ScenarioResult> RunScenario(const ScenarioConfig& config);
 ///   # comment                      (blank lines ignored)
 ///   name = drift-demo              (top-level keys before the first phase:
 ///   epsilon = 1.0                   name, epsilon, d, shards, seed,
-///                                   wire_checkpoints, incremental,
-///   d = 64                          half_life)
+///                                   incremental, half_life, defense,
+///   d = 64                          defense_threshold)
 ///   shards = 4
 ///   incremental = minibatch        (off | warm | minibatch)
 ///   half_life = 10000              (reports; minibatch only)
@@ -197,7 +189,8 @@ Result<ScenarioConfig> ParseScenarioText(const std::string& text);
 /// Reads and parses a scenario file.
 Result<ScenarioConfig> LoadScenarioFile(const std::string& path);
 
-/// Names of the built-in scenarios ("drift", "ramp", "eps-schedule").
+/// Names of the built-in scenarios ("drift", "ramp", "eps-schedule",
+/// "poison", "churn").
 const std::vector<std::string>& BuiltinScenarioNames();
 
 /// Returns a built-in scenario by name, or InvalidArgument.

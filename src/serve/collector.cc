@@ -244,10 +244,6 @@ Status CollectorSession::AbsorbFrame(const wire::FrameInfo& info,
         return acc->Merge(*other);
       });
     }
-    case wire::FrameType::kSnapshot:
-      return Status::InvalidArgument(
-          "collector: snapshot frames belong to the scenario checkpoint "
-          "path, not a protocol collector");
     case wire::FrameType::kAck:
       // HandleFrame rejects acks before claiming; unreachable here.
       return Status::InvalidArgument(

@@ -180,7 +180,7 @@ class CollectorSession {
   /// Folds one wire frame in: report frames are decoded and absorbed,
   /// sketch frames are decoded and merged — each into the accumulator of
   /// the frame's tenant context (the default accumulator when untagged).
-  /// Snapshot, ack, malformed, and over-budget frames are typed errors; a
+  /// Ack, malformed, and over-budget frames are typed errors; a
   /// failed frame leaves every accumulator, the ledger, and the dedup
   /// window untouched. A sequenced frame whose (epoch, seq) was already
   /// claimed is a DUPLICATE: skipped without error (see FrameOutcome).

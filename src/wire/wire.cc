@@ -42,8 +42,10 @@ Result<Preamble> ReadPreamble(ByteReader* in) {
         " (this build reads version " + std::to_string(kVersion) + ")");
   }
   NUMDIST_ASSIGN_OR_RETURN(const uint8_t type, in->U8());
-  if (type < static_cast<uint8_t>(FrameType::kReports) ||
-      type > static_cast<uint8_t>(FrameType::kAck)) {
+  // Type 3 is retired and never reassigned (docs/WIRE_FORMAT.md).
+  if (type != static_cast<uint8_t>(FrameType::kReports) &&
+      type != static_cast<uint8_t>(FrameType::kSketch) &&
+      type != static_cast<uint8_t>(FrameType::kAck)) {
     return Status::InvalidArgument("wire: unknown frame type " +
                                    std::to_string(type));
   }
@@ -59,8 +61,7 @@ Result<Preamble> ReadPreamble(ByteReader* in) {
   preamble.has_tenant = (flags & kFlagTenantContext) != 0;
   preamble.has_seq = (flags & kFlagSequence) != 0;
   if ((preamble.has_tenant || preamble.has_seq) &&
-      (preamble.type == FrameType::kSnapshot ||
-       preamble.type == FrameType::kAck)) {
+      preamble.type == FrameType::kAck) {
     return Status::InvalidArgument(
         "wire: only report and sketch frames may carry tenant/sequence "
         "context flags");
@@ -302,12 +303,8 @@ Result<ProtocolPtr> MakeProtocolForSpec(const MethodSpec& spec) {
   switch (spec.method) {
     case MethodId::kSwEms:
     case MethodId::kSwEm: {
-      SwEstimatorOptions options;
-      options.epsilon = spec.epsilon;
-      options.d = spec.d;
-      options.post = spec.method == MethodId::kSwEms
-                         ? SwEstimatorOptions::Post::kEms
-                         : SwEstimatorOptions::Post::kEm;
+      NUMDIST_ASSIGN_OR_RETURN(const SwEstimatorOptions options,
+                               SwEstimatorOptionsForSpec(spec));
       return MakeSwProtocol(options);
     }
     case MethodId::kCfoAdaptive:
@@ -334,23 +331,26 @@ Result<ProtocolPtr> MakeProtocolForSpec(const MethodSpec& spec) {
   return Status::InvalidArgument("wire: unknown method id in spec");
 }
 
+Result<SwEstimatorOptions> SwEstimatorOptionsForSpec(const MethodSpec& spec) {
+  if (spec.method != MethodId::kSwEms && spec.method != MethodId::kSwEm) {
+    return Status::InvalidArgument("wire: method " + MethodSpecName(spec) +
+                                   " is not an SW method (sw-ems or sw-em)");
+  }
+  SwEstimatorOptions options;
+  options.epsilon = spec.epsilon;
+  options.d = spec.d;
+  options.post = spec.method == MethodId::kSwEms
+                     ? SwEstimatorOptions::Post::kEms
+                     : SwEstimatorOptions::Post::kEm;
+  return options;
+}
+
 Result<FrameInfo> PeekFrame(std::span<const uint8_t> frame) {
   ByteReader in(frame);
   FrameInfo info;
   NUMDIST_ASSIGN_OR_RETURN(const Preamble preamble, ReadPreamble(&in));
   info.type = preamble.type;
-  if (info.type == FrameType::kSnapshot) {
-    NUMDIST_ASSIGN_OR_RETURN(const uint64_t epsilon_bits, in.U64());
-    std::memcpy(&info.snapshot_epsilon, &epsilon_bits,
-                sizeof(info.snapshot_epsilon));
-    NUMDIST_ASSIGN_OR_RETURN(info.snapshot_d, in.U32());
-    NUMDIST_ASSIGN_OR_RETURN(const uint8_t pipeline, in.U8());
-    if (pipeline > 1) {
-      return Status::InvalidArgument("wire: bad snapshot pipeline flag");
-    }
-    info.snapshot_discrete = pipeline == 1;
-    NUMDIST_ASSIGN_OR_RETURN(info.snapshot_buckets, in.U32());
-  } else if (info.type == FrameType::kAck) {
+  if (info.type == FrameType::kAck) {
     NUMDIST_ASSIGN_OR_RETURN(info.seq.epoch, in.U64());
     NUMDIST_ASSIGN_OR_RETURN(info.seq.seq, in.U64());
     if (info.seq.seq == 0) {
@@ -446,71 +446,6 @@ Result<std::unique_ptr<Accumulator>> DecodeSketchFrame(
   std::unique_ptr<Accumulator> acc = protocol.MakeAccumulator();
   NUMDIST_RETURN_NOT_OK(acc->ImportState(state));
   return acc;
-}
-
-Status EncodeSnapshotFrame(double epsilon, const StreamingAggregator& agg,
-                           std::string* out) {
-  const SwEstimatorOptions& options = agg.estimator().options();
-  ByteWriter writer(out);
-  WritePreamble(FrameType::kSnapshot, 0, &writer);
-  writer.PutU64(MethodSpec::EpsilonBits(epsilon));
-  // Full estimator context, not just the bucket count: two configurations
-  // with coincident output widths but different observation models (e.g.
-  // continuous d_out=64 vs discrete d+2b'=64) must never cross-merge.
-  writer.PutU32(static_cast<uint32_t>(options.d));
-  writer.PutU8(options.pipeline ==
-                       SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize
-                   ? 1
-                   : 0);
-  writer.PutU32(static_cast<uint32_t>(agg.counts().size()));
-  writer.PutU64(agg.count());
-  for (uint64_t c : agg.counts()) writer.PutU64(c);
-  return Status::OK();
-}
-
-Status DecodeSnapshotFrameInto(double epsilon,
-                               std::span<const uint8_t> frame,
-                               StreamingAggregator* agg) {
-  ByteReader in(frame);
-  NUMDIST_ASSIGN_OR_RETURN(const Preamble preamble, ReadPreamble(&in));
-  NUMDIST_RETURN_NOT_OK(ExpectFrameType(preamble.type, FrameType::kSnapshot));
-  NUMDIST_ASSIGN_OR_RETURN(const uint64_t epsilon_bits, in.U64());
-  if (epsilon_bits != MethodSpec::EpsilonBits(epsilon)) {
-    return Status::InvalidArgument(
-        "wire: snapshot epsilon group mismatch (bit-exact comparison)");
-  }
-  const SwEstimatorOptions& options = agg->estimator().options();
-  NUMDIST_ASSIGN_OR_RETURN(const uint32_t d, in.U32());
-  if (d != options.d) {
-    return Status::InvalidArgument(
-        "wire: snapshot granularity d=" + std::to_string(d) +
-        " does not match this aggregator (d=" + std::to_string(options.d) +
-        ")");
-  }
-  NUMDIST_ASSIGN_OR_RETURN(const uint8_t pipeline, in.U8());
-  if (pipeline > 1) {
-    return Status::InvalidArgument("wire: bad snapshot pipeline flag");
-  }
-  const bool discrete =
-      options.pipeline == SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize;
-  if ((pipeline == 1) != discrete) {
-    return Status::InvalidArgument(
-        "wire: snapshot pipeline does not match this aggregator");
-  }
-  NUMDIST_ASSIGN_OR_RETURN(const uint32_t buckets, in.U32());
-  NUMDIST_ASSIGN_OR_RETURN(const uint64_t n, in.U64());
-  if (buckets > in.remaining() / sizeof(uint64_t)) {
-    return Status::OutOfRange(
-        "wire: snapshot bucket count exceeds the remaining payload");
-  }
-  std::vector<uint64_t> counts;
-  counts.reserve(buckets);
-  for (uint32_t j = 0; j < buckets; ++j) {
-    NUMDIST_ASSIGN_OR_RETURN(const uint64_t c, in.U64());
-    counts.push_back(c);
-  }
-  NUMDIST_RETURN_NOT_OK(ExpectFullyConsumed(in, "snapshot"));
-  return agg->MergeCounts(counts, n);
 }
 
 Status EncodeAckFrame(const FrameSeq& seq, std::string* out) {

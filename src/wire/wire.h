@@ -10,8 +10,7 @@
 //   sketch frames    one Protocol accumulator's exact integer state
 //                    (AccumulatorState) — what collector shards ship to
 //                    the coordinator for merging;
-//   snapshot frames  one StreamingAggregator's per-bucket counts — the
-//                    scenario engine's shard-checkpoint currency.
+//   ack frames       collector -> client: one sequenced frame is durable.
 //
 // Every frame starts with the same 8-byte preamble (magic, version, frame
 // type, flags) followed by a context block binding the frame to a concrete
@@ -35,7 +34,7 @@
 #include <string_view>
 
 #include "common/result.h"
-#include "eval/streaming.h"
+#include "core/sw_estimator.h"
 #include "protocol/protocol.h"
 
 namespace numdist::wire {
@@ -49,7 +48,7 @@ inline constexpr uint16_t kVersion = 2;
 /// Preamble flag bit 0: the frame carries a tenant context — a u32 tenant
 /// id immediately after the method context block, routing the frame to a
 /// per-tenant accumulator (serve/collector.h). Defined for report and
-/// sketch frames only; a flagged snapshot frame is a typed error. This is
+/// sketch frames only; a flagged ack frame is a typed error. This is
 /// the first use of the flags byte, the documented forward-compatibility
 /// escape hatch: frames without the flag are byte-identical to pre-tenant
 /// encoders, and all other bits must still be zero.
@@ -71,12 +70,12 @@ inline constexpr uint8_t kFlagSequence = 0x02;
 inline constexpr uint32_t kDefaultTenant = 0;
 
 /// Frame discriminator (preamble byte 6). Values are part of the wire
-/// format: never renumber, only append.
+/// format: never renumber, only append. 3 is retired and never
+/// reassigned: a frame of type 3 is an unknown frame type.
 enum class FrameType : uint8_t {
-  kReports = 1,   ///< A batch of perturbed client reports (one chunk).
-  kSketch = 2,    ///< A Protocol accumulator's exact integer state.
-  kSnapshot = 3,  ///< A StreamingAggregator's per-bucket counts.
-  kAck = 4,       ///< Collector -> client: one sequenced frame is durable.
+  kReports = 1,  ///< A batch of perturbed client reports (one chunk).
+  kSketch = 2,   ///< A Protocol accumulator's exact integer state.
+  kAck = 4,      ///< Collector -> client: one sequenced frame is durable.
 };
 
 /// Sequence context of a frame (kFlagSequence): which client instance sent
@@ -135,11 +134,17 @@ std::string MethodSpecName(const MethodSpec& spec);
 /// one decode and absorb on the other.
 Result<ProtocolPtr> MakeProtocolForSpec(const MethodSpec& spec);
 
+/// The SW estimator configuration of an SW spec (sw-ems / sw-em): the one
+/// mapping behind both MakeProtocolForSpec's SW protocol and a collector's
+/// live estimator, so the estimator's output buckets always match the
+/// accumulator's count layout. InvalidArgument for any other method.
+Result<SwEstimatorOptions> SwEstimatorOptionsForSpec(const MethodSpec& spec);
+
 /// Parsed frame preamble + context, without touching the payload. Lets a
 /// collector dispatch and validate a frame before committing to a decode.
 struct FrameInfo {
   FrameType type = FrameType::kReports;
-  /// Context of report/sketch frames (undefined for snapshots).
+  /// Context of report/sketch frames (undefined for acks).
   MethodSpec spec;
   /// Tenant context (report/sketch frames): kDefaultTenant unless the
   /// frame carries the kFlagTenantContext flag and a non-zero id.
@@ -148,12 +153,6 @@ struct FrameInfo {
   /// kFlagSequence, and for ack frames (whose payload IS a FrameSeq).
   bool has_seq = false;
   FrameSeq seq;
-  /// Context of snapshot frames (undefined otherwise): epsilon group,
-  /// estimator input granularity + pipeline, and output-bucket count.
-  double snapshot_epsilon = 0.0;
-  uint32_t snapshot_d = 0;
-  bool snapshot_discrete = false;
-  uint32_t snapshot_buckets = 0;
 };
 
 /// Validates the preamble and context block of any frame. Typed errors for
@@ -201,18 +200,6 @@ Status EncodeSketchFrame(const MethodSpec& spec, uint32_t tenant,
 Result<std::unique_ptr<Accumulator>> DecodeSketchFrame(
     const MethodSpec& spec, const Protocol& protocol,
     std::span<const uint8_t> frame);
-
-/// Encodes a StreamingAggregator's counts (with its epsilon-group context)
-/// into a snapshot frame appended to `*out`.
-Status EncodeSnapshotFrame(double epsilon, const StreamingAggregator& agg,
-                           std::string* out);
-
-/// Strictly decodes a snapshot frame and merges its counts into `*agg`
-/// (shape- and epsilon-checked). Adding counts is exact, so decode-merge
-/// is bit-identical to StreamingAggregator::Merge on the source shard.
-Status DecodeSnapshotFrameInto(double epsilon,
-                               std::span<const uint8_t> frame,
-                               StreamingAggregator* agg);
 
 /// Encodes an ack frame for one sequenced frame, appended to `*out`.
 /// Payload: the acknowledged (epoch, seq). Acks flow collector -> client;

@@ -1,5 +1,5 @@
 // Deterministic structured fuzzing of the wire/serve decode surface
-// (common/mutator.h): seeded corruption of valid report/sketch/snapshot
+// (common/mutator.h): seeded corruption of valid report/sketch/ack
 // frames driven through wire::PeekFrame / Decode*, serve::FrameDecoder at
 // every chunking, and a full serve::CollectorSession. The invariants:
 //
@@ -30,7 +30,6 @@
 #include "common/mutator.h"
 #include "common/rng.h"
 #include "data/datasets.h"
-#include "eval/streaming.h"
 #include "kernels/kernels.h"
 #include "protocol/sharded.h"
 #include "serve/collector.h"
@@ -58,7 +57,8 @@ std::vector<std::string> MethodNames() {
 }
 
 // Builds the fuzz corpus: one report frame and one sketch frame per
-// method, plus one StreamingAggregator snapshot frame.
+// method, a tenant-tagged pair, and one ack frame (the collector bytes
+// net::RetrySender parses).
 std::vector<BaseFrame> BuildCorpus() {
   std::vector<BaseFrame> corpus;
   const std::vector<double> values = GoldenRatioValues(256);
@@ -126,28 +126,15 @@ std::vector<BaseFrame> BuildCorpus() {
     corpus.push_back(std::move(sketch));
   }
 
-  SwEstimatorOptions options;
-  options.epsilon = 1.0;
-  options.d = 32;
-  StreamingAggregator agg = StreamingAggregator::Make(options).ValueOrDie();
-  Rng rng(ShardSeed(22, 0));
-  for (const double v : GoldenRatioValues(200)) {
-    agg.Accept(agg.estimator().PerturbOne(v, rng));
-  }
-  BaseFrame snapshot;
-  snapshot.name = "snapshot";
-  snapshot.type = wire::FrameType::kSnapshot;
-  EXPECT_TRUE(wire::EncodeSnapshotFrame(1.0, agg, &snapshot.bytes).ok());
-  corpus.push_back(std::move(snapshot));
+  BaseFrame ack;
+  ack.name = "ack";
+  ack.type = wire::FrameType::kAck;
+  EXPECT_TRUE(
+      wire::EncodeAckFrame({.epoch = 0x0123456789ABCDEFull, .seq = 77},
+                           &ack.bytes)
+          .ok());
+  corpus.push_back(std::move(ack));
   return corpus;
-}
-
-// Aggregator factory matching the snapshot base frame above.
-StreamingAggregator MakeSnapshotTarget() {
-  SwEstimatorOptions options;
-  options.epsilon = 1.0;
-  options.d = 32;
-  return StreamingAggregator::Make(options).ValueOrDie();
 }
 
 bool SameState(const AccumulatorState& a, const AccumulatorState& b) {
@@ -173,7 +160,6 @@ TEST(FuzzWire, HundredThousandMutantsAreTypedErrorsOrValidAbsorbs) {
   for (size_t f = 0; f < corpus.size(); ++f) {
     const BaseFrame& base = corpus[f];
     ByteMutator mutator(0x9E3779B97F4A7C15ULL + f);
-    StreamingAggregator scratch = MakeSnapshotTarget();
     for (size_t i = 0; i < kMutantsPerFrame; ++i) {
       const std::string mutant = mutator.Mutate(base.bytes);
       ++total;
@@ -196,10 +182,9 @@ TEST(FuzzWire, HundredThousandMutantsAreTypedErrorsOrValidAbsorbs) {
           if (decoded.ok()) ++decoded_ok;
           break;
         }
-        case wire::FrameType::kSnapshot: {
-          const Status st = wire::DecodeSnapshotFrameInto(
-              1.0, wire::FrameBytes(mutant), &scratch);
-          if (st.ok()) ++decoded_ok;
+        case wire::FrameType::kAck: {
+          auto decoded = wire::DecodeAckFrame(wire::FrameBytes(mutant));
+          if (decoded.ok()) ++decoded_ok;
           break;
         }
       }
@@ -222,7 +207,6 @@ TEST(FuzzWire, EveryMutationKindOnEveryFrame) {
   for (size_t f = 0; f < corpus.size(); ++f) {
     const BaseFrame& base = corpus[f];
     ByteMutator mutator(0xA24BAED4963EE407ULL + f);
-    StreamingAggregator scratch = MakeSnapshotTarget();
     for (int k = 0; k < static_cast<int>(MutationKind::kMutationKindCount);
          ++k) {
       for (size_t rep = 0; rep < 50; ++rep) {
@@ -236,10 +220,6 @@ TEST(FuzzWire, EveryMutationKindOnEveryFrame) {
           case wire::FrameType::kSketch:
             (void)wire::DecodeSketchFrame(base.spec, *base.protocol,
                                           wire::FrameBytes(mutant));
-            break;
-          case wire::FrameType::kSnapshot:
-            (void)wire::DecodeSnapshotFrameInto(
-                1.0, wire::FrameBytes(mutant), &scratch);
             break;
           case wire::FrameType::kAck:
             (void)wire::DecodeAckFrame(wire::FrameBytes(mutant));

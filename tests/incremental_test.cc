@@ -14,7 +14,9 @@
 //  - live estimation inside CollectorServer reads accumulator state
 //    without mutating it: the drained sketch is byte-identical to a
 //    sequential single-session run over the same frames, while the
-//    estimate sink observes monotone report totals.
+//    estimate sink observes monotone report totals and, at every tick,
+//    a server sketch that holds exactly those totals; a cadence needs an
+//    SW spec.
 #include "eval/incremental.h"
 
 #include <gtest/gtest.h>
@@ -251,23 +253,39 @@ TEST(LiveEstimateTest, SketchStaysByteIdenticalAndTicksAreMonotone) {
     uint64_t last_reports = 0;
     bool reports_monotone = true;
     bool totals_consistent = true;
+    bool sketch_holds_totals = true;
     size_t estimate_size = 0;
     size_t total_iterations = 0;
   } log;
 
+  // The sink runs between rounds, so the server's sketch then holds
+  // exactly the tick's totals (what collector_cli --estimate-out writes).
+  const net::CollectorServer* live = nullptr;
+  const auto sketch_holds = [&](const net::EstimateTick& tick) {
+    const auto sketch = wire::DecodeSketchFrame(
+        spec, *protocol, wire::FrameBytes(live->EncodeSketch().ValueOrDie()));
+    if (!sketch.ok()) return false;
+    const AccumulatorState state = (*sketch)->ExportState();
+    if (state.tables.size() != 1) return false;
+    const std::vector<int64_t>& counts = state.tables[0].counts;
+    return state.num_reports == tick.reports &&
+           std::vector<uint64_t>(counts.begin(), counts.end()) == tick.totals;
+  };
   net::ServerOptions options;
   options.estimate_every_frames = 2;
-  options.estimate_sink = [&log](const net::EstimateTick& tick) {
+  options.estimate_sink = [&](const net::EstimateTick& tick) {
     ++log.count;
     if (tick.reports < log.last_reports) log.reports_monotone = false;
     log.last_reports = tick.reports;
     uint64_t sum = 0;
     for (uint64_t c : tick.totals) sum += c;
     if (sum != tick.reports) log.totals_consistent = false;
+    if (!sketch_holds(tick)) log.sketch_holds_totals = false;
     log.estimate_size = tick.em.estimate.size();
     log.total_iterations = tick.checkpoint.total_iterations;
   };
   auto server = net::CollectorServer::Make(spec, options).ValueOrDie();
+  live = server.get();
   const net::Endpoint bound =
       server->AddListener(net::ParseEndpoint("tcp:0").ValueOrDie())
           .ValueOrDie();
@@ -290,10 +308,28 @@ TEST(LiveEstimateTest, SketchStaysByteIdenticalAndTicksAreMonotone) {
   EXPECT_EQ(server->stats().estimate_ticks, log.count);
   EXPECT_TRUE(log.reports_monotone);
   EXPECT_TRUE(log.totals_consistent);
+  EXPECT_TRUE(log.sketch_holds_totals);
   EXPECT_EQ(log.estimate_size, 32u);
   EXPECT_GT(log.total_iterations, 0u);
   ASSERT_NE(server->incremental(), nullptr);
   EXPECT_EQ(server->incremental()->checkpoint().runs, log.count);
+}
+
+TEST(LiveEstimateTest, CadenceWithANonSwSpecIsInvalidArgument) {
+  // The estimate is the paper's EM/EMS reconstruction of SW counts: a
+  // cadence on any other family is refused when the server is made.
+  const auto cfo = wire::ParseMethodSpec("cfo-16", 1.0, 64).ValueOrDie();
+  net::ServerOptions by_frames;
+  by_frames.estimate_every_frames = 2;
+  net::ServerOptions by_time;
+  by_time.estimate_every_ms = 50;
+  for (const net::ServerOptions& options : {by_frames, by_time}) {
+    const auto made = net::CollectorServer::Make(cfo, options);
+    EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument)
+        << made.status().ToString();
+  }
+  // Without a cadence the same spec serves.
+  EXPECT_TRUE(net::CollectorServer::Make(cfo, net::ServerOptions{}).ok());
 }
 
 }  // namespace

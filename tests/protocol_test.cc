@@ -18,6 +18,7 @@
 #include "fo/oue.h"
 #include "protocol/cfo_protocol.h"
 #include "protocol/sharded.h"
+#include "protocol/sw_protocol.h"
 
 namespace numdist {
 namespace {
@@ -145,6 +146,24 @@ TEST(ProtocolTest, RejectsSameFamilyChunksOfDifferentShape) {
   auto sw_chunk64 = sw64->EncodePerturbBatch(values, rng).ValueOrDie();
   auto sw32_acc = sw32->MakeAccumulator();
   EXPECT_FALSE(sw32_acc->Absorb(*sw_chunk64).ok());
+
+  // SW accumulators of different d refuse to merge either way, and a
+  // refused merge leaves the target untouched.
+  auto sw64_acc = sw64->MakeAccumulator();
+  ASSERT_TRUE(sw64_acc->Absorb(*sw_chunk64).ok());
+  const Status merged = sw32_acc->Merge(*sw64_acc);
+  EXPECT_EQ(merged.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(sw32_acc->num_reports(), 0u);
+  EXPECT_EQ(sw64_acc->Merge(*sw32_acc).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(sw64_acc->num_reports(), values.size());
+
+  // So do SW accumulators of equal d but a different output granularity.
+  SwEstimatorOptions wide;
+  wide.d = 64;
+  wide.d_out = 128;
+  auto sw64_wide = MakeSwProtocol(wide).ValueOrDie();
+  EXPECT_EQ(sw64_wide->MakeAccumulator()->Merge(*sw64_acc).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ProtocolTest, ReconstructRequiresReports) {

@@ -12,7 +12,6 @@
 #include "core/ems.h"
 #include "core/sw_estimator.h"
 #include "eval/incremental.h"
-#include "eval/streaming.h"
 #include "hierarchy/admm.h"
 #include "hierarchy/hh.h"
 #include "mean/moments.h"
@@ -211,20 +210,22 @@ TEST(RobustnessTest, IncrementalReconstructionUnderMidStreamAttack) {
     inc.mode = mode;
     inc.half_life = mode == IncrementalOptions::Mode::kMiniBatch ? 4000.0 : 0.0;
     auto recon = IncrementalReconstructor::Make(shared, inc).ValueOrDie();
-    StreamingAggregator agg = StreamingAggregator::Make(options).ValueOrDie();
+    std::vector<uint64_t> counts(shared->output_buckets(), 0);
+    uint64_t reports = 0;
     Rng honest_rng(12);
     Rng attack_rng = AttackPhaseShardRng(12, 1, 0);
     std::vector<double> last_estimate;
     for (int tick = 0; tick < 8; ++tick) {
       const bool attacked = tick >= 4;
       for (int i = 0; i < 2500; ++i) {
-        if (attacked) {
-          agg.Accept(CraftSwReport(*shared, atk, options.d, attack_rng));
-        } else {
-          agg.Accept(shared->PerturbOne(honest_rng.Uniform(), honest_rng));
-        }
+        const double report =
+            attacked
+                ? CraftSwReport(*shared, atk, options.d, attack_rng)
+                : shared->PerturbOne(honest_rng.Uniform(), honest_rng);
+        ++counts[shared->OutputBucketOf(report)];
+        ++reports;
       }
-      const EmResult res = recon.Update(agg).ValueOrDie();
+      const EmResult res = recon.UpdateFromTotals(counts, reports).ValueOrDie();
       EXPECT_TRUE(hist::IsDistribution(res.estimate, 1e-9))
           << "mode " << static_cast<int>(mode) << " tick " << tick;
       for (double v : res.estimate) ASSERT_TRUE(std::isfinite(v));

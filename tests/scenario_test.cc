@@ -110,38 +110,6 @@ TEST(ScenarioRunTest, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ScenarioRunTest, WireCheckpointsAreBitIdenticalToDirectMerges) {
-  // Routing every checkpoint merge through the wire codec (snapshot frame
-  // encode -> strict decode -> count merge, the cross-process shard path)
-  // must not change a single bit of any checkpoint.
-  ScenarioConfig config = SmallDriftConfig();
-  config.wire_checkpoints = false;
-  const ScenarioResult direct = RunScenario(config).ValueOrDie();
-  config.wire_checkpoints = true;
-  const ScenarioResult wired = RunScenario(config).ValueOrDie();
-  ASSERT_EQ(direct.checkpoints.size(), wired.checkpoints.size());
-  for (size_t i = 0; i < direct.checkpoints.size(); ++i) {
-    const ScenarioCheckpoint& a = direct.checkpoints[i];
-    const ScenarioCheckpoint& b = wired.checkpoints[i];
-    EXPECT_EQ(a.wasserstein, b.wasserstein) << "checkpoint " << i;
-    EXPECT_EQ(a.ks, b.ks) << "checkpoint " << i;
-    EXPECT_EQ(a.em_iterations, b.em_iterations) << "checkpoint " << i;
-    EXPECT_EQ(a.estimate, b.estimate) << "checkpoint " << i;
-    EXPECT_EQ(a.truth, b.truth) << "checkpoint " << i;
-  }
-}
-
-TEST(ScenarioParseTest, WireCheckpointsKeyIsParsed) {
-  const std::string base =
-      "\n[phase]\nmixture = beta\nreports = 10\n";
-  EXPECT_TRUE(ParseScenarioText("wire_checkpoints = 1" + base)
-                  ->wire_checkpoints);
-  EXPECT_FALSE(ParseScenarioText("wire_checkpoints = 0" + base)
-                   ->wire_checkpoints);
-  EXPECT_FALSE(ParseScenarioText("wire_checkpoints = 2" + base).ok());
-  EXPECT_FALSE(ParseScenarioText("wire_checkpoints = yes" + base).ok());
-}
-
 TEST(ScenarioRunTest, DriftMovesTheGroundTruth) {
   // With drift from beta to taxi, the cumulative truth after the drift
   // phase must differ from the warmup-only truth.

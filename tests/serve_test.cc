@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "data/datasets.h"
-#include "eval/streaming.h"
 #include "protocol/sharded.h"
 #include "serve/framing.h"
 #include "wire/wire.h"
@@ -200,7 +200,30 @@ TEST(CollectorSessionTest, DistributedRunMatchesInProcessShardedRun) {
                            reference.distribution.size() * sizeof(double)));
 }
 
-TEST(CollectorSessionTest, RejectsForeignAndSnapshotFrames) {
+// A well-formed frame of the retired type 3, in the layout it had: the
+// preamble, epsilon bits, d, a pipeline byte, the bucket count, the report
+// count and one u64 per bucket. Older --estimate-out streams hold such
+// frames; a collector must refuse them as an unknown frame type.
+std::string RetiredType3Frame(double epsilon, uint32_t d,
+                              const std::vector<uint64_t>& counts) {
+  std::string frame;
+  ByteWriter out(&frame);
+  out.PutU32(wire::kMagic);
+  out.PutU16(wire::kVersion);
+  out.PutU8(3);
+  out.PutU8(0);
+  out.PutU64(wire::MethodSpec::EpsilonBits(epsilon));
+  out.PutU32(d);
+  out.PutU8(0);
+  out.PutU32(static_cast<uint32_t>(counts.size()));
+  uint64_t n = 0;
+  for (const uint64_t c : counts) n += c;
+  out.PutU64(n);
+  for (const uint64_t c : counts) out.PutU64(c);
+  return frame;
+}
+
+TEST(CollectorSessionTest, RejectsForeignAndRetiredTypeFrames) {
   auto session =
       serve::CollectorSession::Make(
           wire::ParseMethodSpec("sw-ems", 1.0, 64).ValueOrDie())
@@ -213,15 +236,22 @@ TEST(CollectorSessionTest, RejectsForeignAndSnapshotFrames) {
   EXPECT_FALSE(session.HandleFrame(foreign).ok());
   EXPECT_EQ(session.num_reports(), 0u);
 
+  // A frame of the retired type 3, matching epsilon and d.
+  const Status retired = session.HandleFrame(
+      RetiredType3Frame(1.0, 64, std::vector<uint64_t>(64, 1)));
+  EXPECT_EQ(retired.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(retired.message(), "wire: unknown frame type 3");
+  EXPECT_EQ(session.num_reports(), 0u);
+
   // Garbage.
   EXPECT_FALSE(session.HandleFrame(std::string("not a frame")).ok());
 }
 
-// A snapshot frame arriving AFTER the session has absorbed reports: the
-// rejection must be typed and must leave the aggregate byte-identical —
-// a live-estimation snapshot stream accidentally piped into a collector
-// cannot perturb or double-count the aggregate.
-TEST(CollectorSessionTest, SnapshotFrameAfterPriorReportsLeavesStateIntact) {
+// A frame of the retired type 3 arriving AFTER the session has absorbed
+// reports: the rejection must be typed and must leave the aggregate
+// byte-identical — an older live-estimation stream accidentally piped
+// into a collector cannot perturb or double-count the aggregate.
+TEST(CollectorSessionTest, RetiredTypeFrameAfterPriorReportsLeavesStateIntact) {
   const std::vector<double> values = TestValues(4000);
   const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
   auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
@@ -235,19 +265,18 @@ TEST(CollectorSessionTest, SnapshotFrameAfterPriorReportsLeavesStateIntact) {
   ASSERT_TRUE(session.HandleFrame(report).ok());
   const std::string sketch_before = session.EncodeSketch().ValueOrDie();
 
-  // A well-formed snapshot frame of matching epsilon/d.
-  SwEstimatorOptions options;
-  options.epsilon = 1.0;
-  options.d = 32;
-  StreamingAggregator agg = StreamingAggregator::Make(options).ValueOrDie();
-  Rng snap_rng(ShardSeed(31, 1));
+  // A well-formed type-3 frame of matching epsilon/d.
+  const SwEstimator estimator =
+      SwEstimator::Make(wire::SwEstimatorOptionsForSpec(spec).ValueOrDie())
+          .ValueOrDie();
+  std::vector<uint64_t> counts(estimator.output_buckets(), 0);
+  Rng retired_rng(ShardSeed(31, 1));
   for (const double v : TestValues(500)) {
-    agg.Accept(agg.estimator().PerturbOne(v, snap_rng));
+    ++counts[estimator.OutputBucketOf(estimator.PerturbOne(v, retired_rng))];
   }
-  std::string snapshot;
-  ASSERT_TRUE(wire::EncodeSnapshotFrame(1.0, agg, &snapshot).ok());
 
-  const Status rejected = session.HandleFrame(snapshot);
+  const Status rejected =
+      session.HandleFrame(RetiredType3Frame(1.0, 32, counts));
   EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument)
       << rejected.ToString();
   EXPECT_EQ(session.num_reports(), values.size());

@@ -5,7 +5,8 @@
 // frame only after reading the previous ack. Acks go to stdout and the
 // sketch only to --out; the output is one sketch frame per tenant, as in
 // --listen mode; and a stream cut mid-frame fails without writing a
-// sketch. Tool locations come from CMake (NUMDIST_*_PATH); the test
+// sketch; and --estimate-out holds one cumulative sketch per estimate
+// tick. Tool locations come from CMake (NUMDIST_*_PATH); the test
 // self-skips when the tools were not built.
 #include <gtest/gtest.h>
 
@@ -126,14 +127,16 @@ int Sh(const std::string& script) {
 }
 
 // A shell command line running `tool` with the test's method and `flags`
-// (which may carry redirections), its stderr silenced.
-std::string ToolCmd(const char* tool, const std::string& flags) {
+// (which may carry redirections), its stderr sent to `stderr_path`.
+std::string ToolCmd(const char* tool, const std::string& flags,
+                    const std::string& stderr_path = "/dev/null") {
   return std::string("'") + tool + "'" + kCommonFlags + " " + flags +
-         " 2>/dev/null";
+         " 2>'" + stderr_path + "'";
 }
 
-std::string CollectorCmd(const std::string& flags) {
-  return ToolCmd(kCollector, flags);
+std::string CollectorCmd(const std::string& flags,
+                         const std::string& stderr_path = "/dev/null") {
+  return ToolCmd(kCollector, flags, stderr_path);
 }
 
 // Runs collector_cli; returns its exit code.
@@ -307,9 +310,10 @@ TEST(StdioProcessTest, MidFrameEofFailsAndLeavesOutEmpty) {
 // Script lines that start a --listen collector in the background as $pid
 // and wait until it has published its endpoint in `port_file`.
 std::string ListenInBackground(const std::string& port_file,
-                               const std::string& flags) {
-  std::string lines =
-      CollectorCmd("--listen=tcp:0 --port-file=" + port_file + " " + flags);
+                               const std::string& flags,
+                               const std::string& stderr_path = "/dev/null") {
+  std::string lines = CollectorCmd(
+      "--listen=tcp:0 --port-file=" + port_file + " " + flags, stderr_path);
   lines += " &\npid=$!\n";
   lines += "for i in $(seq 200); do [ -s " + port_file +
            " ] && break; sleep 0.05; done\n";
@@ -358,6 +362,89 @@ TEST(StdioProcessTest, TenantTaggedStdioMatchesListen) {
             wire::kDefaultTenant);
   EXPECT_EQ(wire::PeekFrame(frames[1]).ValueOrDie().tenant, 5u);
   for (const std::string& path : {stdio, listen, upstream, port, port2}) {
+    std::remove(path.c_str());
+  }
+}
+
+// --estimate-out is one cumulative sketch frame per estimate tick. A
+// --listen collector estimating every frame serves one client connection,
+// whose frames it absorbs in stream order. Read back, every frame of the
+// stream decodes as a sketch under the collector's spec, its report count
+// is that tick's (the stderr tick line) and never decreases, and its
+// counts are the fold of exactly the frames absorbed by then. The last
+// tick follows the last absorb, so the last frame is the drained sketch.
+TEST(StdioProcessTest, EstimateOutIsOneCumulativeSketchPerTick) {
+  // 10 frames of 20 000 one-byte reports: about 200 KB, which the
+  // collector reads at most 64 KiB per round, so ticks land at several
+  // prefixes of the stream.
+  const uint64_t kReportsPerFrame = 20000;
+  const auto client = [&](const std::string& flags) {
+    return ToolCmd(NUMDIST_REPORT_CLIENT_PATH,
+                   "--uniform=200000 --shard-size=" +
+                       std::to_string(kReportsPerFrame) + " --seed=19 " +
+                       flags);
+  };
+  const std::string frames_path = Tmp("estimate_frames.bin");
+  const std::string port = Tmp("estimate_port.txt");
+  const std::string out = Tmp("estimate.sketch");
+  const std::string estimates_path = Tmp("estimates.bin");
+  const std::string log = Tmp("estimate.log");
+  std::remove(port.c_str());
+  std::string script = client("--out=" + frames_path) + " || exit 10\n";
+  script += ListenInBackground(port,
+                               "--out=" + out +
+                                   " --estimate-every-frames=1"
+                                   " --estimate-out=" + estimates_path,
+                               log);
+  script += client("--connect=\"$(cat " + port + ")\"") +
+            " || { kill $pid; exit 12; }\n";
+  script += "kill -TERM $pid\nwait $pid || exit 13\n";
+  ASSERT_EQ(Sh(script), 0) << script;
+
+  // One "estimate tick K: reports=R ..." line per tick, in order.
+  std::vector<uint64_t> tick_reports;
+  std::istringstream lines(ReadFile(log));
+  for (std::string line; std::getline(lines, line);) {
+    unsigned long long tick = 0;
+    unsigned long long reports = 0;
+    if (std::sscanf(line.c_str(), "estimate tick %llu: reports=%llu", &tick,
+                    &reports) == 2) {
+      EXPECT_EQ(tick, tick_reports.size() + 1);
+      tick_reports.push_back(reports);
+    }
+  }
+  const std::vector<std::string> estimates =
+      Unprefixed(ReadFile(estimates_path));
+  ASSERT_GT(estimates.size(), 1u);
+  ASSERT_EQ(estimates.size(), tick_reports.size());
+
+  const std::vector<std::string> frames = Unprefixed(ReadFile(frames_path));
+  ASSERT_EQ(frames.size(), 10u);
+  const wire::MethodSpec spec = TestSpec();
+  auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
+  auto prefix = serve::CollectorSession::Make(spec).ValueOrDie();
+  size_t absorbed = 0;
+  uint64_t last_reports = 0;
+  for (size_t k = 0; k < estimates.size(); ++k) {
+    SCOPED_TRACE("tick " + std::to_string(k + 1));
+    const auto sketch = wire::DecodeSketchFrame(
+        spec, *protocol, wire::FrameBytes(estimates[k]));
+    ASSERT_TRUE(sketch.ok()) << sketch.status().ToString();
+    const uint64_t reports = (*sketch)->num_reports();
+    EXPECT_EQ(reports, tick_reports[k]);
+    EXPECT_GE(reports, last_reports);
+    last_reports = reports;
+    ASSERT_EQ(reports % kReportsPerFrame, 0u);
+    ASSERT_LE(reports / kReportsPerFrame, frames.size());
+    while (absorbed < reports / kReportsPerFrame) {
+      ASSERT_TRUE(prefix.HandleFrame(frames[absorbed++]).ok());
+    }
+    EXPECT_EQ(estimates[k], prefix.EncodeSketch().ValueOrDie());
+  }
+  EXPECT_EQ(absorbed, frames.size());
+  EXPECT_EQ(Prefixed({estimates.back()}), ReadFile(out));
+  for (const std::string& path :
+       {frames_path, port, out, estimates_path, log}) {
     std::remove(path.c_str());
   }
 }

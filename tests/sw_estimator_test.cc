@@ -173,12 +173,18 @@ TEST(SwEstimatorTest, PerturbOneDiscreteReturnsBucketIndex) {
   opts.pipeline = SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize;
   const SwEstimator est = SwEstimator::Make(opts).ValueOrDie();
   Rng rng(9);
+  std::vector<double> reports;
+  std::vector<uint64_t> counts(est.output_buckets(), 0);
   for (int i = 0; i < 500; ++i) {
     const double report = est.PerturbOne(0.5, rng);
     EXPECT_DOUBLE_EQ(report, std::floor(report));  // integral value
     EXPECT_GE(report, 0.0);
     EXPECT_LT(report, static_cast<double>(est.output_buckets()));
+    reports.push_back(report);
+    ++counts[est.OutputBucketOf(report)];
   }
+  // Counting one report at a time lands each where Aggregate puts it.
+  EXPECT_EQ(counts, est.Aggregate(reports));
 }
 
 TEST(SwEstimatorTest, AnalyticModelMatchesDenseTransitionBothPipelines) {

@@ -23,7 +23,6 @@
 
 #include "common/bytes.h"
 #include "data/datasets.h"
-#include "eval/streaming.h"
 #include "protocol/sharded.h"
 #include "protocol/sw_protocol.h"
 #include "serve/collector.h"
@@ -301,58 +300,6 @@ TEST(WireRoundTrip, ReconstructionAfterTheWireIsBitIdentical) {
   }
 }
 
-TEST(WireRoundTrip, SnapshotFramesMergeBitIdentically) {
-  SwEstimatorOptions options;
-  options.epsilon = 1.0;
-  options.d = 64;
-  auto shard = StreamingAggregator::Make(options).ValueOrDie();
-  Rng rng(5);
-  for (double v : TestValues(4000)) {
-    shard.Accept(shard.estimator().PerturbOne(v, rng));
-  }
-
-  std::string frame;
-  ASSERT_TRUE(wire::EncodeSnapshotFrame(1.0, shard, &frame).ok());
-  const auto info = wire::PeekFrame(wire::FrameBytes(frame)).ValueOrDie();
-  EXPECT_EQ(info.type, wire::FrameType::kSnapshot);
-  EXPECT_EQ(info.snapshot_epsilon, 1.0);
-  EXPECT_EQ(info.snapshot_d, 64u);
-  EXPECT_FALSE(info.snapshot_discrete);
-  EXPECT_EQ(info.snapshot_buckets, shard.counts().size());
-
-  auto merged = StreamingAggregator::Make(options).ValueOrDie();
-  ASSERT_TRUE(
-      wire::DecodeSnapshotFrameInto(1.0, wire::FrameBytes(frame), &merged)
-          .ok());
-  EXPECT_EQ(shard.counts(), merged.counts());
-  EXPECT_EQ(shard.count(), merged.count());
-
-  // Epsilon group mismatch is refused outright.
-  auto other = StreamingAggregator::Make(options).ValueOrDie();
-  EXPECT_FALSE(
-      wire::DecodeSnapshotFrameInto(2.0, wire::FrameBytes(frame), &other)
-          .ok());
-  EXPECT_EQ(other.count(), 0u);
-
-  // So is a structurally different estimator, even at the same epsilon:
-  // a different input granularity or the other report pipeline.
-  SwEstimatorOptions other_d = options;
-  other_d.d = 32;
-  auto mismatched_d = StreamingAggregator::Make(other_d).ValueOrDie();
-  EXPECT_FALSE(wire::DecodeSnapshotFrameInto(1.0, wire::FrameBytes(frame),
-                                             &mismatched_d)
-                   .ok());
-  SwEstimatorOptions other_pipeline = options;
-  other_pipeline.pipeline =
-      SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize;
-  auto mismatched_pipeline =
-      StreamingAggregator::Make(other_pipeline).ValueOrDie();
-  EXPECT_FALSE(wire::DecodeSnapshotFrameInto(1.0, wire::FrameBytes(frame),
-                                             &mismatched_pipeline)
-                   .ok());
-  EXPECT_EQ(mismatched_pipeline.count(), 0u);
-}
-
 TEST(WireSpec, ParseMethodSpecCoversTheCliNames) {
   EXPECT_EQ(wire::ParseMethodSpec("sw-ems", 1.0, 64)->method,
             wire::MethodId::kSwEms);
@@ -381,6 +328,35 @@ TEST(WireSpec, ParseMethodSpecCoversTheCliNames) {
   for (const char* name : {"sw-ems", "cfo-16", "cfo-olh-32", "hh-admm"}) {
     EXPECT_EQ(wire::MethodSpecName(*wire::ParseMethodSpec(name, 1.0, 64)),
               name);
+  }
+}
+
+TEST(WireSpec, SwEstimatorOptionsForSpecIsTheProtocolsMapping) {
+  // Both SW specs map to an estimator whose output buckets match the
+  // spec's accumulator count layout, with the spec's post-processing.
+  for (const char* name : {"sw-ems", "sw-em"}) {
+    const wire::MethodSpec spec =
+        wire::ParseMethodSpec(name, 0.5, 256).ValueOrDie();
+    const SwEstimatorOptions options =
+        wire::SwEstimatorOptionsForSpec(spec).ValueOrDie();
+    EXPECT_EQ(options.epsilon, 0.5) << name;
+    EXPECT_EQ(options.d, 256u) << name;
+    EXPECT_EQ(options.post, spec.method == wire::MethodId::kSwEms
+                                ? SwEstimatorOptions::Post::kEms
+                                : SwEstimatorOptions::Post::kEm)
+        << name;
+    const SwEstimator estimator = SwEstimator::Make(options).ValueOrDie();
+    auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
+    const AccumulatorState state = protocol->MakeAccumulator()->ExportState();
+    ASSERT_EQ(state.tables.size(), 1u) << name;
+    EXPECT_EQ(state.tables[0].counts.size(), estimator.output_buckets())
+        << name;
+  }
+  // Every other family is refused.
+  for (const char* name : {"cfo-16", "hh", "haar-hrr"}) {
+    const auto options = wire::SwEstimatorOptionsForSpec(
+        wire::ParseMethodSpec(name, 1.0, 64).ValueOrDie());
+    EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument) << name;
   }
 }
 
@@ -460,14 +436,18 @@ TEST_F(WireRejectionTest, BadMagicVersionSkewFlagsAndFrameType) {
   EXPECT_FALSE(DecodeReport(frame).ok());
   EXPECT_FALSE(wire::PeekFrame(wire::FrameBytes(frame)).ok());
 
+  // Type 3 is retired: an unknown frame type like any other.
+  frame = report_frame_;
+  frame[6] = 3;
+  const auto retired = wire::PeekFrame(wire::FrameBytes(frame));
+  EXPECT_EQ(retired.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(retired.status().message(), "wire: unknown frame type 3");
+  EXPECT_FALSE(DecodeReport(frame).ok());
+
   // Right preamble, wrong frame kind for the call.
   EXPECT_FALSE(DecodeReport(sketch_frame_).ok());
   EXPECT_FALSE(DecodeSketch(report_frame_).ok());
-  StreamingAggregator agg =
-      StreamingAggregator::Make({.epsilon = 1.0, .d = 16}).ValueOrDie();
-  EXPECT_FALSE(wire::DecodeSnapshotFrameInto(
-                   1.0, wire::FrameBytes(report_frame_), &agg)
-                   .ok());
+  EXPECT_FALSE(wire::DecodeAckFrame(report_frame_).ok());
 }
 
 TEST_F(WireRejectionTest, UnknownMethodIdIsRejected) {
@@ -660,40 +640,6 @@ TEST_F(WireRejectionTest, WrappingCountSumsAreRejected) {
   state.tables[0].counts[4] = static_cast<int64_t>(n);
   auto fresh = protocol_->MakeAccumulator();
   EXPECT_FALSE(fresh->ImportState(state).ok());
-
-  // Same guard on the streaming-count merge path.
-  StreamingAggregator agg =
-      StreamingAggregator::Make({.epsilon = 1.0, .d = 16}).ValueOrDie();
-  std::vector<uint64_t> counts(agg.counts().size(), 0);
-  ASSERT_GE(counts.size(), 3u);
-  counts[0] = uint64_t{1} << 63;
-  counts[1] = uint64_t{1} << 63;
-  counts[2] = 5;
-  EXPECT_FALSE(agg.MergeCounts(counts, 5).ok());
-  EXPECT_EQ(agg.count(), 0u);
-}
-
-TEST_F(WireRejectionTest, CorruptedSnapshotCountsAreRejected) {
-  SwEstimatorOptions options;
-  options.epsilon = 1.0;
-  options.d = 16;
-  auto shard = StreamingAggregator::Make(options).ValueOrDie();
-  Rng rng(11);
-  for (double v : TestValues(200)) {
-    shard.Accept(shard.estimator().PerturbOne(v, rng));
-  }
-  std::string frame;
-  ASSERT_TRUE(wire::EncodeSnapshotFrame(1.0, shard, &frame).ok());
-  // Snapshot layout: preamble (8) + epsilon (8) + d (4) + pipeline (1) +
-  // buckets (4) + count (8) puts the first bucket count at offset 33;
-  // bump it so the counts no longer sum to the report count.
-  std::string corrupt = frame;
-  corrupt[33] = static_cast<char>(corrupt[33] + 1);
-  auto target = StreamingAggregator::Make(options).ValueOrDie();
-  EXPECT_FALSE(
-      wire::DecodeSnapshotFrameInto(1.0, wire::FrameBytes(corrupt), &target)
-          .ok());
-  EXPECT_EQ(target.count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -745,13 +691,12 @@ TEST_F(WireRejectionTest, StampRejectsTheReservedAndIllegalShapes) {
   EXPECT_FALSE(
       wire::StampSequenceContext(&frame, {.epoch = 1, .seq = 2}).ok());
 
-  // Snapshot and ack frames never carry a sequence context.
-  StreamingAggregator agg =
-      StreamingAggregator::Make({.epsilon = 1.0, .d = 16}).ValueOrDie();
-  std::string snapshot;
-  ASSERT_TRUE(wire::EncodeSnapshotFrame(1.0, agg, &snapshot).ok());
+  // Ack frames and frames of the retired type 3 never carry a sequence
+  // context.
+  std::string retired = sketch_frame_;
+  retired[6] = 3;
   EXPECT_FALSE(
-      wire::StampSequenceContext(&snapshot, {.epoch = 1, .seq = 1}).ok());
+      wire::StampSequenceContext(&retired, {.epoch = 1, .seq = 1}).ok());
   std::string ack;
   ASSERT_TRUE(wire::EncodeAckFrame({.epoch = 1, .seq = 1}, &ack).ok());
   EXPECT_FALSE(

@@ -75,14 +75,12 @@
 #include <iostream>
 #include <iterator>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cli_common.h"
-#include "eval/streaming.h"
 #include "net/server.h"
 #include "net/socket.h"
 #include "serve/collector.h"
@@ -114,7 +112,7 @@ struct CliFlags {
   int64_t estimate_every_ms = 0;       // ...and/or every T milliseconds
   double estimate_half_life = 0.0;     // > 0: minibatch forgetting (reports)
   size_t estimate_max_iterations = 0;  // per-tick EM budget (0 = default)
-  std::string estimate_out;            // snapshot-frame stream per tick
+  std::string estimate_out;            // sketch-frame stream per tick
   // Durability (serve/wal.h): replay the log before serving, append every
   // accepted frame, compact to a checkpoint at clean exit.
   std::string wal_path;
@@ -158,7 +156,8 @@ void Usage() {
           "       --estimate-every-frames=N and/or --estimate-every-ms=T\n"
           "       [--estimate-half-life=R]   (R > 0: mini-batch window)\n"
           "       [--estimate-max-iterations=K]\n"
-          "       [--estimate-out=FILE]   (snapshot frame per tick)\n"
+          "       [--estimate-out=FILE]   (cumulative sketch frame per\n"
+          "                                tick; not collector input)\n"
           "methods: sw-ems sw-em cfo-<bins> cfo-grr-<bins> cfo-olh-<bins>\n"
           "         cfo-oue-<bins> hh hh-admm haar-hrr\n");
 }
@@ -479,22 +478,19 @@ int RunCoordinator(const CliFlags& flags, serve::CollectorSession* session) {
 }
 
 // Shared between RunServer and the estimate sink closure: the sink is
-// handed to CollectorServer::Make before the server (and therefore its
-// estimator) exists, so the snapshot-frame scratch aggregator is attached
-// right after Make succeeds.
+// handed to CollectorServer::Make before the server exists, so `server` is
+// attached right after Make succeeds.
 struct EstimateSinkState {
   std::ofstream out;     // open iff --estimate-out was given
   bool out_failed = false;
-  double epsilon = 0.0;
-  // Reused per tick: Reset + MergeCounts(tick.totals) rebuilds the live
-  // counts so EncodeSnapshotFrame emits exactly the state the estimate
-  // was computed from.
-  std::optional<StreamingAggregator> scratch;
+  const net::CollectorServer* server = nullptr;
 };
 
-// Per-tick stderr progress line plus (optionally) one wire snapshot frame
-// appended to --estimate-out. A write failure disables the file stream but
-// never the server: live estimation is observability, not the aggregate.
+// Per-tick stderr progress line plus (optionally) the server's sketch frame
+// appended to --estimate-out. The sink runs between rounds, when that
+// sketch holds exactly the counts the estimate was computed from. A write
+// failure disables the file stream but never the server: live estimation
+// is observability, not the aggregate.
 void HandleEstimateTick(EstimateSinkState* est, const net::EstimateTick& tick) {
   fprintf(stderr,
           "estimate tick %llu: reports=%llu frames=%llu iterations=%zu "
@@ -504,17 +500,13 @@ void HandleEstimateTick(EstimateSinkState* est, const net::EstimateTick& tick) {
           static_cast<unsigned long long>(tick.frames), tick.em.iterations,
           tick.checkpoint.total_iterations, tick.checkpoint.runs,
           tick.em.log_likelihood);
-  if (!est->out.is_open() || est->out_failed || !est->scratch.has_value()) {
+  if (!est->out.is_open() || est->out_failed || est->server == nullptr) {
     return;
   }
-  est->scratch->Reset();
-  Status st = est->scratch->MergeCounts(tick.totals, tick.reports);
-  std::string payload;
+  const Result<std::string> sketch = est->server->EncodeSketch();
+  Status st = sketch.status();
   if (st.ok()) {
-    st = wire::EncodeSnapshotFrame(est->epsilon, *est->scratch, &payload);
-  }
-  if (st.ok()) {
-    st = serve::WriteFrame(est->out, payload);
+    st = serve::WriteFrame(est->out, sketch.value());
     est->out.flush();
     if (st.ok() && !est->out) {
       st = Status::Internal("collector: estimate frame write failed");
@@ -617,7 +609,6 @@ int RunServer(const CliFlags& flags, const wire::MethodSpec& spec,
         return 1;
       }
     }
-    est->epsilon = flags.epsilon;
     options.estimate_sink = [est](const net::EstimateTick& tick) {
       HandleEstimateTick(est.get(), tick);
     };
@@ -639,10 +630,7 @@ int RunServer(const CliFlags& flags, const wire::MethodSpec& spec,
   for (const auto& [tenant, budget] : budgets) {
     server->SetTenantBudget(tenant, budget);
   }
-  if (estimating) {
-    est->scratch.emplace(
-        StreamingAggregator::ForEstimator(server->live_estimator()));
-  }
+  est->server = server;
   // SIGTERM keeps its default action on stdio; with --listen it drains.
   const Status attached =
       stdio ? AttachStdio(flags, server) : AttachListener(flags, server);

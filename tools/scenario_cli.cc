@@ -2,7 +2,7 @@
 //
 // Executes a built-in or file-based scenario (dataset mixtures, temporal
 // drift, population ramps, epsilon schedules, shard/merge topologies over
-// StreamingAggregator) and prints the checkpoint trajectory: reconstruction
+// SW output counts) and prints the checkpoint trajectory: reconstruction
 // quality against the scenario's exact running ground truth at every
 // merge-and-snapshot point.
 //
@@ -40,7 +40,6 @@ struct CliFlags {
   bool list = false;
   bool csv = false;
   bool dump = false;
-  bool wire = false;
   bool validate = false;
   bool has_seed = false;
   uint64_t seed = 0;
@@ -57,15 +56,17 @@ struct CliFlags {
 };
 
 void Usage() {
+  std::string builtins;
+  for (const std::string& name : BuiltinScenarioNames()) {
+    builtins += (builtins.empty() ? "" : ", ") + name;
+  }
   fprintf(stderr,
           "usage: scenario_cli --scenario=NAME|FILE [--seed=S] [--threads=W]\n"
-          "                    [--csv] [--dump] [--wire] [--validate]\n"
+          "                    [--csv] [--dump] [--validate]\n"
           "                    [--incremental=off|warm|minibatch]\n"
           "                    [--half-life=R]\n"
           "       scenario_cli --list\n"
-          "built-in scenarios: drift, ramp, eps-schedule\n"
-          "--wire routes checkpoint merges through the wire codec\n"
-          "  (bit-identical results; exercises the distributed path)\n"
+          "built-in scenarios: %s\n"
           "          scenario_cli --attack=CHANNEL:KIND:FRACTION@TARGET\n"
           "                    [--n=N] [--domain=D] [--eps=E] [--shards=S]\n"
           "                    [--seed=S] [--threads=W] [--csv]\n"
@@ -79,7 +80,8 @@ void Usage() {
           "  whose mass the attacker inflates (scenario/attack.h)\n"
           "--defense=off|consistency overrides a scenario's defense setting\n"
           "  (per-checkpoint def_* columns); --defense-threshold=Z sets the\n"
-          "  spike detector's z threshold in both modes\n");
+          "  spike detector's z threshold in both modes\n",
+          builtins.c_str());
 }
 
 bool ParseCli(int argc, char** argv, CliFlags* flags) {
@@ -93,8 +95,6 @@ bool ParseCli(int argc, char** argv, CliFlags* flags) {
       flags->csv = true;
     } else if (arg == "--dump") {
       flags->dump = true;
-    } else if (arg == "--wire") {
-      flags->wire = true;
     } else if (arg == "--validate") {
       flags->validate = true;
     } else if (const char* v = FlagValue(arg, "--seed=")) {
@@ -256,7 +256,6 @@ int main(int argc, char** argv) {
   }
   if (flags.has_seed) config->seed = flags.seed;
   config->threads = flags.threads;
-  if (flags.wire) config->wire_checkpoints = true;
   if (!flags.incremental.empty()) {
     if (flags.incremental == "off") {
       config->incremental = IncrementalMode::kOff;
