@@ -20,7 +20,6 @@
 #include "hierarchy/admm.h"
 #include "hierarchy/constrained.h"
 #include "hierarchy/hh.h"
-#include "kernels/kernels.h"
 
 // Global allocation counter: lets the EM benches report heap allocations
 // per iteration as a hard counter instead of relying on inspection.
@@ -316,44 +315,6 @@ void EM_MINIBATCH_RollingWindow(benchmark::State& state) {
   state.counters["updates"] = static_cast<double>(increments);
 }
 BENCHMARK(EM_MINIBATCH_RollingWindow)->Unit(benchmark::kMillisecond);
-
-// ---- AVX-512 kernel tier on the EM hot path ----
-//
-// Forced-dispatch EM sweep: kAvx512 clamps down the fallback ladder on
-// machines without AVX-512 (the avx512 counter records what actually ran),
-// so the series always produces numbers. Compare real_time against the
-// equivalent forced-AVX2/scalar rows.
-void EM_AVX512_EmSweepSliding(benchmark::State& state) {
-  const size_t d = static_cast<size_t>(state.range(0));
-  const EmInput input = MakeEmInput(d);
-  const EmOptions opts = TenFixedIterations();
-  kernels::ForceIsaForTest(kernels::Isa::kAvx512);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EstimateEm(input.sliding, input.counts, opts));
-  }
-  state.counters["avx512"] = kernels::Avx512Available() ? 1.0 : 0.0;
-  state.SetItemsProcessed(state.iterations() * 10 * 2 * d * d);
-}
-BENCHMARK(EM_AVX512_EmSweepSliding)->Arg(1024)->Arg(4096);
-
-// Raw blocked-reduction dot product under forced AVX-512 dispatch (the
-// kernel every E step leans on). items_per_second = multiply-adds/s.
-void EM_AVX512_Dot(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(15);
-  std::vector<double> a(n), b(n);
-  for (size_t i = 0; i < n; ++i) {
-    a[i] = rng.Uniform();
-    b[i] = rng.Uniform();
-  }
-  kernels::ForceIsaForTest(kernels::Isa::kAvx512);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::Dot(a.data(), b.data(), n));
-  }
-  state.counters["avx512"] = kernels::Avx512Available() ? 1.0 : 0.0;
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(EM_AVX512_Dot)->Arg(1024)->Arg(16384);
 
 void BM_BinomialSmooth(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));

@@ -9,7 +9,6 @@
 #include "fo/hrr.h"
 #include "fo/olh.h"
 #include "fo/oue.h"
-#include "kernels/kernels.h"
 #include "mean/pm.h"
 #include "mean/sr.h"
 
@@ -278,51 +277,6 @@ void BM_DswEncodeBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_DswEncodeBatch);
-
-// ---- AVX-512 kernel tier on the bulk encode path ----
-//
-// The same bulk-encode bodies as above under forced kAvx512 dispatch
-// (clamped down the fallback ladder on machines without it; the avx512
-// counter records what actually ran). README cites the ENC_AVX512_
-// series by name. Forcing is reset to the machine's best tier afterwards,
-// which on every ladder equals the default resolution, so neighbouring
-// benches are unaffected.
-
-void ENC_AVX512_SwEncodeBatch(benchmark::State& state) {
-  const SquareWave sw = SquareWave::Make(1.0).ValueOrDie();
-  const size_t n = 8192;
-  std::vector<double> values(n);
-  for (size_t i = 0; i < n; ++i) {
-    values[i] = static_cast<double>(i) / static_cast<double>(n - 1);
-  }
-  std::vector<double> out(n);
-  Rng rng(14);
-  kernels::ForceIsaForTest(kernels::Isa::kAvx512);
-  for (auto _ : state) {
-    sw.PerturbBatch(values, rng, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.counters["avx512"] = kernels::Avx512Available() ? 1.0 : 0.0;
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(ENC_AVX512_SwEncodeBatch);
-
-void ENC_AVX512_GrrEncodeBatch(benchmark::State& state) {
-  const uint32_t d = static_cast<uint32_t>(state.range(0));
-  const Grr grr = Grr::Make(1.0, d).ValueOrDie();
-  const size_t n = 8192;
-  const std::vector<uint32_t> values = CyclicValues(n, d);
-  std::vector<uint32_t> out(n);
-  Rng rng(10);
-  kernels::ForceIsaForTest(kernels::Isa::kAvx512);
-  for (auto _ : state) {
-    grr.PerturbBatch(values, rng, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.counters["avx512"] = kernels::Avx512Available() ? 1.0 : 0.0;
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(ENC_AVX512_GrrEncodeBatch)->Arg(1024);
 
 // ---- Bulk RNG generation (items = draws/s) and discrete sampling
 // (alias table vs linear weight scan).

@@ -21,51 +21,20 @@ bool CpuHasAvx2() {
 #endif
 }
 
-bool CpuHasAvx512() {
-#if defined(__x86_64__) || defined(__i386__)
-  // The AVX-512 TU uses mask compares/expands (bw, vl) beyond the f
-  // baseline; dq is enabled at compile time, so require it too.
-  return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512bw") &&
-         __builtin_cpu_supports("avx512dq") &&
-         __builtin_cpu_supports("avx512vl");
-#else
-  return false;
-#endif
-}
-
-// Clamps a requested tier to what the binary + CPU can actually run,
-// walking down the ladder avx512 -> avx2 -> scalar.
+// Clamps a requested tier to what the binary + CPU can actually run: AVX2
+// falls back to scalar.
 const KernelTable* TableFor(Isa isa) {
-  if (isa == Isa::kAvx512 && Avx512Available()) return Avx512KernelTable();
-  if (isa != Isa::kScalar && Avx2Available()) return Avx2KernelTable();
+  if (isa == Isa::kAvx2 && Avx2Available()) return Avx2KernelTable();
   return ScalarKernelTable();
 }
 
-// NUMDIST_FORCE_ISA={scalar,avx2,avx512} pins a tier. Unknown values are
-// ignored (normal resolution). Returns true when a pin was requested.
-bool ForcedIsaFromEnv(Isa* out) {
-  const char* v = std::getenv("NUMDIST_FORCE_ISA");
-  if (v == nullptr) return false;
-  if (std::strcmp(v, "scalar") == 0) {
-    *out = Isa::kScalar;
-    return true;
-  }
-  if (std::strcmp(v, "avx2") == 0) {
-    *out = Isa::kAvx2;
-    return true;
-  }
-  if (std::strcmp(v, "avx512") == 0) {
-    *out = Isa::kAvx512;
-    return true;
-  }
-  return false;
-}
-
+// NUMDIST_FORCE_ISA=scalar pins the scalar build. Otherwise AVX2 wins
+// where it can run: pinning avx2 is that same choice, and unknown values
+// are ignored.
 const KernelTable* Resolve() {
-  Isa forced;
-  if (ForcedIsaFromEnv(&forced)) return TableFor(forced);
-  return TableFor(Isa::kAvx512);  // widest tier available wins
+  const char* v = std::getenv("NUMDIST_FORCE_ISA");
+  const bool scalar = v != nullptr && std::strcmp(v, "scalar") == 0;
+  return TableFor(scalar ? Isa::kScalar : Isa::kAvx2);
 }
 
 // Resolved once on first use; ForceIsaForTest/ResetIsaForTest may swap it
@@ -85,13 +54,8 @@ inline const KernelTable* Active() {
 
 bool Avx2Available() { return Avx2KernelTable() != nullptr && CpuHasAvx2(); }
 
-bool Avx512Available() {
-  return Avx512KernelTable() != nullptr && CpuHasAvx512();
-}
-
 Isa ActiveIsa() {
   const KernelTable* table = Active();
-  if (table == Avx512KernelTable()) return Isa::kAvx512;
   if (table == Avx2KernelTable()) return Isa::kAvx2;
   return Isa::kScalar;
 }
@@ -102,8 +66,6 @@ const char* IsaName(Isa isa) {
       return "scalar";
     case Isa::kAvx2:
       return "avx2";
-    case Isa::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }

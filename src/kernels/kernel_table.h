@@ -1,5 +1,5 @@
 // Internal: the function table one kernel build fills in. Each build
-// (scalar, AVX2, AVX-512) provides one immutable table; dispatch.cc selects
+// (scalar, AVX2) provides one immutable table; dispatch.cc selects
 // which table the public entry points call through. Not installed API — only
 // the kernels/ translation units include this.
 #pragma once
@@ -27,8 +27,5 @@ const KernelTable* ScalarKernelTable();
 
 /// The AVX2 build, or nullptr when this binary was compiled without it.
 const KernelTable* Avx2KernelTable();
-
-/// The AVX-512 build, or nullptr when this binary was compiled without it.
-const KernelTable* Avx512KernelTable();
 
 }  // namespace numdist::kernels

@@ -1,9 +1,9 @@
 // Runtime-dispatched SIMD numeric kernels for the report/EM hot paths.
 //
-// Every kernel has three implementations selected once per process: an
-// AVX-512 build (own TU, -mavx512{f,bw,dq,vl}), an AVX2 build (own TU,
-// -mavx2) and a portable scalar build. All are BIT-EXACT by construction —
-// this is the layer's hard contract, enforced by tests/kernels_test.cc:
+// Every kernel has two implementations selected once per process: an AVX2
+// build (own TU, -mavx2) and a portable scalar build. Both are BIT-EXACT
+// by construction — this is the layer's hard contract, enforced by
+// tests/kernels_test.cc:
 //
 //   * Reductions (Dot, Sum, MulAndSum) use a fixed lane-blocked summation
 //     order: 16 independent accumulators striped over the input
@@ -12,10 +12,8 @@
 //       result = (u_0 + u_2) + (u_1 + u_3)
 //     — exactly the vector-add + horizontal-add tree the AVX2 path (four
 //     4-lane chains) produces — plus a sequential scalar tail for n % 16
-//     leftovers. The AVX-512 build keeps exactly two 8-lane chains whose
-//     256-bit halves recombine into the same tree per lane, and the scalar
-//     build performs the same operations on the same values in the same
-//     order, so all paths round identically.
+//     leftovers. The scalar build performs the same operations on the
+//     same values in the same order, so both paths round identically.
 //   * Elementwise kernels (Axpy, Scale, WindowCombine, LessThan,
 //     GrrResponseMap) are data-parallel IEEE operations with no
 //     reassociation; vector and scalar lanes compute the same expression
@@ -23,16 +21,15 @@
 //     TUs are compiled with -ffp-contract=off), so a fused multiply-add
 //     can never make one path round differently from another.
 //   * Crc32c is integer arithmetic: the scalar build's table loop is the
-//     reference, and the vector builds' SSE4.2 crc32 instruction computes
-//     the same polynomial, so every tier returns the same checksum.
+//     reference, and the AVX2 build's SSE4.2 crc32 instruction computes
+//     the same polynomial, so both tiers return the same checksum.
 //
-// Dispatch: resolved on first use. NUMDIST_FORCE_ISA={scalar,avx2,avx512}
-// in the environment pins one build (used by CI to diff the tiers; a pinned
-// tier the binary/CPU cannot run falls back down the ladder avx512 -> avx2
-// -> scalar). Otherwise the widest available tier wins: AVX-512 when the
-// binary carries that TU and the CPU reports avx512{f,bw,dq,vl}, else AVX2,
-// else scalar. ForceIsaForTest() overrides the choice in-process so one
-// test binary can compare all paths directly.
+// Dispatch: resolved on first use. NUMDIST_FORCE_ISA={scalar,avx2} in the
+// environment pins one build (used by CI to diff the tiers; avx2 on a
+// binary/CPU that cannot run it falls back to scalar, and any other value
+// is ignored). Otherwise AVX2 wins when the binary carries that TU and the
+// CPU reports avx2, else scalar. ForceIsaForTest() overrides the choice
+// in-process so one test binary can compare both paths directly.
 #pragma once
 
 #include <cstddef>
@@ -45,29 +42,22 @@ namespace numdist::kernels {
 enum class Isa {
   kScalar,  ///< portable blocked scalar build (always available)
   kAvx2,    ///< AVX2 build (x86-64 with the avx2 feature bit)
-  kAvx512,  ///< AVX-512 build (x86-64 with avx512f/bw/dq/vl feature bits)
 };
 
 /// The ISA the process resolved (env override, CPU detection, compiled-in
 /// availability). Stable after the first kernel call unless overridden.
 Isa ActiveIsa();
 
-/// Human-readable name ("scalar", "avx2", "avx512") for logs and bench
-/// labels.
+/// Human-readable name ("scalar", "avx2") for logs and bench labels.
 const char* IsaName(Isa isa);
 
 /// True iff this binary carries the AVX2 kernel build and the CPU supports
 /// it (ignores the environment override).
 bool Avx2Available();
 
-/// True iff this binary carries the AVX-512 kernel build and the CPU
-/// supports avx512f/bw/dq/vl (ignores the environment override).
-bool Avx512Available();
-
-/// Test/bench-only: pins dispatch to `isa`. Pinning a tier whose build or
-/// CPU support is missing falls back down the ladder (avx512 -> avx2 ->
-/// scalar). Not thread-safe against concurrent kernel calls; call before
-/// spawning workers.
+/// Test/bench-only: pins dispatch to `isa`. Pinning AVX2 where its build
+/// or CPU support is missing falls back to scalar. Not thread-safe against
+/// concurrent kernel calls; call before spawning workers.
 void ForceIsaForTest(Isa isa);
 
 /// Test/bench-only: undoes ForceIsaForTest and re-resolves from the

@@ -583,15 +583,18 @@ int CollectorServer::WaitTimeoutMs() const {
       std::min<long long>(remaining, std::numeric_limits<int>::max()));
 }
 
-void CollectorServer::MaybeEstimate() {
+void CollectorServer::MaybeEstimate(bool drained) {
   if (inc_ == nullptr) return;
-  bool due = false;
+  // At drain, one last tick when frames were absorbed since the previous
+  // one: the last estimate then covers the drained sketch.
+  bool due = drained && stats_.frames_absorbed > last_estimate_frames_;
   if (options_.estimate_every_frames > 0 &&
       stats_.frames_absorbed >=
           last_estimate_frames_ + options_.estimate_every_frames) {
     due = true;
   }
-  if (options_.estimate_every_ms > 0 && Clock::now() >= next_estimate_at_) {
+  if (!drained && options_.estimate_every_ms > 0 &&
+      Clock::now() >= next_estimate_at_) {
     due = true;
     // Next deadline from now, not from the missed slot: a long EM tick
     // must not cause a burst of catch-up ticks.
@@ -670,12 +673,13 @@ Status CollectorServer::Run() {
     if (options_.read_timeout_ms > 0) ExpireStalledReads();
     NUMDIST_RETURN_NOT_OK(AbsorbPending());
     NUMDIST_RETURN_NOT_OK(MaybeCheckpointWal(/*drained=*/false));
-    MaybeEstimate();
+    MaybeEstimate(/*drained=*/false);
     if (options_.expect_frames > 0 &&
         stats_.frames_absorbed >= options_.expect_frames) {
       EnterDrain(/*cut_connections=*/true);
     }
   }
+  MaybeEstimate(/*drained=*/true);
   NUMDIST_RETURN_NOT_OK(MaybeCheckpointWal(/*drained=*/true));
   // A clean shutdown ends the replication stream with an orderly EOF, which
   // the standby reads as "primary finished" rather than a failure.

@@ -159,9 +159,10 @@ struct ServerOptions {
   size_t estimate_max_iterations = 0;
   /// Called after each successful tick, between rounds, so
   /// CollectorServer::EncodeSketch then holds exactly `totals` (how
-  /// collector_cli --estimate-out emits one sketch frame per tick).
-  /// Failures in the sink are the sink's problem; the server keeps
-  /// serving.
+  /// collector_cli --estimate-out emits one sketch frame per tick). Run
+  /// ticks once more at drain when frames were absorbed since the last
+  /// tick, so the last call sees the drained sketch. Failures in the sink
+  /// are the sink's problem; the server keeps serving.
   std::function<void(const EstimateTick&)> estimate_sink;
 };
 
@@ -289,8 +290,9 @@ class CollectorServer {
   void FailConnection(Connection* conn, const Status& error);
   void CloseConnection(Connection* conn);
   void ReapClosed();
-  /// Runs a live-estimation tick when one is due (frame or time cadence).
-  void MaybeEstimate();
+  /// Runs a live-estimation tick when one is due (frame or time cadence),
+  /// or at drain when frames were absorbed since the last tick.
+  void MaybeEstimate(bool drained);
   /// Milliseconds until the next timed event — an estimate tick or a
   /// read deadline — (-1 = wait forever; 0 while an unpolled stream is
   /// open, since it is always readable).

@@ -15,14 +15,16 @@
 //    without mutating it: the drained sketch is byte-identical to a
 //    sequential single-session run over the same frames, while the
 //    estimate sink observes monotone report totals and, at every tick,
-//    a server sketch that holds exactly those totals; a cadence needs an
-//    SW spec.
+//    a server sketch that holds exactly those totals; the drain ticks once
+//    more when frames arrived since the last tick, so the last tick holds
+//    the drained sketch; a cadence needs an SW spec.
 #include "eval/incremental.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -215,6 +217,49 @@ TEST(MiniBatchTest, ScenarioIncrementalColumnsAreThreadCountInvariant) {
   }
 }
 
+// Deterministic report frames for the live-estimation tests: `n` golden-
+// ratio values in seeded shards of 250 reports, one frame per shard.
+std::vector<std::string> LiveReportFrames(const wire::MethodSpec& spec,
+                                          const Protocol& protocol, size_t n) {
+  const std::vector<double> values = GoldenRatioValues(n);
+  const size_t shard_size = 250;
+  std::vector<std::string> frames;
+  for (size_t begin = 0; begin < values.size(); begin += shard_size) {
+    const size_t len = std::min(shard_size, values.size() - begin);
+    Rng rng(ShardSeed(11, begin / shard_size));
+    auto chunk =
+        protocol
+            .EncodePerturbBatch(
+                std::span<const double>(values).subspan(begin, len), rng)
+            .ValueOrDie();
+    std::string frame;
+    EXPECT_TRUE(wire::EncodeReportFrame(spec, protocol, *chunk, &frame).ok());
+    frames.push_back(std::move(frame));
+  }
+  return frames;
+}
+
+// The report count and per-bucket counts of an untagged sketch frame.
+struct SketchCounts {
+  uint64_t reports = 0;
+  std::vector<uint64_t> counts;
+};
+
+Result<SketchCounts> DecodeSketchCounts(const wire::MethodSpec& spec,
+                                        const Protocol& protocol,
+                                        const std::string& sketch_frame) {
+  NUMDIST_ASSIGN_OR_RETURN(
+      const auto sketch,
+      wire::DecodeSketchFrame(spec, protocol, wire::FrameBytes(sketch_frame)));
+  const AccumulatorState state = sketch->ExportState();
+  if (state.tables.size() != 1) {
+    return Status::InvalidArgument("expected one count table");
+  }
+  const std::vector<int64_t>& counts = state.tables[0].counts;
+  return SketchCounts{state.num_reports,
+                      std::vector<uint64_t>(counts.begin(), counts.end())};
+}
+
 TEST(LiveEstimateTest, SketchStaysByteIdenticalAndTicksAreMonotone) {
   // Same fixture shape as tests/net_test.cc: deterministic report frames
   // plus a sequential CollectorSession reference. The server additionally
@@ -223,23 +268,9 @@ TEST(LiveEstimateTest, SketchStaysByteIdenticalAndTicksAreMonotone) {
   // byte for byte.
   const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
   const auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
-  const std::vector<double> values = GoldenRatioValues(3000);
-  const size_t shard_size = 250;
-  std::vector<std::string> frames;
-  uint64_t total_reports = 0;
-  for (size_t begin = 0; begin < values.size(); begin += shard_size) {
-    const size_t len = std::min(shard_size, values.size() - begin);
-    Rng rng(ShardSeed(11, begin / shard_size));
-    auto chunk =
-        protocol
-            ->EncodePerturbBatch(
-                std::span<const double>(values).subspan(begin, len), rng)
-            .ValueOrDie();
-    std::string frame;
-    ASSERT_TRUE(wire::EncodeReportFrame(spec, *protocol, *chunk, &frame).ok());
-    frames.push_back(std::move(frame));
-    total_reports += chunk->num_reports();
-  }
+  const std::vector<std::string> frames =
+      LiveReportFrames(spec, *protocol, 3000);
+  const uint64_t total_reports = 3000;
   auto reference = serve::CollectorSession::Make(spec).ValueOrDie();
   for (const std::string& frame : frames) {
     ASSERT_TRUE(reference.HandleFrame(frame).ok());
@@ -262,14 +293,10 @@ TEST(LiveEstimateTest, SketchStaysByteIdenticalAndTicksAreMonotone) {
   // exactly the tick's totals (what collector_cli --estimate-out writes).
   const net::CollectorServer* live = nullptr;
   const auto sketch_holds = [&](const net::EstimateTick& tick) {
-    const auto sketch = wire::DecodeSketchFrame(
-        spec, *protocol, wire::FrameBytes(live->EncodeSketch().ValueOrDie()));
-    if (!sketch.ok()) return false;
-    const AccumulatorState state = (*sketch)->ExportState();
-    if (state.tables.size() != 1) return false;
-    const std::vector<int64_t>& counts = state.tables[0].counts;
-    return state.num_reports == tick.reports &&
-           std::vector<uint64_t>(counts.begin(), counts.end()) == tick.totals;
+    const auto held = DecodeSketchCounts(spec, *protocol,
+                                         live->EncodeSketch().ValueOrDie());
+    return held.ok() && held->reports == tick.reports &&
+           held->counts == tick.totals;
   };
   net::ServerOptions options;
   options.estimate_every_frames = 2;
@@ -313,6 +340,70 @@ TEST(LiveEstimateTest, SketchStaysByteIdenticalAndTicksAreMonotone) {
   EXPECT_GT(log.total_iterations, 0u);
   ASSERT_NE(server->incremental(), nullptr);
   EXPECT_EQ(server->incremental()->checkpoint().runs, log.count);
+}
+
+TEST(LiveEstimateTest, DrainTicksOnceMoreSoTheLastTickIsTheDrainedSketch) {
+  // Fewer frames than the cadence after the last regular tick: only the
+  // drain tick can bring the estimate up to the drained sketch. The sink
+  // signals its first tick, and only then do the rest go out, so no
+  // regular tick covers them.
+  const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
+  const auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
+  const std::vector<std::string> frames =
+      LiveReportFrames(spec, *protocol, 1500);
+  const size_t cadence = 4;
+  ASSERT_LT(frames.size() - cadence, cadence);
+
+  // Written from the reactor thread, read after serving.join().
+  struct LastTick {
+    uint64_t count = 0;
+    uint64_t reports = 0;
+    std::vector<uint64_t> totals;
+  } last;
+  std::promise<void> first_tick;
+  net::ServerOptions options;
+  options.estimate_every_frames = cadence;
+  options.estimate_sink = [&](const net::EstimateTick& tick) {
+    if (++last.count == 1) first_tick.set_value();
+    last.reports = tick.reports;
+    last.totals = tick.totals;
+  };
+  auto server = net::CollectorServer::Make(spec, options).ValueOrDie();
+  const net::Endpoint bound =
+      server->AddListener(net::ParseEndpoint("tcp:0").ValueOrDie())
+          .ValueOrDie();
+  Status run_status;
+  std::thread serving([&] { run_status = server->Run(); });
+  // Returns before the join on every path, so a failed send still drains.
+  const Status sent = [&]() -> Status {
+    NUMDIST_ASSIGN_OR_RETURN(net::MultiSender sender,
+                             net::MultiSender::Make(bound, 1));
+    for (size_t i = 0; i < cadence; ++i) {
+      NUMDIST_RETURN_NOT_OK(sender.Send(frames[i]));
+    }
+    if (first_tick.get_future().wait_for(std::chrono::seconds(60)) !=
+        std::future_status::ready) {
+      return Status::Internal("no tick after the first frames");
+    }
+    for (size_t i = cadence; i < frames.size(); ++i) {
+      NUMDIST_RETURN_NOT_OK(sender.Send(frames[i]));
+    }
+    return sender.Finish();
+  }();
+  server->RequestDrain();
+  serving.join();
+  ASSERT_TRUE(sent.ok()) << sent.ToString();
+  ASSERT_TRUE(run_status.ok()) << run_status.message();
+
+  EXPECT_EQ(server->stats().frames_absorbed, frames.size());
+  EXPECT_EQ(last.count, 2u);  // the regular tick, then the drain tick
+  EXPECT_EQ(server->stats().estimate_ticks, last.count);
+  EXPECT_EQ(last.reports, server->num_reports());
+  const auto drained =
+      DecodeSketchCounts(spec, *protocol, server->EncodeSketch().ValueOrDie());
+  ASSERT_TRUE(drained.ok()) << drained.status().ToString();
+  EXPECT_EQ(drained->reports, server->num_reports());
+  EXPECT_EQ(last.totals, drained->counts);
 }
 
 TEST(LiveEstimateTest, CadenceWithANonSwSpecIsInvalidArgument) {

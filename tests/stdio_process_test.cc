@@ -6,7 +6,7 @@
 // sketch only to --out; the output is one sketch frame per tenant, as in
 // --listen mode; and a stream cut mid-frame fails without writing a
 // sketch; and --estimate-out holds one cumulative sketch per estimate
-// tick. Tool locations come from CMake (NUMDIST_*_PATH); the test
+// tick, the last of which is the drained sketch. Tool locations come from CMake (NUMDIST_*_PATH); the test
 // self-skips when the tools were not built.
 #include <gtest/gtest.h>
 
@@ -445,6 +445,33 @@ TEST(StdioProcessTest, EstimateOutIsOneCumulativeSketchPerTick) {
   EXPECT_EQ(Prefixed({estimates.back()}), ReadFile(out));
   for (const std::string& path :
        {frames_path, port, out, estimates_path, log}) {
+    std::remove(path.c_str());
+  }
+}
+
+// The stdio collector estimates like a --listen one. Its input file takes
+// four 64 KiB reads, and the cadence of 3 does not divide its 10 frames:
+// ticks follow the reads that complete frames 3, 6 and 9, and only the
+// drain tick covers frame 10. So the --estimate-out stream ends with the
+// --out sketch, byte for byte.
+TEST(StdioProcessTest, StdioEstimateOutEndsWithTheDrainedSketch) {
+  // 10 frames of 20 000 one-byte reports: about 200 KB.
+  const std::vector<std::string> frames = MakeFrames(10, 20000, 23);
+  const std::string in = Tmp("stdio_estimate_frames.bin");
+  WriteFile(in, Prefixed(frames));
+  const std::string out = Tmp("stdio_estimate.sketch");
+  const std::string estimates_path = Tmp("stdio_estimates.bin");
+  ASSERT_EQ(Collect("--in=" + in + " --out=" + out +
+                    " --estimate-every-frames=3 --estimate-out=" +
+                    estimates_path),
+            0);
+  const std::string sketch = ReadFile(out);
+  EXPECT_EQ(sketch, ReferenceSketch(frames));
+  const std::vector<std::string> estimates =
+      Unprefixed(ReadFile(estimates_path));
+  ASSERT_GT(estimates.size(), 1u);
+  EXPECT_EQ(Prefixed({estimates.back()}), sketch);
+  for (const std::string& path : {in, out, estimates_path}) {
     std::remove(path.c_str());
   }
 }

@@ -106,7 +106,7 @@ struct CliFlags {
   uint64_t expect_frames = 0;
   int read_timeout_ms = 0;
   bool csv = false;
-  // Live estimation (listen mode only; eval/incremental.h). A cadence of 0
+  // Live estimation (any serving mode; eval/incremental.h). A cadence of 0
   // on both knobs leaves estimation off entirely.
   uint64_t estimate_every_frames = 0;  // tick after N newly absorbed frames
   int64_t estimate_every_ms = 0;       // ...and/or every T milliseconds
@@ -152,7 +152,7 @@ void Usage() {
           "                death: drains and emits its sketch)\n"
           "multi-tenancy:\n"
           "       --tenant-budget=ID:MAX_REPORTS[:MAX_EPSILON][,...]\n"
-          "live estimation (listen mode, sw-ems/sw-em only):\n"
+          "live estimation (collector + listen modes, sw-ems/sw-em only):\n"
           "       --estimate-every-frames=N and/or --estimate-every-ms=T\n"
           "       [--estimate-half-life=R]   (R > 0: mini-batch window)\n"
           "       [--estimate-max-iterations=K]\n"
@@ -257,8 +257,9 @@ bool ParseCli(int argc, char** argv, CliFlags* flags) {
   }
   const bool estimating =
       flags->estimate_every_frames > 0 || flags->estimate_every_ms > 0;
-  if (estimating && (flags->listen.empty() || flags->merge_listen)) {
-    fprintf(stderr, "live estimation needs collector --listen mode\n");
+  if (estimating && !flags->merge.empty()) {
+    fprintf(stderr, "live estimation needs a serving collector, not "
+            "--merge=FILES\n");
     return false;
   }
   if (!estimating &&
