@@ -10,10 +10,12 @@
 //   epoll_wait ─▶ accept / read ready connections (one read each)
 //              ─▶ FrameDecoder reassembles u32-prefixed frames incrementally
 //              ─▶ completed frames queue as one batch
-//              ─▶ Executor::Shared().ParallelFor absorbs the batch into
-//                 per-slot CollectorSessions (no locks, no contention)
-//              ─▶ each slot folds into the main session; WAL append,
-//                 standby forward, acks
+//              ─▶ under 64 frames: absorbed in arrival order on the reactor
+//                 thread, straight into the main CollectorSession
+//                 64+ frames: Executor::Shared().ParallelFor absorbs the
+//                 batch into per-slot CollectorSessions (no locks, no
+//                 contention), and each slot folds into the main session
+//              ─▶ WAL append, standby forward, acks
 //
 // The round settles all serving state: every frame read in a round is
 // absorbed, folded, logged and acked before the next epoll_wait, so no
@@ -21,13 +23,13 @@
 // rounds (and after Run) the main session alone holds the aggregate.
 //
 // Determinism: which connection a frame arrived on, how reads interleave,
-// how batches are cut, and which executor slot absorbs a frame are all
-// invisible in the result — every frame is absorbed exactly once into SOME
-// exact-integer accumulator, and accumulator merges are exact and
-// commutative, so the final sketch is byte-identical to a single-process
-// sharded run over the same frames for ANY interleaving
-// (tests/net_test.cc in-process, tests/net_process_test.cc across real
-// TCP connections and processes).
+// how batches are cut, whether a round absorbs inline or fans out, and
+// which executor slot absorbs a frame are all invisible in the result —
+// every frame is absorbed exactly once into SOME exact-integer
+// accumulator, and accumulator merges are exact and commutative, so the
+// final sketch is byte-identical to a single-process sharded run over the
+// same frames for ANY interleaving (tests/net_test.cc in-process,
+// tests/net_process_test.cc across real TCP connections and processes).
 //
 // Backpressure: a round makes exactly one read of at most 64 KiB per
 // readable connection and absorbs all of it before the next epoll_wait.
@@ -86,7 +88,8 @@ struct EstimateTick {
 };
 
 struct ServerOptions {
-  /// Executor parallelism cap for batch absorption (0 = all slots).
+  /// Executor parallelism cap for batch absorption (0 = all slots; 1
+  /// absorbs every round inline on the reactor thread).
   size_t max_parallelism = 0;
   /// When > 0: initiate drain automatically after this many frames have
   /// been absorbed (remaining connections are cut, not drained — the
@@ -174,8 +177,9 @@ struct ServerStats {
   /// Always 0: the round throttles reads, never a pause (see the
   /// backpressure note above). Kept because perfbench reports it.
   uint64_t pauses = 0;
-  /// Connections dropped on a typed frame/decode error (the error is in
-  /// `first_error`; the server keeps serving everyone else).
+  /// Connections dropped on a typed frame/decode error, each counted once
+  /// however many of its frames failed (the error is in `first_error`;
+  /// the server keeps serving everyone else).
   uint64_t connection_errors = 0;
   /// Sequenced frames skipped as already-claimed duplicates (still acked).
   uint64_t duplicates = 0;
@@ -268,7 +272,8 @@ class CollectorServer {
   void HandleReadable(Connection* conn);
   /// Fails every connection stalled mid-frame past read_timeout_ms.
   void ExpireStalledReads();
-  /// Absorbs the round's frames, folds every slot into main_, then logs,
+  /// Absorbs the round's frames (inline into main_ under 64 frames, else
+  /// across the slot sessions, then folded into main_), then logs,
   /// replicates and acks them. A fold, WAL or standby failure is fatal to
   /// Run and suppresses every ack of the batch.
   Status AbsorbPending();
@@ -308,9 +313,10 @@ class CollectorServer {
   /// Open streams epoll refused (AddStream); Run reads them every round.
   size_t unpolled_ = 0;
   std::vector<PendingFrame> pending_;
-  /// Per-executor-slot sessions, folded into main_ at the end of every
-  /// round's absorb. Peers of main_ (CollectorSession::MakePeer): the
-  /// process builds its Protocol once, in Make.
+  /// Per-executor-slot sessions for rounds of 64+ frames, folded into
+  /// main_ at the end of such a round's absorb (smaller rounds absorb
+  /// into main_ directly). Peers of main_ (CollectorSession::MakePeer):
+  /// the process builds its Protocol once, in Make.
   std::vector<serve::CollectorSession> slot_sessions_;
 
   /// Durability (null unless ServerOptions::wal_path was set). The only

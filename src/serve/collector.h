@@ -226,8 +226,9 @@ class CollectorSession {
   /// Merges every accumulator of `other` (default + tenants, per tenant)
   /// into this session WITHOUT charging the ledger — the frames behind
   /// `other`'s state were charged when first absorbed. This is how the
-  /// server folds each per-slot session into the main session every
-  /// reactor round without double-spending budgets or collapsing tenants.
+  /// server folds each per-slot session into the main session after a
+  /// fanned-out reactor round without double-spending budgets or
+  /// collapsing tenants.
   Status AbsorbSession(const CollectorSession& other);
 
   /// Replaces the session's state with the given sketch frames (one per

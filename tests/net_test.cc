@@ -11,6 +11,9 @@
 //  - an already-open stream (a pipe, a regular file epoll refuses,
 //    /dev/null) served as a connection is byte-identical too, acks its
 //    sequenced frames on its own sink, and fails typed when cut mid-frame,
+//  - rounds of 64+ frames (fanned out to slot sessions) and smaller rounds
+//    (absorbed inline) fold to one sketch, and frames failing in one round
+//    cost their connection one error,
 //  - the mid-frame read deadline fails a stalled connection (and so ends
 //    a drain waiting on it) while an idle one never times out,
 //  - the WAL checkpoint cadence keeps the log replaying to the aggregate,
@@ -33,6 +36,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -661,6 +665,15 @@ FedPipe FeedPipe(std::string bytes) {
   return fed;
 }
 
+// A regular file holding `bytes`: a stream epoll refuses, read one full
+// 64 KiB chunk per round.
+std::string WriteTempFile(const std::string& name, const std::string& bytes) {
+  const std::string path = testing::TempDir() + name;
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  file << bytes;
+  return path;
+}
+
 TEST(CollectorServerTest, StreamConnectionIsByteIdenticalFromAPipeOrAFile) {
   const NetFixture fx = MakeNetFixture(4000, 512);
   const std::string input = EncodeFrames(fx.frames);
@@ -675,11 +688,7 @@ TEST(CollectorServerTest, StreamConnectionIsByteIdenticalFromAPipeOrAFile) {
   EXPECT_EQ(from_pipe->stats().connection_errors, 0u);
 
   // A regular file: epoll refuses it, so it is read without readiness.
-  const std::string path = testing::TempDir() + "net_test_stream.bin";
-  {
-    std::ofstream file(path, std::ios::binary | std::ios::trunc);
-    file << input;
-  }
+  const std::string path = WriteTempFile("net_test_stream.bin", input);
   auto from_file = ServeToEof(fx.spec, OpenFd(path, O_RDONLY),
                                OpenFd("/dev/null", O_WRONLY));
   EXPECT_EQ(from_file->EncodeSketch().ValueOrDie(), fx.reference_sketch);
@@ -739,6 +748,144 @@ TEST(CollectorServerTest, StreamAcksSequencedFramesAndDeduplicates) {
   }
   EXPECT_FALSE(decoder.Next(&frame)) << "the sink carries acks only";
   EXPECT_TRUE(decoder.AtEnd().ok());
+}
+
+// The ack frames a stream wrote to the file at `path`, decoded in order.
+std::vector<wire::FrameSeq> ReadAcks(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(file)),
+                          std::istreambuf_iterator<char>());
+  serve::FrameDecoder decoder;
+  EXPECT_TRUE(decoder.Feed(bytes).ok());
+  std::vector<wire::FrameSeq> acks;
+  std::string frame;
+  while (decoder.Next(&frame)) {
+    const auto ack = wire::DecodeAckFrame(frame);
+    EXPECT_TRUE(ack.ok()) << ack.status().ToString();
+    if (ack.ok()) acks.push_back(*ack);
+  }
+  EXPECT_TRUE(decoder.AtEnd().ok());
+  return acks;
+}
+
+// Frames completed by each 64 KiB read of the records, written back to
+// back as u32-prefixed frames: how a regular-file stream cuts its rounds.
+std::vector<size_t> FramesPerRead(const std::vector<std::string>& records) {
+  constexpr size_t kRead = 64u << 10;
+  std::vector<size_t> counts;
+  size_t end = 0;
+  for (const std::string& record : records) {
+    end += sizeof(uint32_t) + record.size();
+    const size_t read = (end - 1) / kRead;
+    if (counts.size() <= read) counts.resize(read + 1, 0);
+    ++counts[read];
+  }
+  return counts;
+}
+
+// Rounds of 64+ frames fan out to the per-slot sessions and fold; smaller
+// rounds absorb inline into the main session. A file stream whose first
+// rounds hold 64+ frames and whose last round holds fewer, with a re-send
+// of an early frame in that last round, must fold to the single-session
+// sketch per tenant and ack every frame in arrival order, whichever path
+// each round took. max_parallelism = 1 absorbs every round inline.
+TEST(CollectorServerTest, SmallAndLargeRoundsFoldToOneSketch) {
+  constexpr size_t kShard = 256;
+  constexpr size_t kParallelAbsorbMinFrames = 64;
+  // Two full reads of stamped frames, then a tail of a few dozen.
+  const std::string probe = MakeNetFixture(kShard, kShard).frames[0];
+  const size_t framed = sizeof(uint32_t) + probe.size() + 16;
+  const size_t num_frames = 2 * (64u << 10) / framed + 20;
+  const NetFixture fx =
+      MakeNetFixture(num_frames * kShard, kShard, /*odd_tenant=*/9);
+  ASSERT_EQ(fx.frames.size(), num_frames);
+  ASSERT_EQ(fx.reference_sketches.size(), 2u);
+
+  std::vector<std::string> records = fx.frames;
+  for (size_t i = 0; i < records.size(); ++i) {
+    ASSERT_TRUE(
+        wire::StampSequenceContext(&records[i], {.epoch = 33, .seq = i + 1})
+            .ok());
+  }
+  // Seq 2 (tenant-tagged) comes again just before the last frame.
+  records.insert(records.end() - 1, records[1]);
+  const std::vector<size_t> per_read = FramesPerRead(records);
+  ASSERT_EQ(per_read.size(), 3u);
+  ASSERT_GE(per_read[0], kParallelAbsorbMinFrames);
+  ASSERT_GE(per_read[1], kParallelAbsorbMinFrames);
+  ASSERT_LT(per_read[2], kParallelAbsorbMinFrames);
+  ASSERT_GE(per_read[2], 2u) << "the re-send must land in the last round";
+  const std::string input_path =
+      WriteTempFile("net_test_rounds.bin", EncodeFrames(records));
+
+  for (const size_t max_parallelism : {size_t{0}, size_t{1}}) {
+    SCOPED_TRACE("max_parallelism " + std::to_string(max_parallelism));
+    const std::string ack_path = testing::TempDir() + "net_test_rounds.acks";
+    net::ServerOptions options;
+    options.drain_on_disconnect = true;
+    options.max_parallelism = max_parallelism;
+    auto server = net::CollectorServer::Make(fx.spec, options).ValueOrDie();
+    ASSERT_TRUE(server
+                    ->AddStream(OpenFd(input_path, O_RDONLY),
+                                OpenFd(ack_path, O_WRONLY | O_CREAT | O_TRUNC))
+                    .ok());
+    const Status run = server->Run();
+    ASSERT_TRUE(run.ok()) << run.ToString();
+    EXPECT_EQ(server->EncodeSketches().ValueOrDie(), fx.reference_sketches);
+    EXPECT_EQ(server->stats().frames_absorbed, num_frames);
+    EXPECT_EQ(server->stats().duplicates, 1u);
+    EXPECT_EQ(server->stats().connection_errors, 0u)
+        << server->stats().first_error.ToString();
+    server.reset();  // closes the ack sink
+
+    const std::vector<wire::FrameSeq> acks = ReadAcks(ack_path);
+    ASSERT_EQ(acks.size(), records.size());
+    for (size_t i = 0; i < records.size(); ++i) {
+      const uint64_t seq = i + 1 == records.size() - 1 ? 2
+                           : i + 1 == records.size()   ? num_frames
+                                                       : i + 1;
+      EXPECT_EQ(acks[i].epoch, 33u);
+      EXPECT_EQ(acks[i].seq, seq) << "ack " << i;
+    }
+    std::remove(ack_path.c_str());
+  }
+  std::remove(input_path.c_str());
+}
+
+// A connection fails once however many of its frames fail in one round.
+// The re-send of an over-budget frame in the same small round finds its
+// original's claim already dropped, so it is refused the same way rather
+// than acked as a duplicate.
+TEST(CollectorServerTest, FramesFailingInOneRoundCountOneConnectionError) {
+  const NetFixture fx = MakeNetFixture(200, 100, /*odd_tenant=*/4);
+  std::string frame = fx.frames[1];  // tenant 4, 100 reports
+  ASSERT_TRUE(wire::StampSequenceContext(&frame, {.epoch = 5, .seq = 1}).ok());
+  const std::string input_path =
+      WriteTempFile("net_test_budget.bin", EncodeFrames({frame, frame}));
+  const std::string ack_path = testing::TempDir() + "net_test_budget.acks";
+
+  net::ServerOptions options;
+  options.drain_on_disconnect = true;
+  auto server = net::CollectorServer::Make(fx.spec, options).ValueOrDie();
+  server->SetTenantBudget(4, {.max_reports = 50});
+  ASSERT_TRUE(server
+                  ->AddStream(OpenFd(input_path, O_RDONLY),
+                              OpenFd(ack_path, O_WRONLY | O_CREAT | O_TRUNC))
+                  .ok());
+  const Status run = server->Run();
+  ASSERT_TRUE(run.ok()) << run.ToString();
+  EXPECT_EQ(server->num_reports(), 0u);
+  EXPECT_EQ(server->stats().frames_absorbed, 0u);
+  EXPECT_EQ(server->stats().duplicates, 0u);
+  EXPECT_EQ(server->stats().acks_queued, 0u);
+  EXPECT_EQ(server->stats().connection_errors, 1u);
+  EXPECT_EQ(server->stats().first_error.code(),
+            StatusCode::kFailedPrecondition)
+      << server->stats().first_error.ToString();
+  server.reset();
+  EXPECT_TRUE(ReadAcks(ack_path).empty());
+  std::remove(input_path.c_str());
+  std::remove(ack_path.c_str());
 }
 
 TEST(CollectorServerTest, StreamEndingMidFrameIsATypedError) {
