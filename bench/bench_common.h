@@ -19,8 +19,8 @@
 
 #include "common/rng.h"
 #include "data/datasets.h"
-#include "eval/method.h"
 #include "eval/runner.h"
+#include "wire/wire.h"
 
 namespace numdist {
 namespace bench {
@@ -139,12 +139,34 @@ struct SweepPoint {
   AggregateMetrics agg;
 };
 
-/// Runs every method in `methods` on every configured dataset and epsilon,
-/// printing progress to stderr. The workhorse behind Figures 2-4.
-inline std::vector<SweepPoint> RunStandardSweep(
-    const BenchFlags& flags,
-    const std::vector<std::unique_ptr<DistributionMethod>>& methods) {
+/// A sweep's results: the display name (Protocol::name()) of every method
+/// it ran, in kTable2Suite order, and one point per (dataset, method,
+/// epsilon).
+struct Sweep {
+  std::vector<std::string> methods;
   std::vector<SweepPoint> points;
+};
+
+/// Builds the protocol a kTable2Suite name describes at (epsilon, d).
+inline Result<ProtocolPtr> MakeSuiteProtocol(const std::string& name,
+                                             double epsilon, size_t d) {
+  NUMDIST_ASSIGN_OR_RETURN(const wire::MethodSpec spec,
+                           wire::ParseMethodSpec(name, epsilon, d));
+  return wire::MakeProtocolForSpec(spec);
+}
+
+/// Runs every kTable2Suite method on every configured dataset and epsilon,
+/// printing progress to stderr. With `distributions_only`, methods whose
+/// protocol yields no distribution (HH, HaarHRR) are left out. The
+/// workhorse behind Table 2 and Figures 2-4.
+inline Sweep RunStandardSweep(const BenchFlags& flags,
+                              bool distributions_only) {
+  Sweep sweep;
+  std::vector<std::string> names(kTable2Suite.size());
+  RunnerOptions opts;
+  opts.trials = TrialsFor(flags);
+  opts.seed = flags.seed;
+  opts.threads = flags.threads;
   for (DatasetId id : DatasetsFor(flags)) {
     const DatasetSpec& spec = GetDatasetSpec(id);
     const size_t d = GranularityFor(flags, id);
@@ -152,26 +174,37 @@ inline std::vector<SweepPoint> RunStandardSweep(
     Rng rng(flags.seed);
     const std::vector<double> values = GenerateDataset(id, n, rng);
     const GroundTruth truth = ComputeGroundTruth(values, d);
-    for (const auto& method : methods) {
+    for (size_t m = 0; m < kTable2Suite.size(); ++m) {
       for (double eps : flags.epsilons) {
-        RunnerOptions opts;
-        opts.trials = TrialsFor(flags);
-        opts.seed = flags.seed;
-        opts.threads = flags.threads;
+        Result<ProtocolPtr> protocol =
+            MakeSuiteProtocol(kTable2Suite[m], eps, d);
+        if (!protocol.ok()) {
+          fprintf(stderr, "[sweep] %s %s eps=%.2f failed: %s\n",
+                  spec.name.c_str(), kTable2Suite[m], eps,
+                  protocol.status().ToString().c_str());
+          continue;
+        }
+        if (distributions_only && !protocol.value()->yields_distribution()) {
+          continue;
+        }
+        names[m] = protocol.value()->name();
         fprintf(stderr, "[sweep] %s %s eps=%.2f ...\n", spec.name.c_str(),
-                method->name().c_str(), eps);
+                names[m].c_str(), eps);
         Result<AggregateMetrics> agg =
-            RunTrials(*method, values, truth, eps, d, opts);
+            RunTrials(*protocol.value(), values, truth, opts);
         if (!agg.ok()) {
           fprintf(stderr, "  failed: %s\n", agg.status().ToString().c_str());
           continue;
         }
-        points.push_back({spec.name, method->name(), eps,
-                          std::move(agg).value()});
+        sweep.points.push_back(
+            {spec.name, names[m], eps, std::move(agg).value()});
       }
     }
   }
-  return points;
+  for (std::string& name : names) {
+    if (!name.empty()) sweep.methods.push_back(std::move(name));
+  }
+  return sweep;
 }
 
 }  // namespace bench

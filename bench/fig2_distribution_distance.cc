@@ -17,15 +17,8 @@ using namespace numdist;
 int main(int argc, char** argv) {
   const bench::BenchFlags flags = bench::ParseFlags(argc, argv);
 
-  std::vector<std::unique_ptr<DistributionMethod>> methods;
-  methods.push_back(MakeSwEmsMethod());
-  methods.push_back(MakeSwEmMethod());
-  methods.push_back(MakeHhAdmmMethod());
-  methods.push_back(MakeCfoBinningMethod(16));
-  methods.push_back(MakeCfoBinningMethod(32));
-  methods.push_back(MakeCfoBinningMethod(64));
-
-  const auto points = bench::RunStandardSweep(flags, methods);
+  const bench::Sweep sweep =
+      bench::RunStandardSweep(flags, /*distributions_only=*/true);
 
   printf("=== Figure 2: distribution distances, varying epsilon ===\n");
   printf("(n=%zu, trials=%zu per point)\n\n", bench::UsersFor(flags),
@@ -40,11 +33,11 @@ int main(int argc, char** argv) {
       return headers;
     }());
     for (const auto& dataset : flags.datasets) {
-      for (const auto& method : methods) {
-        std::vector<std::string> row = {dataset, method->name()};
+      for (const std::string& method : sweep.methods) {
+        std::vector<std::string> row = {dataset, method};
         for (double eps : flags.epsilons) {
-          for (const auto& p : points) {
-            if (p.dataset == dataset && p.method == method->name() &&
+          for (const auto& p : sweep.points) {
+            if (p.dataset == dataset && p.method == method &&
                 p.epsilon == eps) {
               row.push_back(FormatSci(metric[0] == 'w' ? p.agg.mean.wasserstein
                                                        : p.agg.mean.ks));

@@ -16,8 +16,8 @@ using namespace numdist;
 
 int main(int argc, char** argv) {
   const bench::BenchFlags flags = bench::ParseFlags(argc, argv);
-  const auto methods = MakeStandardSuite();
-  const auto points = bench::RunStandardSweep(flags, methods);
+  const bench::Sweep sweep =
+      bench::RunStandardSweep(flags, /*distributions_only=*/false);
 
   printf("=== Figure 3: range query MAE, varying epsilon ===\n");
   printf("(n=%zu, trials=%zu, 200 random queries per trial)\n\n",
@@ -32,11 +32,11 @@ int main(int argc, char** argv) {
       return headers;
     }());
     for (const auto& dataset : flags.datasets) {
-      for (const auto& method : methods) {
-        std::vector<std::string> row = {dataset, method->name()};
+      for (const std::string& method : sweep.methods) {
+        std::vector<std::string> row = {dataset, method};
         for (double eps : flags.epsilons) {
-          for (const auto& p : points) {
-            if (p.dataset == dataset && p.method == method->name() &&
+          for (const auto& p : sweep.points) {
+            if (p.dataset == dataset && p.method == method &&
                 p.epsilon == eps) {
               row.push_back(FormatSci(alpha < 0.25 ? p.agg.mean.range_small
                                                    : p.agg.mean.range_large));

@@ -76,15 +76,8 @@ std::vector<ScalarPoint> RunScalarSweep(const bench::BenchFlags& flags) {
 int main(int argc, char** argv) {
   const bench::BenchFlags flags = bench::ParseFlags(argc, argv);
 
-  std::vector<std::unique_ptr<DistributionMethod>> methods;
-  methods.push_back(MakeSwEmsMethod());
-  methods.push_back(MakeSwEmMethod());
-  methods.push_back(MakeHhAdmmMethod());
-  methods.push_back(MakeCfoBinningMethod(16));
-  methods.push_back(MakeCfoBinningMethod(32));
-  methods.push_back(MakeCfoBinningMethod(64));
-
-  const auto points = bench::RunStandardSweep(flags, methods);
+  const bench::Sweep sweep =
+      bench::RunStandardSweep(flags, /*distributions_only=*/true);
   const auto scalar_points = RunScalarSweep(flags);
 
   printf("=== Figure 4: mean / variance / quantile MAE, varying epsilon ===\n");
@@ -101,11 +94,11 @@ int main(int argc, char** argv) {
       return headers;
     }());
     for (const auto& dataset : flags.datasets) {
-      for (const auto& method : methods) {
-        std::vector<std::string> row = {dataset, method->name()};
+      for (const std::string& method : sweep.methods) {
+        std::vector<std::string> row = {dataset, method};
         for (double eps : flags.epsilons) {
-          for (const auto& p : points) {
-            if (p.dataset == dataset && p.method == method->name() &&
+          for (const auto& p : sweep.points) {
+            if (p.dataset == dataset && p.method == method &&
                 p.epsilon == eps) {
               const double v = which == 0   ? p.agg.mean.mean_err
                                : which == 1 ? p.agg.mean.variance_err

@@ -27,14 +27,14 @@ int main(int argc, char** argv) {
   printf("\n=== summary run at eps=%.2f ===\n", eps);
   printf("(n=%zu, trials=%zu)\n\n", bench::UsersFor(flags),
          bench::TrialsFor(flags));
-  const auto methods = MakeStandardSuite();
-  const auto points = bench::RunStandardSweep(flags, methods);
+  const bench::Sweep sweep =
+      bench::RunStandardSweep(flags, /*distributions_only=*/false);
 
   for (const auto& dataset : flags.datasets) {
     printf("--- %s ---\n", dataset.c_str());
     TablePrinter table({"method", "W1", "KS", "range(0.1)", "range(0.4)",
                         "mean", "variance", "quantile"});
-    for (const auto& p : points) {
+    for (const auto& p : sweep.points) {
       if (p.dataset != dataset) continue;
       table.AddRow({p.method, FormatSci(p.agg.mean.wasserstein),
                     FormatSci(p.agg.mean.ks), FormatSci(p.agg.mean.range_small),

@@ -13,9 +13,9 @@
 #include "common/rng.h"
 #include "core/sw_estimator.h"
 #include "data/datasets.h"
-#include "eval/method.h"
 #include "metrics/distance.h"
 #include "metrics/queries.h"
+#include "wire/wire.h"
 
 namespace {
 
@@ -39,16 +39,22 @@ int main(int argc, char** argv) {
          epsilon, n, d);
 
   // SW + EMS (this paper).
-  const auto sw_method = numdist::MakeSwEmsMethod();
+  const numdist::ProtocolPtr sw_protocol =
+      numdist::wire::MakeProtocolForSpec(
+          numdist::wire::ParseMethodSpec("sw-ems", epsilon, d).ValueOrDie())
+          .ValueOrDie();
   numdist::Rng sw_rng(11);
   const numdist::MethodOutput sw =
-      sw_method->Run(salaries, epsilon, d, sw_rng).ValueOrDie();
+      numdist::RunProtocol(*sw_protocol, salaries, sw_rng).ValueOrDie();
 
   // CFO binning baseline (32 bins).
-  const auto cfo_method = numdist::MakeCfoBinningMethod(32);
+  const numdist::ProtocolPtr cfo_protocol =
+      numdist::wire::MakeProtocolForSpec(
+          numdist::wire::ParseMethodSpec("cfo-32", epsilon, d).ValueOrDie())
+          .ValueOrDie();
   numdist::Rng cfo_rng(11);
   const numdist::MethodOutput cfo =
-      cfo_method->Run(salaries, epsilon, d, cfo_rng).ValueOrDie();
+      numdist::RunProtocol(*cfo_protocol, salaries, cfo_rng).ValueOrDie();
 
   printf("reconstruction quality (lower is better)\n");
   printf("  %-12s %-12s %-12s\n", "method", "Wasserstein", "KS");

@@ -10,8 +10,8 @@
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "data/datasets.h"
-#include "eval/method.h"
 #include "metrics/queries.h"
+#include "wire/wire.h"
 
 namespace {
 
@@ -42,15 +42,21 @@ int main(int argc, char** argv) {
 
   printf("Taxi pickup telemetry under %.2f-LDP, %zu trips\n\n", epsilon, n);
 
-  const auto sw_method = numdist::MakeSwEmsMethod();
+  const numdist::ProtocolPtr sw_protocol =
+      numdist::wire::MakeProtocolForSpec(
+          numdist::wire::ParseMethodSpec("sw-ems", epsilon, d).ValueOrDie())
+          .ValueOrDie();
   numdist::Rng sw_rng(17);
   const numdist::MethodOutput sw =
-      sw_method->Run(pickups, epsilon, d, sw_rng).ValueOrDie();
+      numdist::RunProtocol(*sw_protocol, pickups, sw_rng).ValueOrDie();
 
-  const auto hh_method = numdist::MakeHhMethod();
+  const numdist::ProtocolPtr hh_protocol =
+      numdist::wire::MakeProtocolForSpec(
+          numdist::wire::ParseMethodSpec("hh", epsilon, d).ValueOrDie())
+          .ValueOrDie();
   numdist::Rng hh_rng(17);
   const numdist::MethodOutput hh =
-      hh_method->Run(pickups, epsilon, d, hh_rng).ValueOrDie();
+      numdist::RunProtocol(*hh_protocol, pickups, hh_rng).ValueOrDie();
 
   printf("  %-14s %9s %11s %11s\n", "window", "true", "SW-EMS", "HH");
   PrintWindow("0am-5am", 0, 5, sw, hh, truth);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/executor.h"
 #include "common/histogram.h"
@@ -83,26 +84,26 @@ GroundTruth ComputeGroundTruth(const std::vector<double>& values, size_t d) {
   return truth;
 }
 
-Result<AggregateMetrics> RunTrials(const DistributionMethod& method,
+Result<AggregateMetrics> RunTrials(const Protocol& protocol,
                                    const std::vector<double>& values,
-                                   const GroundTruth& truth, double epsilon,
-                                   size_t d, const RunnerOptions& opts) {
+                                   const GroundTruth& truth,
+                                   const RunnerOptions& opts) {
   if (opts.trials == 0) {
     return Status::InvalidArgument("RunTrials: trials must be > 0");
   }
   if (values.empty()) {
     return Status::InvalidArgument("RunTrials: empty dataset");
   }
+  if (truth.histogram.size() != protocol.granularity()) {
+    return Status::InvalidArgument(
+        "RunTrials: ground truth has " +
+        std::to_string(truth.histogram.size()) + " buckets, " +
+        protocol.name() + " reconstructs " +
+        std::to_string(protocol.granularity()));
+  }
 
-  // One Protocol instance serves every trial: it is immutable after
-  // construction, so trials and their shard workers share it freely.
-  // Construction is cheap next to the trials it serves, so nothing is
-  // cached across calls.
-  Result<ProtocolPtr> made = method.MakeProtocol(epsilon, d);
-  if (!made.ok()) return made.status();
-  const ProtocolPtr protocol = std::move(made).value();
-
-  // Two-level parallelism budget on the shared executor: independent
+  // The protocol is immutable, so trials and their shard workers share it
+  // freely. Two-level parallelism budget on the shared executor: independent
   // trials (including the expensive reconstruction step) fan out first,
   // and whatever budget is left over caps each trial's nested shard
   // accumulation. Results depend on neither level's schedule — trial
@@ -124,7 +125,7 @@ Result<AggregateMetrics> RunTrials(const DistributionMethod& method,
         // layer derives one stream per shard below it.
         const uint64_t trial_seed = ShardSeed(opts.seed, t);
         Result<MethodOutput> out =
-            RunProtocolSharded(*protocol, values, trial_seed, shard_opts);
+            RunProtocolSharded(protocol, values, trial_seed, shard_opts);
         if (!out.ok()) {
           failures[t] = out.status();
           return;

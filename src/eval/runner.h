@@ -2,8 +2,9 @@
 // aggregates every §3 utility metric. All figure benches are thin loops
 // over RunTrials.
 //
-// Execution model (adapter-over-Protocol): the method's Protocol is
-// instantiated once per RunTrials call. The thread budget is split on two
+// Execution model: the caller builds one Protocol per (method, epsilon, d)
+// (wire::MakeProtocolForSpec over a kTable2Suite name) and every trial of
+// a RunTrials call shares it. The thread budget is split on two
 // levels: independent trials (including the expensive reconstruction step)
 // run in parallel, and each trial cuts the value stream into fixed-size
 // shards — shard i is encoded+perturbed with its own RNG stream seeded by
@@ -14,13 +15,22 @@
 // fixed-seed run produces bit-identical metrics for 1 or N threads.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "common/result.h"
-#include "eval/method.h"
+#include "protocol/protocol.h"
 
 namespace numdist {
+
+/// The suite the paper evaluates (Table 2), as wire::ParseMethodSpec names
+/// in display order. Their protocols are named SW-EMS, SW-EM, HH-ADMM,
+/// CFO-bin-16/32/64, HH and HaarHRR; the last two answer range queries
+/// only (Protocol::yields_distribution() is false).
+inline constexpr std::array<const char*, 8> kTable2Suite = {
+    "sw-ems", "sw-em", "hh-admm", "cfo-16",
+    "cfo-32", "cfo-64", "hh",     "haar-hrr"};
 
 /// All §3 metrics for one trial. Distribution metrics are NaN when the
 /// method yields no valid distribution (HH, HaarHRR).
@@ -67,12 +77,13 @@ struct GroundTruth {
 /// (moments from the raw values, not the histogram).
 GroundTruth ComputeGroundTruth(const std::vector<double>& values, size_t d);
 
-/// Runs `opts.trials` independent executions of `method`'s Protocol and
-/// aggregates the metrics against the ground truth. Deterministic for a
-/// fixed seed, independent of opts.threads.
-Result<AggregateMetrics> RunTrials(const DistributionMethod& method,
+/// Runs `opts.trials` independent executions of `protocol` and aggregates
+/// the metrics against the ground truth, which must have
+/// protocol.granularity() buckets. Deterministic for a fixed seed,
+/// independent of opts.threads.
+Result<AggregateMetrics> RunTrials(const Protocol& protocol,
                                    const std::vector<double>& values,
-                                   const GroundTruth& truth, double epsilon,
-                                   size_t d, const RunnerOptions& opts);
+                                   const GroundTruth& truth,
+                                   const RunnerOptions& opts);
 
 }  // namespace numdist

@@ -1,6 +1,5 @@
 #include "serve/framing.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <ostream>
 
@@ -8,16 +7,12 @@
 
 namespace numdist::serve {
 
-Status WriteFrame(std::ostream& out, std::string_view frame,
-                  size_t max_bytes) {
-  // The prefix is a u32, so UINT32_MAX caps every frame no matter how far
-  // a caller raises max_bytes — otherwise the cast below would silently
-  // truncate the length and desynchronize the stream.
-  const size_t limit = std::min<size_t>(max_bytes, UINT32_MAX);
-  if (frame.size() > limit) {
+Status WriteFrame(std::ostream& out, std::string_view frame) {
+  if (frame.size() > kMaxFrameBytes) {
     return Status::InvalidArgument(
         "framing: frame of " + std::to_string(frame.size()) +
-        " bytes exceeds the " + std::to_string(limit) + "-byte limit");
+        " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
+        "-byte limit");
   }
   // Prefix and body go out as ONE buffered write: half the stream-level
   // write calls, and no observable state where the prefix is flushed but
@@ -45,10 +40,11 @@ void FrameDecoder::ParsePrefix() {
       ByteReader(std::string_view(buf_.data() + pos_, sizeof(uint32_t)))
           .U32()
           .value();
-  if (len > max_bytes_) {
+  if (len > kMaxFrameBytes) {
     error_ = Status::InvalidArgument(
         "framing: length prefix of " + std::to_string(len) +
-        " bytes exceeds the " + std::to_string(max_bytes_) + "-byte limit");
+        " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
+        "-byte limit");
     return;
   }
   pos_ += sizeof(uint32_t);

@@ -8,8 +8,8 @@
 // Reading is strict: a clean EOF *between* frames is a normal end of
 // stream, but an EOF inside a length prefix or inside a frame body is a
 // typed OutOfRange error — a crashed peer can never be mistaken for a
-// completed stream. A length prefix above `max_bytes` is rejected before
-// any allocation, so garbage on the wire cannot drive memory use.
+// completed stream. A length prefix above kMaxFrameBytes is rejected
+// before any allocation, so garbage on the wire cannot drive memory use.
 #pragma once
 
 #include <cstddef>
@@ -22,15 +22,16 @@
 
 namespace numdist::serve {
 
-/// Default ceiling on a single frame's size (64 MiB). Generous for sketch
-/// frames (a d=1024 OLH sketch is ~8 KiB) while keeping a corrupt or
-/// hostile length prefix from requesting an absurd allocation.
+/// The ceiling on a single frame's size (64 MiB), for readers and writers
+/// alike. Generous for sketch frames (a d=1024 OLH sketch is ~8 KiB) while
+/// keeping a corrupt or hostile length prefix from requesting an absurd
+/// allocation. It fits the u32 length prefix.
 inline constexpr size_t kMaxFrameBytes = 64u << 20;
+static_assert(kMaxFrameBytes <= UINT32_MAX);
 
 /// Writes one length-prefixed frame. Fails if the stream rejects bytes or
-/// the frame exceeds `max_bytes` (the receiver would refuse it anyway).
-Status WriteFrame(std::ostream& out, std::string_view frame,
-                  size_t max_bytes = kMaxFrameBytes);
+/// the frame exceeds kMaxFrameBytes (the receiver would refuse it anyway).
+Status WriteFrame(std::ostream& out, std::string_view frame);
 
 /// Appends the u32 little-endian transport prefix for a frame of
 /// `frame_len` bytes to `*out` — for callers that assemble framed bytes
@@ -45,7 +46,7 @@ void AppendFramePrefix(size_t frame_len, std::string* out);
 /// granularity, down to one byte at a time — and Next() pops completed
 /// frames. The accept/reject taxonomy does not depend on the split:
 ///
-///   hostile prefix  Feed() rejects a length prefix above `max_bytes` with
+///   hostile prefix  Feed() rejects a length prefix above kMaxFrameBytes with
 ///                   InvalidArgument the moment its 4th byte arrives and
 ///                   before any payload-sized allocation; the decoder is
 ///                   poisoned (every later call reports the same error);
@@ -57,9 +58,6 @@ void AppendFramePrefix(size_t frame_len, std::string* out);
 /// chunking of it against these verdicts.
 class FrameDecoder {
  public:
-  explicit FrameDecoder(size_t max_bytes = kMaxFrameBytes)
-      : max_bytes_(max_bytes) {}
-
   /// Appends transport bytes. Returns the poisoning error, if any (a
   /// hostile length prefix — the only way Feed itself can fail).
   Status Feed(std::string_view bytes);
@@ -85,7 +83,6 @@ class FrameDecoder {
   /// poisoning error on a hostile length.
   void ParsePrefix();
 
-  size_t max_bytes_;
   Status error_ = Status::OK();
   std::string buf_;       // unconsumed transport bytes
   size_t pos_ = 0;        // consumed offset into buf_

@@ -224,6 +224,18 @@ Result<uint32_t> ParseTrailingCount(const std::string& name, size_t prefix) {
   return static_cast<uint32_t>(value);
 }
 
+// The one granularity check, shared by ParseMethodSpec (before d is
+// narrowed to the spec's u32) and MakeProtocolForSpec (before any protocol
+// sizes a table by it).
+Status CheckGranularity(uint64_t d) {
+  if (d < 2 || d > kMaxGranularity) {
+    return Status::InvalidArgument(
+        "wire: granularity d = " + std::to_string(d) + " is outside [2, " +
+        std::to_string(kMaxGranularity) + "]");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 uint64_t MethodSpec::EpsilonBits(double epsilon) {
@@ -234,10 +246,11 @@ uint64_t MethodSpec::EpsilonBits(double epsilon) {
 }
 
 Result<MethodSpec> ParseMethodSpec(const std::string& method, double epsilon,
-                                   uint32_t d) {
+                                   uint64_t d) {
+  NUMDIST_RETURN_NOT_OK(CheckGranularity(d));
   MethodSpec spec;
   spec.epsilon = epsilon;
-  spec.d = d;
+  spec.d = static_cast<uint32_t>(d);
   if (method == "sw-ems") {
     spec.method = MethodId::kSwEms;
   } else if (method == "sw-em") {
@@ -300,6 +313,7 @@ Result<ProtocolPtr> MakeProtocolForSpec(const MethodSpec& spec) {
     return Status::InvalidArgument(
         "wire: method spec epsilon must be positive and finite");
   }
+  NUMDIST_RETURN_NOT_OK(CheckGranularity(spec.d));
   switch (spec.method) {
     case MethodId::kSwEms:
     case MethodId::kSwEm: {

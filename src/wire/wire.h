@@ -101,6 +101,11 @@ enum class MethodId : uint8_t {
   kHaarHrr = 9,
 };
 
+/// Largest granularity d a spec may carry: 2^20 buckets. It is a power of
+/// 4, so the hierarchy methods can use it, and it sits above the 100 000
+/// bin cap of the CFO names.
+inline constexpr uint64_t kMaxGranularity = uint64_t{1} << 20;
+
 /// Complete protocol configuration a frame is bound to. Two endpoints can
 /// exchange frames iff their specs are identical (epsilon compared as
 /// exact bits — an aggregate mixes budgets only if the bits agree).
@@ -111,7 +116,7 @@ struct MethodSpec {
   uint32_t param = 0;
   /// Privacy budget; travels as its IEEE-754 bit pattern (exact).
   double epsilon = 1.0;
-  /// Reconstruction granularity d.
+  /// Reconstruction granularity d, in [2, kMaxGranularity].
   uint32_t d = 64;
 
   /// The exact bit pattern epsilon travels as. Spec equality lives in one
@@ -123,15 +128,19 @@ struct MethodSpec {
 /// Parses a CLI-style method name into a spec: "sw-ems", "sw-em",
 /// "cfo-<bins>" (adaptive), "cfo-grr-<bins>", "cfo-olh-<bins>",
 /// "cfo-oue-<bins>", "hh", "hh-admm" (beta fixed at 4), "haar-hrr".
+/// `d` is taken unnarrowed and must lie in [2, kMaxGranularity];
+/// InvalidArgument otherwise.
 Result<MethodSpec> ParseMethodSpec(const std::string& method, double epsilon,
-                                   uint32_t d);
+                                   uint64_t d);
 
 /// Canonical display name of a spec's method (e.g. "cfo-olh-32").
 std::string MethodSpecName(const MethodSpec& spec);
 
 /// Instantiates the protocol a spec describes. Two processes building the
 /// same spec get interchangeable protocols: chunks and sketches encoded by
-/// one decode and absorb on the other.
+/// one decode and absorb on the other. Refuses what ParseMethodSpec
+/// refuses (d outside [2, kMaxGranularity]), so a spec built field by
+/// field meets the same check.
 Result<ProtocolPtr> MakeProtocolForSpec(const MethodSpec& spec);
 
 /// The SW estimator configuration of an SW spec (sw-ems / sw-em): the one

@@ -6,11 +6,11 @@
 
 #include "common/histogram.h"
 #include "data/datasets.h"
-#include "eval/method.h"
 #include "eval/runner.h"
 #include "mean/moments.h"
 #include "metrics/distance.h"
 #include "metrics/queries.h"
+#include "wire/wire.h"
 
 namespace numdist {
 namespace {
@@ -28,12 +28,19 @@ Experiment MakeExperiment(DatasetId id, size_t n, size_t d, uint64_t seed) {
   return exp;
 }
 
-double MeanW1(const DistributionMethod& method, const Experiment& exp,
-              double epsilon, size_t d, size_t trials = 3) {
+ProtocolPtr MakeMethod(const char* name, double epsilon, size_t d) {
+  return wire::MakeProtocolForSpec(
+             wire::ParseMethodSpec(name, epsilon, d).ValueOrDie())
+      .ValueOrDie();
+}
+
+double MeanW1(const char* method, const Experiment& exp, double epsilon,
+              size_t d, size_t trials = 3) {
   RunnerOptions opts;
   opts.trials = trials;
   opts.range_queries = 20;
-  return RunTrials(method, exp.values, exp.truth, epsilon, d, opts)
+  return RunTrials(*MakeMethod(method, epsilon, d), exp.values, exp.truth,
+                   opts)
       .ValueOrDie()
       .mean.wasserstein;
 }
@@ -41,9 +48,9 @@ double MeanW1(const DistributionMethod& method, const Experiment& exp,
 TEST(IntegrationTest, SwEmsBeatsCfoBinningOnBeta) {
   // Figure 2(a): SW-EMS dominates CFO binning on the smooth Beta dataset.
   const Experiment exp = MakeExperiment(DatasetId::kBeta, 30000, 256, 1);
-  const double sw = MeanW1(*MakeSwEmsMethod(), exp, 1.0, 256);
-  const double cfo16 = MeanW1(*MakeCfoBinningMethod(16), exp, 1.0, 256);
-  const double cfo64 = MeanW1(*MakeCfoBinningMethod(64), exp, 1.0, 256);
+  const double sw = MeanW1("sw-ems", exp, 1.0, 256);
+  const double cfo16 = MeanW1("cfo-16", exp, 1.0, 256);
+  const double cfo64 = MeanW1("cfo-64", exp, 1.0, 256);
   EXPECT_LT(sw, cfo16);
   EXPECT_LT(sw, cfo64);
 }
@@ -51,16 +58,16 @@ TEST(IntegrationTest, SwEmsBeatsCfoBinningOnBeta) {
 TEST(IntegrationTest, SwEmsBeatsHhAdmmOnSmoothData) {
   // Figure 2(a)/(b): on smooth distributions SW-EMS leads HH-ADMM.
   const Experiment exp = MakeExperiment(DatasetId::kBeta, 30000, 256, 2);
-  const double sw = MeanW1(*MakeSwEmsMethod(), exp, 1.0, 256);
-  const double admm = MeanW1(*MakeHhAdmmMethod(), exp, 1.0, 256);
+  const double sw = MeanW1("sw-ems", exp, 1.0, 256);
+  const double admm = MeanW1("hh-admm", exp, 1.0, 256);
   EXPECT_LT(sw, admm);
 }
 
 TEST(IntegrationTest, ErrorDecreasesWithEpsilon) {
   // Every figure: W1 shrinks as the privacy budget grows.
   const Experiment exp = MakeExperiment(DatasetId::kTaxi, 30000, 256, 3);
-  const double w1_low = MeanW1(*MakeSwEmsMethod(), exp, 0.5, 256);
-  const double w1_high = MeanW1(*MakeSwEmsMethod(), exp, 2.5, 256);
+  const double w1_low = MeanW1("sw-ems", exp, 0.5, 256);
+  const double w1_high = MeanW1("sw-ems", exp, 2.5, 256);
   EXPECT_LT(w1_high, w1_low);
 }
 
@@ -70,12 +77,12 @@ TEST(IntegrationTest, HhAdmmBeatsPlainHhOnRangeQueries) {
   RunnerOptions opts;
   opts.trials = 3;
   opts.range_queries = 60;
-  const auto hh = RunTrials(*MakeHhMethod(), exp.values, exp.truth, 0.5, 256,
-                            opts)
-                      .ValueOrDie();
-  const auto admm = RunTrials(*MakeHhAdmmMethod(), exp.values, exp.truth, 0.5,
-                              256, opts)
-                        .ValueOrDie();
+  const auto hh =
+      RunTrials(*MakeMethod("hh", 0.5, 256), exp.values, exp.truth, opts)
+          .ValueOrDie();
+  const auto admm =
+      RunTrials(*MakeMethod("hh-admm", 0.5, 256), exp.values, exp.truth, opts)
+          .ValueOrDie();
   EXPECT_LT(admm.mean.range_large, hh.mean.range_large);
 }
 
@@ -87,7 +94,7 @@ TEST(IntegrationTest, SwEmsMeanCompetitiveWithDirectMeanProtocols) {
   opts.trials = 3;
   opts.range_queries = 10;
   const auto sw =
-      RunTrials(*MakeSwEmsMethod(), exp.values, exp.truth, 1.0, 256, opts)
+      RunTrials(*MakeMethod("sw-ems", 1.0, 256), exp.values, exp.truth, opts)
           .ValueOrDie();
   // Direct protocols' error at the same budget, averaged over seeds.
   double pm_err = 0.0;
@@ -108,8 +115,8 @@ TEST(IntegrationTest, EmsMoreStableThanEmAcrossDatasets) {
   // pointwise but not catastrophically).
   for (DatasetId id : {DatasetId::kBeta, DatasetId::kRetirement}) {
     const Experiment exp = MakeExperiment(id, 25000, 256, 6);
-    const double ems = MeanW1(*MakeSwEmsMethod(), exp, 1.0, 256, 2);
-    const double em = MeanW1(*MakeSwEmMethod(), exp, 1.0, 256, 2);
+    const double ems = MeanW1("sw-ems", exp, 1.0, 256, 2);
+    const double em = MeanW1("sw-em", exp, 1.0, 256, 2);
     EXPECT_LT(ems, 3.0 * em + 1e-3);
   }
 }
@@ -117,11 +124,11 @@ TEST(IntegrationTest, EmsMoreStableThanEmAcrossDatasets) {
 TEST(IntegrationTest, RangeQueriesConsistentAcrossMethods) {
   // Full-domain range query must be ~1 for every method (mass conservation).
   const Experiment exp = MakeExperiment(DatasetId::kTaxi, 20000, 64, 7);
-  for (const auto& method : MakeStandardSuite()) {
+  for (const char* name : kTable2Suite) {
     Rng rng(8);
     const MethodOutput out =
-        method->Run(exp.values, 2.0, 64, rng).ValueOrDie();
-    EXPECT_NEAR(out.range_query(0.0, 1.0), 1.0, 0.15) << method->name();
+        RunProtocol(*MakeMethod(name, 2.0, 64), exp.values, rng).ValueOrDie();
+    EXPECT_NEAR(out.range_query(0.0, 1.0), 1.0, 0.15) << name;
   }
 }
 
@@ -129,7 +136,8 @@ TEST(IntegrationTest, QuantilesTrackTruthAtHighEpsilon) {
   const Experiment exp = MakeExperiment(DatasetId::kBeta, 50000, 256, 9);
   Rng rng(10);
   const MethodOutput out =
-      MakeSwEmsMethod()->Run(exp.values, 4.0, 256, rng).ValueOrDie();
+      RunProtocol(*MakeMethod("sw-ems", 4.0, 256), exp.values, rng)
+          .ValueOrDie();
   EXPECT_LT(QuantileMae(exp.truth.histogram, out.distribution), 0.02);
 }
 
@@ -141,10 +149,10 @@ TEST(IntegrationTest, SpikyIncomeFavorsHhAdmmOnKs) {
   opts.trials = 3;
   opts.range_queries = 10;
   const auto sw =
-      RunTrials(*MakeSwEmsMethod(), exp.values, exp.truth, 2.5, 256, opts)
+      RunTrials(*MakeMethod("sw-ems", 2.5, 256), exp.values, exp.truth, opts)
           .ValueOrDie();
   const auto admm =
-      RunTrials(*MakeHhAdmmMethod(), exp.values, exp.truth, 2.5, 256, opts)
+      RunTrials(*MakeMethod("hh-admm", 2.5, 256), exp.values, exp.truth, opts)
           .ValueOrDie();
   // ADMM preserves spikes; allow generous slack while still asserting the
   // qualitative closeness the paper reports.

@@ -1,9 +1,16 @@
-#include "eval/method.h"
-
+// The paper's method suite (Table 2) as spec names: every kTable2Suite
+// name builds, through wire::ParseMethodSpec + wire::MakeProtocolForSpec,
+// the protocol the figures label it by, with its Table-2 capability flag,
+// and each family refuses the granularities it cannot reconstruct at.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "common/histogram.h"
 #include "data/datasets.h"
+#include "eval/runner.h"
+#include "wire/wire.h"
 
 namespace numdist {
 namespace {
@@ -13,8 +20,23 @@ std::vector<double> TestValues(size_t n) {
   return GenerateDataset(DatasetId::kBeta, n, rng);
 }
 
+Result<ProtocolPtr> MakeMethod(const std::string& name, double epsilon,
+                               size_t d) {
+  NUMDIST_ASSIGN_OR_RETURN(const wire::MethodSpec spec,
+                           wire::ParseMethodSpec(name, epsilon, d));
+  return wire::MakeProtocolForSpec(spec);
+}
+
+std::vector<ProtocolPtr> MakeSuite(double epsilon, size_t d) {
+  std::vector<ProtocolPtr> suite;
+  for (const char* name : kTable2Suite) {
+    suite.push_back(MakeMethod(name, epsilon, d).ValueOrDie());
+  }
+  return suite;
+}
+
 TEST(MethodTest, StandardSuiteHasAllPaperMethods) {
-  const auto suite = MakeStandardSuite();
+  const auto suite = MakeSuite(1.0, 64);
   ASSERT_EQ(suite.size(), 8u);
   EXPECT_EQ(suite[0]->name(), "SW-EMS");
   EXPECT_EQ(suite[1]->name(), "SW-EM");
@@ -27,7 +49,7 @@ TEST(MethodTest, StandardSuiteHasAllPaperMethods) {
 }
 
 TEST(MethodTest, DistributionAvailabilityMatchesTable2) {
-  const auto suite = MakeStandardSuite();
+  const auto suite = MakeSuite(1.0, 64);
   EXPECT_TRUE(suite[0]->yields_distribution());   // SW-EMS
   EXPECT_TRUE(suite[1]->yields_distribution());   // SW-EM
   EXPECT_TRUE(suite[2]->yields_distribution());   // HH-ADMM
@@ -40,10 +62,10 @@ TEST(MethodTest, EveryMethodRunsAndAnswersRangeQueries) {
   const auto values = TestValues(8000);
   const size_t d = 64;
   Rng rng(5);
-  for (const auto& method : MakeStandardSuite()) {
+  for (const ProtocolPtr& method : MakeSuite(1.0, d)) {
     Rng trial_rng = rng.Fork();
     const MethodOutput out =
-        method->Run(values, 1.0, d, trial_rng).ValueOrDie();
+        RunProtocol(*method, values, trial_rng).ValueOrDie();
     ASSERT_TRUE(out.range_query) << method->name();
     const double full = out.range_query(0.0, 1.0);
     EXPECT_NEAR(full, 1.0, 0.3) << method->name();
@@ -58,16 +80,14 @@ TEST(MethodTest, EveryMethodRunsAndAnswersRangeQueries) {
 }
 
 TEST(MethodTest, CfoBinningRequiresDivisibility) {
-  const auto method = MakeCfoBinningMethod(48);
-  Rng rng(6);
-  EXPECT_FALSE(method->Run(TestValues(100), 1.0, 64, rng).ok());
+  EXPECT_FALSE(MakeMethod("cfo-48", 1.0, 64).ok());
 }
 
 TEST(MethodTest, CfoBinningExpandsUniformlyWithinBins) {
-  const auto method = MakeCfoBinningMethod(16);
+  const ProtocolPtr method = MakeMethod("cfo-16", 2.0, 64).ValueOrDie();
   Rng rng(7);
   const MethodOutput out =
-      method->Run(TestValues(20000), 2.0, 64, rng).ValueOrDie();
+      RunProtocol(*method, TestValues(20000), rng).ValueOrDie();
   // Buckets within one chunk of 4 must be equal.
   for (size_t c = 0; c < 16; ++c) {
     for (size_t j = 1; j < 4; ++j) {
@@ -77,25 +97,23 @@ TEST(MethodTest, CfoBinningExpandsUniformlyWithinBins) {
 }
 
 TEST(MethodTest, HaarHrrRequiresPowerOfTwoGranularity) {
-  const auto method = MakeHaarHrrMethod();
-  Rng rng(8);
-  EXPECT_FALSE(method->Run(TestValues(100), 1.0, 48, rng).ok());
+  EXPECT_FALSE(MakeMethod("haar-hrr", 1.0, 48).ok());
 }
 
 TEST(MethodTest, HhRequiresPowerOfBetaGranularity) {
-  const auto method = MakeHhMethod(4);
+  EXPECT_FALSE(MakeMethod("hh", 1.0, 48).ok());
+  const ProtocolPtr method = MakeMethod("hh", 1.0, 64).ValueOrDie();
   Rng rng(9);
-  EXPECT_FALSE(method->Run(TestValues(100), 1.0, 48, rng).ok());
-  EXPECT_TRUE(method->Run(TestValues(100), 1.0, 64, rng).ok());
+  EXPECT_TRUE(RunProtocol(*method, TestValues(100), rng).ok());
 }
 
 TEST(MethodTest, MethodsAreDeterministicGivenSeed) {
   const auto values = TestValues(4000);
-  for (const auto& method : MakeStandardSuite()) {
+  for (const ProtocolPtr& method : MakeSuite(1.0, 64)) {
     Rng rng1(42);
     Rng rng2(42);
-    const MethodOutput a = method->Run(values, 1.0, 64, rng1).ValueOrDie();
-    const MethodOutput b = method->Run(values, 1.0, 64, rng2).ValueOrDie();
+    const MethodOutput a = RunProtocol(*method, values, rng1).ValueOrDie();
+    const MethodOutput b = RunProtocol(*method, values, rng2).ValueOrDie();
     EXPECT_EQ(a.distribution, b.distribution) << method->name();
     EXPECT_DOUBLE_EQ(a.range_query(0.2, 0.3), b.range_query(0.2, 0.3))
         << method->name();

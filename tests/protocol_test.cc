@@ -1,7 +1,6 @@
 // Batched-path guarantees: accumulator merges are associative, shard/thread
-// layout never changes estimates, chunk-based and report-based server paths
-// agree bit-for-bit for every frequency oracle, and the protocol adapters
-// match the single-chunk convenience path.
+// layout never changes estimates, and chunk-based and report-based server
+// paths agree bit-for-bit for every frequency oracle.
 #include "protocol/protocol.h"
 
 #include <gtest/gtest.h>
@@ -10,7 +9,7 @@
 #include <vector>
 
 #include "data/datasets.h"
-#include "eval/method.h"
+#include "eval/runner.h"
 #include "fo/adaptive.h"
 #include "fo/grr.h"
 #include "fo/hrr.h"
@@ -19,6 +18,7 @@
 #include "protocol/cfo_protocol.h"
 #include "protocol/sharded.h"
 #include "protocol/sw_protocol.h"
+#include "wire/wire.h"
 
 namespace numdist {
 namespace {
@@ -26,6 +26,12 @@ namespace {
 std::vector<double> TestValues(size_t n) {
   Rng rng(1234);
   return GenerateDataset(DatasetId::kBeta, n, rng);
+}
+
+ProtocolPtr MakeMethod(const char* name, double epsilon, size_t d) {
+  return wire::MakeProtocolForSpec(
+             wire::ParseMethodSpec(name, epsilon, d).ValueOrDie())
+      .ValueOrDie();
 }
 
 // Reconstructed outputs must agree exactly: same distribution vector and
@@ -45,8 +51,8 @@ void ExpectSameOutput(const MethodOutput& a, const MethodOutput& b,
 TEST(ProtocolTest, AbsorbThenMergeIsAssociativeForEveryMethod) {
   const std::vector<double> values = TestValues(3000);
   const size_t d = 64;
-  for (const auto& method : MakeStandardSuite()) {
-    auto protocol = method->MakeProtocol(1.0, d).ValueOrDie();
+  for (const char* name : kTable2Suite) {
+    auto protocol = MakeMethod(name, 1.0, d);
 
     // Three chunks with fixed per-chunk streams.
     std::vector<std::unique_ptr<ReportChunk>> chunks;
@@ -72,18 +78,17 @@ TEST(ProtocolTest, AbsorbThenMergeIsAssociativeForEveryMethod) {
     ASSERT_TRUE(right->Absorb(*chunks[2]).ok());
     ASSERT_TRUE(left->Merge(*right).ok());
 
-    EXPECT_EQ(flat->num_reports(), left->num_reports()) << method->name();
+    EXPECT_EQ(flat->num_reports(), left->num_reports()) << name;
     ExpectSameOutput(protocol->Reconstruct(*flat).ValueOrDie(),
-                     protocol->Reconstruct(*left).ValueOrDie(),
-                     method->name());
+                     protocol->Reconstruct(*left).ValueOrDie(), name);
   }
 }
 
 TEST(ProtocolTest, ShardedAccumulationIsThreadCountIndependent) {
   const std::vector<double> values = TestValues(5000);
   const size_t d = 64;
-  for (const auto& method : MakeStandardSuite()) {
-    auto protocol = method->MakeProtocol(1.0, d).ValueOrDie();
+  for (const char* name : kTable2Suite) {
+    auto protocol = MakeMethod(name, 1.0, d);
     ShardOptions opts;
     opts.shard_size = 512;
     opts.threads = 1;
@@ -92,29 +97,14 @@ TEST(ProtocolTest, ShardedAccumulationIsThreadCountIndependent) {
     opts.threads = 4;
     const MethodOutput multi =
         RunProtocolSharded(*protocol, values, 99, opts).ValueOrDie();
-    ExpectSameOutput(single, multi, method->name());
-  }
-}
-
-TEST(ProtocolTest, SingleChunkRunMatchesMethodRun) {
-  const std::vector<double> values = TestValues(3000);
-  const size_t d = 64;
-  for (const auto& method : MakeStandardSuite()) {
-    auto protocol = method->MakeProtocol(1.0, d).ValueOrDie();
-    Rng rng_a(31337);
-    Rng rng_b(31337);
-    const MethodOutput via_protocol =
-        RunProtocol(*protocol, values, rng_a).ValueOrDie();
-    const MethodOutput via_method =
-        method->Run(values, 1.0, d, rng_b).ValueOrDie();
-    ExpectSameOutput(via_protocol, via_method, method->name());
+    ExpectSameOutput(single, multi, name);
   }
 }
 
 TEST(ProtocolTest, RejectsForeignChunksAndAccumulators) {
   const std::vector<double> values = TestValues(100);
-  auto sw = MakeSwEmsMethod()->MakeProtocol(1.0, 32).ValueOrDie();
-  auto hh = MakeHhMethod()->MakeProtocol(1.0, 64).ValueOrDie();
+  auto sw = MakeMethod("sw-ems", 1.0, 32);
+  auto hh = MakeMethod("hh", 1.0, 64);
   Rng rng(5);
   auto sw_chunk = sw->EncodePerturbBatch(values, rng).ValueOrDie();
   auto hh_acc = hh->MakeAccumulator();
@@ -135,14 +125,14 @@ TEST(ProtocolTest, RejectsSameFamilyChunksOfDifferentShape) {
   auto acc16 = cfo16->MakeAccumulator();
   EXPECT_FALSE(acc16->Absorb(*chunk64).ok());
 
-  auto hh64 = MakeHhMethod()->MakeProtocol(1.0, 64).ValueOrDie();
-  auto hh256 = MakeHhMethod()->MakeProtocol(1.0, 256).ValueOrDie();
+  auto hh64 = MakeMethod("hh", 1.0, 64);
+  auto hh256 = MakeMethod("hh", 1.0, 256);
   auto chunk256 = hh256->EncodePerturbBatch(values, rng).ValueOrDie();
   auto hh64_acc = hh64->MakeAccumulator();
   EXPECT_FALSE(hh64_acc->Absorb(*chunk256).ok());
 
-  auto sw32 = MakeSwEmsMethod()->MakeProtocol(1.0, 32).ValueOrDie();
-  auto sw64 = MakeSwEmsMethod()->MakeProtocol(1.0, 64).ValueOrDie();
+  auto sw32 = MakeMethod("sw-ems", 1.0, 32);
+  auto sw64 = MakeMethod("sw-ems", 1.0, 64);
   auto sw_chunk64 = sw64->EncodePerturbBatch(values, rng).ValueOrDie();
   auto sw32_acc = sw32->MakeAccumulator();
   EXPECT_FALSE(sw32_acc->Absorb(*sw_chunk64).ok());
@@ -167,7 +157,7 @@ TEST(ProtocolTest, RejectsSameFamilyChunksOfDifferentShape) {
 }
 
 TEST(ProtocolTest, ReconstructRequiresReports) {
-  auto sw = MakeSwEmsMethod()->MakeProtocol(1.0, 32).ValueOrDie();
+  auto sw = MakeMethod("sw-ems", 1.0, 32);
   auto acc = sw->MakeAccumulator();
   EXPECT_FALSE(sw->Reconstruct(*acc).ok());
 }

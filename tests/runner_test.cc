@@ -5,9 +5,16 @@
 #include <cmath>
 
 #include "data/datasets.h"
+#include "wire/wire.h"
 
 namespace numdist {
 namespace {
+
+ProtocolPtr MakeMethod(const char* name, double epsilon, size_t d) {
+  return wire::MakeProtocolForSpec(
+             wire::ParseMethodSpec(name, epsilon, d).ValueOrDie())
+      .ValueOrDie();
+}
 
 TEST(GroundTruthTest, MomentsFromRawValues) {
   const std::vector<double> values = {0.0, 0.5, 1.0};
@@ -18,20 +25,23 @@ TEST(GroundTruthTest, MomentsFromRawValues) {
 }
 
 TEST(RunTrialsTest, ValidatesArguments) {
-  const auto method = MakeSwEmsMethod();
+  const auto method = MakeMethod("sw-ems", 1.0, 16);
   Rng rng(1);
   const std::vector<double> values =
       GenerateDataset(DatasetId::kBeta, 1000, rng);
   const GroundTruth truth = ComputeGroundTruth(values, 16);
   RunnerOptions opts;
   opts.trials = 0;
-  EXPECT_FALSE(RunTrials(*method, values, truth, 1.0, 16, opts).ok());
+  EXPECT_FALSE(RunTrials(*method, values, truth, opts).ok());
   opts.trials = 1;
-  EXPECT_FALSE(RunTrials(*method, {}, truth, 1.0, 16, opts).ok());
+  EXPECT_FALSE(RunTrials(*method, {}, truth, opts).ok());
+  // The ground truth must be at the protocol's granularity.
+  EXPECT_FALSE(RunTrials(*MakeMethod("sw-ems", 1.0, 32), values, truth, opts)
+                   .ok());
 }
 
 TEST(RunTrialsTest, AggregatesDeterministically) {
-  const auto method = MakeSwEmsMethod();
+  const auto method = MakeMethod("sw-ems", 1.0, 32);
   Rng rng(2);
   const std::vector<double> values =
       GenerateDataset(DatasetId::kBeta, 5000, rng);
@@ -41,9 +51,9 @@ TEST(RunTrialsTest, AggregatesDeterministically) {
   opts.seed = 99;
   opts.range_queries = 50;
   const AggregateMetrics a =
-      RunTrials(*method, values, truth, 1.0, 32, opts).ValueOrDie();
+      RunTrials(*method, values, truth, opts).ValueOrDie();
   const AggregateMetrics b =
-      RunTrials(*method, values, truth, 1.0, 32, opts).ValueOrDie();
+      RunTrials(*method, values, truth, opts).ValueOrDie();
   EXPECT_DOUBLE_EQ(a.mean.wasserstein, b.mean.wasserstein);
   EXPECT_DOUBLE_EQ(a.mean.ks, b.mean.ks);
   EXPECT_DOUBLE_EQ(a.stddev.range_small, b.stddev.range_small);
@@ -51,7 +61,7 @@ TEST(RunTrialsTest, AggregatesDeterministically) {
 }
 
 TEST(RunTrialsTest, SingleVsMultiThreadAgree) {
-  const auto method = MakeSwEmsMethod();
+  const auto method = MakeMethod("sw-ems", 1.0, 32);
   Rng rng(3);
   const std::vector<double> values =
       GenerateDataset(DatasetId::kBeta, 5000, rng);
@@ -61,16 +71,16 @@ TEST(RunTrialsTest, SingleVsMultiThreadAgree) {
   opts.range_queries = 30;
   opts.threads = 1;
   const AggregateMetrics st =
-      RunTrials(*method, values, truth, 1.0, 32, opts).ValueOrDie();
+      RunTrials(*method, values, truth, opts).ValueOrDie();
   opts.threads = 2;
   const AggregateMetrics mt =
-      RunTrials(*method, values, truth, 1.0, 32, opts).ValueOrDie();
+      RunTrials(*method, values, truth, opts).ValueOrDie();
   EXPECT_DOUBLE_EQ(st.mean.wasserstein, mt.mean.wasserstein);
   EXPECT_DOUBLE_EQ(st.mean.quantile_err, mt.mean.quantile_err);
 }
 
 TEST(RunTrialsTest, MetricsArePositiveUnderNoise) {
-  const auto method = MakeSwEmsMethod();
+  const auto method = MakeMethod("sw-ems", 0.5, 32);
   Rng rng(4);
   const std::vector<double> values =
       GenerateDataset(DatasetId::kBeta, 8000, rng);
@@ -78,7 +88,7 @@ TEST(RunTrialsTest, MetricsArePositiveUnderNoise) {
   RunnerOptions opts;
   opts.trials = 2;
   const AggregateMetrics agg =
-      RunTrials(*method, values, truth, 0.5, 32, opts).ValueOrDie();
+      RunTrials(*method, values, truth, opts).ValueOrDie();
   EXPECT_GT(agg.mean.wasserstein, 0.0);
   EXPECT_GT(agg.mean.ks, 0.0);
   EXPECT_GT(agg.mean.range_small, 0.0);
@@ -86,7 +96,7 @@ TEST(RunTrialsTest, MetricsArePositiveUnderNoise) {
 }
 
 TEST(RunTrialsTest, TreeMethodsReportNanDistributionMetrics) {
-  const auto method = MakeHhMethod();
+  const auto method = MakeMethod("hh", 1.0, 64);
   Rng rng(5);
   const std::vector<double> values =
       GenerateDataset(DatasetId::kBeta, 8000, rng);
@@ -94,7 +104,7 @@ TEST(RunTrialsTest, TreeMethodsReportNanDistributionMetrics) {
   RunnerOptions opts;
   opts.trials = 2;
   const AggregateMetrics agg =
-      RunTrials(*method, values, truth, 1.0, 64, opts).ValueOrDie();
+      RunTrials(*method, values, truth, opts).ValueOrDie();
   EXPECT_TRUE(std::isnan(agg.mean.wasserstein));
   EXPECT_TRUE(std::isnan(agg.mean.ks));
   EXPECT_FALSE(std::isnan(agg.mean.range_small));
@@ -102,7 +112,7 @@ TEST(RunTrialsTest, TreeMethodsReportNanDistributionMetrics) {
 }
 
 TEST(RunTrialsTest, StddevIsZeroForSingleTrial) {
-  const auto method = MakeSwEmsMethod();
+  const auto method = MakeMethod("sw-ems", 1.0, 16);
   Rng rng(6);
   const std::vector<double> values =
       GenerateDataset(DatasetId::kBeta, 3000, rng);
@@ -110,7 +120,7 @@ TEST(RunTrialsTest, StddevIsZeroForSingleTrial) {
   RunnerOptions opts;
   opts.trials = 1;
   const AggregateMetrics agg =
-      RunTrials(*method, values, truth, 1.0, 16, opts).ValueOrDie();
+      RunTrials(*method, values, truth, opts).ValueOrDie();
   EXPECT_DOUBLE_EQ(agg.stddev.wasserstein, 0.0);
 }
 

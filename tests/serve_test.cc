@@ -40,10 +40,9 @@ struct Decoded {
   Status verdict;
 };
 
-Decoded Decode(std::string_view bytes, size_t chunk,
-               size_t max_bytes = serve::kMaxFrameBytes) {
+Decoded Decode(std::string_view bytes, size_t chunk) {
   Decoded out;
-  serve::FrameDecoder decoder(max_bytes);
+  serve::FrameDecoder decoder;
   std::string frame;
   for (size_t off = 0; off < bytes.size(); off += chunk) {
     const Status fed = decoder.Feed(bytes.substr(off, chunk));
@@ -118,19 +117,35 @@ TEST(FramingTest, HostileLengthPrefixIsRejectedBeforeAllocation) {
   EXPECT_EQ(decoder.buffered_bytes(), 4u);
   EXPECT_EQ(decoder.Feed("more").code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(decoder.AtEnd().code(), StatusCode::kInvalidArgument);
-  // A hostile prefix after a good frame still lets the good frame out; a
-  // frame over an explicit limit is hostile too.
+  // A hostile prefix after a good frame still lets the good frame out.
   const Decoded after_good =
       Decode(EncodeFrames({"ok"}) + "\xFF\xFF\xFF\xFF", 64);
   EXPECT_EQ(after_good.frames, std::vector<std::string>{"ok"});
   EXPECT_EQ(after_good.verdict.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(Decode(EncodeFrames({std::string(100, 'z')}), 64, 50)
-                .verdict.code(),
-            StatusCode::kInvalidArgument);
+
+  // The ceiling is kMaxFrameBytes exactly: one byte over poisons the
+  // decoder, a prefix claiming the ceiling itself is a frame in progress.
+  const auto prefix = [](size_t len) {
+    std::string bytes;
+    serve::AppendFramePrefix(len, &bytes);
+    return bytes;
+  };
+  const Decoded over = Decode(prefix(serve::kMaxFrameBytes + 1), 4);
+  EXPECT_TRUE(over.frames.empty());
+  EXPECT_EQ(over.verdict.code(), StatusCode::kInvalidArgument);
+  serve::FrameDecoder at_limit;
+  EXPECT_TRUE(at_limit.Feed(prefix(serve::kMaxFrameBytes)).ok());
+  EXPECT_FALSE(at_limit.Next(&frame));
+  EXPECT_TRUE(at_limit.mid_frame());
+  EXPECT_EQ(at_limit.AtEnd().code(), StatusCode::kOutOfRange);
 
   // Writers refuse the same ceiling.
   std::stringstream out;
-  EXPECT_FALSE(serve::WriteFrame(out, "abc", /*max_bytes=*/2).ok());
+  EXPECT_EQ(
+      serve::WriteFrame(out, std::string(serve::kMaxFrameBytes + 1, 'z'))
+          .code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_TRUE(out.str().empty());
 }
 
 // Where a stream is cut into reads never changes what the decoder makes

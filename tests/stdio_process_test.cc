@@ -307,6 +307,20 @@ TEST(StdioProcessTest, MidFrameEofFailsAndLeavesOutEmpty) {
   }
 }
 
+// An out-of-range --buckets is refused with a typed error before anything
+// is sized by it: -1 reaches the spec as 2^64 - 1, not as an allocation.
+TEST(StdioProcessTest, OutOfRangeBucketsIsATypedError) {
+  const std::string err = Tmp("buckets.err");
+  EXPECT_EQ(Sh(CollectorCmd("--buckets=-1 --in=/dev/null --out=/dev/null",
+                            err)),
+            1);
+  const std::string message = ReadFile(err);
+  EXPECT_NE(message.find("error: InvalidArgument: wire: granularity"),
+            std::string::npos)
+      << message;
+  std::remove(err.c_str());
+}
+
 // Script lines that start a --listen collector in the background as $pid
 // and wait until it has published its endpoint in `port_file`.
 std::string ListenInBackground(const std::string& port_file,

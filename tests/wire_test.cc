@@ -331,6 +331,36 @@ TEST(WireSpec, ParseMethodSpecCoversTheCliNames) {
   }
 }
 
+// The granularity d is range-checked before anything is sized by it, and
+// without narrowing: 2^32 + 64 must not pass as 64. A spec built field by
+// field meets the same check when its protocol is made (cfo-16 at d = 0
+// would otherwise pass, since 16 divides 0).
+TEST(WireSpec, GranularityOutsideTwoToTwoToTheTwentyIsRefused) {
+  constexpr uint64_t kTop = uint64_t{1} << 20;
+  for (const uint64_t d : {uint64_t{0}, uint64_t{1}, kTop + 1,
+                           (uint64_t{1} << 32) + 64}) {
+    for (const char* name : {"sw-ems", "cfo-16", "hh"}) {
+      EXPECT_EQ(wire::ParseMethodSpec(name, 1.0, d).status().code(),
+                StatusCode::kInvalidArgument)
+          << name << " d=" << d;
+    }
+  }
+  for (const uint64_t d : {uint64_t{2}, kTop}) {
+    const Result<wire::MethodSpec> spec = wire::ParseMethodSpec("hh", 1.0, d);
+    ASSERT_TRUE(spec.ok()) << d << ": " << spec.status().ToString();
+    EXPECT_EQ(spec->d, d);
+  }
+
+  wire::MethodSpec direct =
+      wire::ParseMethodSpec("cfo-16", 1.0, 64).ValueOrDie();
+  for (const uint32_t d : {0u, 1u, static_cast<uint32_t>(kTop) + 16}) {
+    direct.d = d;
+    EXPECT_EQ(wire::MakeProtocolForSpec(direct).status().code(),
+              StatusCode::kInvalidArgument)
+        << "d=" << d;
+  }
+}
+
 TEST(WireSpec, SwEstimatorOptionsForSpecIsTheProtocolsMapping) {
   // Both SW specs map to an estimator whose output buckets match the
   // spec's accumulator count layout, with the spec's post-processing.

@@ -698,7 +698,7 @@ int main(int argc, char** argv) {
   // error on this end, not a SIGPIPE kill.
   std::signal(SIGPIPE, SIG_IGN);
   Result<wire::MethodSpec> spec = wire::ParseMethodSpec(
-      flags.method, flags.epsilon, static_cast<uint32_t>(flags.buckets));
+      flags.method, flags.epsilon, flags.buckets);
   if (!spec.ok()) return Fail(spec.status());
 
   TenantBudgets budgets;

@@ -8,7 +8,11 @@
 //           --epsilon=1.0 --buckets=1024 --method=sw-ems [--csv] [--seed=S]
 //           [--threads=W]
 //
-// Methods: sw-ems (default), sw-em, hh-admm, cfo-16, cfo-32, cfo-64.
+// Methods are named as for collector_cli and report_client
+// (wire::ParseMethodSpec): sw-ems (default), sw-em, hh-admm, cfo-<bins>,
+// cfo-grr-<bins>, cfo-olh-<bins>, cfo-oue-<bins>. hh and haar-hrr answer
+// range queries only, so they are refused (exit 2): numdist prints a
+// distribution. --buckets must lie in [2, 2^20].
 // Aggregation shards the report stream across worker threads
 // (protocol/sharded.h); the result is identical for any thread count.
 #include <algorithm>
@@ -16,17 +20,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 
 #include "cli_common.h"
 #include "common/rng.h"
 #include "data/loader.h"
-#include "eval/method.h"
 #include "metrics/queries.h"
 #include "protocol/sharded.h"
+#include "wire/wire.h"
 
 using namespace numdist;
+using numdist::tools::Fail;
 using numdist::tools::FlagValue;
 
 namespace {
@@ -51,7 +55,8 @@ void Usage() {
           "usage: numdist --input=FILE [--column=C] [--delimiter=,]\n"
           "               [--skip-header] [--min=LO] [--max=HI]\n"
           "               [--epsilon=E] [--buckets=D]\n"
-          "               [--method=sw-ems|sw-em|hh-admm|cfo-16|cfo-32|cfo-64]\n"
+          "               [--method=sw-ems|sw-em|hh-admm|cfo-<bins>|\n"
+          "                 cfo-grr-<bins>|cfo-olh-<bins>|cfo-oue-<bins>]\n"
           "               [--csv] [--seed=S] [--threads=W]\n");
 }
 
@@ -90,14 +95,11 @@ bool ParseCli(int argc, char** argv, CliFlags* flags) {
   return !flags->input.empty();
 }
 
-std::unique_ptr<DistributionMethod> ResolveMethod(const std::string& name) {
-  if (name == "sw-ems") return MakeSwEmsMethod();
-  if (name == "sw-em") return MakeSwEmMethod();
-  if (name == "hh-admm") return MakeHhAdmmMethod();
-  if (name == "cfo-16") return MakeCfoBinningMethod(16);
-  if (name == "cfo-32") return MakeCfoBinningMethod(32);
-  if (name == "cfo-64") return MakeCfoBinningMethod(64);
-  return nullptr;
+// A usage error: the typed message, then the usage text; exit 2.
+int UsageError(const Status& status) {
+  fprintf(stderr, "error: %s\n", status.ToString().c_str());
+  Usage();
+  return 2;
 }
 
 }  // namespace
@@ -108,11 +110,15 @@ int main(int argc, char** argv) {
     Usage();
     return 2;
   }
-  const auto method = ResolveMethod(flags.method);
-  if (!method) {
-    fprintf(stderr, "unknown method: %s\n", flags.method.c_str());
-    Usage();
-    return 2;
+  Result<wire::MethodSpec> spec =
+      wire::ParseMethodSpec(flags.method, flags.epsilon, flags.buckets);
+  if (!spec.ok()) return UsageError(spec.status());
+  Result<ProtocolPtr> protocol = wire::MakeProtocolForSpec(spec.value());
+  if (!protocol.ok()) return Fail(protocol.status());
+  if (!protocol.value()->yields_distribution()) {
+    return UsageError(Status::InvalidArgument(
+        "numdist: method " + flags.method + " (" + protocol.value()->name() +
+        ") answers range queries only and yields no distribution"));
   }
 
   LoadOptions load;
@@ -122,27 +128,15 @@ int main(int argc, char** argv) {
   load.min_value = flags.min_value;
   load.max_value = flags.max_value;
   Result<std::vector<double>> values = LoadNumericFile(flags.input, load);
-  if (!values.ok()) {
-    fprintf(stderr, "error: %s\n", values.status().ToString().c_str());
-    return 1;
-  }
+  if (!values.ok()) return Fail(values.status());
   fprintf(stderr, "loaded %zu values from %s\n", values.value().size(),
           flags.input.c_str());
 
-  Result<ProtocolPtr> protocol =
-      method->MakeProtocol(flags.epsilon, flags.buckets);
-  if (!protocol.ok()) {
-    fprintf(stderr, "error: %s\n", protocol.status().ToString().c_str());
-    return 1;
-  }
   ShardOptions shard_opts;
   shard_opts.threads = flags.threads;
   Result<MethodOutput> output = RunProtocolSharded(
       *protocol.value(), values.value(), flags.seed, shard_opts);
-  if (!output.ok()) {
-    fprintf(stderr, "error: %s\n", output.status().ToString().c_str());
-    return 1;
-  }
+  if (!output.ok()) return Fail(output.status());
   const std::vector<double>& dist = output->distribution;
 
   const double span = flags.max_value - flags.min_value;

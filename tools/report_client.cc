@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
   // end, not a SIGPIPE kill with no diagnostic.
   std::signal(SIGPIPE, SIG_IGN);
   Result<wire::MethodSpec> spec = wire::ParseMethodSpec(
-      flags.method, flags.epsilon, static_cast<uint32_t>(flags.buckets));
+      flags.method, flags.epsilon, flags.buckets);
   if (!spec.ok()) return Fail(spec.status());
   Result<ProtocolPtr> protocol = wire::MakeProtocolForSpec(spec.value());
   if (!protocol.ok()) return Fail(protocol.status());
