@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <utility>
 
 #include "common/rng.h"
 
@@ -36,39 +35,6 @@ FaultPlan FaultPlan::Resets(uint64_t seed, uint32_t count, uint64_t max_byte) {
     plan.Add(attempt, FaultEvent{.kind = FaultKind::kReset,
                                  .at_byte = 1 + rng.UniformInt(span - 1),
                                  .param = 0});
-  }
-  return plan;
-}
-
-FaultPlan FaultPlan::FromSeed(uint64_t seed, uint32_t faulty_attempts,
-                              uint64_t max_byte) {
-  FaultPlan plan;
-  Rng rng(seed);
-  const uint64_t span = std::max<uint64_t>(max_byte, 2);
-  for (uint32_t attempt = 0; attempt < faulty_attempts; ++attempt) {
-    // Draw order is fixed (kind, then offset) so the plan is a stable
-    // function of the seed even if the kind distribution changes weight.
-    const uint64_t kind_draw = rng.UniformInt(4);
-    const uint64_t at_byte = 1 + rng.UniformInt(span - 1);
-    FaultEvent event;
-    event.at_byte = at_byte;
-    switch (kind_draw) {
-      case 0:
-        event.kind = FaultKind::kDelay;
-        event.param = 1 + rng.UniformInt(5);  // 1..5 ms
-        break;
-      case 1:
-        event.kind = FaultKind::kShortWrite;
-        event.param = 1;
-        break;
-      case 2:
-        event.kind = FaultKind::kTruncate;
-        break;
-      default:
-        event.kind = FaultKind::kReset;
-        break;
-    }
-    plan.Add(attempt, event);
   }
   return plan;
 }
@@ -170,14 +136,6 @@ void HardResetAndClose(Fd* fd) {
   struct linger hard = {.l_onoff = 1, .l_linger = 0};
   (void)setsockopt(fd->get(), SOL_SOCKET, SO_LINGER, &hard, sizeof(hard));
   fd->reset();
-}
-
-void ReorderFrames(std::span<std::string> frames, uint64_t seed) {
-  Rng rng(seed);
-  for (size_t i = frames.size(); i > 1; --i) {
-    const size_t j = static_cast<size_t>(rng.UniformInt(i));
-    std::swap(frames[i - 1], frames[j]);
-  }
 }
 
 }  // namespace numdist::net

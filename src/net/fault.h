@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <map>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,12 +64,6 @@ class FaultPlan {
   /// [1, max_byte): attempt k < count resets, attempt `count` onward is
   /// clean — the shape the retry-through-resets tests want.
   static FaultPlan Resets(uint64_t seed, uint32_t count, uint64_t max_byte);
-
-  /// A mixed diet for soak/bench runs: `faulty_attempts` attempts each get
-  /// one Rng(seed)-drawn fault (kind and offset both seeded); later
-  /// attempts are clean.
-  static FaultPlan FromSeed(uint64_t seed, uint32_t faulty_attempts,
-                            uint64_t max_byte);
 
   void Add(uint32_t attempt, FaultEvent event);
 
@@ -126,10 +119,5 @@ class FaultyWriter {
 /// Hard TCP reset: SO_LINGER{on, 0s} then close — the peer gets RST, not
 /// FIN, and any unsent data is discarded. The fd is invalid afterwards.
 void HardResetAndClose(Fd* fd);
-
-/// Seeded Fisher–Yates shuffle of a frame batch — the "reorder across
-/// connections" fault, applied before frames are assigned to sockets.
-/// Rng(seed) makes the permutation a pure function of the seed.
-void ReorderFrames(std::span<std::string> frames, uint64_t seed);
 
 }  // namespace numdist::net

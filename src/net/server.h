@@ -1,9 +1,9 @@
 // The collector's one ingest engine: one process, one epoll Reactor,
 // thousands of concurrent report_client connections multiplexed into one
 // aggregate. An already-open byte stream (stdin, a file) is served the same
-// way as one more connection (AddStream), which is how collector_cli's
-// stdio mode runs; the WAL, replication, ack and checkpoint policy below
-// therefore exists once, here.
+// way as one more connection (AddStream), which is how collector_cli
+// serves stdin, --in and each --merge file; the WAL, replication, ack and
+// checkpoint policy below therefore exists once, here.
 //
 // Ingestion pipeline, per reactor round:
 //
@@ -45,7 +45,7 @@
 // after N absorbed frames the server cuts remaining connections and
 // drains itself (how coordinator trees without signal plumbing stop);
 // `drain_on_disconnect` drains once the last connection ends (a standby,
-// or a stdio collector whose one stream hit EOF).
+// or a stdio collector or file coordinator whose last stream hit EOF).
 #pragma once
 
 #include <atomic>
@@ -141,8 +141,9 @@ struct ServerOptions {
   /// accepted (or a stream attached), the server drains itself when the
   /// last open connection closes (clean EOF or error alike). Standby
   /// mode: the primary's death ends the replication stream, and the
-  /// standby finishes with exactly the frames that reached it. Stdio
-  /// mode: the collector finishes when its input stream ends.
+  /// standby finishes with exactly the frames that reached it. Stdio and
+  /// file-merge modes: the collector finishes when its last input stream
+  /// ends.
   bool drain_on_disconnect = false;
 
   /// Live estimation cadence: re-reconstruct after this many newly
@@ -207,16 +208,17 @@ class CollectorServer {
   Result<Endpoint> AddListener(const Endpoint& endpoint);
 
   /// Serves an already-open byte stream as one more connection (how
-  /// collector_cli serves stdin or --in). Frames are read from `in`; acks
-  /// go to `out` by blocking write(2), since send(2) refuses the pipes and
-  /// files stdout may be. The server owns both fds. `in` is read once per
-  /// round and never made non-blocking (that would leak into the file
-  /// description it shares with other processes), so a lock-step client
-  /// waiting for an ack never finds the loop blocked in read(2); an `in`
-  /// epoll refuses (a regular file, /dev/null) is read every round without
-  /// waiting. A failed ack write fails the stream: closing it quietly would
-  /// drop its unread input from a sketch that looks complete. Call before
-  /// Run.
+  /// collector_cli serves stdin, --in and each --merge file). Frames are
+  /// read from `in`; acks go to `out` by blocking write(2), since send(2)
+  /// refuses the pipes and files stdout may be (`out` may be left invalid
+  /// only when send_acks is off). The server owns both fds. `in` is read
+  /// once per round and never made non-blocking (that would leak into the
+  /// file description it shares with other processes), so a lock-step
+  /// client waiting for an ack never finds the loop blocked in read(2); an
+  /// `in` epoll refuses (a regular file, /dev/null) is read every round
+  /// without waiting. A failed ack write fails the stream: closing it
+  /// quietly would drop its unread input from a sketch that looks
+  /// complete. Call before Run.
   Status AddStream(Fd in, Fd out);
 
   /// Serves until drain completes: accepts, reads, reassembles, absorbs.

@@ -1,8 +1,9 @@
 // In-process tests of the deterministic fault-injection layer
 // (net/fault.h): plan determinism, the per-kind writer behavior over a
 // real socketpair, and the typed injected-fault taxonomy the retry layer
-// keys on. The cross-process scenarios that compose these faults with a
-// live collector are tests/chaos_process_test.cc.
+// keys on. Two seeded generators only these tests use live here: a mixed
+// fault plan and a frame shuffle. The cross-process scenarios that compose
+// these faults with a live collector are tests/chaos_process_test.cc.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -11,13 +12,63 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "net/fault.h"
 
 namespace numdist::net {
 namespace {
+
+// A mixed diet of faults: `faulty_attempts` attempts each get one
+// Rng(seed)-drawn fault (kind and offset both seeded); later attempts are
+// clean.
+FaultPlan FaultPlanFromSeed(uint64_t seed, uint32_t faulty_attempts,
+                            uint64_t max_byte) {
+  FaultPlan plan;
+  Rng rng(seed);
+  const uint64_t span = std::max<uint64_t>(max_byte, 2);
+  for (uint32_t attempt = 0; attempt < faulty_attempts; ++attempt) {
+    // Draw order is fixed (kind, then offset) so the plan is a stable
+    // function of the seed even if the kind distribution changes weight.
+    const uint64_t kind_draw = rng.UniformInt(4);
+    const uint64_t at_byte = 1 + rng.UniformInt(span - 1);
+    FaultEvent event;
+    event.at_byte = at_byte;
+    switch (kind_draw) {
+      case 0:
+        event.kind = FaultKind::kDelay;
+        event.param = 1 + rng.UniformInt(5);  // 1..5 ms
+        break;
+      case 1:
+        event.kind = FaultKind::kShortWrite;
+        event.param = 1;
+        break;
+      case 2:
+        event.kind = FaultKind::kTruncate;
+        break;
+      default:
+        event.kind = FaultKind::kReset;
+        break;
+    }
+    plan.Add(attempt, event);
+  }
+  return plan;
+}
+
+// Seeded Fisher–Yates shuffle of a frame batch — the "reorder across
+// connections" fault, applied before frames are assigned to sockets.
+// Rng(seed) makes the permutation a pure function of the seed.
+void ReorderFrames(std::span<std::string> frames, uint64_t seed) {
+  Rng rng(seed);
+  for (size_t i = frames.size(); i > 1; --i) {
+    const size_t j = static_cast<size_t>(rng.UniformInt(i));
+    std::swap(frames[i - 1], frames[j]);
+  }
+}
 
 // A connected AF_UNIX stream pair; the test writes through a FaultyWriter
 // on one end and reads the wire truth from the other.
@@ -47,8 +98,8 @@ std::string DrainAll(int fd) {
 }
 
 TEST(FaultPlanTest, SeededPlansAreReproducibleAndSorted) {
-  const FaultPlan p1 = FaultPlan::FromSeed(42, /*faulty_attempts=*/5, 10000);
-  const FaultPlan p2 = FaultPlan::FromSeed(42, /*faulty_attempts=*/5, 10000);
+  const FaultPlan p1 = FaultPlanFromSeed(42, /*faulty_attempts=*/5, 10000);
+  const FaultPlan p2 = FaultPlanFromSeed(42, /*faulty_attempts=*/5, 10000);
   for (uint32_t attempt = 0; attempt < 5; ++attempt) {
     const std::vector<FaultEvent> e1 = p1.Events(attempt);
     const std::vector<FaultEvent> e2 = p2.Events(attempt);
@@ -62,7 +113,7 @@ TEST(FaultPlanTest, SeededPlansAreReproducibleAndSorted) {
   // Attempts past the scripted ones are clean.
   EXPECT_TRUE(p1.Events(5).empty());
   // A different seed scripts a different plan (somewhere in 5 attempts).
-  const FaultPlan p3 = FaultPlan::FromSeed(43, 5, 10000);
+  const FaultPlan p3 = FaultPlanFromSeed(43, 5, 10000);
   bool differs = false;
   for (uint32_t attempt = 0; attempt < 5 && !differs; ++attempt) {
     const auto a = p1.Events(attempt), b = p3.Events(attempt);

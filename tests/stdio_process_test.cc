@@ -1,13 +1,15 @@
-// collector_cli's stdio mode across real processes. Its input (stdin or
-// --in) is one connection of net::CollectorServer, so it must behave like
-// any other connection whatever the fd is: a pipe, a regular file or
-// /dev/null (both of which epoll refuses), or a client that sends its next
-// frame only after reading the previous ack. Acks go to stdout and the
-// sketch only to --out; the output is one sketch frame per tenant, as in
-// --listen mode; and a stream cut mid-frame fails without writing a
-// sketch; and --estimate-out holds one cumulative sketch per estimate
-// tick, the last of which is the drained sketch. Tool locations come from CMake (NUMDIST_*_PATH); the test
-// self-skips when the tools were not built.
+// collector_cli's stdio and file-coordinator modes across real processes.
+// Its input (stdin, --in, or each --merge file) is one connection of
+// net::CollectorServer, so it must behave like any other connection
+// whatever the fd is: a pipe, a regular file or /dev/null (both of which
+// epoll refuses), or a client that sends its next frame only after reading
+// the previous ack. Acks go to stdout and the sketch only to --out; the
+// output is one sketch frame per tenant, as in --listen mode; a stream cut
+// mid-frame fails without writing a sketch; the file coordinator keeps its
+// typed refusals and merges more files than the soft descriptor limit;
+// and --estimate-out holds one cumulative sketch per estimate tick, the
+// last of which is the drained sketch. Tool locations come from CMake
+// (NUMDIST_*_PATH); the test self-skips when the tools were not built.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -292,19 +294,68 @@ TEST(StdioProcessTest, LockStepClientRunsToCompletion) {
   EXPECT_EQ(Prefixed({frame}), ReferenceSketch(plain));
 }
 
+// A torn input fails the run and empties --out, whichever way it arrives:
+// --in, a pipe, or a --merge file. Each --out starts out holding stale
+// bytes, so an untouched --out cannot pass for an emptied one.
 TEST(StdioProcessTest, MidFrameEofFailsAndLeavesOutEmpty) {
   const std::string bytes = Prefixed(MakeFrames(3, 200, 17));
   const std::string in = Tmp("cut.bin");
   WriteFile(in, bytes.substr(0, bytes.size() - 9));
   const std::string from_file = Tmp("cut_file.sketch");
   const std::string from_pipe = Tmp("cut_pipe.sketch");
+  const std::string from_merge = Tmp("cut_merge.sketch");
+  for (const std::string& out : {from_file, from_pipe, from_merge}) {
+    WriteFile(out, "stale sketch");
+  }
   EXPECT_NE(Collect("--in=" + in + " --out=" + from_file), 0);
   EXPECT_NE(Sh("cat '" + in + "' | " + CollectorCmd("--out=" + from_pipe)), 0);
+  EXPECT_NE(Collect("--merge=" + in + " --emit-sketch --out=" + from_merge), 0);
   EXPECT_EQ(ReadFile(from_file), "");
   EXPECT_EQ(ReadFile(from_pipe), "");
-  for (const std::string& path : {in, from_file, from_pipe}) {
+  EXPECT_EQ(ReadFile(from_merge), "");
+  for (const std::string& path : {in, from_file, from_pipe, from_merge}) {
     std::remove(path.c_str());
   }
+}
+
+// The file coordinator's refusals. A missing file and a zero-byte file
+// (the empty --out a failed collector leaves) are typed errors, and
+// --merge=FILES next to another input (--listen, --in) is a usage error.
+// A flat merge of 100 files under a soft limit of 64 descriptors gives
+// the one-process fold of their frames.
+TEST(StdioProcessTest, MergeFilesRefusalsAndDescriptorLimit) {
+  const std::string err = Tmp("merge.err");
+  const std::string missing = Tmp("merge_missing.sketch");
+  const std::string empty = Tmp("merge_empty.sketch");
+  std::remove(missing.c_str());
+  WriteFile(empty, "");
+  EXPECT_EQ(Sh(CollectorCmd("--merge=" + missing + " --csv", err)), 1);
+  EXPECT_NE(ReadFile(err).find("cannot open"), std::string::npos)
+      << ReadFile(err);
+  EXPECT_EQ(Sh(CollectorCmd("--merge=" + empty + " --csv", err)), 1);
+  EXPECT_NE(ReadFile(err).find("holds no sketch frame"), std::string::npos)
+      << ReadFile(err);
+
+  const std::vector<std::string> frames = MakeFrames(100, 50, 29);
+  const std::string out = Tmp("merge_wide.sketch");
+  std::string paths;
+  std::vector<std::string> files;
+  for (size_t i = 0; i < frames.size(); ++i) {
+    files.push_back(Tmp("merge_leaf" + std::to_string(i) + ".sketch"));
+    WriteFile(files.back(), ReferenceSketch({frames[i]}));
+    paths += (i == 0 ? "" : ",") + files.back();
+  }
+  EXPECT_EQ(Collect("--merge=" + files[0] + " --listen=tcp:0 --csv"), 2);
+  EXPECT_EQ(Collect("--merge=" + files[0] + " --in=" + files[1] + " --csv"),
+            2);
+  EXPECT_EQ(Sh("ulimit -Sn 64 && " +
+               CollectorCmd("--merge=" + paths + " --emit-sketch --out=" + out,
+                            err)),
+            0)
+      << ReadFile(err);
+  EXPECT_EQ(ReadFile(out), ReferenceSketch(frames));
+  files.insert(files.end(), {err, empty, out});
+  for (const std::string& path : files) std::remove(path.c_str());
 }
 
 // An out-of-range --buckets is refused with a typed error before anything
@@ -463,11 +514,11 @@ TEST(StdioProcessTest, EstimateOutIsOneCumulativeSketchPerTick) {
   }
 }
 
-// The stdio collector estimates like a --listen one. Its input file takes
-// four 64 KiB reads, and the cadence of 3 does not divide its 10 frames:
-// ticks follow the reads that complete frames 3, 6 and 9, and only the
-// drain tick covers frame 10. So the --estimate-out stream ends with the
-// --out sketch, byte for byte.
+// The stdio collector and the file coordinator estimate like a --listen
+// collector. The input file takes four 64 KiB reads, and the cadence of 3
+// does not divide its 10 frames: ticks follow the reads that complete
+// frames 3, 6 and 9, and only the drain tick covers frame 10. So the
+// --estimate-out stream ends with the --out sketch, byte for byte.
 TEST(StdioProcessTest, StdioEstimateOutEndsWithTheDrainedSketch) {
   // 10 frames of 20 000 one-byte reports: about 200 KB.
   const std::vector<std::string> frames = MakeFrames(10, 20000, 23);
@@ -475,16 +526,20 @@ TEST(StdioProcessTest, StdioEstimateOutEndsWithTheDrainedSketch) {
   WriteFile(in, Prefixed(frames));
   const std::string out = Tmp("stdio_estimate.sketch");
   const std::string estimates_path = Tmp("stdio_estimates.bin");
-  ASSERT_EQ(Collect("--in=" + in + " --out=" + out +
-                    " --estimate-every-frames=3 --estimate-out=" +
-                    estimates_path),
-            0);
-  const std::string sketch = ReadFile(out);
-  EXPECT_EQ(sketch, ReferenceSketch(frames));
-  const std::vector<std::string> estimates =
-      Unprefixed(ReadFile(estimates_path));
-  ASSERT_GT(estimates.size(), 1u);
-  EXPECT_EQ(Prefixed({estimates.back()}), sketch);
+  for (const std::string& input :
+       {"--in=" + in, "--merge=" + in + " --emit-sketch"}) {
+    SCOPED_TRACE(input);
+    ASSERT_EQ(Collect(input + " --out=" + out +
+                      " --estimate-every-frames=3 --estimate-out=" +
+                      estimates_path),
+              0);
+    const std::string sketch = ReadFile(out);
+    EXPECT_EQ(sketch, ReferenceSketch(frames));
+    const std::vector<std::string> estimates =
+        Unprefixed(ReadFile(estimates_path));
+    ASSERT_GT(estimates.size(), 1u);
+    EXPECT_EQ(Prefixed({estimates.back()}), sketch);
+  }
   for (const std::string& path : {in, out, estimates_path}) {
     std::remove(path.c_str());
   }

@@ -1,6 +1,7 @@
 // collector_cli — one aggregator process of the distributed collector.
-// Collector, listen and network-coordinator modes all serve through one
-// engine, net::CollectorServer.
+// Every mode (collector, listen, file and network coordinator) serves
+// through one engine, net::CollectorServer, and so every mode can run live
+// estimation.
 //
 // Collector mode (default): read length-prefixed wire frames (report
 // chunks from clients and/or sketch frames from other collectors) from
@@ -34,7 +35,8 @@
 //
 // Coordinator mode (--merge): merge sketches, reconstruct, and print the
 // estimated distribution (or a range-query grid for range-only methods).
-// Sketches come either from files:
+// Sketches come either from files, each one more stream like --in (a torn
+// file fails the run; merges wider than the descriptor limit use a tree):
 //
 //   collector_cli --method=sw-ems --epsilon=1.0 --buckets=64
 //       --merge=shard0.sketch,shard1.sketch --csv
@@ -64,16 +66,18 @@
 // same report chunks, in any merge order.
 #include <csignal>
 #include <fcntl.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -99,7 +103,7 @@ struct CliFlags {
   size_t buckets = 64;
   std::string in_path;   // empty = stdin
   std::string out_path;  // empty = stdout; tcp:/unix: = dial a coordinator
-  std::string merge;     // comma-separated sketch files -> coordinator mode
+  std::vector<std::string> merge_files;  // --merge=FILES -> coordinator mode
   bool merge_listen = false;  // bare --merge: coordinate over --listen
   std::string listen;    // tcp:PORT / unix:PATH -> event-loop server mode
   std::string port_file; // write the bound endpoint here (tcp:0 discovery)
@@ -120,8 +124,8 @@ struct CliFlags {
   bool wal_sync = false;              // fsync once per reactor batch
   uint64_t wal_segment_bytes = 0;     // seal segments at N bytes (0 = never)
   // Fault tolerance (net/server.h): stream absorbed frames to a hot
-  // standby, or BE that standby (serve the replication stream, promote
-  // on primary death).
+  // standby, or BE that standby (serve the replication stream; on primary
+  // death, drain and emit the sketch; it serves no clients).
   std::string replicate_to;
   bool standby = false;
   // Per-tenant budgets: ID:MAX_REPORTS[:MAX_EPSILON],... (0 = unlimited).
@@ -148,11 +152,11 @@ void Usage() {
           "       [--wal-segment-bytes=N]   (seal each DIR/wal-*.ndwl at N)\n"
           "replication (listen mode; net/server.h):\n"
           "       primary: --replicate-to=tcp:HOST:PORT|unix:PATH\n"
-          "       standby: --standby --listen=...   (promotes on primary\n"
-          "                death: drains and emits its sketch)\n"
+          "       standby: --standby --listen=...   (on primary death it\n"
+          "                drains and emits its sketch; serves no clients)\n"
           "multi-tenancy:\n"
           "       --tenant-budget=ID:MAX_REPORTS[:MAX_EPSILON][,...]\n"
-          "live estimation (collector + listen modes, sw-ems/sw-em only):\n"
+          "live estimation (every mode, sw-ems/sw-em only):\n"
           "       --estimate-every-frames=N and/or --estimate-every-ms=T\n"
           "       [--estimate-half-life=R]   (R > 0: mini-batch window)\n"
           "       [--estimate-max-iterations=K]\n"
@@ -176,7 +180,15 @@ bool ParseCli(int argc, char** argv, CliFlags* flags) {
     } else if (const char* v = FlagValue(arg, "--out=")) {
       flags->out_path = v;
     } else if (const char* v = FlagValue(arg, "--merge=")) {
-      flags->merge = v;
+      flags->merge_files.clear();
+      std::stringstream paths(v);
+      for (std::string path; std::getline(paths, path, ',');) {
+        if (!path.empty()) flags->merge_files.push_back(path);
+      }
+      if (flags->merge_files.empty()) {
+        fprintf(stderr, "--merge needs at least one sketch file\n");
+        return false;
+      }
     } else if (arg == "--merge") {
       flags->merge_listen = true;
     } else if (const char* v = FlagValue(arg, "--listen=")) {
@@ -224,12 +236,15 @@ bool ParseCli(int argc, char** argv, CliFlags* flags) {
     fprintf(stderr, "bare --merge needs --listen (or use --merge=FILES)\n");
     return false;
   }
-  if (flags->emit_sketch && flags->merge.empty()) {
+  if (flags->emit_sketch && flags->merge_files.empty()) {
     fprintf(stderr, "--emit-sketch needs --merge=FILES\n");
     return false;
   }
-  if (!flags->wal_path.empty() && !flags->merge.empty()) {
-    fprintf(stderr, "--wal applies to collector/listen modes, not --merge\n");
+  if (!flags->merge_files.empty() &&
+      (!flags->listen.empty() || !flags->in_path.empty() ||
+       !flags->wal_path.empty())) {
+    fprintf(stderr, "--merge=FILES is the input: it takes no --in, "
+            "--listen or --wal\n");
     return false;
   }
   if (flags->wal_path.empty() &&
@@ -257,11 +272,6 @@ bool ParseCli(int argc, char** argv, CliFlags* flags) {
   }
   const bool estimating =
       flags->estimate_every_frames > 0 || flags->estimate_every_ms > 0;
-  if (estimating && !flags->merge.empty()) {
-    fprintf(stderr, "live estimation needs a serving collector, not "
-            "--merge=FILES\n");
-    return false;
-  }
   if (!estimating &&
       (!flags->estimate_out.empty() || flags->estimate_half_life != 0.0 ||
        flags->estimate_max_iterations > 0)) {
@@ -327,33 +337,6 @@ void ReportWalRecovery(const serve::WalReplayStats& stats) {
     fprintf(stderr, "wal: discarded torn tail: %s\n",
             stats.tail.message().c_str());
   }
-}
-
-// Folds every length-prefixed frame of a collector output file into the
-// session — a file may hold several concatenated sketch frames (e.g.
-// `cat shard*.sketch > all.sketch`), and silently dropping any of them
-// would under-count, so the file is drained to a clean EOF.
-Status MergeSketchFile(const std::string& path,
-                       serve::CollectorSession* session) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::InvalidArgument("collector: cannot open '" + path + "'");
-  }
-  serve::FrameDecoder decoder;
-  NUMDIST_RETURN_NOT_OK(decoder.Feed(std::string(
-      std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>())));
-  std::string frame;
-  size_t frames = 0;
-  while (decoder.Next(&frame)) {
-    NUMDIST_RETURN_NOT_OK(session->HandleFrame(frame));
-    ++frames;
-  }
-  NUMDIST_RETURN_NOT_OK(decoder.AtEnd());
-  if (frames == 0) {
-    return Status::InvalidArgument("collector: '" + path +
-                                   "' holds no sketch frame");
-  }
-  return Status::OK();
 }
 
 int PrintEstimate(const CliFlags& flags, const wire::MethodSpec& spec,
@@ -441,43 +424,6 @@ Status EmitSketches(const CliFlags& flags,
   return Status::OK();
 }
 
-int RunCoordinator(const CliFlags& flags, serve::CollectorSession* session) {
-  std::vector<std::string> paths;
-  std::stringstream ss(flags.merge);
-  std::string path;
-  while (std::getline(ss, path, ',')) {
-    if (!path.empty()) paths.push_back(path);
-  }
-  if (paths.empty()) {
-    fprintf(stderr, "--merge needs at least one sketch file\n");
-    return 2;
-  }
-  for (const std::string& p : paths) {
-    const Status st = MergeSketchFile(p, session);
-    if (!st.ok()) return Fail(st);
-  }
-  if (flags.emit_sketch) {
-    // Interior node of a merge tree: re-emit the merged state as sketch
-    // frames (per-tenant, lossless) instead of reconstructing, so the
-    // output file feeds another --merge level or a --listen coordinator.
-    Result<std::vector<std::string>> sketches = session->EncodeSketches();
-    if (!sketches.ok()) return Fail(sketches.status());
-    const Status emitted = EmitSketches(flags, sketches.value());
-    if (!emitted.ok()) return Fail(emitted);
-    fprintf(stderr, "merged %zu sketch file(s) into %zu frame(s), "
-            "%llu reports\n",
-            paths.size(), sketches.value().size(),
-            static_cast<unsigned long long>(session->num_reports()));
-    return 0;
-  }
-  Result<MethodOutput> output = session->Reconstruct();
-  if (!output.ok()) return Fail(output.status());
-  fprintf(stderr, "merged %zu sketch(es), %llu reports\n", paths.size(),
-          static_cast<unsigned long long>(session->num_reports()));
-  return PrintEstimate(flags, session->spec(), session->num_reports(),
-                       output.value());
-}
-
 // Shared between RunServer and the estimate sink closure: the sink is
 // handed to CollectorServer::Make before the server exists, so `server` is
 // attached right after Make succeeds.
@@ -528,10 +474,50 @@ void OnDrainSignal(int) {
   if (g_server != nullptr) g_server->RequestDrain();
 }
 
-// Opens the collector's input stream as a connection of `server`: stdin or
-// --in, with stdout as the ack sink. The server owns duplicates, so closing
-// them never closes the process's stdio.
-Status AttachStdio(const CliFlags& flags, net::CollectorServer* server) {
+// Descriptors left free past the --merge files for transient library use:
+// a sanitizer runtime probes memory through a pipe, and with no descriptor
+// free its checks misfire.
+constexpr rlim_t kSpareDescriptors = 16;
+
+// Opens one --merge file, `files_left` counting it; the server holds every
+// file open until it ends. EMFILE means every descriptor below the soft
+// limit is taken, so the limit rises by the files left plus the spares,
+// never past the hard limit (wider merges use a tree).
+int OpenMergeFile(const std::string& path, size_t files_left) {
+  const int fd = open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  struct rlimit limit;
+  if (fd >= 0 || errno != EMFILE || getrlimit(RLIMIT_NOFILE, &limit) != 0 ||
+      limit.rlim_cur >= limit.rlim_max) {
+    return fd;
+  }
+  limit.rlim_cur = std::min<rlim_t>(
+      limit.rlim_max, limit.rlim_cur + files_left + kSpareDescriptors);
+  if (setrlimit(RLIMIT_NOFILE, &limit) != 0) return -1;
+  return open(path.c_str(), O_RDONLY | O_CLOEXEC);
+}
+
+// Opens the collector's input as connections of `server`: each --merge
+// file with no ack sink (send_acks is off), refusing a zero-byte regular
+// file, the empty --out a failed collector leaves (a pipe is served like
+// --in, empty or not); else stdin or --in, with stdout as the ack sink.
+// The server owns duplicates, so closing them never closes stdio.
+Status AttachStreams(const CliFlags& flags, net::CollectorServer* server) {
+  for (size_t i = 0; i < flags.merge_files.size(); ++i) {
+    const std::string& path = flags.merge_files[i];
+    net::Fd in(OpenMergeFile(path, flags.merge_files.size() - i));
+    if (!in.valid()) {
+      const int err = errno;
+      return Status::InvalidArgument("collector: cannot open '" + path +
+                                     "': " + strerror(err));
+    }
+    struct stat st;
+    if (fstat(in.get(), &st) == 0 && S_ISREG(st.st_mode) && st.st_size == 0) {
+      return Status::InvalidArgument("collector: '" + path +
+                                     "' holds no sketch frame");
+    }
+    NUMDIST_RETURN_NOT_OK(server->AddStream(std::move(in), net::Fd()));
+  }
+  if (!flags.merge_files.empty()) return Status::OK();
   net::Fd in(flags.in_path.empty()
                  ? fcntl(STDIN_FILENO, F_DUPFD_CLOEXEC, 0)
                  : open(flags.in_path.c_str(), O_RDONLY | O_CLOEXEC));
@@ -575,7 +561,12 @@ Status AttachListener(const CliFlags& flags, net::CollectorServer* server) {
 
 int RunServer(const CliFlags& flags, const wire::MethodSpec& spec,
               const TenantBudgets& budgets) {
-  const bool stdio = flags.listen.empty();
+  // Stdin, --in or the --merge files: streams that end, not a listener.
+  const bool streams = flags.listen.empty();
+  const bool file_merge = !flags.merge_files.empty();
+  // Coordinators print the estimate; every other mode emits its sketch.
+  const bool reconstruct =
+      flags.merge_listen || (file_merge && !flags.emit_sketch);
   net::ServerOptions options;
   options.expect_frames = flags.expect_frames;
   options.read_timeout_ms = flags.read_timeout_ms;
@@ -584,16 +575,15 @@ int RunServer(const CliFlags& flags, const wire::MethodSpec& spec,
   options.wal.sync_each_record = flags.wal_sync;
   options.wal.segment_bytes = flags.wal_segment_bytes;
   options.replicate_to = flags.replicate_to;
-  if (flags.standby) {
-    // A standby serves the primary's replication stream like any other
-    // client stream, but never writes back into it (acks from a standby
-    // would sit unread in the dying primary's receive queue and turn its
-    // final close into an RST that discards the tail), and it promotes —
-    // drains and emits its sketch — the moment the stream ends.
-    options.send_acks = false;
-  }
-  // A stdio collector likewise finishes when its one stream ends.
-  options.drain_on_disconnect = flags.standby || stdio;
+  // A standby serves the primary's replication stream like any other
+  // client stream, but never writes back into it (acks from a standby
+  // would sit unread in the dying primary's receive queue and turn its
+  // final close into an RST that discards the tail), and it drains and
+  // emits its sketch the moment the stream ends. A --merge file has no ack
+  // sink at all.
+  options.send_acks = !flags.standby && !file_merge;
+  // Stdin, --in and the --merge files likewise finish when the last ends.
+  options.drain_on_disconnect = flags.standby || streams;
   options.estimate_every_frames = flags.estimate_every_frames;
   options.estimate_every_ms = flags.estimate_every_ms;
   options.estimate_half_life = flags.estimate_half_life;
@@ -617,7 +607,7 @@ int RunServer(const CliFlags& flags, const wire::MethodSpec& spec,
   // A file --out is truncated before serving: a bad path fails before any
   // input is consumed, and a failed run leaves it empty instead of holding
   // an older sketch.
-  if (!flags.merge_listen && !flags.out_path.empty() &&
+  if (!reconstruct && !flags.out_path.empty() &&
       !IsEndpointSpec(flags.out_path) &&
       !std::ofstream(flags.out_path, std::ios::binary | std::ios::trunc)) {
     fprintf(stderr, "error: cannot open '%s'\n", flags.out_path.c_str());
@@ -632,9 +622,9 @@ int RunServer(const CliFlags& flags, const wire::MethodSpec& spec,
     server->SetTenantBudget(tenant, budget);
   }
   est->server = server;
-  // SIGTERM keeps its default action on stdio; with --listen it drains.
-  const Status attached =
-      stdio ? AttachStdio(flags, server) : AttachListener(flags, server);
+  // SIGTERM keeps its default action on streams; with --listen it drains.
+  const Status attached = streams ? AttachStreams(flags, server)
+                                  : AttachListener(flags, server);
   if (!attached.ok()) return Fail(attached);
 
   const Status run = server->Run();
@@ -649,8 +639,8 @@ int RunServer(const CliFlags& flags, const wire::MethodSpec& spec,
           static_cast<unsigned long long>(stats.frames_absorbed),
           static_cast<unsigned long long>(server->num_reports()),
           wire::MethodSpecName(spec).c_str());
-  // A stdio stream that failed is not a completed shard: no sketch.
-  if (stdio && stats.connection_errors > 0) return Fail(stats.first_error);
+  // A stream that failed is not a completed shard: no sketch.
+  if (streams && stats.connection_errors > 0) return Fail(stats.first_error);
   if (stats.connection_errors > 0) {
     fprintf(stderr,
             "warning: %llu connection(s) dropped on error; first: %s\n",
@@ -672,17 +662,29 @@ int RunServer(const CliFlags& flags, const wire::MethodSpec& spec,
             flags.estimate_half_life > 0.0 ? "minibatch" : "warm");
   }
 
-  if (flags.merge_listen) {
-    // Network coordinator: the listener fed us sketch frames; reconstruct
-    // and print instead of re-encoding a sketch.
+  const auto reports = static_cast<unsigned long long>(server->num_reports());
+  if (reconstruct) {
+    // Coordinator: the listener or the files fed us sketch frames;
+    // reconstruct and print instead of re-encoding a sketch.
     Result<MethodOutput> output = server->Reconstruct();
     if (!output.ok()) return Fail(output.status());
-    return PrintEstimate(flags, spec, server->num_reports(), output.value());
+    if (file_merge) {
+      fprintf(stderr, "merged %zu sketch(es), %llu reports\n",
+              flags.merge_files.size(), reports);
+    }
+    return PrintEstimate(flags, spec, reports, output.value());
   }
+  // A collector or merge-tree node: the drained state leaves as per-tenant
+  // sketch frames, which feed another --merge level or a coordinator.
   Result<std::vector<std::string>> sketches = server->EncodeSketches();
   if (!sketches.ok()) return Fail(sketches.status());
   const Status emitted = EmitSketches(flags, sketches.value());
   if (!emitted.ok()) return Fail(emitted);
+  if (file_merge) {
+    fprintf(stderr, "merged %zu sketch file(s) into %zu frame(s), "
+            "%llu reports\n",
+            flags.merge_files.size(), sketches.value().size(), reports);
+  }
   return 0;
 }
 
@@ -706,12 +708,5 @@ int main(int argc, char** argv) {
       !ParseTenantBudgets(flags.tenant_budgets, &budgets)) {
     return 2;
   }
-  if (flags.merge.empty()) return RunServer(flags, spec.value(), budgets);
-  Result<serve::CollectorSession> session =
-      serve::CollectorSession::Make(spec.value());
-  if (!session.ok()) return Fail(session.status());
-  for (const auto& [tenant, budget] : budgets) {
-    session.value().SetTenantBudget(tenant, budget);
-  }
-  return RunCoordinator(flags, &session.value());
+  return RunServer(flags, spec.value(), budgets);
 }

@@ -160,14 +160,14 @@ int main(int argc, char** argv) {
     printf("estimated q%-4.0f    : %.6g\n", beta * 100,
            flags.min_value + span * Quantile(dist, beta));
   }
-  // Compact 16-bin sketch of the estimated distribution.
-  const size_t sketch_bins = 16;
-  const size_t chunk = dist.size() / sketch_bins;
-  printf("\ndistribution sketch (16 bins):\n");
+  // Compact sketch of the estimated distribution: min(16, d) bins, bucket
+  // i in bin i * bins / d, so every bucket lands in exactly one bin.
+  const size_t sketch_bins = std::min<size_t>(16, dist.size());
+  printf("\ndistribution sketch (%zu bins):\n", sketch_bins);
   double peak = 0.0;
   std::vector<double> coarse(sketch_bins, 0.0);
-  for (size_t i = 0; i < chunk * sketch_bins; ++i) {
-    coarse[i / chunk] += dist[i];
+  for (size_t i = 0; i < dist.size(); ++i) {
+    coarse[i * sketch_bins / dist.size()] += dist[i];
   }
   for (double c : coarse) peak = std::max(peak, c);
   for (size_t b = 0; b < sketch_bins; ++b) {
