@@ -166,15 +166,13 @@ void BM_EmsFullConvergence(benchmark::State& state) {
 BENCHMARK(BM_EmsFullConvergence)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
-// Full EMS convergence through the sliding-window operator, plain vs
-// SQUAREM-accelerated: the end-to-end reconstruction cost the aggregator
-// actually pays per trial.
+// Full EMS convergence through the sliding-window operator: the
+// end-to-end reconstruction cost the aggregator actually pays per trial.
 void BM_EmsConvergenceSliding(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
   const EmInput input = MakeEmInput(d);
   EmOptions opts;
   opts.smoothing = true;
-  opts.acceleration = state.range(1) != 0;
   size_t iterations = 0;
   for (auto _ : state) {
     const EmResult res =
@@ -184,14 +182,10 @@ void BM_EmsConvergenceSliding(benchmark::State& state) {
   }
   state.counters["em_steps"] = static_cast<double>(iterations);
 }
-BENCHMARK(BM_EmsConvergenceSliding)
-    ->Args({256, 0})
-    ->Args({256, 1})
-    ->Args({1024, 0})
-    ->Args({1024, 1})
+BENCHMARK(BM_EmsConvergenceSliding)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
-// ---- Incremental reconstruction: warm-started / mini-batch EM ----
+// ---- Incremental reconstruction: warm-started EM, with forgetting ----
 //
 // Rolling-snapshot fixture: a growing report stream cut into cumulative
 // count snapshots, reconstructed after each increment. README cites the
@@ -270,10 +264,11 @@ void EM_WARM_ColdRestarts(benchmark::State& state) {
 }
 BENCHMARK(EM_WARM_ColdRestarts)->Unit(benchmark::kMillisecond);
 
-// Mini-batch mode over a DRIFTING stream: the population jumps between
-// increments, and the reconstructor forgets old reports with a half-life
-// of two increments. Measures the per-update cost of the rolling-window
-// path end-to-end (decay + warm-started EM through eval/incremental.h).
+// The forgetting window over a DRIFTING stream: the population jumps
+// between increments, and the reconstructor forgets old reports with a
+// half-life of two increments. Measures the per-update cost of the
+// rolling-window path end-to-end (decay + warm-started EM through
+// eval/incremental.h).
 void EM_MINIBATCH_RollingWindow(benchmark::State& state) {
   const size_t d = 1024;
   const size_t increments = 10;
@@ -299,7 +294,6 @@ void EM_MINIBATCH_RollingWindow(benchmark::State& state) {
     ns.push_back((k + 1) * per_increment);
   }
   IncrementalOptions inc_options;
-  inc_options.mode = IncrementalOptions::Mode::kMiniBatch;
   inc_options.half_life = 2.0 * static_cast<double>(per_increment);
   size_t total_iterations = 0;
   for (auto _ : state) {

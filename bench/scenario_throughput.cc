@@ -11,7 +11,7 @@
 // attack gain and the consistency defense's verdict.
 //
 // --incremental appends the drift-tracking table: the drift scenario rerun
-// with mini-batch EM (scenario/scenario.h IncrementalMode::kMiniBatch)
+// with incremental EM (scenario/scenario.h ScenarioConfig::incremental)
 // across a sweep of forgetting half-lives. The half-life is the estimate's
 // effective lag behind the drifting population, so the table is the
 // error-vs-lag curve: window_err (distance to the equally-forgotten truth)
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
     // measured against the window each estimate claims to represent
     // (window_err) and against all history (cold_err, the per-checkpoint
     // cold snapshot). inc_iters is the incremental path's total EM budget.
-    printf("\ndrift tracking, mini-batch EM over the drift scenario:\n");
+    printf("\ndrift tracking, forgetting EM over the drift scenario:\n");
     printf("%-12s %12s %12s %12s %12s\n", "half_life", "window_err",
            "cold_err", "inc_iters", "cold_iters");
     for (const double half_life : {0.125, 0.25, 0.5, 1.0}) {
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
       config.threads = threads;
       config.phases[0].reports = reports / 3;
       config.phases[1].reports = reports - config.phases[0].reports;
-      config.incremental = IncrementalMode::kMiniBatch;
+      config.incremental = true;
       // Half-life as a fraction of the drift phase: the lag axis.
       config.half_life =
           half_life * static_cast<double>(config.phases[1].reports);

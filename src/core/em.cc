@@ -26,71 +26,6 @@ void BinomialSmooth(std::vector<double>* x) {
 
 namespace {
 
-// One combined E+M(+S) map shared by the plain and accelerated iterations.
-// Holds the per-run workspaces so the hot loop performs no heap allocations:
-// every vector is sized once here and reused across iterations.
-class EmStepper {
- public:
-  EmStepper(const ObservationModel& model, const std::vector<double>& counts,
-            bool smoothing)
-      : model_(model),
-        counts_(counts),
-        smoothing_(smoothing),
-        y_(model.rows(), 0.0),
-        weights_(model.rows(), 0.0),
-        weights_spare_(model.rows(), 0.0) {}
-
-  // E half: y = M x, fills the weights n_j / y_j, returns the total
-  // log-likelihood of x. (SQUAREM needs the halves separately; the plain
-  // loop goes through Step's fused sweep, which computes the same values.)
-  double Predict(const std::vector<double>& x) {
-    model_.Apply(x, &y_);
-    return EmWeightsFromPrediction(counts_, y_, &weights_);
-  }
-
-  // M half on the weights from the latest Predict: next = normalized
-  // x ⊙ (M^T w), smoothed if configured. next != &x.
-  Status Finish(const std::vector<double>& x, std::vector<double>* next) {
-    model_.ApplyTranspose(weights_, next);
-    return NormalizeAndSmooth(x, next);
-  }
-
-  // Full map x -> *next; *ll receives the log-likelihood of x. Runs the
-  // model's fused E-step sweep (one matrix pass on the dense model).
-  Status Step(const std::vector<double>& x, std::vector<double>* next,
-              double* ll) {
-    *ll = model_.EmSweep(x, counts_, &y_, &weights_, next);
-    return NormalizeAndSmooth(x, next);
-  }
-
-  // Swaps the live weights with the spare buffer, letting the accelerated
-  // loop keep the predictions of two candidate iterates at once (the
-  // swapped-in contents are garbage until the next Predict overwrites them).
-  void StashWeights() { std::swap(weights_, weights_spare_); }
-
- private:
-  // Shared M-step tail: next = normalized x ⊙ next (+ optional smoothing).
-  // The multiply-and-total and the normalization run through the
-  // dispatched kernels.
-  Status NormalizeAndSmooth(const std::vector<double>& x,
-                            std::vector<double>* next) {
-    const double total = kernels::MulAndSum(next->data(), x.data(), x.size());
-    if (total <= 0.0) {
-      return Status::Internal("EM: estimate collapsed to zero mass");
-    }
-    kernels::Scale(next->data(), 1.0 / total, next->size());
-    if (smoothing_) BinomialSmooth(next);
-    return Status::OK();
-  }
-
-  const ObservationModel& model_;
-  const std::vector<double>& counts_;
-  bool smoothing_;
-  std::vector<double> y_;
-  std::vector<double> weights_;
-  std::vector<double> weights_spare_;
-};
-
 // Fills the starting iterate: uniform (cold), or the checkpointed fixed
 // point floored at 1e-12 / d and renormalized (warm). The floor keeps a
 // coordinate that a previous run drove to an exact zero — an absorbing
@@ -115,21 +50,38 @@ void InitIterate(size_t d, const std::vector<double>* warm,
   kernels::Scale(x->data(), 1.0 / total, d);
 }
 
-// Classic fixed-point iteration (paper Algorithm 1). Same structure as the
-// historical loop; the arithmetic now runs through the dispatched kernels
-// (fused E-step sweep + blocked reductions), whose fixed operation order
-// is identical under scalar and vector dispatch.
-Result<EmResult> RunPlainEm(EmStepper& stepper, size_t d,
-                            const EmOptions& opts,
-                            const std::vector<double>* warm) {
+// The fixed-point iteration (paper Algorithm 1), once the counts are
+// validated doubles. Each step runs the model's fused E-step sweep (one
+// matrix pass on the dense model), then the M step through the dispatched
+// kernels: next = normalized x ⊙ (M^T w), smoothed for EMS. The kernels'
+// fixed operation order is identical under scalar and vector dispatch.
+// Every workspace is sized here, so the loop performs no heap
+// allocations. The warm start is copied out of the checkpoint before the
+// loop, and the checkpoint takes the outcome only after it.
+Result<EmResult> RunEm(const ObservationModel& model,
+                       const std::vector<double>& counts,
+                       const EmOptions& opts, EmCheckpoint* checkpoint) {
+  const size_t d = model.cols();
+  const std::vector<double>* warm =
+      (checkpoint != nullptr && checkpoint->warm()) ? &checkpoint->estimate
+                                                    : nullptr;
+  std::vector<double> y(model.rows(), 0.0);
+  std::vector<double> weights(model.rows(), 0.0);
   EmResult result;
   InitIterate(d, warm, &result.estimate);
   std::vector<double> next(d, 0.0);
 
   double prev_ll = -std::numeric_limits<double>::infinity();
   for (size_t iter = 1; iter <= opts.max_iterations; ++iter) {
-    double ll = 0.0;
-    NUMDIST_RETURN_NOT_OK(stepper.Step(result.estimate, &next, &ll));
+    const double ll =
+        model.EmSweep(result.estimate, counts, &y, &weights, &next);
+    const double total =
+        kernels::MulAndSum(next.data(), result.estimate.data(), d);
+    if (total <= 0.0) {
+      return Status::Internal("EM: estimate collapsed to zero mass");
+    }
+    kernels::Scale(next.data(), 1.0 / total, next.size());
+    if (opts.smoothing) BinomialSmooth(&next);
     std::swap(result.estimate, next);
 
     result.iterations = iter;
@@ -141,130 +93,13 @@ Result<EmResult> RunPlainEm(EmStepper& stepper, size_t d,
     }
     prev_ll = ll;
   }
-  return result;
-}
-
-// SQUAREM acceleration (Varadhan & Roland 2008, scheme S3): from the
-// current iterate x take two base steps x1 = F(x), x2 = F(x1), extrapolate
-//   x' = x - 2a r + a^2 v,  r = x1 - x,  v = x2 - 2 x1 + x,
-//   a = -||r|| / ||v||  (clamped to <= -1; a = -1 degenerates to x2),
-// clamp x' back onto the simplex, and accept the stabilization step F(x')
-// only when LL(x') >= LL(x2) — otherwise fall back to the plain step x2, so
-// the log-likelihood ascent property of EM is preserved. `iterations`
-// counts applications of the E+M map, comparable with the plain loop.
-Result<EmResult> RunSquaremEm(EmStepper& stepper, size_t d,
-                              const EmOptions& opts,
-                              const std::vector<double>* warm) {
-  EmResult result;
-  InitIterate(d, warm, &result.estimate);
-  std::vector<double>& x = result.estimate;
-  std::vector<double> x1(d, 0.0);
-  std::vector<double> x2(d, 0.0);
-  std::vector<double> xacc(d, 0.0);
-
-  size_t iter = 0;
-  double prev_ll = -std::numeric_limits<double>::infinity();
-  // Each cycle applies the map 3 times (two base steps + one step from the
-  // safeguard branch); never start a cycle that would overshoot the cap.
-  while (iter + 3 <= opts.max_iterations) {
-    double ll0 = 0.0;
-    double ll1 = 0.0;
-    NUMDIST_RETURN_NOT_OK(stepper.Step(x, &x1, &ll0));
-    NUMDIST_RETURN_NOT_OK(stepper.Step(x1, &x2, &ll1));
-    iter += 2;
-    result.iterations = iter;
-    result.log_likelihood = ll1;
-    if (iter >= opts.min_iterations && ll1 - ll0 < opts.tol) {
-      std::swap(x, x2);  // keep the furthest computed iterate
-      result.converged = true;
-      return result;
-    }
-
-    // Squared-iterative steplength from the two base steps.
-    double rr = 0.0;
-    double vv = 0.0;
-    for (size_t i = 0; i < d; ++i) {
-      const double r = x1[i] - x[i];
-      const double v = (x2[i] - x1[i]) - r;
-      rr += r * r;
-      vv += v * v;
-    }
-    double alpha = vv > 0.0 ? -std::sqrt(rr / vv) : -1.0;
-    if (alpha > -1.0) alpha = -1.0;
-
-    // Extrapolate and project back onto the simplex.
-    double total = 0.0;
-    for (size_t i = 0; i < d; ++i) {
-      const double r = x1[i] - x[i];
-      const double v = (x2[i] - x1[i]) - r;
-      const double e = x[i] - 2.0 * alpha * r + alpha * alpha * v;
-      xacc[i] = e > 0.0 ? e : 0.0;
-      total += xacc[i];
-    }
-    if (total > 0.0) {
-      for (size_t i = 0; i < d; ++i) xacc[i] /= total;
-    } else {
-      xacc = x2;  // degenerate extrapolation: plain step
-    }
-
-    // Monotonicity safeguard: keep whichever of {extrapolated, plain}
-    // candidate is more likely, then advance one map application from it.
-    // Both candidates are predicted up front (stashing the extrapolated
-    // weights around the x2 prediction), so the rejected branch's E half is
-    // never wasted — it simply becomes the next step's prediction.
-    const double llacc = stepper.Predict(xacc);
-    stepper.StashWeights();  // save xacc's weights
-    const double ll2 = stepper.Predict(x2);
-    const bool accept = llacc >= ll2;
-    if (accept) stepper.StashWeights();  // restore xacc's weights
-    NUMDIST_RETURN_NOT_OK(stepper.Finish(accept ? xacc : x2, &x1));
-    std::swap(x, x1);
-    iter += 1;
-    result.iterations = iter;
-    result.log_likelihood = accept ? llacc : ll2;
-    prev_ll = result.log_likelihood;
-  }
-
-  // Finish any remaining budget (cap not a multiple of the cycle length,
-  // or a cap below one full cycle) with plain steps so the accelerated
-  // path honors max_iterations exactly, like the classic loop.
-  while (iter < opts.max_iterations) {
-    double ll = 0.0;
-    NUMDIST_RETURN_NOT_OK(stepper.Step(x, &x1, &ll));
-    std::swap(x, x1);
-    iter += 1;
-    result.iterations = iter;
-    result.log_likelihood = ll;
-    if (iter >= opts.min_iterations && ll - prev_ll < opts.tol &&
-        std::isfinite(prev_ll)) {
-      result.converged = true;
-      break;
-    }
-    prev_ll = ll;
-  }
-  return result;
-}
-
-// Shared core once the counts are validated doubles. `warm` may alias
-// checkpoint->estimate; the run loops copy it into the iterate up front.
-Result<EmResult> RunValidated(const ObservationModel& model,
-                              const std::vector<double>& counts,
-                              const EmOptions& opts,
-                              EmCheckpoint* checkpoint) {
-  const std::vector<double>* warm =
-      (checkpoint != nullptr && checkpoint->warm()) ? &checkpoint->estimate
-                                                    : nullptr;
-  EmStepper stepper(model, counts, opts.smoothing);
-  Result<EmResult> run = opts.acceleration
-                             ? RunSquaremEm(stepper, model.cols(), opts, warm)
-                             : RunPlainEm(stepper, model.cols(), opts, warm);
-  if (run.ok() && checkpoint != nullptr) {
-    checkpoint->estimate = run.value().estimate;
-    checkpoint->total_iterations += run.value().iterations;
+  if (checkpoint != nullptr) {
+    checkpoint->estimate = result.estimate;
+    checkpoint->total_iterations += result.iterations;
     checkpoint->runs += 1;
-    checkpoint->log_likelihood = run.value().log_likelihood;
+    checkpoint->log_likelihood = result.log_likelihood;
   }
-  return run;
+  return result;
 }
 
 }  // namespace
@@ -294,7 +129,7 @@ Result<EmResult> EstimateEmWeighted(const ObservationModel& model,
   if (!(opts.tol >= 0.0)) {
     return Status::InvalidArgument("EM: tol must be >= 0");
   }
-  return RunValidated(model, counts, opts, checkpoint);
+  return RunEm(model, counts, opts, checkpoint);
 }
 
 Result<EmResult> EstimateEm(const ObservationModel& model,

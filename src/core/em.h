@@ -31,13 +31,6 @@ struct EmOptions {
   size_t min_iterations = 5;
   /// Apply the binomial smoothing step after each M step (EMS, §5.5).
   bool smoothing = false;
-  /// SQUAREM-style acceleration (Varadhan & Roland 2008): extrapolate
-  /// through pairs of E+M steps with the squared-iterative steplength and
-  /// fall back to the plain step whenever the extrapolated point lowers the
-  /// log-likelihood. Converges to the same fixed point in typically 3-5x
-  /// fewer iterations. Off by default so fixed-seed metric trajectories
-  /// stay bit-identical to the classic iteration.
-  bool acceleration = false;
 };
 
 /// Outcome of an EM / EMS run.
@@ -75,13 +68,6 @@ struct EmCheckpoint {
   double log_likelihood = 0.0;
   /// True when the next run will start from `estimate` instead of uniform.
   bool warm() const { return !estimate.empty(); }
-  /// Back to a cold start, keeping nothing.
-  void Reset() {
-    estimate.clear();
-    total_iterations = 0;
-    runs = 0;
-    log_likelihood = 0.0;
-  }
 };
 
 /// Runs EM (or EMS if opts.smoothing) for observation model `m` and observed
@@ -104,8 +90,8 @@ Result<EmResult> EstimateEm(const ObservationModel& model,
                             const EmOptions& opts = EmOptions(),
                             EmCheckpoint* checkpoint = nullptr);
 
-/// Weighted-counts variant for the mini-batch / forgetting path: `counts`
-/// are non-negative reals (exponentially decayed histograms are fractional).
+/// Weighted-counts variant for the incremental path: `counts` are
+/// non-negative reals (exponentially decayed histograms are fractional).
 /// Integer histograms fed through this overload reconstruct bit-identically
 /// to the uint64 overloads (the conversion is exact). Errors additionally on
 /// negative or non-finite counts.

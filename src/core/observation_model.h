@@ -26,7 +26,7 @@ namespace numdist {
 /// counts[j] == 0) and returns the total log-likelihood
 /// sum_j counts[j] log max(y[j], 1e-300). One definition used by every
 /// EmSweep path so scalar and vector dispatch can never diverge here.
-/// Counts are doubles so the mini-batch path can feed exponentially
+/// Counts are doubles so the incremental path can feed exponentially
 /// decayed (fractional) counts; integer histograms convert exactly
 /// (uint64 -> double is lossless below 2^53), so the converted path is
 /// bit-identical to the historical integer one.

@@ -48,7 +48,6 @@ Result<SwEstimator> SwEstimator::Make(const SwEstimatorOptions& options) {
   EmOptions em_options;
   em_options.smoothing = options.post == SwEstimatorOptions::Post::kEms;
   em_options.max_iterations = options.max_iterations;
-  em_options.acceleration = options.accelerate_em;
   if (options.tol > 0.0) {
     em_options.tol = options.tol;
   } else {
@@ -174,16 +173,6 @@ size_t SwEstimator::OutputBucketOf(double report) const {
 Result<EmResult> SwEstimator::Reconstruct(
     const std::vector<uint64_t>& counts) const {
   return EstimateEm(model_, counts, em_options_);
-}
-
-Result<EmResult> SwEstimator::ReconstructWarm(
-    const std::vector<uint64_t>& counts, EmCheckpoint* checkpoint) const {
-  return EstimateEm(model_, counts, em_options_, checkpoint);
-}
-
-Result<EmResult> SwEstimator::ReconstructWeighted(
-    const std::vector<double>& counts, EmCheckpoint* checkpoint) const {
-  return EstimateEmWeighted(model_, counts, em_options_, checkpoint);
 }
 
 Result<std::vector<double>> SwEstimator::EstimateDistribution(

@@ -36,10 +36,6 @@ struct SwEstimatorOptions {
   /// (1e-3 for EMS, 1e-3 * e^eps for EM).
   double tol = -1.0;
   size_t max_iterations = 10000;
-  /// SQUAREM-accelerated reconstruction (see EmOptions::acceleration).
-  /// Off by default: the plain iteration keeps fixed-seed metrics
-  /// bit-identical across releases.
-  bool accelerate_em = false;
 };
 
 /// \brief One-stop SW + EM/EMS distribution estimator.
@@ -92,20 +88,6 @@ class SwEstimator {
   /// Server-side: reconstructs the d-bucket input distribution from
   /// aggregated output counts via EM or EMS.
   Result<EmResult> Reconstruct(const std::vector<uint64_t>& counts) const;
-
-  /// Incremental variant: identical to Reconstruct but resumable — a
-  /// non-null checkpoint warm-starts EM from the previous fixed point and
-  /// accumulates the iteration budget across a rolling snapshot sequence
-  /// (see EmCheckpoint). With an empty checkpoint the first run is cold and
-  /// bit-identical to Reconstruct.
-  Result<EmResult> ReconstructWarm(const std::vector<uint64_t>& counts,
-                                   EmCheckpoint* checkpoint) const;
-
-  /// Mini-batch variant over real-valued (e.g. exponentially decayed)
-  /// counts; see EstimateEmWeighted. Used by IncrementalReconstructor's
-  /// forgetting mode.
-  Result<EmResult> ReconstructWeighted(const std::vector<double>& counts,
-                                       EmCheckpoint* checkpoint) const;
 
   /// Convenience one-shot pipeline: perturb every value, aggregate,
   /// reconstruct. Returns the reconstructed distribution.

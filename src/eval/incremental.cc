@@ -5,6 +5,11 @@
 
 namespace numdist {
 
+double ForgettingFactor(uint64_t delta_n, double half_life) {
+  if (half_life == 0.0) return 1.0;
+  return std::exp2(-static_cast<double>(delta_n) / half_life);
+}
+
 IncrementalReconstructor::IncrementalReconstructor(
     std::shared_ptr<const SwEstimator> estimator,
     const IncrementalOptions& options)
@@ -22,11 +27,9 @@ Result<IncrementalReconstructor> IncrementalReconstructor::Make(
   if (estimator == nullptr) {
     return Status::InvalidArgument("IncrementalReconstructor: null estimator");
   }
-  if (options.mode == IncrementalOptions::Mode::kMiniBatch &&
-      !(options.half_life > 0.0 && std::isfinite(options.half_life))) {
+  if (!(options.half_life >= 0.0) || !std::isfinite(options.half_life)) {
     return Status::InvalidArgument(
-        "IncrementalReconstructor: mini-batch mode needs a finite "
-        "half_life > 0");
+        "IncrementalReconstructor: half_life must be finite and >= 0");
   }
   return IncrementalReconstructor(std::move(estimator), options);
 }
@@ -52,42 +55,26 @@ Result<EmResult> IncrementalReconstructor::UpdateFromTotals(
     }
   }
 
-  Result<EmResult> run = Status::Internal("unreachable");
-  if (options_.mode == IncrementalOptions::Mode::kMiniBatch) {
-    // Decay the window by the number of reports that arrived since the
-    // last update, then absorb the new delta at full weight:
-    //   w <- 2^(-Δn / half_life) * w + (totals - prev_totals).
-    // The first update seeds the window with the whole history (λ^0 on an
-    // empty window), matching a collector that starts estimating late.
-    const uint64_t delta_n = n - reports_seen_;
-    const double lambda =
-        std::exp2(-static_cast<double>(delta_n) / options_.half_life);
-    weighted_.resize(buckets, 0.0);
-    for (size_t j = 0; j < buckets; ++j) {
-      const uint64_t prev = prev_totals_.empty() ? 0 : prev_totals_[j];
-      weighted_[j] =
-          lambda * weighted_[j] + static_cast<double>(totals[j] - prev);
-    }
-    run = EstimateEmWeighted(estimator_->model(), weighted_, em_options_,
-                             &checkpoint_);
-  } else {
-    // Warm mode reconstructs the full cumulative histogram; the exact
-    // uint64 -> double conversion keeps it bit-identical to a cold
-    // Reconstruct on the same counts apart from the warm initial iterate.
-    scratch_.resize(buckets);
-    for (size_t j = 0; j < buckets; ++j) {
-      scratch_[j] = static_cast<double>(totals[j]);
-    }
-    run = EstimateEmWeighted(estimator_->model(), scratch_, em_options_,
-                             &checkpoint_);
+  // Decay the window by the number of reports that arrived since the
+  // last update, then absorb the new delta at full weight. The first
+  // update seeds the window with the whole history (an empty window),
+  // matching a collector that starts estimating late. With no half-life
+  // lambda is 1 and every delta is an exact integer below 2^53, so the
+  // window equals the cumulative totals bit for bit.
+  const double lambda = ForgettingFactor(n - reports_seen_, options_.half_life);
+  window_.resize(buckets, 0.0);
+  for (size_t j = 0; j < buckets; ++j) {
+    const uint64_t prev = prev_totals_.empty() ? 0 : prev_totals_[j];
+    window_[j] = lambda * window_[j] + static_cast<double>(totals[j] - prev);
   }
-  if (!run.ok()) return run;
-
-  // Only commit the rolling state on success so a failed update (e.g. an
-  // all-zero window) can be retried after more reports arrive.
+  // The window has absorbed these totals whether or not EM succeeds, so
+  // the rolling state advances with it: a failed run leaves only the
+  // checkpoint as it was, and the next update adds just its own delta.
   prev_totals_ = totals;
   reports_seen_ = n;
-  updates_ += 1;
+  Result<EmResult> run = EstimateEmWeighted(estimator_->model(), window_,
+                                            em_options_, &checkpoint_);
+  if (run.ok()) updates_ += 1;
   return run;
 }
 

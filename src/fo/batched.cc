@@ -1,6 +1,5 @@
 #include "fo/batched.h"
 
-#include <string>
 #include <utility>
 
 #include "fo/adaptive.h"
@@ -183,21 +182,6 @@ class OueBatchedFo final : public BatchedFo {
 };
 
 }  // namespace
-
-bool ParseFoKind(const std::string& name, FoKind* kind) {
-  if (name == "adaptive") {
-    *kind = FoKind::kAdaptive;
-  } else if (name == "grr") {
-    *kind = FoKind::kGrr;
-  } else if (name == "olh") {
-    *kind = FoKind::kOlh;
-  } else if (name == "oue") {
-    *kind = FoKind::kOue;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 Result<std::unique_ptr<BatchedFo>> MakeBatchedFo(FoKind kind, double epsilon,
                                                  size_t domain) {

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -25,9 +24,6 @@ enum class FoKind {
   kOlh,
   kOue,
 };
-
-/// Parses "adaptive" / "grr" / "olh" / "oue"; false on unknown names.
-bool ParseFoKind(const std::string& name, FoKind* kind);
 
 /// One client shard's perturbed reports. `reports` carries GRR/OLH/adaptive
 /// wire reports; OUE instead appends its d-bit vectors to `bits` (flattened,

@@ -34,8 +34,4 @@ double StochasticRounding::MeanOfReports(const std::vector<double>& reports) {
   return acc / static_cast<double>(reports.size());
 }
 
-double StochasticRounding::WorstCaseVariance() const {
-  return magnitude_ * magnitude_;
-}
-
 }  // namespace numdist

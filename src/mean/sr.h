@@ -24,9 +24,6 @@ class StochasticRounding {
   /// Mean of de-biased reports (the unbiased mean estimate).
   static double MeanOfReports(const std::vector<double>& reports);
 
-  /// Per-report variance upper bound 1/(p-q)^2 - v^2 <= ((e^eps+1)/(e^eps-1))^2.
-  double WorstCaseVariance() const;
-
   double epsilon() const { return epsilon_; }
   /// The de-biased report magnitude 1/(p - q) = (e^eps + 1)/(e^eps - 1).
   double report_magnitude() const { return magnitude_; }

@@ -129,9 +129,6 @@ Result<std::unique_ptr<CollectorServer>> CollectorServer::Make(
                              wire::SwEstimatorOptionsForSpec(spec));
     NUMDIST_ASSIGN_OR_RETURN(SwEstimator est, SwEstimator::Make(est_options));
     IncrementalOptions inc_options;
-    inc_options.mode = options.estimate_half_life > 0.0
-                           ? IncrementalOptions::Mode::kMiniBatch
-                           : IncrementalOptions::Mode::kWarm;
     inc_options.half_life = options.estimate_half_life;
     inc_options.max_iterations_per_update = options.estimate_max_iterations;
     NUMDIST_ASSIGN_OR_RETURN(

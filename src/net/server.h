@@ -155,9 +155,10 @@ struct ServerOptions {
   /// ...and/or re-reconstruct every this many milliseconds (0 = off).
   /// Either cadence due triggers a tick.
   int64_t estimate_every_ms = 0;
-  /// Mini-batch forgetting half-life in reports; > 0 switches the live
-  /// estimate from warm (full cumulative counts) to the exponentially
-  /// forgotten window (IncrementalOptions::Mode::kMiniBatch).
+  /// Forgetting half-life of the live estimate's window in reports
+  /// (IncrementalOptions::half_life): 0 reconstructs the full cumulative
+  /// counts, > 0 forgets old reports exponentially. Make refuses a
+  /// negative or non-finite value when a cadence is set.
   double estimate_half_life = 0.0;
   /// Per-tick EM iteration budget (0 = the estimator's own cap).
   size_t estimate_max_iterations = 0;

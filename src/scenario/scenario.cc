@@ -72,7 +72,7 @@ struct EpsilonGroup {
   std::optional<IncrementalReconstructor> inc;
   std::vector<double> decayed_truth;
   std::vector<double> prev_truth;
-  double prev_truth_n = 0.0;
+  uint64_t prev_truth_n = 0;
 
   // Adversarial companion state: per-shard malicious report counts
   // (workers touch only their own slot, summed in shard order), plus the
@@ -98,16 +98,13 @@ Status ValidateScenario(const ScenarioConfig& config) {
     return Status::InvalidArgument(
         "scenario: default epsilon must be positive and finite");
   }
-  if (config.incremental == IncrementalMode::kMiniBatch &&
-      (!(config.half_life > 0.0) || !std::isfinite(config.half_life))) {
+  if (!(config.half_life >= 0.0) || !std::isfinite(config.half_life)) {
     return Status::InvalidArgument(
-        "scenario: incremental = minibatch needs a positive finite "
-        "half_life");
+        "scenario: half_life must be finite and >= 0");
   }
-  if (config.incremental != IncrementalMode::kMiniBatch &&
-      config.half_life != 0.0) {
+  if (!config.incremental && config.half_life != 0.0) {
     return Status::InvalidArgument(
-        "scenario: half_life needs incremental = minibatch");
+        "scenario: half_life needs incremental = on");
   }
   if (config.defense) {
     NUMDIST_RETURN_NOT_OK(ValidateDefenseOptions(config.defense_options));
@@ -173,11 +170,8 @@ Result<ScenarioResult> RunScenario(const ScenarioConfig& config) {
                               std::vector<uint64_t>(config.d, 0));
     group.merged.assign(buckets, 0);
     group.attacked_counts.assign(config.shards, 0);
-    if (config.incremental != IncrementalMode::kOff) {
+    if (config.incremental) {
       IncrementalOptions inc_options;
-      inc_options.mode = config.incremental == IncrementalMode::kMiniBatch
-                             ? IncrementalOptions::Mode::kMiniBatch
-                             : IncrementalOptions::Mode::kWarm;
       inc_options.half_life = config.half_life;
       Result<IncrementalReconstructor> inc =
           IncrementalReconstructor::Make(group.estimator, inc_options);
@@ -311,7 +305,7 @@ Result<ScenarioResult> RunScenario(const ScenarioConfig& config) {
         }
       }
 
-      // Incremental companion: roll the group's warm/mini-batch estimate
+      // Incremental companion: roll the group's warm-started estimate
       // forward over the merged cumulative counts, and forget the raw
       // truth counts on the SAME schedule before normalization — the
       // resulting distance is drift-tracking error over the effective
@@ -321,18 +315,14 @@ Result<ScenarioResult> RunScenario(const ScenarioConfig& config) {
       if (group->inc.has_value()) {
         NUMDIST_ASSIGN_OR_RETURN(
             inc_em, group->inc->UpdateFromTotals(merged, group->reports));
-        const double n_now = static_cast<double>(group->reports);
-        double lambda = 1.0;
-        if (config.incremental == IncrementalMode::kMiniBatch) {
-          lambda =
-              std::exp2(-(n_now - group->prev_truth_n) / config.half_life);
-        }
+        const double lambda = ForgettingFactor(
+            group->reports - group->prev_truth_n, config.half_life);
         for (size_t i = 0; i < config.d; ++i) {
           group->decayed_truth[i] = lambda * group->decayed_truth[i] +
                                     (truth[i] - group->prev_truth[i]);
         }
         group->prev_truth = truth;
-        group->prev_truth_n = n_now;
+        group->prev_truth_n = group->reports;
         inc_truth = group->decayed_truth;
         hist::Normalize(&inc_truth);
       }
@@ -521,27 +511,21 @@ Result<ScenarioConfig> ParseScenarioText(const std::string& text) {
       } else if (key == "seed") {
         NUMDIST_ASSIGN_OR_RETURN(config.seed, ParseCount(key, value, line_no));
       } else if (key == "incremental") {
-        if (value == "off") {
-          config.incremental = IncrementalMode::kOff;
-        } else if (value == "warm") {
-          config.incremental = IncrementalMode::kWarm;
-        } else if (value == "minibatch") {
-          config.incremental = IncrementalMode::kMiniBatch;
+        if (value == "off" || value == "on") {
+          config.incremental = value == "on";
         } else {
           return Status::InvalidArgument(
               "scenario line " + std::to_string(line_no) +
-              ": 'incremental' must be off, warm, or minibatch, got '" +
-              value + "'");
+              ": 'incremental' must be off or on, got '" + value + "'");
         }
       } else if (key == "half_life") {
         char* parse_end = nullptr;
         const double parsed = std::strtod(value.c_str(), &parse_end);
         if (value.empty() || parse_end != value.c_str() + value.size() ||
-            !(parsed > 0.0) || !std::isfinite(parsed)) {
+            !(parsed >= 0.0) || !std::isfinite(parsed)) {
           return Status::InvalidArgument(
               "scenario line " + std::to_string(line_no) +
-              ": 'half_life' must be a positive number, got '" + value +
-              "'");
+              ": 'half_life' must be a number >= 0, got '" + value + "'");
         }
         config.half_life = parsed;
       } else if (key == "defense") {

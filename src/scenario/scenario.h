@@ -59,16 +59,6 @@ struct ScenarioPhase {
   AttackSpec attack;
 };
 
-/// Incremental reconstruction alongside the scenario's cold per-checkpoint
-/// snapshots (eval/incremental.h). kOff leaves every existing output
-/// untouched; kWarm warm-starts EM from the previous checkpoint's fixed
-/// point over the cumulative counts; kMiniBatch additionally forgets old
-/// reports with half-life ScenarioConfig::half_life, turning the scenario
-/// into a drift-tracking benchmark (the checkpoint records the estimate's
-/// distance to the *equally forgotten* ground truth, i.e. error over the
-/// effective window rather than over all history).
-enum class IncrementalMode { kOff, kWarm, kMiniBatch };
-
 /// A full scenario.
 struct ScenarioConfig {
   std::string name = "scenario";
@@ -83,12 +73,17 @@ struct ScenarioConfig {
   uint64_t seed = 42;
   /// Worker threads; 0 = hardware concurrency. Never changes the results.
   size_t threads = 0;
-  /// Run an incremental reconstructor per epsilon group next to the cold
-  /// snapshots (see IncrementalMode). Off by default so existing outputs
-  /// stay bit-identical.
-  IncrementalMode incremental = IncrementalMode::kOff;
-  /// Mini-batch forgetting half-life in reports; required > 0 when
-  /// `incremental` is kMiniBatch, must stay 0 otherwise.
+  /// Run an incremental reconstructor (eval/incremental.h) per epsilon
+  /// group next to the cold per-checkpoint snapshots: EM warm-started from
+  /// the previous checkpoint's fixed point. Off by default so existing
+  /// outputs stay bit-identical.
+  bool incremental = false;
+  /// Forgetting half-life of the incremental window in reports. 0 keeps
+  /// every report; a positive value forgets old ones, turning the
+  /// scenario into a drift-tracking benchmark (the checkpoint records the
+  /// estimate's distance to the *equally forgotten* ground truth, i.e.
+  /// error over the effective window rather than over all history).
+  /// Finite and >= 0; a positive value needs `incremental`.
   double half_life = 0.0;
   /// Run the postprocess/defense.h frequency-consistency detectors on
   /// every checkpoint's merged output counts and emit the `def_*`
@@ -121,10 +116,10 @@ struct ScenarioCheckpoint {
   std::vector<double> truth;
 
   /// Incremental-reconstruction companion metrics, populated only when
-  /// ScenarioConfig::incremental != kOff. The distances are measured
-  /// against the group's forgotten ground truth (cumulative truth for
-  /// kWarm; exponentially decayed with the configured half-life for
-  /// kMiniBatch), so for a drifting population inc_wasserstein is the
+  /// ScenarioConfig::incremental is on. The distances are measured
+  /// against the group's ground truth forgotten on the estimate's own
+  /// schedule (cumulative with no half-life, exponentially decayed with
+  /// one), so for a drifting population inc_wasserstein is the
   /// drift-TRACKING error: how far the rolling estimate lags the window it
   /// is supposed to represent.
   size_t inc_em_iterations = 0;
@@ -171,8 +166,8 @@ Result<ScenarioResult> RunScenario(const ScenarioConfig& config);
 ///                                   incremental, half_life, defense,
 ///   d = 64                          defense_threshold)
 ///   shards = 4
-///   incremental = minibatch        (off | warm | minibatch)
-///   half_life = 10000              (reports; minibatch only)
+///   incremental = on               (off | on)
+///   half_life = 10000              (reports; 0 = keep all; needs on)
 ///
 ///   [phase]                        (starts a phase; then per-phase keys:
 ///   name = drift                    name, mixture, end_mixture, reports,

@@ -112,118 +112,6 @@ TEST(EmTest, HonorsIterationCap) {
   EXPECT_EQ(res.iterations, 7u);
 }
 
-// ---------------------------------------------------- acceleration --
-
-TEST(EmAccelerationTest, ReachesSameFixedPointAsPlainEm) {
-  const SquareWave sw = SquareWave::Make(1.0).ValueOrDie();
-  const size_t d = 64;
-  const Matrix m = sw.TransitionMatrix(d, d);
-  Rng rng(55);
-  std::vector<uint64_t> counts(d);
-  for (uint64_t& c : counts) c = 100 + rng.UniformInt(900);
-
-  EmOptions opts;
-  opts.tol = 1e-9;
-  opts.max_iterations = 50000;
-  const EmResult plain = EstimateEm(m, counts, opts).ValueOrDie();
-  opts.acceleration = true;
-  const EmResult fast = EstimateEm(m, counts, opts).ValueOrDie();
-
-  EXPECT_TRUE(plain.converged);
-  EXPECT_TRUE(fast.converged);
-  // Same MLE: with a tight tolerance both runs land on the same optimum.
-  for (size_t i = 0; i < d; ++i) {
-    EXPECT_NEAR(fast.estimate[i], plain.estimate[i], 1e-4) << "i=" << i;
-  }
-  // The safeguard keeps the accelerated run at least as likely.
-  EXPECT_GE(fast.log_likelihood, plain.log_likelihood - 1e-6);
-}
-
-TEST(EmAccelerationTest, CutsIterationsOnSlowWorkload) {
-  // Small epsilon = near-flat transition = slow plain EM; acceleration must
-  // converge in substantially fewer E+M map applications.
-  const SquareWave sw = SquareWave::Make(0.5).ValueOrDie();
-  const size_t d = 128;
-  const Matrix m = sw.TransitionMatrix(d, d);
-  Rng rng(56);
-  std::vector<uint64_t> counts(d);
-  for (size_t j = 0; j < d; ++j) {
-    counts[j] = 200 + 150 * (j % 7) + rng.UniformInt(50);
-  }
-  EmOptions opts;
-  opts.tol = 1e-7;
-  opts.max_iterations = 100000;
-  const EmResult plain = EstimateEm(m, counts, opts).ValueOrDie();
-  opts.acceleration = true;
-  const EmResult fast = EstimateEm(m, counts, opts).ValueOrDie();
-  EXPECT_TRUE(plain.converged);
-  EXPECT_TRUE(fast.converged);
-  EXPECT_LT(fast.iterations * 2, plain.iterations)
-      << "accelerated=" << fast.iterations << " plain=" << plain.iterations;
-}
-
-TEST(EmAccelerationTest, AcceleratedEmsStaysADistributionAndMatches) {
-  const SquareWave sw = SquareWave::Make(1.0).ValueOrDie();
-  const size_t d = 48;
-  const Matrix m = sw.TransitionMatrix(d, d);
-  std::vector<uint64_t> counts(d, 10);
-  counts[10] = 800;
-  counts[30] = 400;
-  EmOptions opts;
-  opts.smoothing = true;
-  opts.tol = 1e-8;
-  opts.max_iterations = 50000;
-  const EmResult plain = EstimateEm(m, counts, opts).ValueOrDie();
-  opts.acceleration = true;
-  const EmResult fast = EstimateEm(m, counts, opts).ValueOrDie();
-  EXPECT_TRUE(hist::IsDistribution(fast.estimate, 1e-9));
-  // Smoothing makes the map a regularized (non-ascent) iteration, so the
-  // accelerated trajectory may settle a hair away from the plain one —
-  // require closeness, not coincidence.
-  double l1 = 0.0;
-  for (size_t i = 0; i < d; ++i) {
-    l1 += std::fabs(fast.estimate[i] - plain.estimate[i]);
-    EXPECT_NEAR(fast.estimate[i], plain.estimate[i], 0.01) << "i=" << i;
-  }
-  EXPECT_LT(l1, 0.05);
-}
-
-TEST(EmAccelerationTest, HonorsIterationCapExactly) {
-  const SquareWave sw = SquareWave::Make(0.5).ValueOrDie();
-  const Matrix m = sw.TransitionMatrix(32, 32);
-  std::vector<uint64_t> counts(32, 100);
-  for (const size_t cap : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
-                           size_t{7}, size_t{10}}) {
-    EmOptions opts;
-    opts.acceleration = true;
-    opts.max_iterations = cap;
-    opts.min_iterations = cap;
-    opts.tol = 0.0;  // never converge by tolerance
-    const EmResult res = EstimateEm(m, counts, opts).ValueOrDie();
-    EXPECT_EQ(res.iterations, cap) << "cap=" << cap;
-  }
-}
-
-TEST(EmAccelerationTest, LogLikelihoodStillNonDecreasingAcrossCycles) {
-  // The monotonicity safeguard must keep accepted iterates ascending.
-  const SquareWave sw = SquareWave::Make(1.0).ValueOrDie();
-  const Matrix m = sw.TransitionMatrix(32, 32);
-  std::vector<uint64_t> counts(32, 10);
-  counts[3] = 500;
-  counts[20] = 250;
-  double prev_ll = -1e300;
-  for (size_t iters = 3; iters <= 60; iters += 6) {
-    EmOptions opts;
-    opts.acceleration = true;
-    opts.max_iterations = iters;
-    opts.min_iterations = iters;
-    opts.tol = 0.0;
-    const EmResult res = EstimateEm(m, counts, opts).ValueOrDie();
-    EXPECT_GE(res.log_likelihood, prev_ll - 1e-9) << "iters=" << iters;
-    prev_ll = res.log_likelihood;
-  }
-}
-
 // ------------------------------------------------------- smoothing --
 
 TEST(BinomialSmoothTest, InteriorKernelWeights) {

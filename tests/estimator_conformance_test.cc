@@ -1,10 +1,9 @@
 // Statistical conformance tier (ctest label: statistical) for the
-// reconstruction estimators: EM, EMS, SQUAREM-accelerated EM, and the
-// smoothing-only ablation. Tolerances are computed from (n, d, epsilon,
-// alpha) by the stats library's bounds — DKW acceptance radii in report
-// space, likelihood-gap agreement radii between EM fixed points, and the
-// documented channel-inversion envelope for input-space error — instead of
-// per-test magic numbers. Derivations: docs/STATISTICAL_TESTING.md §3-§4.
+// reconstruction estimators: EM, EMS, and the smoothing-only ablation.
+// Tolerances are computed from (n, d, epsilon, alpha) by the stats
+// library's bounds — DKW acceptance radii in report space and the
+// documented channel-inversion envelope for input-space error — instead
+// of per-test magic numbers. Derivations: docs/STATISTICAL_TESTING.md §3.
 //
 // The discrete ("bucketize before randomize") pipeline is used throughout
 // so the aggregated report histogram is exactly multinomial with cell
@@ -28,7 +27,6 @@ namespace numdist {
 namespace {
 
 using stats::DkwEpsilon;
-using stats::EmAgreementRadius;
 using stats::kTestAlpha;
 using stats::PerAssertionAlpha;
 using stats::SampleBudget;
@@ -79,11 +77,9 @@ Workload MakeWorkload(uint64_t seed, double epsilon, size_t d, uint64_t n) {
   return w;
 }
 
-EmResult Reconstruct(const Workload& w, SwEstimatorOptions::Post post,
-                     bool accelerate) {
+EmResult Reconstruct(const Workload& w, SwEstimatorOptions::Post post) {
   SwEstimatorOptions options = w.options;
   options.post = post;
-  options.accelerate_em = accelerate;
   const SwEstimator estimator = SwEstimator::Make(options).ValueOrDie();
   return estimator.Reconstruct(w.counts).ValueOrDie();
 }
@@ -95,14 +91,6 @@ std::vector<double> Forward(const SwEstimator& estimator,
   std::vector<double> y;
   estimator.model().Apply(x, &y);
   return y;
-}
-
-// KS distance between the forward images M x and M y of two input
-// distributions.
-double ForwardKs(const Workload& w, const std::vector<double>& x,
-                 const std::vector<double>& y) {
-  const SwEstimator estimator = SwEstimator::Make(w.options).ValueOrDie();
-  return KsDistance(Forward(estimator, x), Forward(estimator, y));
 }
 
 TEST(EstimatorConformanceTest, ReportHistogramWithinDkwOfForwardTruth) {
@@ -118,7 +106,7 @@ TEST(EstimatorConformanceTest, ReportHistogramWithinDkwOfForwardTruth) {
 }
 
 TEST(EstimatorConformanceTest, EstimatorsConvergeWithinDerivedEnvelopes) {
-  // All four estimator variants land within the derived input-space
+  // All three estimator variants land within the derived input-space
   // envelope of the exact value histogram, and the likelihood-based ones
   // forward-fit the observed reports no worse than the truth does (up to a
   // DKW radius; EMS trades a little forward fit for smoothness, covered by
@@ -132,19 +120,16 @@ TEST(EstimatorConformanceTest, EstimatorsConvergeWithinDerivedEnvelopes) {
   const double dkw = DkwEpsilon(w.n, alpha);
   const double envelope = InversionEnvelope(epsilon, b, 2.0 * dkw, d);
 
-  const EmResult em = Reconstruct(w, SwEstimatorOptions::Post::kEm, false);
-  const EmResult ems = Reconstruct(w, SwEstimatorOptions::Post::kEms, false);
-  const EmResult accel = Reconstruct(w, SwEstimatorOptions::Post::kEm, true);
+  const EmResult em = Reconstruct(w, SwEstimatorOptions::Post::kEm);
+  const EmResult ems = Reconstruct(w, SwEstimatorOptions::Post::kEms);
   const std::vector<double> smooth_only =
       SmoothingOnlyEstimate(w.counts, d);
 
   EXPECT_TRUE(em.converged);
   EXPECT_TRUE(ems.converged);
-  EXPECT_TRUE(accel.converged);
 
   EXPECT_LE(WassersteinDistance(em.estimate, w.truth), envelope);
   EXPECT_LE(WassersteinDistance(ems.estimate, w.truth), envelope);
-  EXPECT_LE(WassersteinDistance(accel.estimate, w.truth), envelope);
   // Smoothing-only skips the channel inversion entirely; it only de-noises,
   // so it is held to the (much looser) envelope with the no-inversion
   // residual: the raw q-floor bias survives at magnitude <= 2 b q ~ the
@@ -164,43 +149,6 @@ TEST(EstimatorConformanceTest, EstimatorsConvergeWithinDerivedEnvelopes) {
       stats::HistogramKs(w.counts, Forward(estimator, w.truth));
   EXPECT_LE(KsDistance(Forward(estimator, em.estimate), empirical),
             truth_fit + dkw);
-  EXPECT_LE(KsDistance(Forward(estimator, accel.estimate), empirical),
-            truth_fit + dkw);
-}
-
-TEST(EstimatorConformanceTest, AcceleratedEmAgreesWithPlainEmProperty) {
-  // Satellite property: SQUAREM-accelerated EM and plain EM converge to the
-  // same fixed point across >= 5 seeds and eps in {0.5, 1, 4}. Agreement is
-  // asserted in report space within the likelihood-gap radius (both stop
-  // within tol of the common maximum) and in input space within the
-  // channel-inversion envelope of that radius.
-  const size_t d = 32;
-  const uint64_t n = SampleBudget(30000, 5000);
-  const std::vector<uint64_t> seeds = {0xA1, 0xA2, 0xA3, 0xA4, 0xA5};
-  const std::vector<double> epsilons = {0.5, 1.0, 4.0};
-  for (double epsilon : epsilons) {
-    for (uint64_t seed : seeds) {
-      const Workload w = MakeWorkload(seed, epsilon, d, n);
-      const EmResult plain =
-          Reconstruct(w, SwEstimatorOptions::Post::kEm, false);
-      const EmResult accel =
-          Reconstruct(w, SwEstimatorOptions::Post::kEm, true);
-      ASSERT_TRUE(plain.converged) << "eps=" << epsilon << " seed=" << seed;
-      ASSERT_TRUE(accel.converged) << "eps=" << epsilon << " seed=" << seed;
-
-      // Both stopped within tol = 1e-3 e^eps (the paper's EM threshold) of
-      // the shared log-likelihood maximum.
-      const double tol = 1e-3 * std::exp(epsilon);
-      const double radius = EmAgreementRadius(w.n, tol, tol);
-      EXPECT_LE(ForwardKs(w, plain.estimate, accel.estimate), radius)
-          << "eps=" << epsilon << " seed=" << seed;
-
-      const SwEstimator estimator = SwEstimator::Make(w.options).ValueOrDie();
-      EXPECT_LE(WassersteinDistance(plain.estimate, accel.estimate),
-                InversionEnvelope(epsilon, estimator.b(), radius, d))
-          << "eps=" << epsilon << " seed=" << seed;
-    }
-  }
 }
 
 TEST(EstimatorConformanceTest, ConvergenceImprovesWithSampleSize) {
@@ -213,7 +161,7 @@ TEST(EstimatorConformanceTest, ConvergenceImprovesWithSampleSize) {
   for (uint64_t n : {SampleBudget(40000, 4000), SampleBudget(160000, 16000)}) {
     const Workload w = MakeWorkload(0xC0 + n, epsilon, d, n);
     const SwEstimator estimator = SwEstimator::Make(w.options).ValueOrDie();
-    const EmResult ems = Reconstruct(w, SwEstimatorOptions::Post::kEms, false);
+    const EmResult ems = Reconstruct(w, SwEstimatorOptions::Post::kEms);
     const double envelope = InversionEnvelope(
         epsilon, estimator.b(), 2.0 * DkwEpsilon(w.n, alpha), d);
     EXPECT_LE(WassersteinDistance(ems.estimate, w.truth), envelope)

@@ -7,17 +7,21 @@
 //    iterations than cold restarts at every snapshot,
 //  - a warm run through an EMPTY checkpoint is bit-identical to the plain
 //    cold path (the incremental API is a strict superset),
-//  - mini-batch (exponentially forgotten) updates are deterministic:
-//    identical cumulative-total sequences produce byte-identical
-//    estimates, and the scenario engine's incremental columns are
-//    bit-identical for any thread count at a fixed seed,
+//  - every IncrementalReconstructor tick equals, bit for bit, a
+//    hand-rolled warm-started EstimateEmWeighted sequence: over the exact
+//    cumulative totals with no half-life, over the decayed window with
+//    one; a negative or non-finite half-life is refused,
+//  - forgetting updates are deterministic: identical cumulative-total
+//    sequences produce byte-identical estimates, and the scenario engine's
+//    incremental columns are bit-identical for any thread count at a
+//    fixed seed,
 //  - live estimation inside CollectorServer reads accumulator state
 //    without mutating it: the drained sketch is byte-identical to a
 //    sequential single-session run over the same frames, while the
 //    estimate sink observes monotone report totals and, at every tick,
 //    a server sketch that holds exactly those totals; the drain ticks once
 //    more when frames arrived since the last tick, so the last tick holds
-//    the drained sketch; a cadence needs an SW spec.
+//    the drained sketch; a cadence needs an SW spec and a valid half-life.
 #include "eval/incremental.h"
 
 #include <gtest/gtest.h>
@@ -25,6 +29,7 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -113,7 +118,9 @@ TEST(WarmStartTest, RollingWarmRunsReachTheColdFixedPoint) {
   EmCheckpoint checkpoint;
   EmResult warm;
   for (const std::vector<uint64_t>& snapshot : w.snapshots) {
-    warm = estimator.ReconstructWarm(snapshot, &checkpoint).ValueOrDie();
+    warm = EstimateEm(estimator.model(), snapshot, estimator.em_options(),
+                      &checkpoint)
+               .ValueOrDie();
     ASSERT_TRUE(warm.converged);
   }
   const EmResult cold =
@@ -144,7 +151,9 @@ TEST(WarmStartTest, EmptyCheckpointIsBitIdenticalToColdReconstruct) {
   const SwEstimator estimator = SwEstimator::Make(w.options).ValueOrDie();
   EmCheckpoint checkpoint;
   const EmResult via_checkpoint =
-      estimator.ReconstructWarm(w.snapshots[0], &checkpoint).ValueOrDie();
+      EstimateEm(estimator.model(), w.snapshots[0], estimator.em_options(),
+                 &checkpoint)
+          .ValueOrDie();
   const EmResult plain = estimator.Reconstruct(w.snapshots[0]).ValueOrDie();
   ASSERT_EQ(via_checkpoint.estimate.size(), plain.estimate.size());
   EXPECT_EQ(std::memcmp(via_checkpoint.estimate.data(), plain.estimate.data(),
@@ -155,7 +164,7 @@ TEST(WarmStartTest, EmptyCheckpointIsBitIdenticalToColdReconstruct) {
   EXPECT_EQ(checkpoint.runs, 1u);
 }
 
-TEST(MiniBatchTest, IdenticalTotalSequencesProduceByteIdenticalEstimates) {
+TEST(ForgettingTest, IdenticalTotalSequencesProduceByteIdenticalEstimates) {
   // The inputs are exact integers and the decay arithmetic is a fixed
   // sequential recurrence, so two reconstructors fed the same cumulative
   // totals must agree to the last bit at every update.
@@ -163,7 +172,6 @@ TEST(MiniBatchTest, IdenticalTotalSequencesProduceByteIdenticalEstimates) {
   auto estimator = std::make_shared<const SwEstimator>(
       SwEstimator::Make(w.options).ValueOrDie());
   IncrementalOptions options;
-  options.mode = IncrementalOptions::Mode::kMiniBatch;
   options.half_life = 25000.0;
   auto a = IncrementalReconstructor::Make(estimator, options).ValueOrDie();
   auto b = IncrementalReconstructor::Make(estimator, options).ValueOrDie();
@@ -183,7 +191,139 @@ TEST(MiniBatchTest, IdenticalTotalSequencesProduceByteIdenticalEstimates) {
   EXPECT_EQ(a.updates(), w.snapshots.size());
 }
 
-TEST(MiniBatchTest, ScenarioIncrementalColumnsAreThreadCountInvariant) {
+// A tick shape: the estimator, the per-update EM budget, and a sequence of
+// growing cumulative totals with their report counts.
+struct TickSequence {
+  std::shared_ptr<const SwEstimator> estimator;
+  size_t budget = 0;
+  std::vector<std::vector<uint64_t>> totals;
+  std::vector<uint64_t> reports;
+};
+
+// `ticks` cumulative snapshots of an sw-ems stream at granularity d, each
+// tick adding a different number of reports (so the decay exponent varies).
+TickSequence MakeTickSequence(size_t d, size_t budget, size_t ticks,
+                              uint64_t seed) {
+  TickSequence s;
+  const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, d).ValueOrDie();
+  s.estimator = std::make_shared<const SwEstimator>(
+      SwEstimator::Make(wire::SwEstimatorOptionsForSpec(spec).ValueOrDie())
+          .ValueOrDie());
+  s.budget = budget;
+  Rng rng(seed);
+  std::vector<uint64_t> counts(s.estimator->output_buckets(), 0);
+  uint64_t n = 0;
+  for (size_t t = 0; t < ticks; ++t) {
+    const uint64_t per = 1000 + 250 * (t % 5);
+    std::vector<double> values(per);
+    for (double& v : values) v = SampleDataset(DatasetId::kBeta, rng);
+    std::vector<uint32_t> buckets(per);
+    s.estimator->PerturbBatchToBuckets(values, rng, buckets.data());
+    for (const uint32_t b : buckets) ++counts[b];
+    n += per;
+    s.totals.push_back(counts);
+    s.reports.push_back(n);
+  }
+  return s;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Feeds `seq` through an IncrementalReconstructor with `options` and
+// checks every tick against a hand-rolled warm-started EstimateEmWeighted
+// sequence. With no half-life its input is the exact cumulative totals;
+// with one it is the decayed window w <- lambda * w + (totals - prev),
+// lambda = 2^(-Δn / half_life). Estimate bytes, iterations,
+// log-likelihood bits and convergence must all match.
+void ExpectTicksMatchHandRolled(const TickSequence& seq,
+                                const IncrementalOptions& options) {
+  auto inc =
+      IncrementalReconstructor::Make(seq.estimator, options).ValueOrDie();
+  EmOptions em = seq.estimator->em_options();
+  if (seq.budget > 0) em.max_iterations = seq.budget;
+  EmCheckpoint checkpoint;
+  std::vector<double> window(seq.estimator->output_buckets(), 0.0);
+  std::vector<uint64_t> prev(window.size(), 0);
+  uint64_t prev_n = 0;
+  size_t unconverged = 0;
+  for (size_t t = 0; t < seq.totals.size(); ++t) {
+    const std::vector<uint64_t>& totals = seq.totals[t];
+    const uint64_t n = seq.reports[t];
+    if (options.half_life > 0.0) {
+      const double lambda =
+          std::exp2(-static_cast<double>(n - prev_n) / options.half_life);
+      for (size_t j = 0; j < window.size(); ++j) {
+        window[j] =
+            lambda * window[j] + static_cast<double>(totals[j] - prev[j]);
+      }
+    } else {
+      window.assign(totals.begin(), totals.end());
+    }
+    prev = totals;
+    prev_n = n;
+    const EmResult want =
+        EstimateEmWeighted(seq.estimator->model(), window, em, &checkpoint)
+            .ValueOrDie();
+    const EmResult got = inc.UpdateFromTotals(totals, n).ValueOrDie();
+    ASSERT_EQ(got.estimate.size(), want.estimate.size()) << "tick " << t;
+    EXPECT_EQ(std::memcmp(got.estimate.data(), want.estimate.data(),
+                          want.estimate.size() * sizeof(double)),
+              0)
+        << "tick " << t;
+    EXPECT_EQ(got.iterations, want.iterations) << "tick " << t;
+    EXPECT_EQ(Bits(got.log_likelihood), Bits(want.log_likelihood))
+        << "tick " << t;
+    EXPECT_EQ(got.converged, want.converged) << "tick " << t;
+    if (!got.converged) ++unconverged;
+  }
+  EXPECT_EQ(inc.checkpoint().total_iterations, checkpoint.total_iterations);
+  EXPECT_EQ(inc.updates(), seq.totals.size());
+  // The budgeted shape must exercise ticks that stop on the budget.
+  if (seq.budget > 0) {
+    EXPECT_GT(unconverged, 0u);
+  }
+}
+
+TEST(IncrementalTicksTest, EveryTickEqualsHandRolledWarmEm) {
+  // With no half-life nothing is forgotten: every tick is a warm-started
+  // EM run over the exact cumulative totals. With one, it runs over the
+  // decayed window. Two shapes: estimate_live's d = 1024 with a
+  // 50-iteration tick budget, and d = 64 with none.
+  for (const double half_life : {0.0, 25000.0}) {
+    for (const auto& [d, budget] : {std::pair<size_t, size_t>{1024, 50},
+                                    std::pair<size_t, size_t>{64, 0}}) {
+      SCOPED_TRACE("half_life = " + std::to_string(half_life) +
+                   ", d = " + std::to_string(d));
+      const TickSequence seq = MakeTickSequence(d, budget, 32, 0xE1 + d);
+      IncrementalOptions options;
+      options.half_life = half_life;
+      options.max_iterations_per_update = budget;
+      ExpectTicksMatchHandRolled(seq, options);
+    }
+  }
+}
+
+TEST(IncrementalTicksTest, NegativeOrNonFiniteHalfLifeIsInvalidArgument) {
+  const auto estimator = std::make_shared<const SwEstimator>(
+      SwEstimator::Make(SwEstimatorOptions{.d = 32}).ValueOrDie());
+  for (const double half_life :
+       {-1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    IncrementalOptions options;
+    options.half_life = half_life;
+    const auto made = IncrementalReconstructor::Make(estimator, options);
+    EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument)
+        << half_life;
+  }
+  IncrementalOptions none;
+  EXPECT_TRUE(IncrementalReconstructor::Make(estimator, none).ok());
+}
+
+TEST(ForgettingTest, ScenarioIncrementalColumnsAreThreadCountInvariant) {
   // The scenario engine's bit-identical-for-any-thread-count contract must
   // extend to the new incremental columns: the reconstructor consumes
   // merged integer totals, which are themselves thread-invariant.
@@ -192,7 +332,7 @@ TEST(MiniBatchTest, ScenarioIncrementalColumnsAreThreadCountInvariant) {
     config.threads = threads;
     config.phases[0].reports = 6000;
     config.phases[1].reports = 12000;
-    config.incremental = IncrementalMode::kMiniBatch;
+    config.incremental = true;
     config.half_life = 4000.0;
     return RunScenario(config).ValueOrDie();
   };
@@ -421,6 +561,16 @@ TEST(LiveEstimateTest, CadenceWithANonSwSpecIsInvalidArgument) {
   }
   // Without a cadence the same spec serves.
   EXPECT_TRUE(net::CollectorServer::Make(cfo, net::ServerOptions{}).ok());
+}
+
+TEST(LiveEstimateTest, NegativeHalfLifeIsInvalidArgument) {
+  const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
+  net::ServerOptions options;
+  options.estimate_every_frames = 2;
+  options.estimate_half_life = -1.0;
+  const auto made = net::CollectorServer::Make(spec, options);
+  EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument)
+      << made.status().ToString();
 }
 
 }  // namespace

@@ -189,11 +189,11 @@ TEST(RobustnessTest, PoisonedSketchStillYieldsDistribution) {
 }
 
 TEST(RobustnessTest, IncrementalReconstructionUnderMidStreamAttack) {
-  // Warm-started and mini-batch reconstruction over a stream that turns
-  // hostile halfway: an output-poisoning phase injects crafted reports at
-  // a target bucket. Both modes must keep producing valid distributions
-  // at every tick, and the post-attack estimate must show the injected
-  // spike (the attack is visible, not silently absorbed).
+  // Warm-started reconstruction, without and with forgetting, over a
+  // stream that turns hostile halfway: an output-poisoning phase injects
+  // crafted reports at a target bucket. Both must keep producing valid
+  // distributions at every tick, and the post-attack estimate must show
+  // the injected spike (the attack is visible, not silently absorbed).
   SwEstimatorOptions options;
   options.epsilon = 4.0;  // narrow wave: the poison concentrates
   options.d = 64;
@@ -204,11 +204,9 @@ TEST(RobustnessTest, IncrementalReconstructionUnderMidStreamAttack) {
   atk.fraction = 1.0;  // every report in the attack phase is crafted
   atk.target = 48;
 
-  for (const auto mode : {IncrementalOptions::Mode::kWarm,
-                          IncrementalOptions::Mode::kMiniBatch}) {
+  for (const double half_life : {0.0, 4000.0}) {
     IncrementalOptions inc;
-    inc.mode = mode;
-    inc.half_life = mode == IncrementalOptions::Mode::kMiniBatch ? 4000.0 : 0.0;
+    inc.half_life = half_life;
     auto recon = IncrementalReconstructor::Make(shared, inc).ValueOrDie();
     std::vector<uint64_t> counts(shared->output_buckets(), 0);
     uint64_t reports = 0;
@@ -227,13 +225,13 @@ TEST(RobustnessTest, IncrementalReconstructionUnderMidStreamAttack) {
       }
       const EmResult res = recon.UpdateFromTotals(counts, reports).ValueOrDie();
       EXPECT_TRUE(hist::IsDistribution(res.estimate, 1e-9))
-          << "mode " << static_cast<int>(mode) << " tick " << tick;
+          << "half_life " << half_life << " tick " << tick;
       for (double v : res.estimate) ASSERT_TRUE(std::isfinite(v));
       last_estimate = res.estimate;
     }
     // After four fully poisoned ticks the target bucket dominates.
     EXPECT_GT(last_estimate[atk.target], 0.10)
-        << "mode " << static_cast<int>(mode);
+        << "half_life " << half_life;
   }
 }
 

@@ -296,6 +296,61 @@ TEST(ScenarioParseTest, RejectsMalformedAttackAndDefenseKeys) {
       "defense = consistency\ndefense_threshold = nan\n" + prefix).ok());
 }
 
+TEST(ScenarioParseTest, ParsesIncrementalKeys) {
+  const std::string phase = "[phase]\nmixture = beta\nreports = 10\n";
+  // On without a half-life keeps every report.
+  const ScenarioConfig on =
+      ParseScenarioText("incremental = on\n" + phase).ValueOrDie();
+  EXPECT_TRUE(on.incremental);
+  EXPECT_EQ(on.half_life, 0.0);
+  // A positive half-life alone selects forgetting.
+  const ScenarioConfig forgetting =
+      ParseScenarioText("incremental = on\nhalf_life = 2500\n" + phase)
+          .ValueOrDie();
+  EXPECT_TRUE(forgetting.incremental);
+  EXPECT_DOUBLE_EQ(forgetting.half_life, 2500.0);
+  EXPECT_TRUE(ValidateScenario(forgetting).ok());
+  const ScenarioConfig off =
+      ParseScenarioText("incremental = off\n" + phase).ValueOrDie();
+  EXPECT_FALSE(off.incremental);
+}
+
+TEST(ScenarioParseTest, RejectsMalformedIncrementalKeys) {
+  const std::string phase = "[phase]\nmixture = beta\nreports = 10\n";
+  // A half-life needs the incremental reconstructor it configures.
+  const auto orphan = ParseScenarioText("half_life = 2500\n" + phase);
+  EXPECT_EQ(orphan.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(orphan.status().message().find("half_life needs incremental = on"),
+            std::string::npos)
+      << orphan.status().ToString();
+  EXPECT_FALSE(ParseScenarioText("incremental = off\nhalf_life = 2500\n" +
+                                 phase)
+                   .ok());
+  // Negative, non-finite and garbage half-lives.
+  for (const char* bad : {"-1", "-0.5", "nan", "inf", "10x"}) {
+    const auto parsed = ParseScenarioText(
+        "incremental = on\nhalf_life = " + std::string(bad) + "\n" + phase);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  // The switch takes off|on only; warm and minibatch get the typed
+  // message too.
+  for (const char* bad : {"warm", "minibatch", "yes"}) {
+    const auto parsed = ParseScenarioText(
+        "incremental = " + std::string(bad) + "\n" + phase);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(parsed.status().message().find(
+                  "'incremental' must be off or on, got '" +
+                  std::string(bad) + "'"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+  // A config built in code is held to the same rules.
+  ScenarioConfig config = BuiltinScenario("drift").ValueOrDie();
+  config.incremental = true;
+  config.half_life = -1.0;
+  EXPECT_EQ(ValidateScenario(config).code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ScenarioBuiltinTest, AllBuiltinsAreValid) {
   for (const std::string& name : BuiltinScenarioNames()) {
     const Result<ScenarioConfig> config = BuiltinScenario(name);

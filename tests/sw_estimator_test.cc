@@ -225,31 +225,6 @@ TEST(SwEstimatorTest, AnalyticModelMatchesDenseTransitionBothPipelines) {
   }
 }
 
-TEST(SwEstimatorTest, AcceleratedReconstructionMatchesPlain) {
-  Rng data_rng(21);
-  const std::vector<double> values = BimodalValues(30000, data_rng);
-  SwEstimatorOptions opts;
-  opts.epsilon = 1.0;
-  opts.d = 64;
-  const SwEstimator plain_est = SwEstimator::Make(opts).ValueOrDie();
-  opts.accelerate_em = true;
-  const SwEstimator fast_est = SwEstimator::Make(opts).ValueOrDie();
-
-  Rng rng_a(22);
-  Rng rng_b(22);
-  const std::vector<double> plain =
-      plain_est.EstimateDistribution(values, rng_a).ValueOrDie();
-  const std::vector<double> fast =
-      fast_est.EstimateDistribution(values, rng_b).ValueOrDie();
-  ASSERT_EQ(plain.size(), fast.size());
-  EXPECT_TRUE(hist::IsDistribution(fast, 1e-9));
-  double l1 = 0.0;
-  for (size_t i = 0; i < plain.size(); ++i) {
-    l1 += std::fabs(plain[i] - fast[i]);
-  }
-  EXPECT_LT(l1, 0.05);
-}
-
 TEST(SwEstimatorTest, MoreUsersImproveAccuracy) {
   Rng data_rng(10);
   const std::vector<double> big = BimodalValues(120000, data_rng);

@@ -114,7 +114,7 @@ struct CliFlags {
   // on both knobs leaves estimation off entirely.
   uint64_t estimate_every_frames = 0;  // tick after N newly absorbed frames
   int64_t estimate_every_ms = 0;       // ...and/or every T milliseconds
-  double estimate_half_life = 0.0;     // > 0: minibatch forgetting (reports)
+  double estimate_half_life = 0.0;     // > 0: forgetting half-life (reports)
   size_t estimate_max_iterations = 0;  // per-tick EM budget (0 = default)
   std::string estimate_out;            // sketch-frame stream per tick
   // Durability (serve/wal.h): replay the log before serving, append every
@@ -158,7 +158,7 @@ void Usage() {
           "       --tenant-budget=ID:MAX_REPORTS[:MAX_EPSILON][,...]\n"
           "live estimation (every mode, sw-ems/sw-em only):\n"
           "       --estimate-every-frames=N and/or --estimate-every-ms=T\n"
-          "       [--estimate-half-life=R]   (R > 0: mini-batch window)\n"
+          "       [--estimate-half-life=R]   (R > 0: forgetting window)\n"
           "       [--estimate-max-iterations=K]\n"
           "       [--estimate-out=FILE]   (cumulative sketch frame per\n"
           "                                tick; not collector input)\n"

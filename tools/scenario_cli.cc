@@ -21,9 +21,11 @@
 //
 // Results are bit-identical for a fixed seed at any --threads (scenario
 // shard streams are fixed per (seed, phase, shard); see scenario/scenario.h).
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "cli_common.h"
@@ -44,11 +46,12 @@ struct CliFlags {
   bool has_seed = false;
   uint64_t seed = 0;
   size_t threads = 0;
-  std::string incremental;  // "" = keep the scenario's own setting
-  double half_life = 0.0;
+  // Unset overrides keep the scenario's own setting.
+  std::optional<bool> incremental;
+  std::optional<double> half_life;
   std::string attack;       // FO attack mode: CHANNEL:KIND:FRACTION@TARGET
   std::string defense;      // "" = keep the scenario's own setting
-  double defense_threshold = 0.0;
+  std::optional<double> defense_threshold;
   size_t n = 200000;        // FO attack mode volume
   size_t domain = 64;       // FO attack mode domain
   double eps = 1.0;         // FO attack mode budget
@@ -63,16 +66,16 @@ void Usage() {
   fprintf(stderr,
           "usage: scenario_cli --scenario=NAME|FILE [--seed=S] [--threads=W]\n"
           "                    [--csv] [--dump] [--validate]\n"
-          "                    [--incremental=off|warm|minibatch]\n"
-          "                    [--half-life=R]\n"
+          "                    [--incremental=off|on] [--half-life=R]\n"
           "       scenario_cli --list\n"
           "built-in scenarios: %s\n"
           "          scenario_cli --attack=CHANNEL:KIND:FRACTION@TARGET\n"
           "                    [--n=N] [--domain=D] [--eps=E] [--shards=S]\n"
           "                    [--seed=S] [--threads=W] [--csv]\n"
-          "--incremental runs a warm-started / mini-batch reconstruction\n"
-          "  next to every checkpoint (extra inc_* output columns);\n"
-          "  minibatch forgets old reports with --half-life=R reports\n"
+          "--incremental=on runs a warm-started reconstruction next to\n"
+          "  every checkpoint (extra inc_* output columns); --half-life=R\n"
+          "  > 0 forgets old reports with a half-life of R reports, and\n"
+          "  R = 0 keeps them all\n"
           "--validate parses and validates the scenario, then exits\n"
           "--attack runs a poisoned frequency-oracle collection instead of\n"
           "  a scenario: CHANNEL is grr|olh|oue, KIND is input|output|skew,\n"
@@ -80,8 +83,18 @@ void Usage() {
           "  whose mass the attacker inflates (scenario/attack.h)\n"
           "--defense=off|consistency overrides a scenario's defense setting\n"
           "  (per-checkpoint def_* columns); --defense-threshold=Z sets the\n"
-          "  spike detector's z threshold in both modes\n",
+          "  spike detector's z threshold (Z > 0) in both modes\n",
           builtins.c_str());
+}
+
+// Parses all of `v` as a finite number into *out; anything else returns
+// false and leaves *out as it was.
+bool ParseFinite(const char* v, std::optional<double>* out) {
+  char* end = nullptr;
+  const double parsed = std::strtod(v, &end);
+  if (*v == '\0' || *end != '\0' || !std::isfinite(parsed)) return false;
+  *out = parsed;
+  return true;
 }
 
 bool ParseCli(int argc, char** argv, CliFlags* flags) {
@@ -103,15 +116,28 @@ bool ParseCli(int argc, char** argv, CliFlags* flags) {
     } else if (const char* v = FlagValue(arg, "--threads=")) {
       flags->threads = static_cast<size_t>(atoll(v));
     } else if (const char* v = FlagValue(arg, "--incremental=")) {
-      flags->incremental = v;
+      if (strcmp(v, "off") != 0 && strcmp(v, "on") != 0) {
+        fprintf(stderr, "--incremental must be off or on, got '%s'\n", v);
+        return false;
+      }
+      flags->incremental = strcmp(v, "on") == 0;
     } else if (const char* v = FlagValue(arg, "--half-life=")) {
-      flags->half_life = atof(v);
+      if (!ParseFinite(v, &flags->half_life) || *flags->half_life < 0.0) {
+        fprintf(stderr, "--half-life must be a finite R >= 0, got '%s'\n",
+                v);
+        return false;
+      }
     } else if (const char* v = FlagValue(arg, "--attack=")) {
       flags->attack = v;
     } else if (const char* v = FlagValue(arg, "--defense=")) {
       flags->defense = v;
     } else if (const char* v = FlagValue(arg, "--defense-threshold=")) {
-      flags->defense_threshold = atof(v);
+      if (!ParseFinite(v, &flags->defense_threshold) ||
+          *flags->defense_threshold <= 0.0) {
+        fprintf(stderr,
+                "--defense-threshold must be a finite Z > 0, got '%s'\n", v);
+        return false;
+      }
     } else if (const char* v = FlagValue(arg, "--n=")) {
       flags->n = static_cast<size_t>(atoll(v));
     } else if (const char* v = FlagValue(arg, "--domain=")) {
@@ -138,8 +164,8 @@ Result<FoAttackConfig> ParseAttackFlag(const CliFlags& flags) {
   config.shards = flags.shards;
   config.seed = flags.has_seed ? flags.seed : 42;
   config.threads = flags.threads;
-  if (flags.defense_threshold > 0.0) {
-    config.defense.spike_z_threshold = flags.defense_threshold;
+  if (flags.defense_threshold) {
+    config.defense.spike_z_threshold = *flags.defense_threshold;
   }
   const std::string& spec = flags.attack;
   const size_t c1 = spec.find(':');
@@ -256,20 +282,11 @@ int main(int argc, char** argv) {
   }
   if (flags.has_seed) config->seed = flags.seed;
   config->threads = flags.threads;
-  if (!flags.incremental.empty()) {
-    if (flags.incremental == "off") {
-      config->incremental = IncrementalMode::kOff;
-      config->half_life = 0.0;
-    } else if (flags.incremental == "warm") {
-      config->incremental = IncrementalMode::kWarm;
-    } else if (flags.incremental == "minibatch") {
-      config->incremental = IncrementalMode::kMiniBatch;
-    } else {
-      fprintf(stderr, "--incremental must be off, warm, or minibatch\n");
-      return 2;
-    }
+  if (flags.incremental) {
+    config->incremental = *flags.incremental;
+    if (!config->incremental) config->half_life = 0.0;
   }
-  if (flags.half_life > 0.0) config->half_life = flags.half_life;
+  if (flags.half_life) config->half_life = *flags.half_life;
   if (!flags.defense.empty()) {
     if (flags.defense == "off") {
       config->defense = false;
@@ -280,8 +297,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (flags.defense_threshold > 0.0) {
-    config->defense_options.spike_z_threshold = flags.defense_threshold;
+  if (flags.defense_threshold) {
+    config->defense_options.spike_z_threshold = *flags.defense_threshold;
   }
   const Status valid = ValidateScenario(config.value());
   if (!valid.ok()) {
@@ -308,7 +325,7 @@ int main(int argc, char** argv) {
   // The inc_*/atk_*/def_* columns appear only when their feature is on, so
   // default outputs stay byte-identical to previous releases (CI diffs
   // them).
-  const bool inc = config->incremental != IncrementalMode::kOff;
+  const bool inc = config->incremental;
   bool atk = false;
   for (const ScenarioPhase& phase : config->phases) {
     if (phase.attack.kind != AttackKind::kNone) atk = true;
