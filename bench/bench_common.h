@@ -1,5 +1,5 @@
-// Shared scaffolding for the per-figure bench binaries: flag parsing and the
-// quick/full scale presets.
+// Shared scaffolding for the per-figure bench binaries: the flag table
+// (common/flags.h; a malformed value exits 2) and the quick/full presets.
 //
 // Default scale ("quick") finishes the whole suite in minutes on a laptop:
 // fewer users, 256-bucket histograms, few trials. --full switches to the
@@ -12,11 +12,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/rng.h"
 #include "data/datasets.h"
 #include "eval/runner.h"
@@ -44,56 +44,42 @@ inline void PrintUsage(const char* binary) {
           binary);
 }
 
-inline std::vector<std::string> SplitCsv(const std::string& s) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= s.size()) {
-    const size_t comma = s.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(s.substr(start));
-      break;
-    }
-    out.push_back(s.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
 inline BenchFlags ParseFlags(int argc, char** argv) {
   BenchFlags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* prefix) -> const char* {
-      const size_t len = strlen(prefix);
-      return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
-    };
-    if (const char* v = value("--n=")) {
-      flags.n = static_cast<size_t>(atoll(v));
-    } else if (const char* v = value("--trials=")) {
-      flags.trials = static_cast<size_t>(atoll(v));
-    } else if (const char* v = value("--threads=")) {
-      flags.threads = static_cast<size_t>(atoll(v));
-    } else if (const char* v = value("--seed=")) {
-      flags.seed = static_cast<uint64_t>(atoll(v));
-    } else if (const char* v = value("--epsilons=")) {
-      flags.epsilons.clear();
-      for (const std::string& tok : SplitCsv(v)) {
-        flags.epsilons.push_back(atof(tok.c_str()));
-      }
-    } else if (const char* v = value("--datasets=")) {
-      flags.datasets = SplitCsv(v);
-    } else if (arg == "--csv") {
-      flags.csv = true;
-    } else if (arg == "--full") {
-      flags.full = true;
-    } else if (arg == "--help" || arg == "-h") {
-      PrintUsage(argv[0]);
-      exit(0);
-    } else {
-      fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      PrintUsage(argv[0]);
-      exit(2);
-    }
+  bool help = false;
+  const Status parsed = numdist::ParseFlags(
+      argc, argv,
+      {{"--n", &flags.n},
+       {"--trials", &flags.trials},
+       {"--threads", &flags.threads},
+       {"--seed", &flags.seed},
+       {"--epsilons",
+        [&flags](std::string_view v) -> Status {
+          flags.epsilons.clear();
+          for (const std::string_view item : SplitList(v)) {
+            NUMDIST_ASSIGN_OR_RETURN(const double eps, ParseFinite(item));
+            flags.epsilons.push_back(eps);
+          }
+          return Status::OK();
+        }},
+       {"--datasets",
+        [&flags](std::string_view v) {
+          const std::vector<std::string_view> names = SplitList(v);
+          flags.datasets.assign(names.begin(), names.end());
+          return Status::OK();
+        }},
+       {"--csv", &flags.csv},
+       {"--full", &flags.full},
+       {"--help", &help},
+       {"-h", &help}});
+  if (!parsed.ok()) {
+    fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
+    PrintUsage(argv[0]);
+    exit(2);
+  }
+  if (help) {
+    PrintUsage(argv[0]);
+    exit(0);
   }
   return flags;
 }

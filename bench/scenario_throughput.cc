@@ -20,41 +20,51 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <utility>
 
+#include "common/flags.h"
 #include "scenario/attack.h"
 #include "scenario/scenario.h"
 
 using namespace numdist;
+
+namespace {
+
+// The value of `result`, or its typed error and exit 2: a --reports too
+// small for a preset's checkpoints is refused, never an abort.
+template <typename T>
+T OrExit(Result<T> result) {
+  if (result.ok()) return std::move(result).value();
+  fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
+  exit(2);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   size_t reports = 200000;
   size_t threads = 0;
   bool incremental = false;
   bool attack = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--reports=", 0) == 0) {
-      reports = static_cast<size_t>(atoll(arg.c_str() + 10));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = static_cast<size_t>(atoll(arg.c_str() + 10));
-    } else if (arg == "--incremental") {
-      incremental = true;
-    } else if (arg == "--attack") {
-      attack = true;
-    } else {
-      fprintf(stderr,
-              "usage: scenario_throughput [--reports=N] [--threads=W]"
-              " [--incremental] [--attack]\n");
-      return 2;
-    }
+  const Status parsed = ParseFlags(argc, argv,
+                                   {{"--reports", &reports},
+                                    {"--threads", &threads},
+                                    {"--incremental", &incremental},
+                                    {"--attack", &attack}});
+  if (!parsed.ok()) {
+    fprintf(stderr,
+            "error: %s\n"
+            "usage: scenario_throughput [--reports=N] [--threads=W]"
+            " [--incremental] [--attack]\n",
+            parsed.ToString().c_str());
+    return 2;
   }
 
   printf("%-8s %10s %12s %14s\n", "shards", "reports", "wall_ms",
          "reports_per_s");
   for (size_t shards : {1, 2, 4, 8, 16}) {
-    ScenarioConfig config = BuiltinScenario("drift").ValueOrDie();
+    ScenarioConfig config = OrExit(BuiltinScenario("drift"));
     config.shards = shards;
     config.threads = threads;
     // Scale the drift preset's phases to the requested volume, keeping the
@@ -63,7 +73,7 @@ int main(int argc, char** argv) {
     config.phases[1].reports = reports - config.phases[0].reports;
 
     const auto start = std::chrono::steady_clock::now();
-    const ScenarioResult result = RunScenario(config).ValueOrDie();
+    const ScenarioResult result = OrExit(RunScenario(config));
     const auto end = std::chrono::steady_clock::now();
     const double ms =
         std::chrono::duration<double, std::milli>(end - start).count();
@@ -92,7 +102,7 @@ int main(int argc, char** argv) {
       config.shards = 4;
       config.threads = threads;
       const auto start = std::chrono::steady_clock::now();
-      const FoAttackResult result = RunFoAttack(config).ValueOrDie();
+      const FoAttackResult result = OrExit(RunFoAttack(config));
       const auto end = std::chrono::steady_clock::now();
       const double seconds =
           std::chrono::duration<double>(end - start).count();
@@ -105,12 +115,12 @@ int main(int argc, char** argv) {
     // The scenario engine's SW attack path (the poison builtin), scaled to
     // the requested volume.
     {
-      ScenarioConfig config = BuiltinScenario("poison").ValueOrDie();
+      ScenarioConfig config = OrExit(BuiltinScenario("poison"));
       config.threads = threads;
       config.phases[0].reports = reports / 2;
       config.phases[1].reports = reports - config.phases[0].reports;
       const auto start = std::chrono::steady_clock::now();
-      const ScenarioResult result = RunScenario(config).ValueOrDie();
+      const ScenarioResult result = OrExit(RunScenario(config));
       const auto end = std::chrono::steady_clock::now();
       const double seconds =
           std::chrono::duration<double>(end - start).count();
@@ -132,7 +142,7 @@ int main(int argc, char** argv) {
     printf("%-12s %12s %12s %12s %12s\n", "half_life", "window_err",
            "cold_err", "inc_iters", "cold_iters");
     for (const double half_life : {0.125, 0.25, 0.5, 1.0}) {
-      ScenarioConfig config = BuiltinScenario("drift").ValueOrDie();
+      ScenarioConfig config = OrExit(BuiltinScenario("drift"));
       config.threads = threads;
       config.phases[0].reports = reports / 3;
       config.phases[1].reports = reports - config.phases[0].reports;
@@ -140,7 +150,7 @@ int main(int argc, char** argv) {
       // Half-life as a fraction of the drift phase: the lag axis.
       config.half_life =
           half_life * static_cast<double>(config.phases[1].reports);
-      const ScenarioResult result = RunScenario(config).ValueOrDie();
+      const ScenarioResult result = OrExit(RunScenario(config));
       double window_err = 0.0;
       double cold_err = 0.0;
       size_t drift_checkpoints = 0;

@@ -33,10 +33,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/mutator.h"
 #include "data/datasets.h"
 #include "protocol/sharded.h"
@@ -63,26 +63,21 @@ int main(int argc, char** argv) {
   bool fuzz = false;
   bool wal = false;
   std::string methods = "sw-ems,cfo-olh-1024,cfo-grr-16,hh";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--n=", 0) == 0) {
-      n = static_cast<size_t>(atoll(arg.c_str() + 4));
-    } else if (arg.rfind("--d=", 0) == 0) {
-      d = static_cast<uint32_t>(atoll(arg.c_str() + 4));
-    } else if (arg.rfind("--shard-size=", 0) == 0) {
-      shard_size = static_cast<size_t>(atoll(arg.c_str() + 13));
-    } else if (arg.rfind("--methods=", 0) == 0) {
-      methods = arg.substr(10);
-    } else if (arg == "--fuzz") {
-      fuzz = true;
-    } else if (arg == "--wal") {
-      wal = true;
-    } else {
-      fprintf(stderr,
-              "usage: wire_throughput [--n=N] [--d=D] [--methods=a,b,...]\n"
-              "                       [--shard-size=K] [--fuzz] [--wal]\n");
-      return 2;
-    }
+  const Status parsed =
+      ParseFlags(argc, argv,
+                 {{"--n", &n},
+                  {"--d", &d},
+                  {"--shard-size", &shard_size},
+                  {"--methods", &methods},
+                  {"--fuzz", &fuzz},
+                  {"--wal", &wal}});
+  if (!parsed.ok()) {
+    fprintf(stderr,
+            "error: %s\n"
+            "usage: wire_throughput [--n=N] [--d=D] [--methods=a,b,...]\n"
+            "                       [--shard-size=K] [--fuzz] [--wal]\n",
+            parsed.ToString().c_str());
+    return 2;
   }
 
   const std::vector<double> values = GoldenRatioValues(n);
@@ -90,10 +85,9 @@ int main(int argc, char** argv) {
   printf("%-14s %10s %12s %12s %12s %14s %12s\n", "method", "reports",
          "enc_Mrps", "dec_Mrps", "merge_Mrps", "pipeline_Mrps", "frame_MB");
 
-  std::stringstream ss(methods);
-  std::string name;
-  while (std::getline(ss, name, ',')) {
-    if (name.empty()) continue;
+  for (const std::string_view item : SplitList(methods)) {
+    if (item.empty()) continue;
+    const std::string name(item);
     const auto spec_result = wire::ParseMethodSpec(name, 1.0, d);
     if (!spec_result.ok()) {
       fprintf(stderr, "skipping '%s': %s\n", name.c_str(),

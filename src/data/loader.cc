@@ -50,7 +50,8 @@ Result<std::vector<double>> ParseNumericColumn(const std::string& text,
     char* end = nullptr;
     const double raw = std::strtod(field.c_str(), &end);
     if (end == field.c_str()) continue;  // not numeric
-    if (raw < options.min_value || raw >= options.max_value) continue;
+    // Written to fail for NaN, which compares false both ways.
+    if (!(raw >= options.min_value && raw < options.max_value)) continue;
     values.push_back((raw - options.min_value) / span);
   }
   if (values.empty()) {

@@ -12,6 +12,8 @@
 #include <cstddef>
 #include <cstring>
 
+#include "common/flags.h"
+
 namespace numdist::net {
 
 namespace {
@@ -51,23 +53,12 @@ Result<Endpoint> ParseEndpoint(std::string_view spec) {
       endpoint.host = std::string(rest.substr(0, colon));
       port_part = rest.substr(colon + 1);
     }
-    if (port_part.empty()) {
-      return Status::InvalidArgument("net: '" + std::string(spec) +
-                                     "' is missing a port");
-    }
-    uint32_t port = 0;
-    for (char c : port_part) {
-      if (c < '0' || c > '9' || port > 65535) {
-        return Status::InvalidArgument("net: bad port in '" +
-                                       std::string(spec) + "'");
-      }
-      port = port * 10 + static_cast<uint32_t>(c - '0');
-    }
-    if (port > 65535) {
+    const Result<uint64_t> port = ParseUint(port_part, 65535);
+    if (!port.ok()) {
       return Status::InvalidArgument("net: bad port in '" +
                                      std::string(spec) + "'");
     }
-    endpoint.port = static_cast<uint16_t>(port);
+    endpoint.port = static_cast<uint16_t>(port.value());
     return endpoint;
   }
   if (spec.rfind("unix:", 0) == 0) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -12,6 +11,7 @@
 #include <utility>
 
 #include "common/executor.h"
+#include "common/flags.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "eval/incremental.h"
@@ -383,72 +383,51 @@ std::string Trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
-// Non-negative integer parse for scenario keys. Rejects negatives and
-// trailing garbage instead of letting them wrap through size_t (a literal
-// `d = -1` must be InvalidArgument, not a 2^64-bucket allocation).
+// The refusal of a malformed or out-of-range scenario value.
+Status BadValue(const std::string& key, const std::string& value,
+                size_t line_no, const char* what) {
+  return Status::InvalidArgument("scenario line " + std::to_string(line_no) +
+                                 ": '" + key + "' must be " + what +
+                                 ", got '" + value + "'");
+}
+
+// Non-negative integer parse for scenario keys: a literal `d = -1` is
+// InvalidArgument, not a 2^64-bucket allocation.
 Result<uint64_t> ParseCount(const std::string& key, const std::string& value,
                             size_t line_no) {
-  char* parse_end = nullptr;
-  const long long parsed = std::strtoll(value.c_str(), &parse_end, 10);
-  if (value.empty() || parse_end != value.c_str() + value.size() ||
-      parsed < 0) {
-    return Status::InvalidArgument(
-        "scenario line " + std::to_string(line_no) + ": '" + key +
-        "' must be a non-negative integer, got '" + value + "'");
-  }
-  return static_cast<uint64_t>(parsed);
+  const Result<uint64_t> parsed = ParseUint(value);
+  if (parsed.ok()) return parsed;
+  return BadValue(key, value, line_no, "a non-negative integer");
 }
 
-// Fraction parse for attack keys: finite double in [0, 1]. "nan", "inf",
-// 1.5 and -0.1 are all typed errors — never silently clamped (the PR 3
-// validation posture).
-Result<double> ParseFraction(const std::string& key, const std::string& value,
-                             size_t line_no) {
-  char* parse_end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &parse_end);
-  if (value.empty() || parse_end != value.c_str() + value.size() ||
-      !std::isfinite(parsed) || parsed < 0.0 || parsed > 1.0) {
-    return Status::InvalidArgument(
-        "scenario line " + std::to_string(line_no) + ": '" + key +
-        "' must be a number in [0, 1], got '" + value + "'");
-  }
-  return parsed;
+// Finite number parse for scenario keys, accepted where `in_range` holds:
+// "nan", "inf", 1.5 for a fraction and -0.1 are all typed errors, never
+// silently clamped.
+Result<double> ParseNumber(const std::string& key, const std::string& value,
+                           size_t line_no, bool (*in_range)(double),
+                           const char* what) {
+  const Result<double> parsed = ParseFinite(value);
+  if (parsed.ok() && in_range(parsed.value())) return parsed;
+  return BadValue(key, value, line_no, what);
 }
 
-// Positive finite double parse for epsilon keys.
-Result<double> ParseEpsilon(const std::string& value, size_t line_no) {
-  char* parse_end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &parse_end);
-  if (value.empty() || parse_end != value.c_str() + value.size() ||
-      !(parsed > 0.0) || !std::isfinite(parsed)) {
-    return Status::InvalidArgument(
-        "scenario line " + std::to_string(line_no) +
-        ": epsilon must be a positive number, got '" + value + "'");
-  }
-  return parsed;
-}
+bool Positive(double x) { return x > 0.0; }
+bool NonNegative(double x) { return x >= 0.0; }
 
 Result<std::vector<MixtureComponent>> ParseMixture(const std::string& text,
                                                    size_t line_no) {
   std::vector<MixtureComponent> mixture;
-  std::stringstream ss(text);
-  std::string term;
-  while (std::getline(ss, term, ',')) {
-    term = Trim(term);
+  for (const std::string_view item : SplitList(text)) {
+    const std::string term = Trim(std::string(item));
     if (term.empty()) continue;
     std::string name = term;
     double weight = 1.0;
     const size_t colon = term.find(':');
     if (colon != std::string::npos) {
       name = Trim(term.substr(0, colon));
-      const std::string w = Trim(term.substr(colon + 1));
-      char* parse_end = nullptr;
-      weight = std::strtod(w.c_str(), &parse_end);
-      if (w.empty() || parse_end != w.c_str() + w.size()) {
-        return Status::InvalidArgument("scenario line " +
-                                       std::to_string(line_no) +
-                                       ": bad mixture weight '" + w + "'");
-      }
+      NUMDIST_ASSIGN_OR_RETURN(
+          weight, ParseNumber("mixture weight", Trim(term.substr(colon + 1)),
+                              line_no, NonNegative, "a number >= 0"));
     }
     DatasetId id;
     if (!ParseDatasetId(name, &id)) {
@@ -470,14 +449,10 @@ Result<std::vector<MixtureComponent>> ParseMixture(const std::string& text,
 Result<ScenarioConfig> ParseScenarioText(const std::string& text) {
   ScenarioConfig config;
   ScenarioPhase* phase = nullptr;
-  std::stringstream ss(text);
-  std::string raw;
   size_t line_no = 0;
-  while (std::getline(ss, raw)) {
+  for (const std::string_view raw : SplitList(text, '\n')) {
     ++line_no;
-    const size_t hash = raw.find('#');
-    if (hash != std::string::npos) raw = raw.substr(0, hash);
-    const std::string line = Trim(raw);
+    const std::string line = Trim(std::string(raw.substr(0, raw.find('#'))));
     if (line.empty()) continue;
     if (line == "[phase]") {
       config.phases.emplace_back();
@@ -501,8 +476,9 @@ Result<ScenarioConfig> ParseScenarioText(const std::string& text) {
       if (key == "name") {
         config.name = value;
       } else if (key == "epsilon") {
-        NUMDIST_ASSIGN_OR_RETURN(config.epsilon,
-                                 ParseEpsilon(value, line_no));
+        NUMDIST_ASSIGN_OR_RETURN(
+            config.epsilon,
+            ParseNumber(key, value, line_no, Positive, "a positive number"));
       } else if (key == "d") {
         NUMDIST_ASSIGN_OR_RETURN(config.d, ParseCount(key, value, line_no));
       } else if (key == "shards") {
@@ -511,44 +487,23 @@ Result<ScenarioConfig> ParseScenarioText(const std::string& text) {
       } else if (key == "seed") {
         NUMDIST_ASSIGN_OR_RETURN(config.seed, ParseCount(key, value, line_no));
       } else if (key == "incremental") {
-        if (value == "off" || value == "on") {
-          config.incremental = value == "on";
-        } else {
-          return Status::InvalidArgument(
-              "scenario line " + std::to_string(line_no) +
-              ": 'incremental' must be off or on, got '" + value + "'");
+        if (value != "off" && value != "on") {
+          return BadValue(key, value, line_no, "off or on");
         }
+        config.incremental = value == "on";
       } else if (key == "half_life") {
-        char* parse_end = nullptr;
-        const double parsed = std::strtod(value.c_str(), &parse_end);
-        if (value.empty() || parse_end != value.c_str() + value.size() ||
-            !(parsed >= 0.0) || !std::isfinite(parsed)) {
-          return Status::InvalidArgument(
-              "scenario line " + std::to_string(line_no) +
-              ": 'half_life' must be a number >= 0, got '" + value + "'");
-        }
-        config.half_life = parsed;
+        NUMDIST_ASSIGN_OR_RETURN(
+            config.half_life,
+            ParseNumber(key, value, line_no, NonNegative, "a number >= 0"));
       } else if (key == "defense") {
-        if (value == "off") {
-          config.defense = false;
-        } else if (value == "consistency") {
-          config.defense = true;
-        } else {
-          return Status::InvalidArgument(
-              "scenario line " + std::to_string(line_no) +
-              ": 'defense' must be off or consistency, got '" + value + "'");
+        if (value != "off" && value != "consistency") {
+          return BadValue(key, value, line_no, "off or consistency");
         }
+        config.defense = value == "consistency";
       } else if (key == "defense_threshold") {
-        char* parse_end = nullptr;
-        const double parsed = std::strtod(value.c_str(), &parse_end);
-        if (value.empty() || parse_end != value.c_str() + value.size() ||
-            !(parsed > 0.0) || !std::isfinite(parsed)) {
-          return Status::InvalidArgument(
-              "scenario line " + std::to_string(line_no) +
-              ": 'defense_threshold' must be a positive number, got '" +
-              value + "'");
-        }
-        config.defense_options.spike_z_threshold = parsed;
+        NUMDIST_ASSIGN_OR_RETURN(
+            config.defense_options.spike_z_threshold,
+            ParseNumber(key, value, line_no, Positive, "a positive number"));
       } else {
         return bad_key();
       }
@@ -565,7 +520,9 @@ Result<ScenarioConfig> ParseScenarioText(const std::string& text) {
       NUMDIST_ASSIGN_OR_RETURN(phase->reports,
                                ParseCount(key, value, line_no));
     } else if (key == "epsilon") {
-      NUMDIST_ASSIGN_OR_RETURN(phase->epsilon, ParseEpsilon(value, line_no));
+      NUMDIST_ASSIGN_OR_RETURN(
+          phase->epsilon,
+          ParseNumber(key, value, line_no, Positive, "a positive number"));
     } else if (key == "checkpoints") {
       NUMDIST_ASSIGN_OR_RETURN(phase->checkpoints,
                                ParseCount(key, value, line_no));
@@ -578,8 +535,11 @@ Result<ScenarioConfig> ParseScenarioText(const std::string& text) {
       }
       phase->attack.kind = kind.value();
     } else if (key == "attack_fraction") {
-      NUMDIST_ASSIGN_OR_RETURN(phase->attack.fraction,
-                               ParseFraction(key, value, line_no));
+      NUMDIST_ASSIGN_OR_RETURN(
+          phase->attack.fraction,
+          ParseNumber(key, value, line_no,
+                      [](double f) { return f >= 0.0 && f <= 1.0; },
+                      "a number in [0, 1]"));
     } else if (key == "attack_target") {
       NUMDIST_ASSIGN_OR_RETURN(phase->attack.target,
                                ParseCount(key, value, line_no));

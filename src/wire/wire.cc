@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/bytes.h"
+#include "common/flags.h"
 #include "protocol/cfo_protocol.h"
 #include "protocol/hierarchy_protocol.h"
 #include "protocol/sw_protocol.h"
@@ -202,26 +203,13 @@ Result<AccumulatorState> ReadSketchPayload(ByteReader* in) {
 }
 
 Result<uint32_t> ParseTrailingCount(const std::string& name, size_t prefix) {
-  if (name.size() <= prefix) {
-    return Status::InvalidArgument("wire: method '" + name +
-                                   "' is missing its bin count");
+  const Result<uint64_t> value =
+      ParseUint(std::string_view(name).substr(prefix), 100000);
+  if (!value.ok()) {
+    return Status::InvalidArgument("wire: bad bin count in method '" + name +
+                                   "': " + value.status().message());
   }
-  uint64_t value = 0;
-  for (size_t i = prefix; i < name.size(); ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("wire: bad bin count in method '" +
-                                     name + "'");
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-    // Cap after accumulating, so e.g. 1000009 cannot sneak one digit past
-    // the ceiling (also keeps the u64 from ever overflowing).
-    if (value > 100000) {
-      return Status::InvalidArgument("wire: bin count in method '" + name +
-                                     "' exceeds 100000");
-    }
-  }
-  return static_cast<uint32_t>(value);
+  return static_cast<uint32_t>(value.value());
 }
 
 // The one granularity check, shared by ParseMethodSpec (before d is

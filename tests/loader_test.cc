@@ -31,6 +31,19 @@ TEST(LoaderTest, FiltersOutOfRangeValues) {
   EXPECT_DOUBLE_EQ(values[0], 0.5);
 }
 
+// NaN compares false both ways, so a "below min or at/above max" filter
+// would keep it; every spelling strtod reads as NaN is skipped instead.
+TEST(LoaderTest, SkipsNanRows) {
+  LoadOptions options;
+  const auto values =
+      ParseNumericColumn("0.5\nnan\n0.25\nNaN\n-nan\n0.75\n", options)
+          .ValueOrDie();
+  ASSERT_EQ(values.size(), 3u);
+  EXPECT_DOUBLE_EQ(values[0], 0.5);
+  EXPECT_DOUBLE_EQ(values[1], 0.25);
+  EXPECT_DOUBLE_EQ(values[2], 0.75);
+}
+
 TEST(LoaderTest, ReadsChosenCsvColumn) {
   LoadOptions options;
   options.min_value = 0.0;

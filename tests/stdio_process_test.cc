@@ -7,9 +7,11 @@
 // output is one sketch frame per tenant, as in --listen mode; a stream cut
 // mid-frame fails without writing a sketch; the file coordinator keeps its
 // typed refusals and merges more files than the soft descriptor limit;
-// and --estimate-out holds one cumulative sketch per estimate tick, the
-// last of which is the drained sketch. Tool locations come from CMake
-// (NUMDIST_*_PATH); the test self-skips when the tools were not built.
+// --estimate-out holds one cumulative sketch per estimate tick, the last
+// of which is the drained sketch; and a malformed flag value, a
+// --tenant-budget field included, exits 2 before anything is opened. Tool
+// locations come from CMake (NUMDIST_*_PATH); the test self-skips when the
+// tools were not built.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -359,16 +361,95 @@ TEST(StdioProcessTest, MergeFilesRefusalsAndDescriptorLimit) {
 }
 
 // An out-of-range --buckets is refused with a typed error before anything
-// is sized by it: -1 reaches the spec as 2^64 - 1, not as an allocation.
+// is sized by it: a well-formed 2^32 + 64 reaches the granularity check
+// (exit 1), and -1 is a usage error naming the flag (exit 2), never 2^64 - 1.
 TEST(StdioProcessTest, OutOfRangeBucketsIsATypedError) {
   const std::string err = Tmp("buckets.err");
-  EXPECT_EQ(Sh(CollectorCmd("--buckets=-1 --in=/dev/null --out=/dev/null",
-                            err)),
+  EXPECT_EQ(Sh(CollectorCmd(
+                "--buckets=4294967360 --in=/dev/null --out=/dev/null", err)),
             1);
-  const std::string message = ReadFile(err);
+  std::string message = ReadFile(err);
   EXPECT_NE(message.find("error: InvalidArgument: wire: granularity"),
             std::string::npos)
       << message;
+  EXPECT_EQ(Sh(CollectorCmd("--buckets=-1 --in=/dev/null --out=/dev/null",
+                            err)),
+            2);
+  message = ReadFile(err);
+  EXPECT_NE(message.find("error: InvalidArgument: --buckets:"),
+            std::string::npos)
+      << message;
+  std::remove(err.c_str());
+}
+
+// --tenant-budget=ID:MAX_REPORTS[:MAX_EPSILON] against one 100-report
+// tenant-7 stream at epsilon 1: a cap below the stream refuses it (exit
+// 1), and a negative, malformed or empty field, or an ID past 2^32 - 1, is
+// a usage error naming the flag (exit 2) before --out is opened, never a
+// cap silently switched off.
+TEST(StdioProcessTest, TenantBudgetIsParsedWhole) {
+  const std::string frames = Tmp("budget_frames.bin");
+  const std::string out = Tmp("budget.sketch");
+  const std::string err = Tmp("budget.err");
+  ASSERT_EQ(Sh(ToolCmd(NUMDIST_REPORT_CLIENT_PATH,
+                       "--uniform=100 --tenant=7 --out=" + frames)),
+            0);
+  const auto collect = [&](const std::string& budget) {
+    std::remove(out.c_str());
+    return Sh(CollectorCmd(
+        "--tenant-budget=" + budget + " --in=" + frames + " --out=" + out,
+        err));
+  };
+  EXPECT_EQ(collect("7:5"), 1);
+  EXPECT_NE(ReadFile(err).find("tenant 7 over report budget"),
+            std::string::npos)
+      << ReadFile(err);
+  EXPECT_EQ(collect("7:0:0.5"), 1);
+  EXPECT_NE(ReadFile(err).find("tenant 7 over epsilon budget"),
+            std::string::npos)
+      << ReadFile(err);
+  for (const char* budget :
+       {"7:-5", "7:0:-0.5", "7:5x", "7:5:", "4294967296:5"}) {
+    EXPECT_EQ(collect(budget), 2) << budget;
+    EXPECT_NE(ReadFile(err).find("error: InvalidArgument: --tenant-budget:"),
+              std::string::npos)
+        << budget << ": " << ReadFile(err);
+    EXPECT_FALSE(std::ifstream(out).good()) << budget << " opened --out";
+  }
+  for (const std::string& path : {frames, out, err}) {
+    std::remove(path.c_str());
+  }
+}
+
+// A malformed or out-of-type-range flag value is a usage error naming the
+// flag (exit 2) before --out is opened: report_client's u32 --tenant does
+// not wrap 2^32 + 7 onto tenant 7, and a non-numeric --estimate-half-life
+// does not read as 0 (no forgetting).
+TEST(StdioProcessTest, MalformedFlagValueIsAUsageError) {
+  const std::string out = Tmp("malformed.out");
+  const std::string err = Tmp("malformed.err");
+  const struct {
+    const char* tool;
+    const char* flags;
+    const char* flag;
+  } cases[] = {
+      {NUMDIST_REPORT_CLIENT_PATH, "--uniform=100 --tenant=4294967303",
+       "--tenant"},
+      {kCollector,
+       "--in=/dev/null --estimate-every-frames=1 --estimate-half-life=abc",
+       "--estimate-half-life"},
+  };
+  for (const auto& c : cases) {
+    std::remove(out.c_str());
+    EXPECT_EQ(Sh(ToolCmd(c.tool, std::string(c.flags) + " --out=" + out, err)),
+              2)
+        << c.flags;
+    EXPECT_NE(ReadFile(err).find(std::string("error: InvalidArgument: ") +
+                                 c.flag + ":"),
+              std::string::npos)
+        << ReadFile(err);
+    EXPECT_FALSE(std::ifstream(out).good()) << c.flags << " opened --out";
+  }
   std::remove(err.c_str());
 }
 

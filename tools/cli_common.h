@@ -1,22 +1,12 @@
-// Flag-parsing scaffold shared by the numdist command-line tools: the
-// `--key=value` prefix matcher and the uniform Status error exit. Tools
-// keep their own flag lists; only the mechanics live here.
+// The uniform Status error exit shared by the numdist command-line tools.
+// Flags are parsed by common/flags.h; each tool keeps its own flag table.
 #pragma once
 
 #include <cstdio>
-#include <cstring>
-#include <string>
 
 #include "common/status.h"
 
 namespace numdist::tools {
-
-/// Returns the value part of `arg` when it starts with `prefix`
-/// (e.g. FlagValue("--seed=7", "--seed=") -> "7"), nullptr otherwise.
-inline const char* FlagValue(const std::string& arg, const char* prefix) {
-  const size_t len = strlen(prefix);
-  return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
-}
 
 /// Prints a Status to stderr and returns the conventional error exit code.
 inline int Fail(const Status& status) {

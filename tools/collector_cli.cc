@@ -63,7 +63,9 @@
 // carrying any other configuration are rejected with a typed error
 // (docs/WIRE_FORMAT.md). Merging is exact integer addition, so the
 // coordinator's output is bit-identical to a single-process run over the
-// same report chunks, in any merge order.
+// same report chunks, in any merge order. Every flag value, each
+// --tenant-budget field included, is parsed whole (common/flags.h): a
+// malformed one exits 2 naming the flag, before any file or socket opens.
 #include <csignal>
 #include <fcntl.h>
 #include <sys/resource.h>
@@ -74,17 +76,16 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cli_common.h"
+#include "common/flags.h"
 #include "net/server.h"
 #include "net/socket.h"
 #include "serve/collector.h"
@@ -93,9 +94,10 @@
 
 using namespace numdist;
 using numdist::tools::Fail;
-using numdist::tools::FlagValue;
 
 namespace {
+
+using TenantBudgets = std::vector<std::pair<uint32_t, serve::TenantBudget>>;
 
 struct CliFlags {
   std::string method = "sw-ems";
@@ -129,7 +131,7 @@ struct CliFlags {
   std::string replicate_to;
   bool standby = false;
   // Per-tenant budgets: ID:MAX_REPORTS[:MAX_EPSILON],... (0 = unlimited).
-  std::string tenant_budgets;
+  TenantBudgets tenant_budgets;
   // Coordinator file-merge: emit the merged per-tenant sketch frames to
   // --out instead of reconstructing — the composable merge-tree mode.
   bool emit_sketch = false;
@@ -166,71 +168,77 @@ void Usage() {
           "         cfo-oue-<bins> hh hh-admm haar-hrr\n");
 }
 
-bool ParseCli(int argc, char** argv, CliFlags* flags) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (const char* v = FlagValue(arg, "--method=")) {
-      flags->method = v;
-    } else if (const char* v = FlagValue(arg, "--epsilon=")) {
-      flags->epsilon = atof(v);
-    } else if (const char* v = FlagValue(arg, "--buckets=")) {
-      flags->buckets = static_cast<size_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--in=")) {
-      flags->in_path = v;
-    } else if (const char* v = FlagValue(arg, "--out=")) {
-      flags->out_path = v;
-    } else if (const char* v = FlagValue(arg, "--merge=")) {
-      flags->merge_files.clear();
-      std::stringstream paths(v);
-      for (std::string path; std::getline(paths, path, ',');) {
-        if (!path.empty()) flags->merge_files.push_back(path);
-      }
-      if (flags->merge_files.empty()) {
-        fprintf(stderr, "--merge needs at least one sketch file\n");
-        return false;
-      }
-    } else if (arg == "--merge") {
-      flags->merge_listen = true;
-    } else if (const char* v = FlagValue(arg, "--listen=")) {
-      flags->listen = v;
-    } else if (const char* v = FlagValue(arg, "--port-file=")) {
-      flags->port_file = v;
-    } else if (const char* v = FlagValue(arg, "--expect-frames=")) {
-      flags->expect_frames = static_cast<uint64_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--read-timeout-ms=")) {
-      flags->read_timeout_ms = atoi(v);
-    } else if (const char* v = FlagValue(arg, "--estimate-every-frames=")) {
-      flags->estimate_every_frames = static_cast<uint64_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--estimate-every-ms=")) {
-      flags->estimate_every_ms = atoll(v);
-    } else if (const char* v = FlagValue(arg, "--estimate-half-life=")) {
-      flags->estimate_half_life = atof(v);
-    } else if (const char* v = FlagValue(arg, "--estimate-max-iterations=")) {
-      flags->estimate_max_iterations = static_cast<size_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--estimate-out=")) {
-      flags->estimate_out = v;
-    } else if (const char* v = FlagValue(arg, "--wal=")) {
-      flags->wal_path = v;
-    } else if (const char* v = FlagValue(arg, "--wal-checkpoint-every=")) {
-      flags->wal_checkpoint_every = static_cast<uint64_t>(atoll(v));
-    } else if (arg == "--wal-sync") {
-      flags->wal_sync = true;
-    } else if (const char* v = FlagValue(arg, "--wal-segment-bytes=")) {
-      flags->wal_segment_bytes = static_cast<uint64_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--replicate-to=")) {
-      flags->replicate_to = v;
-    } else if (arg == "--standby") {
-      flags->standby = true;
-    } else if (const char* v = FlagValue(arg, "--tenant-budget=")) {
-      flags->tenant_budgets = v;
-    } else if (arg == "--emit-sketch") {
-      flags->emit_sketch = true;
-    } else if (arg == "--csv") {
-      flags->csv = true;
-    } else {
-      fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
+// Parses --tenant-budget=ID:MAX_REPORTS[:MAX_EPSILON][,...]: an ID up to
+// 2^32 - 1 and caps >= 0, 0 meaning unlimited (TenantBudget's convention).
+Status ParseTenantBudgets(std::string_view spec, TenantBudgets* out) {
+  out->clear();
+  for (const std::string_view entry : SplitList(spec)) {
+    if (entry.empty()) continue;
+    const std::vector<std::string_view> fields = SplitList(entry, ':');
+    if (fields.size() < 2 || fields.size() > 3) {
+      return Status::InvalidArgument(std::string(entry) +
+                                     " is not ID:MAX_REPORTS[:MAX_EPSILON]");
     }
+    NUMDIST_ASSIGN_OR_RETURN(const uint64_t tenant,
+                             ParseUint(fields[0], 0xffffffffu));
+    serve::TenantBudget budget;
+    NUMDIST_ASSIGN_OR_RETURN(budget.max_reports, ParseUint(fields[1]));
+    if (fields.size() == 3) {
+      NUMDIST_ASSIGN_OR_RETURN(budget.max_epsilon, ParseFinite(fields[2]));
+      if (budget.max_epsilon < 0.0) {
+        return Status::InvalidArgument(std::string(entry) +
+                                       " has a negative epsilon cap");
+      }
+    }
+    out->emplace_back(static_cast<uint32_t>(tenant), budget);
+  }
+  if (out->empty()) return Status::InvalidArgument("holds no entries");
+  return Status::OK();
+}
+
+bool ParseCli(int argc, char** argv, CliFlags* flags) {
+  const Status parsed = ParseFlags(
+      argc, argv,
+      {{"--method", &flags->method},
+       {"--epsilon", &flags->epsilon},
+       {"--buckets", &flags->buckets},
+       {"--in", &flags->in_path},
+       {"--out", &flags->out_path},
+       {"--merge",
+        [flags](std::string_view v) {
+          flags->merge_files.clear();
+          for (const std::string_view path : SplitList(v)) {
+            if (!path.empty()) flags->merge_files.emplace_back(path);
+          }
+          return flags->merge_files.empty()
+                     ? Status::InvalidArgument("needs at least one sketch file")
+                     : Status::OK();
+        }},
+       {"--merge", &flags->merge_listen},
+       {"--listen", &flags->listen},
+       {"--port-file", &flags->port_file},
+       {"--expect-frames", &flags->expect_frames},
+       {"--read-timeout-ms", &flags->read_timeout_ms},
+       {"--estimate-every-frames", &flags->estimate_every_frames},
+       {"--estimate-every-ms", &flags->estimate_every_ms},
+       {"--estimate-half-life", &flags->estimate_half_life},
+       {"--estimate-max-iterations", &flags->estimate_max_iterations},
+       {"--estimate-out", &flags->estimate_out},
+       {"--wal", &flags->wal_path},
+       {"--wal-checkpoint-every", &flags->wal_checkpoint_every},
+       {"--wal-sync", &flags->wal_sync},
+       {"--wal-segment-bytes", &flags->wal_segment_bytes},
+       {"--replicate-to", &flags->replicate_to},
+       {"--standby", &flags->standby},
+       {"--tenant-budget",
+        [flags](std::string_view v) {
+          return ParseTenantBudgets(v, &flags->tenant_budgets);
+        }},
+       {"--emit-sketch", &flags->emit_sketch},
+       {"--csv", &flags->csv}});
+  if (!parsed.ok()) {
+    Fail(parsed);
+    return false;
   }
   if (flags->merge_listen && flags->listen.empty()) {
     fprintf(stderr, "bare --merge needs --listen (or use --merge=FILES)\n");
@@ -280,8 +288,7 @@ bool ParseCli(int argc, char** argv, CliFlags* flags) {
             "and/or --estimate-every-ms)\n");
     return false;
   }
-  if (!std::isfinite(flags->estimate_half_life) ||
-      flags->estimate_half_life < 0.0) {
+  if (flags->estimate_half_life < 0.0) {
     fprintf(stderr, "--estimate-half-life must be a finite R >= 0\n");
     return false;
   }
@@ -290,35 +297,6 @@ bool ParseCli(int argc, char** argv, CliFlags* flags) {
 
 bool IsEndpointSpec(const std::string& s) {
   return s.rfind("tcp:", 0) == 0 || s.rfind("unix:", 0) == 0;
-}
-
-using TenantBudgets = std::vector<std::pair<uint32_t, serve::TenantBudget>>;
-
-// Parses --tenant-budget=ID:MAX_REPORTS[:MAX_EPSILON][,...]. A cap of 0
-// means unlimited on that axis (TenantBudget's convention).
-bool ParseTenantBudgets(const std::string& spec, TenantBudgets* out) {
-  std::stringstream ss(spec);
-  std::string entry;
-  while (std::getline(ss, entry, ',')) {
-    if (entry.empty()) continue;
-    serve::TenantBudget budget;
-    unsigned long long tenant = 0, max_reports = 0;
-    double max_epsilon = 0.0;
-    const int matched = sscanf(entry.c_str(), "%llu:%llu:%lf", &tenant,
-                               &max_reports, &max_epsilon);
-    if (matched < 2 || tenant > 0xffffffffull) {
-      fprintf(stderr, "bad --tenant-budget entry '%s'\n", entry.c_str());
-      return false;
-    }
-    budget.max_reports = max_reports;
-    budget.max_epsilon = matched >= 3 ? max_epsilon : 0.0;
-    out->emplace_back(static_cast<uint32_t>(tenant), budget);
-  }
-  if (out->empty()) {
-    fprintf(stderr, "--tenant-budget holds no entries\n");
-    return false;
-  }
-  return true;
 }
 
 // One stderr line summarizing what WAL recovery replayed, including the
@@ -559,8 +537,7 @@ Status AttachListener(const CliFlags& flags, net::CollectorServer* server) {
   return Status::OK();
 }
 
-int RunServer(const CliFlags& flags, const wire::MethodSpec& spec,
-              const TenantBudgets& budgets) {
+int RunServer(const CliFlags& flags, const wire::MethodSpec& spec) {
   // Stdin, --in or the --merge files: streams that end, not a listener.
   const bool streams = flags.listen.empty();
   const bool file_merge = !flags.merge_files.empty();
@@ -618,7 +595,7 @@ int RunServer(const CliFlags& flags, const wire::MethodSpec& spec,
   if (!made.ok()) return Fail(made.status());
   net::CollectorServer* server = made.value().get();
   if (!flags.wal_path.empty()) ReportWalRecovery(server->wal_recovery());
-  for (const auto& [tenant, budget] : budgets) {
+  for (const auto& [tenant, budget] : flags.tenant_budgets) {
     server->SetTenantBudget(tenant, budget);
   }
   est->server = server;
@@ -702,11 +679,5 @@ int main(int argc, char** argv) {
   Result<wire::MethodSpec> spec = wire::ParseMethodSpec(
       flags.method, flags.epsilon, flags.buckets);
   if (!spec.ok()) return Fail(spec.status());
-
-  TenantBudgets budgets;
-  if (!flags.tenant_budgets.empty() &&
-      !ParseTenantBudgets(flags.tenant_budgets, &budgets)) {
-    return 2;
-  }
-  return RunServer(flags, spec.value(), budgets);
+  return RunServer(flags, spec.value());
 }

@@ -12,17 +12,17 @@
 // (wire::ParseMethodSpec): sw-ems (default), sw-em, hh-admm, cfo-<bins>,
 // cfo-grr-<bins>, cfo-olh-<bins>, cfo-oue-<bins>. hh and haar-hrr answer
 // range queries only, so they are refused (exit 2): numdist prints a
-// distribution. --buckets must lie in [2, 2^20].
+// distribution. --buckets must lie in [2, 2^20]. Every flag value is
+// parsed whole (common/flags.h): a malformed one exits 2 naming the flag.
 // Aggregation shards the report stream across worker threads
 // (protocol/sharded.h); the result is identical for any thread count.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "cli_common.h"
+#include "common/flags.h"
 #include "common/rng.h"
 #include "data/loader.h"
 #include "metrics/queries.h"
@@ -31,7 +31,6 @@
 
 using namespace numdist;
 using numdist::tools::Fail;
-using numdist::tools::FlagValue;
 
 namespace {
 
@@ -61,36 +60,28 @@ void Usage() {
 }
 
 bool ParseCli(int argc, char** argv, CliFlags* flags) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (const char* v = FlagValue(arg, "--input=")) {
-      flags->input = v;
-    } else if (const char* v = FlagValue(arg, "--column=")) {
-      flags->column = static_cast<size_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--delimiter=")) {
-      flags->delimiter = v[0];
-    } else if (arg == "--skip-header") {
-      flags->skip_header = true;
-    } else if (const char* v = FlagValue(arg, "--min=")) {
-      flags->min_value = atof(v);
-    } else if (const char* v = FlagValue(arg, "--max=")) {
-      flags->max_value = atof(v);
-    } else if (const char* v = FlagValue(arg, "--epsilon=")) {
-      flags->epsilon = atof(v);
-    } else if (const char* v = FlagValue(arg, "--buckets=")) {
-      flags->buckets = static_cast<size_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--method=")) {
-      flags->method = v;
-    } else if (arg == "--csv") {
-      flags->csv = true;
-    } else if (const char* v = FlagValue(arg, "--seed=")) {
-      flags->seed = static_cast<uint64_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--threads=")) {
-      flags->threads = static_cast<size_t>(atoll(v));
-    } else {
-      fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
-    }
+  const Status parsed = ParseFlags(
+      argc, argv,
+      {{"--input", &flags->input},
+       {"--column", &flags->column},
+       {"--delimiter",
+        [flags](std::string_view v) {
+          if (v.size() != 1) return Status::InvalidArgument("must be one byte");
+          flags->delimiter = v[0];
+          return Status::OK();
+        }},
+       {"--skip-header", &flags->skip_header},
+       {"--min", &flags->min_value},
+       {"--max", &flags->max_value},
+       {"--epsilon", &flags->epsilon},
+       {"--buckets", &flags->buckets},
+       {"--method", &flags->method},
+       {"--csv", &flags->csv},
+       {"--seed", &flags->seed},
+       {"--threads", &flags->threads}});
+  if (!parsed.ok()) {
+    Fail(parsed);
+    return false;
   }
   return !flags->input.empty();
 }

@@ -22,21 +22,21 @@
 // TCP/Unix connections to a collector_cli --listen server — one process
 // emulating a fleet of N concurrent clients. --pace-us=T sleeps T
 // microseconds between frames (keeps a stream mid-flight long enough for
-// drain/shutdown tests to SIGTERM the collector mid-run).
+// drain/shutdown tests to SIGTERM the collector mid-run). Every flag value
+// is parsed whole (common/flags.h): a malformed one, or a --tenant past
+// 2^32 - 1, exits 2 naming the flag, before any output is opened.
 #include <unistd.h>
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cli_common.h"
+#include "common/flags.h"
 #include "common/rng.h"
 #include "net/client.h"
 #include "net/fault.h"
@@ -49,7 +49,6 @@
 
 using namespace numdist;
 using numdist::tools::Fail;
-using numdist::tools::FlagValue;
 
 namespace {
 
@@ -111,64 +110,37 @@ void Usage() {
 }
 
 bool ParseCli(int argc, char** argv, CliFlags* flags) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (const char* v = FlagValue(arg, "--method=")) {
-      flags->method = v;
-    } else if (const char* v = FlagValue(arg, "--epsilon=")) {
-      flags->epsilon = atof(v);
-    } else if (const char* v = FlagValue(arg, "--buckets=")) {
-      flags->buckets = static_cast<size_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--input=")) {
-      flags->input = v;
-    } else if (const char* v = FlagValue(arg, "--uniform=")) {
-      flags->uniform = static_cast<size_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--min=")) {
-      flags->min_value = atof(v);
-    } else if (const char* v = FlagValue(arg, "--max=")) {
-      flags->max_value = atof(v);
-    } else if (const char* v = FlagValue(arg, "--seed=")) {
-      flags->seed = static_cast<uint64_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--shard-size=")) {
-      flags->shard_size = static_cast<size_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--offset=")) {
-      flags->offset = static_cast<size_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--stride=")) {
-      flags->stride = static_cast<size_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--out=")) {
-      flags->out_path = v;
-    } else if (const char* v = FlagValue(arg, "--connect=")) {
-      flags->connect = v;
-    } else if (const char* v = FlagValue(arg, "--connections=")) {
-      flags->connections = static_cast<size_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--pace-us=")) {
-      flags->pace_us = static_cast<uint64_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--tenant=")) {
-      flags->tenant = static_cast<uint32_t>(atoll(v));
-    } else if (arg == "--retry") {
-      flags->retry = true;
-    } else if (const char* v = FlagValue(arg, "--failover=")) {
-      flags->failover = v;
-    } else if (const char* v = FlagValue(arg, "--epoch=")) {
-      flags->epoch = static_cast<uint64_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--retry-window=")) {
-      flags->retry_window = static_cast<size_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--retry-max=")) {
-      flags->retry_max = static_cast<uint32_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--retry-backoff-ms=")) {
-      flags->retry_backoff_ms = static_cast<uint32_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--retry-deadline-ms=")) {
-      flags->retry_deadline_ms = static_cast<uint32_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--fault-resets=")) {
-      flags->fault_resets = static_cast<uint32_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--fault-seed=")) {
-      flags->fault_seed = static_cast<uint64_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--fault-max-byte=")) {
-      flags->fault_max_byte = static_cast<uint64_t>(atoll(v));
-    } else {
-      fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
-    }
+  const Status parsed = ParseFlags(
+      argc, argv,
+      {{"--method", &flags->method},
+       {"--epsilon", &flags->epsilon},
+       {"--buckets", &flags->buckets},
+       {"--input", &flags->input},
+       {"--uniform", &flags->uniform},
+       {"--min", &flags->min_value},
+       {"--max", &flags->max_value},
+       {"--seed", &flags->seed},
+       {"--shard-size", &flags->shard_size},
+       {"--offset", &flags->offset},
+       {"--stride", &flags->stride},
+       {"--out", &flags->out_path},
+       {"--connect", &flags->connect},
+       {"--connections", &flags->connections},
+       {"--pace-us", &flags->pace_us},
+       {"--tenant", &flags->tenant},
+       {"--retry", &flags->retry},
+       {"--failover", &flags->failover},
+       {"--epoch", &flags->epoch},
+       {"--retry-window", &flags->retry_window},
+       {"--retry-max", &flags->retry_max},
+       {"--retry-backoff-ms", &flags->retry_backoff_ms},
+       {"--retry-deadline-ms", &flags->retry_deadline_ms},
+       {"--fault-resets", &flags->fault_resets},
+       {"--fault-seed", &flags->fault_seed},
+       {"--fault-max-byte", &flags->fault_max_byte}});
+  if (!parsed.ok()) {
+    Fail(parsed);
+    return false;
   }
   if (flags->input.empty() == (flags->uniform == 0)) {
     fprintf(stderr, "exactly one of --input / --uniform is required\n");
@@ -273,11 +245,8 @@ int main(int argc, char** argv) {
   net::FaultPlan faults;  // must outlive the sender that reads it
   if (flags.retry) {
     std::vector<net::Endpoint> endpoints;
-    std::stringstream targets(flags.connect + (flags.failover.empty()
-                                                   ? ""
-                                                   : "," + flags.failover));
-    std::string target;
-    while (std::getline(targets, target, ',')) {
+    const std::string targets = flags.connect + "," + flags.failover;
+    for (const std::string_view target : SplitList(targets)) {
       if (target.empty()) continue;
       Result<net::Endpoint> endpoint = net::ParseEndpoint(target);
       if (!endpoint.ok()) return Fail(endpoint.status());

@@ -21,19 +21,20 @@
 //
 // Results are bit-identical for a fixed seed at any --threads (scenario
 // shard streams are fixed per (seed, phase, shard); see scenario/scenario.h).
-#include <cmath>
+// Every flag value is parsed whole (common/flags.h): a malformed one exits
+// 2 naming the flag.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "cli_common.h"
+#include "common/flags.h"
 #include "scenario/attack.h"
 #include "scenario/scenario.h"
 
 using namespace numdist;
-using numdist::tools::FlagValue;
+using numdist::tools::Fail;
 
 namespace {
 
@@ -87,69 +88,58 @@ void Usage() {
           builtins.c_str());
 }
 
-// Parses all of `v` as a finite number into *out; anything else returns
-// false and leaves *out as it was.
-bool ParseFinite(const char* v, std::optional<double>* out) {
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (*v == '\0' || *end != '\0' || !std::isfinite(parsed)) return false;
-  *out = parsed;
-  return true;
+// The handler of a finite number flag that must be >= 0, or > 0 when
+// `positive`.
+Flag::Handler StoreFinite(std::optional<double>* out, bool positive,
+                          const char* what) {
+  return [=](std::string_view v) -> Status {
+    NUMDIST_ASSIGN_OR_RETURN(const double parsed, ParseFinite(v));
+    if (parsed < 0.0 || (positive && parsed == 0.0)) {
+      return Status::InvalidArgument(std::string("must be ") + what +
+                                     ", got '" + std::string(v) + "'");
+    }
+    *out = parsed;
+    return Status::OK();
+  };
 }
 
 bool ParseCli(int argc, char** argv, CliFlags* flags) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (const char* v = FlagValue(arg, "--scenario=")) {
-      flags->scenario = v;
-    } else if (arg == "--list") {
-      flags->list = true;
-    } else if (arg == "--csv") {
-      flags->csv = true;
-    } else if (arg == "--dump") {
-      flags->dump = true;
-    } else if (arg == "--validate") {
-      flags->validate = true;
-    } else if (const char* v = FlagValue(arg, "--seed=")) {
-      flags->has_seed = true;
-      flags->seed = static_cast<uint64_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--threads=")) {
-      flags->threads = static_cast<size_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--incremental=")) {
-      if (strcmp(v, "off") != 0 && strcmp(v, "on") != 0) {
-        fprintf(stderr, "--incremental must be off or on, got '%s'\n", v);
-        return false;
-      }
-      flags->incremental = strcmp(v, "on") == 0;
-    } else if (const char* v = FlagValue(arg, "--half-life=")) {
-      if (!ParseFinite(v, &flags->half_life) || *flags->half_life < 0.0) {
-        fprintf(stderr, "--half-life must be a finite R >= 0, got '%s'\n",
-                v);
-        return false;
-      }
-    } else if (const char* v = FlagValue(arg, "--attack=")) {
-      flags->attack = v;
-    } else if (const char* v = FlagValue(arg, "--defense=")) {
-      flags->defense = v;
-    } else if (const char* v = FlagValue(arg, "--defense-threshold=")) {
-      if (!ParseFinite(v, &flags->defense_threshold) ||
-          *flags->defense_threshold <= 0.0) {
-        fprintf(stderr,
-                "--defense-threshold must be a finite Z > 0, got '%s'\n", v);
-        return false;
-      }
-    } else if (const char* v = FlagValue(arg, "--n=")) {
-      flags->n = static_cast<size_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--domain=")) {
-      flags->domain = static_cast<size_t>(atoll(v));
-    } else if (const char* v = FlagValue(arg, "--eps=")) {
-      flags->eps = atof(v);
-    } else if (const char* v = FlagValue(arg, "--shards=")) {
-      flags->shards = static_cast<size_t>(atoll(v));
-    } else {
-      fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
-    }
+  const Status parsed = ParseFlags(
+      argc, argv,
+      {{"--scenario", &flags->scenario},
+       {"--list", &flags->list},
+       {"--csv", &flags->csv},
+       {"--dump", &flags->dump},
+       {"--validate", &flags->validate},
+       {"--seed",
+        [flags](std::string_view v) -> Status {
+          NUMDIST_ASSIGN_OR_RETURN(flags->seed, ParseUint(v));
+          flags->has_seed = true;
+          return Status::OK();
+        }},
+       {"--threads", &flags->threads},
+       {"--incremental",
+        [flags](std::string_view v) {
+          if (v != "off" && v != "on") {
+            return Status::InvalidArgument("must be off or on, got '" +
+                                           std::string(v) + "'");
+          }
+          flags->incremental = v == "on";
+          return Status::OK();
+        }},
+       {"--half-life",
+        StoreFinite(&flags->half_life, false, "a finite R >= 0")},
+       {"--attack", &flags->attack},
+       {"--defense", &flags->defense},
+       {"--defense-threshold",
+        StoreFinite(&flags->defense_threshold, true, "a finite Z > 0")},
+       {"--n", &flags->n},
+       {"--domain", &flags->domain},
+       {"--eps", &flags->eps},
+       {"--shards", &flags->shards}});
+  if (!parsed.ok()) {
+    Fail(parsed);
+    return false;
   }
   return flags->list || !flags->scenario.empty() || !flags->attack.empty();
 }
@@ -168,31 +158,28 @@ Result<FoAttackConfig> ParseAttackFlag(const CliFlags& flags) {
     config.defense.spike_z_threshold = *flags.defense_threshold;
   }
   const std::string& spec = flags.attack;
-  const size_t c1 = spec.find(':');
-  const size_t c2 = c1 == std::string::npos ? c1 : spec.find(':', c1 + 1);
-  const size_t at = c2 == std::string::npos ? c2 : spec.find('@', c2 + 1);
-  if (c1 == std::string::npos || c2 == std::string::npos ||
-      at == std::string::npos) {
+  const std::vector<std::string_view> at = SplitList(spec, '@');
+  const std::vector<std::string_view> parts = SplitList(at[0], ':');
+  if (at.size() != 2 || parts.size() != 3) {
     return Status::InvalidArgument(
         "--attack must be CHANNEL:KIND:FRACTION@TARGET, got '" + spec + "'");
   }
   NUMDIST_ASSIGN_OR_RETURN(config.channel,
-                           ParseFoChannel(spec.substr(0, c1)));
+                           ParseFoChannel(std::string(parts[0])));
   NUMDIST_ASSIGN_OR_RETURN(config.attack.kind,
-                           ParseAttackKind(spec.substr(c1 + 1, c2 - c1 - 1)));
-  char* parse_end = nullptr;
-  const std::string frac = spec.substr(c2 + 1, at - c2 - 1);
-  config.attack.fraction = std::strtod(frac.c_str(), &parse_end);
-  if (frac.empty() || parse_end != frac.c_str() + frac.size()) {
-    return Status::InvalidArgument("--attack: bad fraction '" + frac + "'");
+                           ParseAttackKind(std::string(parts[1])));
+  const Result<double> fraction = ParseFinite(parts[2]);
+  if (!fraction.ok()) {
+    return Status::InvalidArgument("--attack: bad fraction " +
+                                   fraction.status().message());
   }
-  const std::string target = spec.substr(at + 1);
-  const long long parsed_target = std::strtoll(target.c_str(), &parse_end, 10);
-  if (target.empty() || parse_end != target.c_str() + target.size() ||
-      parsed_target < 0) {
-    return Status::InvalidArgument("--attack: bad target '" + target + "'");
+  config.attack.fraction = fraction.value();
+  const Result<uint64_t> target = ParseUint(at[1]);
+  if (!target.ok()) {
+    return Status::InvalidArgument("--attack: bad target " +
+                                   target.status().message());
   }
-  config.attack.target = static_cast<size_t>(parsed_target);
+  config.attack.target = target.value();
   return config;
 }
 
@@ -202,6 +189,7 @@ int RunAttackMode(const CliFlags& flags) {
   Result<FoAttackConfig> config = ParseAttackFlag(flags);
   if (!config.ok()) {
     fprintf(stderr, "error: %s\n", config.status().ToString().c_str());
+    Usage();
     return 2;
   }
   Result<FoAttackResult> result = RunFoAttack(config.value());
