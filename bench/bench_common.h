@@ -58,6 +58,11 @@ inline BenchFlags ParseFlags(int argc, char** argv) {
           flags.epsilons.clear();
           for (const std::string_view item : SplitList(v)) {
             NUMDIST_ASSIGN_OR_RETURN(const double eps, ParseFinite(item));
+            if (eps <= 0.0) {
+              return Status::InvalidArgument(
+                  "every epsilon must be positive, got '" +
+                  std::string(item) + "'");
+            }
             flags.epsilons.push_back(eps);
           }
           return Status::OK();

@@ -9,6 +9,8 @@
 #include <new>
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/em.h"
@@ -16,6 +18,7 @@
 #include "core/observation_model.h"
 #include "core/square_wave.h"
 #include "core/sw_estimator.h"
+#include "data/datasets.h"
 #include "eval/incremental.h"
 #include "hierarchy/admm.h"
 #include "hierarchy/constrained.h"
@@ -263,6 +266,61 @@ void EM_WARM_ColdRestarts(benchmark::State& state) {
   state.counters["cold_iterations"] = static_cast<double>(cold_total);
 }
 BENCHMARK(EM_WARM_ColdRestarts)->Unit(benchmark::kMillisecond);
+
+// One estimate_live tick at d = 1024, eps = 1 (perfbench's live workload):
+// the collector has absorbed 6 M Taxi reports in ticks of 25 000 (50
+// frames of 500), each followed by its checkpointed update (warm EMS over
+// the cumulative counts with the tick's 50-iteration budget), and runs
+// the next tick. Every timed tick restarts from that tick's checkpoint.
+// The time column is per tick; em_iteration is the time per EM
+// iteration, and em_iterations the tick's count.
+void EM_WARM_Tick(benchmark::State& state) {
+  const size_t d = static_cast<size_t>(state.range(0));
+  SwEstimatorOptions options;
+  options.epsilon = 1.0;
+  options.d = d;
+  const SwEstimator estimator = SwEstimator::Make(options).ValueOrDie();
+  Rng rng(2026);
+  const size_t tick_reports = 25000;
+  const std::vector<double> pool =
+      GenerateDataset(DatasetId::kTaxi, 8 * tick_reports, rng);
+  std::vector<uint32_t> buckets(tick_reports);
+  std::vector<double> totals(estimator.output_buckets(), 0.0);
+  size_t ticks = 0;
+  const auto absorb_tick = [&] {
+    const std::span<const double> values =
+        std::span<const double>(pool).subspan((ticks++ % 8) * tick_reports,
+                                              tick_reports);
+    estimator.PerturbBatchToBuckets(values, rng, buckets.data());
+    for (const uint32_t b : buckets) totals[b] += 1.0;
+  };
+  EmOptions opts = estimator.em_options();
+  opts.max_iterations = 50;
+  EmCheckpoint checkpoint;
+  while (ticks < 240) {  // 6 M reports
+    absorb_tick();
+    EstimateEmWeighted(estimator.model(), totals, opts, &checkpoint)
+        .ValueOrDie();
+  }
+  absorb_tick();
+  size_t iterations = 0;
+  size_t total_iterations = 0;
+  for (auto _ : state) {
+    EmCheckpoint tick_checkpoint = checkpoint;
+    const EmResult result =
+        EstimateEmWeighted(estimator.model(), totals, opts, &tick_checkpoint)
+            .ValueOrDie();
+    iterations = result.iterations;
+    total_iterations += result.iterations;
+    benchmark::DoNotOptimize(result.estimate.data());
+  }
+  state.counters["em_iterations"] = static_cast<double>(iterations);
+  state.counters["em_iteration"] =
+      benchmark::Counter(static_cast<double>(total_iterations),
+                         benchmark::Counter::kIsRate |
+                             benchmark::Counter::kInvert);
+}
+BENCHMARK(EM_WARM_Tick)->Arg(1024)->Unit(benchmark::kMicrosecond);
 
 // The forgetting window over a DRIFTING stream: the population jumps
 // between increments, and the reconstructor forgets old reports with a

@@ -67,7 +67,14 @@ int main(int argc, char** argv) {
       ParseFlags(argc, argv,
                  {{"--n", &n},
                   {"--d", &d},
-                  {"--shard-size", &shard_size},
+                  {"--shard-size",
+                   [&shard_size](std::string_view v) -> Status {
+                     NUMDIST_ASSIGN_OR_RETURN(shard_size, ParseUint(v));
+                     if (shard_size == 0) {
+                       return Status::InvalidArgument("must be at least 1");
+                     }
+                     return Status::OK();
+                   }},
                   {"--methods", &methods},
                   {"--fuzz", &fuzz},
                   {"--wal", &wal}});

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/histogram.h"
 #include "kernels/kernels.h"
 
 namespace numdist {
@@ -21,7 +20,10 @@ void BinomialSmooth(std::vector<double>* x) {
   }
   v[d - 1] = (prev + 2.0 * v[d - 1]) / 3.0;
   v[0] = first;
-  hist::Normalize(x);
+  // Renormalize like the M step: blocked sum, then one reciprocal scale.
+  const double total = kernels::Sum(v.data(), d);
+  if (total <= 0.0) return;
+  kernels::Scale(v.data(), 1.0 / total, d);
 }
 
 namespace {
@@ -58,6 +60,12 @@ void InitIterate(size_t d, const std::vector<double>* warm,
 // Every workspace is sized here, so the loop performs no heap
 // allocations. The warm start is copied out of the checkpoint before the
 // loop, and the checkpoint takes the outcome only after it.
+//
+// The log-likelihood is read only by the stopping rule, from iteration
+// min_iterations on (this one's and the previous one's), and as the
+// result's value (the last iteration's). So the sweep takes logs only
+// from iteration min_iterations - 1 and on the last allowed iteration;
+// the iterates do not depend on it, so skipping the others is exact.
 Result<EmResult> RunEm(const ObservationModel& model,
                        const std::vector<double>& counts,
                        const EmOptions& opts, EmCheckpoint* checkpoint) {
@@ -73,8 +81,10 @@ Result<EmResult> RunEm(const ObservationModel& model,
 
   double prev_ll = -std::numeric_limits<double>::infinity();
   for (size_t iter = 1; iter <= opts.max_iterations; ++iter) {
-    const double ll =
-        model.EmSweep(result.estimate, counts, &y, &weights, &next);
+    const bool read_ll =
+        iter + 1 >= opts.min_iterations || iter == opts.max_iterations;
+    const double ll = model.EmSweep(result.estimate, counts, &y, &weights,
+                                    &next, read_ll);
     const double total =
         kernels::MulAndSum(next.data(), result.estimate.data(), d);
     if (total <= 0.0) {

@@ -1,32 +1,45 @@
 #include "core/observation_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
-#include <limits>
+#include <map>
+#include <mutex>
+#include <tuple>
 
 #include "kernels/kernels.h"
 
 namespace numdist {
 
+namespace {
+
+// One bucket's E-step epilogue, the formula EmWeightsFromPrediction
+// documents: weight 0 when the bucket saw no reports, and the log term
+// only when `ll` is non-null.
+inline double RowWeight(double count, double yj_raw, double* ll) {
+  if (count == 0.0) return 0.0;
+  const double yj = std::max(yj_raw, 1e-300);
+  if (ll != nullptr) *ll += count * std::log(yj);
+  return count / yj;
+}
+
+}  // namespace
+
 double EmWeightsFromPrediction(const std::vector<double>& counts,
                                const std::vector<double>& y,
-                               std::vector<double>* weights) {
+                               std::vector<double>* weights,
+                               bool with_log_likelihood) {
   const size_t d_out = y.size();
   assert(counts.size() == d_out);
   weights->resize(d_out);
   double ll = 0.0;
+  double* const ll_sink = with_log_likelihood ? &ll : nullptr;
   for (size_t j = 0; j < d_out; ++j) {
-    if (counts[j] == 0.0) {
-      (*weights)[j] = 0.0;
-      continue;
-    }
     // y_j > 0 whenever x has support reaching bucket j; with the SW model
-    // every output bucket is reachable (q > 0), so this guard only trips
-    // on degenerate custom matrices.
-    const double yj = std::max(y[j], 1e-300);
-    (*weights)[j] = counts[j] / yj;
-    ll += counts[j] * std::log(yj);
+    // every output bucket is reachable (q > 0), so the 1e-300 floor only
+    // trips on degenerate custom matrices.
+    (*weights)[j] = RowWeight(counts[j], y[j], ll_sink);
   }
   return ll;
 }
@@ -35,9 +48,11 @@ double ObservationModel::EmSweep(const std::vector<double>& x,
                                  const std::vector<double>& counts,
                                  std::vector<double>* y,
                                  std::vector<double>* weights,
-                                 std::vector<double>* mtw) const {
+                                 std::vector<double>* mtw,
+                                 bool with_log_likelihood) const {
   Apply(x, y);
-  const double ll = EmWeightsFromPrediction(counts, *y, weights);
+  const double ll =
+      EmWeightsFromPrediction(counts, *y, weights, with_log_likelihood);
   ApplyTranspose(*weights, mtw);
   return ll;
 }
@@ -52,24 +67,12 @@ void DenseObservationModel::ApplyTranspose(const std::vector<double>& z,
   m_.TransposeMultiplyInto(z, out);
 }
 
-namespace {
-
-// One row's E-step epilogue: same formula as EmWeightsFromPrediction,
-// applied pointwise (weight 0 when the bucket saw no reports).
-inline double RowWeight(double count, double yj_raw, double* ll) {
-  if (count == 0.0) return 0.0;
-  const double yj = std::max(yj_raw, 1e-300);
-  *ll += count * std::log(yj);
-  return count / yj;
-}
-
-}  // namespace
-
 double DenseObservationModel::EmSweep(const std::vector<double>& x,
                                       const std::vector<double>& counts,
                                       std::vector<double>* y,
                                       std::vector<double>* weights,
-                                      std::vector<double>* mtw) const {
+                                      std::vector<double>* mtw,
+                                      bool with_log_likelihood) const {
   const size_t d_out = m_.rows();
   const size_t d = m_.cols();
   assert(x.size() == d && counts.size() == d_out);
@@ -83,11 +86,12 @@ double DenseObservationModel::EmSweep(const std::vector<double>& x,
   // ApplyTranspose stream it separately) with the same per-row Dot and
   // Axpy calls they make, so the result is bit-identical to them.
   double ll = 0.0;
+  double* const ll_sink = with_log_likelihood ? &ll : nullptr;
   for (size_t j = 0; j < d_out; ++j) {
     const double* row = m_.row(j);
     const double yj = kernels::Dot(row, x.data(), d);
     (*y)[j] = yj;
-    const double w = RowWeight(counts[j], yj, &ll);
+    const double w = RowWeight(counts[j], yj, ll_sink);
     (*weights)[j] = w;
     if (w != 0.0) kernels::Axpy(mtw->data(), w, row, d);
   }
@@ -96,48 +100,151 @@ double DenseObservationModel::EmSweep(const std::vector<double>& x,
 
 namespace {
 
-// Monotone cursor over the step density X(v) = h[i] on
-// [lo + i w, lo + (i+1) w), zero outside. Advance(t) integrates the CDF
-// F(t) = int_lo^t X over [previous position, t] in closed form (F is
-// piecewise linear, so the interval integral is piecewise quadratic) and
-// moves the cursor; queries must be non-decreasing. The first Advance
-// positions the cursor (its return value is discarded by the caller).
-// Each full left-to-right sweep costs O(n + #queries) in total.
-class PrefixIntegralCursor {
- public:
-  PrefixIntegralCursor(const double* h, size_t n, double lo, double w)
-      : h_(h), n_(n), lo_(lo), w_(w), t_(lo) {}
-
-  double Advance(double t) {
-    if (t <= t_) return 0.0;  // query left of lo, where F == 0
-    double acc = 0.0;
-    for (;;) {
-      const bool inside = idx_ < n_;
-      const double h = inside ? h_[idx_] : 0.0;
-      const double next = inside
-                              ? lo_ + static_cast<double>(idx_ + 1) * w_
-                              : std::numeric_limits<double>::infinity();
-      const double stop = t < next ? t : next;
-      const double dt = stop - t_;
-      acc += (f_ + 0.5 * h * dt) * dt;
-      f_ += h * dt;
-      t_ = stop;
-      if (t <= next) return acc;
-      ++idx_;
-    }
-  }
-
- private:
-  const double* h_;
-  size_t n_;
-  double lo_;
-  double w_;
-  double t_;       // current position (>= lo)
-  double f_ = 0.0; // F(t_)
-  size_t idx_ = 0; // bucket containing t_ (n_ once past the support)
+// One direction of the continuous operator in band form (see the class
+// comment). Row r is the interval [row_lo + r row_w, + row_w), column c
+// the interval [col_lo + c col_w, + col_w), and the row's entry at column
+// c is scale * (integral over column c of g_r), where
+//   g_r(v) = |[rl, rr] ∩ [v - b, v + b]|
+// is a trapezoid in v: it rises with slope 1 over [s0, s1], stays at
+// h = min(row_w, 2b) over [s1, s2] and falls over [s2, s3]. The columns
+// inside [s1, s2] all carry height = scale * h * col_w and are summed
+// through the prefix sum as [lo, hi); the columns the slopes cross are the
+// row's edges, with coefficients in kernels::BandRows layout.
+struct BandTable {
+  std::vector<kernels::BandRow> rows;
+  std::vector<double> coef;
+  size_t k = 0;  // edge positions per side
+  double height = 0.0;
 };
 
+struct Trapezoid {
+  double s0, s1, s2, s3;
+};
+
+// Integral of the trapezoid over the column [a, a + w], in the column's
+// own coordinates: every term is a local length, so the result carries
+// no cancellation from the global position of the column.
+double ColumnArea(const Trapezoid& t, double h, double a, double w) {
+  const double s0 = t.s0 - a;
+  const double s1 = t.s1 - a;
+  const double s2 = t.s2 - a;
+  const double s3 = t.s3 - a;
+  double area = 0.0;
+  double from = std::max(0.0, s0);  // rising slope: g = v - s0
+  double to = std::min(w, s1);
+  if (to > from) area += (to - from) * (0.5 * ((from - s0) + (to - s0)));
+  from = std::max(0.0, s1);  // plateau: g = h
+  to = std::min(w, s2);
+  if (to > from) area += (to - from) * h;
+  from = std::max(0.0, s2);  // falling slope: g = s3 - v
+  to = std::min(w, s3);
+  if (to > from) area += (to - from) * (0.5 * ((s3 - from) + (s3 - to)));
+  return area;
+}
+
+BandTable BuildBandTable(double row_lo, double row_w, size_t n_rows,
+                         double col_lo, double col_w, size_t n_cols, double b,
+                         double scale) {
+  assert(n_cols < (uint64_t{1} << 32));
+  const double h = std::min(row_w, 2.0 * b);
+  // Column position of a point, floored or ceiled and clamped to
+  // [0, n_cols]. A breakpoint within rounding of a column boundary may land
+  // on either side: the column then counts as an edge whose exact
+  // coefficient is the plateau's, or as interior missing a sliver of slope
+  // a rounding error wide.
+  const auto column = [&](double s, bool up) -> uint32_t {
+    const double pos = (s - col_lo) / col_w;
+    const double c = up ? std::ceil(pos) : std::floor(pos);
+    if (!(c > 0.0)) return 0;
+    if (c >= static_cast<double>(n_cols)) return static_cast<uint32_t>(n_cols);
+    return static_cast<uint32_t>(c);
+  };
+  // Row r's trapezoid, and its columns: the interior [lo, hi) and the
+  // edge spans [i0, lo) and [hi, i3).
+  struct RowSpan {
+    Trapezoid t;
+    uint32_t i0, lo, hi, i3;
+  };
+  const auto row_span = [&](size_t r) {
+    const double rl = row_lo + static_cast<double>(r) * row_w;
+    const double rr = rl + row_w;
+    const Trapezoid t{rl - b, std::min(rr - b, rl + b),
+                      std::max(rr - b, rl + b), rr + b};
+    const uint32_t i0 = column(t.s0, false);
+    const uint32_t i3 = column(t.s3, true);
+    const uint32_t lo = std::clamp(column(t.s1, true), i0, i3);
+    return RowSpan{t, i0, lo, std::clamp(column(t.s2, false), lo, i3), i3};
+  };
+  BandTable table;
+  table.height = scale * h * col_w;
+  for (size_t r = 0; r < n_rows; ++r) {
+    const RowSpan s = row_span(r);
+    table.k = std::max<size_t>({table.k, s.lo - s.i0, s.i3 - s.hi});
+  }
+  // Each side's block of k columns covers the side's edge span and stays
+  // in bounds (k <= n_cols); its other positions keep coefficient 0.
+  const size_t groups = (table.k + 1) / 2;
+  const uint32_t last_start = static_cast<uint32_t>(n_cols - table.k);
+  table.rows.resize(n_rows);
+  table.coef.assign(n_rows * 4 * groups, 0.0);
+  for (size_t r = 0; r < n_rows; ++r) {
+    const RowSpan s = row_span(r);
+    const kernels::BandRow row = {s.lo, s.hi, std::min(s.i0, last_start),
+                                  std::min(s.hi, last_start)};
+    table.rows[r] = row;
+    double* c = table.coef.data() + r * 4 * groups;
+    const auto set = [&](uint32_t col, uint32_t start, size_t side) {
+      const size_t pos = col - start;
+      const double a = col_lo + static_cast<double>(col) * col_w;
+      c[4 * (pos / 2) + side + pos % 2] = scale * ColumnArea(s.t, h, a, col_w);
+    };
+    for (uint32_t col = s.i0; col < s.lo; ++col) set(col, row.left, 0);
+    for (uint32_t col = s.hi; col < s.i3; ++col) set(col, row.right, 2);
+  }
+  return table;
+}
+
+// Per-thread workspace for the prefix sums: products are const and run
+// concurrently on one shared model, so it cannot live in the model. It
+// grows to the largest product the thread has run and is then reused, so
+// EM iterations do not allocate.
+double* PrefixWorkspace(size_t n) {
+  thread_local std::vector<double> workspace;
+  if (workspace.size() < n) workspace.resize(n);
+  return workspace.data();
+}
+
+// y = background + banded rows of `table` over x (n entries).
+void ApplyBands(const BandTable& table, double background_per_mass,
+                const std::vector<double>& x, std::vector<double>* y) {
+  double* prefix = PrefixWorkspace(x.size() + 1);
+  kernels::PrefixSum(x.data(), x.size(), prefix);
+  y->resize(table.rows.size());
+  kernels::BandRows(table.rows.data(), table.coef.data(), table.rows.size(),
+                    table.k, prefix, x.data(),
+                    background_per_mass * prefix[x.size()], table.height,
+                    y->data());
+}
+
 }  // namespace
+
+struct SlidingWindowObservationModel::Bands {
+  std::once_flag built;
+  BandTable apply;      // rows_ rows over cols_ inputs
+  BandTable transpose;  // cols_ rows over rows_ inputs
+};
+
+const SlidingWindowObservationModel::Bands&
+SlidingWindowObservationModel::BuiltBands() const {
+  std::call_once(bands_->built, [this] {
+    const double scale = (p_ - q_) / w_in_;
+    bands_->apply = BuildBandTable(-b_, w_out_, rows_, 0.0, w_in_, cols_, b_,
+                                   scale);
+    bands_->transpose = BuildBandTable(0.0, w_in_, cols_, -b_, w_out_, rows_,
+                                       b_, scale);
+  });
+  return *bands_;
+}
 
 SlidingWindowObservationModel SlidingWindowObservationModel::FromContinuous(
     const SquareWave& sw, size_t d_in, size_t d_out) {
@@ -151,6 +258,26 @@ SlidingWindowObservationModel SlidingWindowObservationModel::FromContinuous(
   m.b_ = sw.b();
   m.w_in_ = 1.0 / static_cast<double>(d_in);
   m.w_out_ = (1.0 + 2.0 * sw.b()) / static_cast<double>(d_out);
+  // The tables are a pure function of this shape, and a process often
+  // holds several models of one shape (a collector's protocol and its live
+  // estimator are built from one spec), so every model of a shape shares
+  // one set while any of them is alive. Never destroyed: a model may be
+  // built during static destruction.
+  using Shape = std::tuple<size_t, size_t, uint64_t, uint64_t, uint64_t>;
+  static std::mutex& mu = *new std::mutex;
+  static auto& shared = *new std::map<Shape, std::weak_ptr<Bands>>;
+  const Shape shape{d_in, d_out, std::bit_cast<uint64_t>(m.p_),
+                    std::bit_cast<uint64_t>(m.q_),
+                    std::bit_cast<uint64_t>(m.b_)};
+  const std::lock_guard<std::mutex> lock(mu);
+  std::erase_if(shared,
+                [](const auto& entry) { return entry.second.expired(); });
+  std::weak_ptr<Bands>& slot = shared[shape];
+  m.bands_ = slot.lock();
+  if (m.bands_ == nullptr) {
+    m.bands_ = std::make_shared<Bands>();
+    slot = m.bands_;
+  }
   return m;
 }
 
@@ -169,10 +296,9 @@ SlidingWindowObservationModel SlidingWindowObservationModel::FromDiscrete(
 void SlidingWindowObservationModel::Apply(const std::vector<double>& x,
                                           std::vector<double>* y) const {
   assert(x.size() == cols_);
-  const double total = kernels::Sum(x.data(), x.size());
-  y->resize(rows_);
-
   if (discrete_) {
+    const double total = kernels::Sum(x.data(), x.size());
+    y->resize(rows_);
     // y_j = q sum(x) + (p - q) sum_{i in [j - 2b, j]} x_i. Two passes: a
     // sequential prefix fill P(min(j, d-1)) into y itself, then the
     // dispatched descending window combine y_j = background + height *
@@ -191,33 +317,15 @@ void SlidingWindowObservationModel::Apply(const std::vector<double>& x,
     return;
   }
 
-  // Continuous: with X(v) the step density of mass x_i on input bucket i and
-  // F its CDF,
-  //   sum_i overlap(j, i) x_i = int_{l_j}^{r_j} [F(u + b) - F(u - b)] du,
-  // i.e. the difference of two interval integrals of F at the shifted output
-  // bucket edges — two monotone cursor sweeps.
-  const double background = q_ * w_out_ * total;
-  const double scale = (p_ - q_) / w_in_;
-  PrefixIntegralCursor plus(x.data(), cols_, 0.0, w_in_);
-  PrefixIntegralCursor minus(x.data(), cols_, 0.0, w_in_);
-  const double out_lo = -b_;
-  plus.Advance(out_lo + b_);
-  minus.Advance(out_lo - b_);
-  for (size_t j = 0; j < rows_; ++j) {
-    const double r = out_lo + static_cast<double>(j + 1) * w_out_;
-    const double ip = plus.Advance(r + b_);
-    const double im = minus.Advance(r - b_);
-    (*y)[j] = background + scale * (ip - im);
-  }
+  ApplyBands(BuiltBands().apply, q_ * w_out_, x, y);
 }
 
 void SlidingWindowObservationModel::ApplyTranspose(
     const std::vector<double>& z, std::vector<double>* out) const {
   assert(z.size() == rows_);
-  const double total = kernels::Sum(z.data(), z.size());
-  out->resize(cols_);
-
   if (discrete_) {
+    const double total = kernels::Sum(z.data(), z.size());
+    out->resize(cols_);
     // out_i = q sum(z) + (p - q) sum_{j in [i, i + 2b]} z_j. Same two-pass
     // shape as Apply — prefix fill P(min(i + 2b, rows - 1)) into out, then
     // the descending combine subtracting P(i - 1) = out_prefill[i - lag].
@@ -248,22 +356,7 @@ void SlidingWindowObservationModel::ApplyTranspose(
     return;
   }
 
-  // The overlap integral is symmetric in the two rectangles, so the same
-  // cursor construction applies with the roles swapped: Z is the step
-  // density of mass z_j on output bucket j of [-b, 1 + b], H its CDF, and
-  //   sum_j overlap(j, i) z_j = int_{a_i}^{c_i} [H(v + b) - H(v - b)] dv.
-  const double background = q_ * w_out_ * total;
-  const double scale = (p_ - q_) / w_in_;
-  PrefixIntegralCursor plus(z.data(), rows_, -b_, w_out_);
-  PrefixIntegralCursor minus(z.data(), rows_, -b_, w_out_);
-  plus.Advance(0.0 + b_);
-  minus.Advance(0.0 - b_);
-  for (size_t i = 0; i < cols_; ++i) {
-    const double c = static_cast<double>(i + 1) * w_in_;
-    const double hp = plus.Advance(c + b_);
-    const double hm = minus.Advance(c - b_);
-    (*out)[i] = background + scale * (hp - hm);
-  }
+  ApplyBands(BuiltBands().transpose, q_ * w_out_, z, out);
 }
 
 }  // namespace numdist

@@ -3,9 +3,10 @@
 // EM only needs y = M x and x = M^T z products, so the Square Wave
 // transition never has to be materialized: it is a constant background q
 // plus a shifted box kernel of height p - q (a Toeplitz convolution), and
-// both products collapse to O(d + d_out) running prefix sums independent
-// of the wave bandwidth. That is the SlidingWindowObservationModel, the
-// operator SwEstimator reconstructs through. The dense model keeps EM
+// both products collapse to one prefix sum plus O(d + d_out) independent
+// rows, whatever the wave bandwidth. That is the
+// SlidingWindowObservationModel, the operator SwEstimator reconstructs
+// through. The dense model keeps EM
 // usable with arbitrary matrices: the general wave shapes of the fig5 /
 // fig6 ablations, and tests that build the SW matrix themselves to
 // cross-check the analytic operator.
@@ -23,16 +24,19 @@ namespace numdist {
 
 /// Shared E-step epilogue: given the prediction y = M x and the observed
 /// counts, fills weights[j] = counts[j] / max(y[j], 1e-300) (0 where
-/// counts[j] == 0) and returns the total log-likelihood
-/// sum_j counts[j] log max(y[j], 1e-300). One definition used by every
-/// EmSweep path so scalar and vector dispatch can never diverge here.
-/// Counts are doubles so the incremental path can feed exponentially
-/// decayed (fractional) counts; integer histograms convert exactly
-/// (uint64 -> double is lossless below 2^53), so the converted path is
-/// bit-identical to the historical integer one.
+/// counts[j] == 0) and, when `with_log_likelihood`, returns the total
+/// log-likelihood sum_j counts[j] log max(y[j], 1e-300) (else 0: the
+/// logs are most of the epilogue's cost, and EM reads them only where its
+/// stopping rule does). The weights are the same either way. One
+/// definition used by every EmSweep path so scalar and vector dispatch
+/// can never diverge here. Counts are doubles so the incremental path can
+/// feed exponentially decayed (fractional) counts; integer histograms
+/// convert exactly (uint64 -> double is lossless below 2^53), so the
+/// converted path is bit-identical to the historical integer one.
 double EmWeightsFromPrediction(const std::vector<double>& counts,
                                const std::vector<double>& y,
-                               std::vector<double>* weights);
+                               std::vector<double>* weights,
+                               bool with_log_likelihood);
 
 /// \brief Minimal linear-operator interface consumed by EM.
 class ObservationModel {
@@ -51,8 +55,10 @@ class ObservationModel {
 
   /// One fused EM E-step sweep: y = M x, weights = counts ⊘ y (per
   /// EmWeightsFromPrediction), mtw = M^T weights; returns the
-  /// log-likelihood of x. The default is the straightforward three-pass
-  /// composition (right for the O(d) structured operators). The dense
+  /// log-likelihood of x when `with_log_likelihood`, else 0 (the other
+  /// outputs are the same bits either way). The default is the
+  /// straightforward three-pass composition (right for the O(d)
+  /// structured operators). The dense
   /// model overrides it with a single pass over the rows: the weight for
   /// output bucket j is pointwise in y_j, so each row can be dotted,
   /// weighted, and folded into mtw while it is still cache-hot — halving
@@ -64,7 +70,8 @@ class ObservationModel {
   virtual double EmSweep(const std::vector<double>& x,
                          const std::vector<double>& counts,
                          std::vector<double>* y, std::vector<double>* weights,
-                         std::vector<double>* mtw) const;
+                         std::vector<double>* mtw,
+                         bool with_log_likelihood) const;
 };
 
 /// \brief Dense fallback: wraps a Matrix, either owned (moved or copied
@@ -93,8 +100,8 @@ class DenseObservationModel final : public ObservationModel {
                       std::vector<double>* out) const override;
   double EmSweep(const std::vector<double>& x,
                  const std::vector<double>& counts, std::vector<double>* y,
-                 std::vector<double>* weights,
-                 std::vector<double>* mtw) const override;
+                 std::vector<double>* weights, std::vector<double>* mtw,
+                 bool with_log_likelihood) const override;
 
   const Matrix& matrix() const { return m_; }
 
@@ -106,20 +113,44 @@ class DenseObservationModel final : public ObservationModel {
 /// \brief Analytic SW/DSW transition operator: constant background q plus a
 /// shifted box kernel of height p - q (paper §4-5).
 ///
-/// The dense transition matrix is never materialized. Both products run in
-/// O(d + d_out) time and O(1) scratch, independent of the wave bandwidth:
+/// The dense transition matrix is never materialized. Both products are
+/// one fixed-order prefix sum of the input followed by independent rows,
+/// O(d + d_out) in all:
 ///  - discrete pipeline: M(j, i) = q + (p - q) [i <= j <= i + 2b], so
-///    y_j = q sum(x) + (p - q) * (sliding window sum over x) via two running
-///    prefix accumulators;
-///  - continuous pipeline: M(j, i) = q w_out + (p - q) / w_in * overlap(j, i)
-///    where overlap is the exact box/rectangle double integral. Summing
-///    columns against x turns the overlap sum into interval integrals of the
-///    piecewise-linear CDF of x, evaluated by two monotone cursors (the
-///    boundary columns come out in closed form — no special-casing).
+///    y_j = q sum(x) + (p - q) * (window sum over x): a prefix fill, then
+///    the dispatched WindowCombine kernel. It holds parameters only.
+///  - continuous pipeline: M(j, i) = q w_out + (p - q) / w_in * overlap(j, i),
+///    overlap the exact box/rectangle double integral. For output bucket
+///    j, overlap(j, i) / w_in is the mean over input bucket i of a
+///    trapezoid in the input coordinate (it rises and falls with slope 1
+///    over a width h = min(w_out, 2b) each, and is flat at h between), so
+///    in band form
+///      y_j = q w_out sum(x) + (p - q) h (P[hi_j] - P[lo_j])
+///            + sum over edge buckets i of c_ji x_i,
+///    P the prefix sum of x, [lo_j, hi_j) the input buckets inside the
+///    plateau, and the edge buckets those the slopes cross (at most
+///    ceil(h d) + 1 per side). Which bucket is which follows from the
+///    geometry, and each c_ji is integrated in the bucket's own
+///    coordinates, so no coefficient is a difference of large terms. The
+///    transpose has the same form with the two grids swapped (the overlap
+///    integral is symmetric). The rows run as the dispatched BandRows
+///    kernel, bit-identical across ISA tiers.
 ///
-/// Agrees with the dense TransitionMatrix() operator to ~1e-13 (fp
-/// regrouping only). Stateless apart from parameters: concurrent Apply
-/// calls from reconstruction threads are safe.
+/// State: the continuous band tables (per row lo, hi, edge-block starts,
+/// edge coefficients; about 130 KB at d = d_out = 1024, eps = 1) are
+/// built by the first product, once, and shared by every live model of
+/// the same shape (d, d_out, p, q, b), copies included. Building a model
+/// is O(1), and an encode-only estimator never pays for them. The tables
+/// are a pure function of the shape, so a product gives the same bits
+/// whether or not an earlier call built them. The prefix sums go to a
+/// per-thread workspace.
+///
+/// Agrees with the dense TransitionMatrix() operator to ~1e-12 absolute
+/// on unit-scale inputs up to d = 1024 (fp regrouping only; the dense
+/// side's own antiderivative differences carry most of it). Concurrent
+/// products from reconstruction threads are safe: the one-time build is
+/// a std::call_once, the shape registry takes a mutex, and a product
+/// writes only its output and its thread's workspace.
 class SlidingWindowObservationModel final : public ObservationModel {
  public:
   /// Operator for SquareWave::TransitionMatrix(d_in, d_out) (the
@@ -142,6 +173,10 @@ class SlidingWindowObservationModel final : public ObservationModel {
  private:
   SlidingWindowObservationModel() = default;
 
+  // The continuous pipeline's band tables, built by the first product.
+  struct Bands;
+  const Bands& BuiltBands() const;
+
   bool discrete_ = false;
   size_t rows_ = 0;
   size_t cols_ = 0;
@@ -153,6 +188,9 @@ class SlidingWindowObservationModel final : public ObservationModel {
   double w_out_ = 0.0;  // output bucket width ((1 + 2b) / d_out)
   // Discrete parameter: wave half-width in buckets.
   size_t db_ = 0;
+  // Continuous only: shared by every model of this shape; empty tables
+  // until the first product builds them.
+  std::shared_ptr<Bands> bands_;
 };
 
 }  // namespace numdist

@@ -51,7 +51,9 @@ struct SwEstimatorOptions {
 class SwEstimator {
  public:
   /// Validates options and builds the estimator. O(1): the transition is
-  /// the analytic operator, never a materialized matrix.
+  /// the analytic operator, never a materialized matrix, and its
+  /// per-bucket band tables (continuous pipeline) are built by the first
+  /// reconstruction, so an estimator that only encodes never holds them.
   static Result<SwEstimator> Make(const SwEstimatorOptions& options);
 
   /// Client-side report for one private value v in [0, 1]. For the
@@ -121,8 +123,10 @@ class SwEstimator {
   SquareWave sw_;           // used by the continuous pipeline
   DiscreteSquareWave dsw_;  // used by the discrete pipeline
   // Analytic q-background + box-kernel view of the transition used by EM:
-  // O(d + d_out) per product, bandwidth-independent, never materialized
-  // (see observation_model.h).
+  // one prefix sum plus O(d + d_out) banded rows per product,
+  // bandwidth-independent, never materialized; the continuous band tables
+  // are built by the first product and shared by copies (see
+  // observation_model.h).
   SlidingWindowObservationModel model_;
   EmOptions em_options_;
 };

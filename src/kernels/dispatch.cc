@@ -99,6 +99,17 @@ void WindowCombine(double* y, size_t n, size_t lag, double background,
   Active()->window_combine(y, n, lag, background, height);
 }
 
+void PrefixSum(const double* x, size_t n, double* out) {
+  Active()->prefix_sum(x, n, out);
+}
+
+void BandRows(const BandRow* rows, const double* coef, size_t n_rows,
+              size_t k, const double* prefix, const double* x,
+              double background, double height, double* y) {
+  Active()->band_rows(rows, coef, n_rows, k, prefix, x, background, height,
+                      y);
+}
+
 void LessThan(const double* u, double threshold, uint8_t* out, size_t n) {
   Active()->less_than(u, threshold, out, n);
 }

@@ -7,6 +7,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "kernels/kernels.h"
+
 namespace numdist::kernels {
 
 struct KernelTable {
@@ -16,6 +18,9 @@ struct KernelTable {
   double (*mul_and_sum)(double*, const double*, size_t);
   void (*scale)(double*, double, size_t);
   void (*window_combine)(double*, size_t, size_t, double, double);
+  void (*prefix_sum)(const double*, size_t, double*);
+  void (*band_rows)(const BandRow*, const double*, size_t, size_t,
+                    const double*, const double*, double, double, double*);
   void (*less_than)(const double*, double, uint8_t*, size_t);
   void (*grr_response_map)(const double*, const uint32_t*, uint32_t*, size_t,
                            double, double, uint32_t);

@@ -20,6 +20,12 @@
 //     per element. No FMA contraction is used on any path (the kernel
 //     TUs are compiled with -ffp-contract=off), so a fused multiply-add
 //     can never make one path round differently from another.
+//   * PrefixSum walks 4-element blocks: an in-block two-step shifted add
+//     (the AVX2 lane shifts, zeros shifted in) plus the running carry,
+//     then a sequential tail. BandRows computes each row independently:
+//     its edge terms in four fixed lanes (two left, two right) reduced as
+//     (l0 + l1) + (r0 + r1), then added to the interior term. The scalar
+//     build performs both in exactly that order.
 //   * Crc32c is integer arithmetic: the scalar build's table loop is the
 //     reference, and the AVX2 build's SSE4.2 crc32 instruction computes
 //     the same polynomial, so both tiers return the same checksum.
@@ -90,6 +96,35 @@ void Scale(double* x, double a, size_t n);
 /// into background-plus-box-kernel responses.
 void WindowCombine(double* y, size_t n, size_t lag, double background,
                    double height);
+
+/// Exclusive prefix sum: out[0] = 0 and out[k] = x[0] + ... + x[k-1] for k
+/// in [1, n], so `out` holds n + 1 entries and out[n] is the total. The
+/// additions follow the fixed blocked order in the header comment, so
+/// every tier returns the same bits. `out` must not overlap `x`.
+void PrefixSum(const double* x, size_t n, double* out);
+
+/// One row of a banded operator (BandRows): the interior [lo, hi) of the
+/// input, and where the row's left and right edge blocks start.
+struct BandRow {
+  uint32_t lo;
+  uint32_t hi;
+  uint32_t left;
+  uint32_t right;
+};
+
+/// Banded rows over a prefix sum: for each j in [0, n_rows),
+///   y[j] = (background + height * (prefix[hi] - prefix[lo])) + edge_j,
+///   edge_j = sum over t < k of c[4(t/2) + t%2] * x[left + t]
+///                            + c[4(t/2) + 2 + t%2] * x[right + t],
+/// where (lo, hi, left, right) = rows[j] and c = coef + j * 4 * ceil(k/2):
+/// each pair of edge positions is one 4-wide group (left pair, right
+/// pair). `prefix` is PrefixSum of `x`. Every x[left + t] and x[right + t]
+/// with t < k must be in bounds; the odd position past an odd k is not
+/// read from x and adds its (finite) coefficient times 0. The edge terms
+/// accumulate per lane in group order and reduce as (l0 + l1) + (r0 + r1).
+void BandRows(const BandRow* rows, const double* coef, size_t n_rows,
+              size_t k, const double* prefix, const double* x,
+              double background, double height, double* y);
 
 /// out[i] = u[i] < threshold ? 1 : 0 (the vectorized Bernoulli compare
 /// behind Rng::FillBernoulli and the OUE row encoder).

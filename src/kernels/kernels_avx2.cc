@@ -160,6 +160,96 @@ void WindowCombineAvx2(double* y, size_t n, size_t lag, double background,
   }
 }
 
+void PrefixSumAvx2(const double* x, size_t n, double* out) {
+  out[0] = 0.0;
+  __m256d carry = _mm256_setzero_pd();  // the running total, in every lane
+  const size_t n4 = n & ~size_t{3};
+  for (size_t i = 0; i < n4; i += 4) {
+    const __m256d v = _mm256_loadu_pd(x + i);
+    // [0, 0, v0, v1], then the shift by one lane: [0, v0, v1, v2].
+    const __m256d v_by2 = _mm256_permute2f128_pd(v, v, 0x08);
+    const __m256d a = _mm256_add_pd(v, _mm256_shuffle_pd(v_by2, v, 0x5));
+    const __m256d b = _mm256_add_pd(a, _mm256_permute2f128_pd(a, a, 0x08));
+    _mm256_storeu_pd(out + i + 1, _mm256_add_pd(carry, b));
+    // carry + b3 is the block's last output; adding the broadcast b3 keeps
+    // the loop-carried chain to one add per block.
+    carry = _mm256_add_pd(carry, _mm256_permute4x64_pd(b, 0xFF));
+  }
+  double tail = _mm256_cvtsd_f64(carry);
+  for (size_t i = n4; i < n; ++i) {
+    tail += x[i];
+    out[i + 1] = tail;
+  }
+}
+
+// A row's edge lanes: each 4-wide group is an unaligned left pair and
+// right pair of x (the half load of a group past k zero-fills its second
+// lane), accumulated in group order.
+inline __m256d BandEdgeLanes(const BandRow& r, const double* c, size_t full,
+                             size_t groups, const double* x) {
+  const double* xl = x + r.left;
+  const double* xr = x + r.right;
+  __m256d lane = _mm256_setzero_pd();
+  for (size_t g = 0; g < full; ++g) {
+    const __m256d xv = _mm256_insertf128_pd(
+        _mm256_castpd128_pd256(_mm_loadu_pd(xl + 2 * g)),
+        _mm_loadu_pd(xr + 2 * g), 1);
+    lane = _mm256_add_pd(lane, _mm256_mul_pd(_mm256_loadu_pd(c + 4 * g), xv));
+  }
+  if (full < groups) {
+    const __m256d xv = _mm256_insertf128_pd(
+        _mm256_castpd128_pd256(_mm_load_sd(xl + 2 * full)),
+        _mm_load_sd(xr + 2 * full), 1);
+    lane = _mm256_add_pd(lane,
+                         _mm256_mul_pd(_mm256_loadu_pd(c + 4 * full), xv));
+  }
+  return lane;
+}
+
+// Four rows per step: their edge lanes reduce together, two horizontal
+// adds and one cross-half add giving each row (l0 + l1) + (r0 + r1), and
+// the interior terms and stores go four wide. The remaining rows reduce
+// one at a time in the same order.
+void BandRowsAvx2(const BandRow* rows, const double* coef, size_t n_rows,
+                  size_t k, const double* prefix, const double* x,
+                  double background, double height, double* y) {
+  const size_t groups = (k + 1) / 2;
+  const size_t full = k / 2;
+  const size_t stride = 4 * groups;
+  const __m256d bg = _mm256_set1_pd(background);
+  const __m256d h = _mm256_set1_pd(height);
+  size_t j = 0;
+  for (; j + 4 <= n_rows; j += 4) {
+    const BandRow* r = rows + j;
+    const double* c = coef + j * stride;
+    const __m256d e0 = BandEdgeLanes(r[0], c, full, groups, x);
+    const __m256d e1 = BandEdgeLanes(r[1], c + stride, full, groups, x);
+    const __m256d e2 = BandEdgeLanes(r[2], c + 2 * stride, full, groups, x);
+    const __m256d e3 = BandEdgeLanes(r[3], c + 3 * stride, full, groups, x);
+    const __m256d t01 = _mm256_hadd_pd(e0, e1);
+    const __m256d t23 = _mm256_hadd_pd(e2, e3);
+    const __m256d edge =
+        _mm256_add_pd(_mm256_permute2f128_pd(t01, t23, 0x20),
+                      _mm256_permute2f128_pd(t01, t23, 0x31));
+    const __m256d p_hi = _mm256_set_pd(prefix[r[3].hi], prefix[r[2].hi],
+                                       prefix[r[1].hi], prefix[r[0].hi]);
+    const __m256d p_lo = _mm256_set_pd(prefix[r[3].lo], prefix[r[2].lo],
+                                       prefix[r[1].lo], prefix[r[0].lo]);
+    const __m256d interior =
+        _mm256_add_pd(bg, _mm256_mul_pd(h, _mm256_sub_pd(p_hi, p_lo)));
+    _mm256_storeu_pd(y + j, _mm256_add_pd(interior, edge));
+  }
+  for (; j < n_rows; ++j) {
+    const BandRow& r = rows[j];
+    const __m256d lane = BandEdgeLanes(r, coef + j * stride, full, groups, x);
+    const __m128d pairs = _mm_hadd_pd(_mm256_castpd256_pd128(lane),
+                                      _mm256_extractf128_pd(lane, 1));
+    const double edge =
+        _mm_cvtsd_f64(_mm_add_sd(pairs, _mm_unpackhi_pd(pairs, pairs)));
+    y[j] = (background + height * (prefix[r.hi] - prefix[r.lo])) + edge;
+  }
+}
+
 void LessThanAvx2(const double* u, double threshold, uint8_t* out, size_t n) {
   const __m256d t = _mm256_set1_pd(threshold);
   // Bit b of the movemask is lane b's compare; expand the 4-bit mask to 4
@@ -239,9 +329,10 @@ uint32_t Crc32cAvx2(const void* data, size_t len, uint32_t seed) {
 }
 
 constexpr KernelTable kAvx2Table = {
-    DotAvx2,         SumAvx2,           AxpyAvx2,
-    MulAndSumAvx2,   ScaleAvx2,         WindowCombineAvx2,
-    LessThanAvx2,    GrrResponseMapAvx2, Crc32cAvx2,
+    DotAvx2,          SumAvx2,      AxpyAvx2,
+    MulAndSumAvx2,    ScaleAvx2,    WindowCombineAvx2,
+    PrefixSumAvx2,    BandRowsAvx2, LessThanAvx2,
+    GrrResponseMapAvx2, Crc32cAvx2,
 };
 
 }  // namespace

@@ -79,6 +79,52 @@ void WindowCombineScalar(double* y, size_t n, size_t lag, double background,
   }
 }
 
+// Mirrors the AVX2 block: lanes shifted by one then by two positions
+// (zeros shifted in) and added, then the running carry added to all four.
+void PrefixSumScalar(const double* x, size_t n, double* out) {
+  double carry = 0.0;
+  out[0] = carry;
+  const size_t n4 = n & ~size_t{3};
+  for (size_t i = 0; i < n4; i += 4) {
+    const double a0 = x[i] + 0.0;
+    const double a1 = x[i + 1] + x[i];
+    const double a2 = x[i + 2] + x[i + 1];
+    const double a3 = x[i + 3] + x[i + 2];
+    out[i + 1] = carry + (a0 + 0.0);
+    out[i + 2] = carry + (a1 + 0.0);
+    out[i + 3] = carry + (a2 + a0);
+    out[i + 4] = carry + (a3 + a1);
+    carry = out[i + 4];
+  }
+  for (size_t i = n4; i < n; ++i) {
+    carry += x[i];
+    out[i + 1] = carry;
+  }
+}
+
+void BandRowsScalar(const BandRow* rows, const double* coef, size_t n_rows,
+                    size_t k, const double* prefix, const double* x,
+                    double background, double height, double* y) {
+  const size_t groups = (k + 1) / 2;
+  for (size_t j = 0; j < n_rows; ++j) {
+    const BandRow r = rows[j];
+    const double* c = coef + j * 4 * groups;
+    // Lanes: left pair, right pair. The position past an odd k reads 0,
+    // as the AVX2 build's zero-filled half load does.
+    double lane[4] = {0.0, 0.0, 0.0, 0.0};
+    for (size_t g = 0; g < groups; ++g) {
+      const size_t t = 2 * g;
+      const bool odd_in = t + 1 < k;
+      lane[0] = lane[0] + c[4 * g] * x[r.left + t];
+      lane[1] = lane[1] + c[4 * g + 1] * (odd_in ? x[r.left + t + 1] : 0.0);
+      lane[2] = lane[2] + c[4 * g + 2] * x[r.right + t];
+      lane[3] = lane[3] + c[4 * g + 3] * (odd_in ? x[r.right + t + 1] : 0.0);
+    }
+    const double edge = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+    y[j] = (background + height * (prefix[r.hi] - prefix[r.lo])) + edge;
+  }
+}
+
 void LessThanScalar(const double* u, double threshold, uint8_t* out,
                     size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = u[i] < threshold ? 1 : 0;
@@ -127,9 +173,10 @@ uint32_t Crc32cScalar(const void* data, size_t len, uint32_t seed) {
 }
 
 constexpr KernelTable kScalarTable = {
-    DotScalar,         SumScalar,           AxpyScalar,
-    MulAndSumScalar,   ScaleScalar,         WindowCombineScalar,
-    LessThanScalar,    GrrResponseMapScalar, Crc32cScalar,
+    DotScalar,          SumScalar,      AxpyScalar,
+    MulAndSumScalar,    ScaleScalar,    WindowCombineScalar,
+    PrefixSumScalar,    BandRowsScalar, LessThanScalar,
+    GrrResponseMapScalar, Crc32cScalar,
 };
 
 }  // namespace

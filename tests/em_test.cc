@@ -3,10 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/histogram.h"
+#include "common/rng.h"
 #include "core/ems.h"
+#include "core/observation_model.h"
 #include "core/square_wave.h"
+#include "kernels/kernels.h"
 
 namespace numdist {
 namespace {
@@ -110,6 +118,125 @@ TEST(EmTest, HonorsIterationCap) {
   opts.tol = 0.0;  // never converge by tolerance
   const EmResult res = EstimateEm(m, counts, opts).ValueOrDie();
   EXPECT_EQ(res.iterations, 7u);
+}
+
+// ------------------------------------------------ log-likelihood skip --
+//
+// EM takes the E step's logs only on the iterations whose log-likelihood
+// its stopping rule or result reads. A hand-rolled copy of the loop that
+// takes them on every iteration, through the public EmSweep, must agree
+// with it bit for bit.
+
+// EM's loop (em.cc RunEm) with the log-likelihood on every iteration; the
+// warm start floors at 1e-12 / d and renormalizes as em.h documents.
+EmResult EmWithEveryLogLikelihood(const ObservationModel& model,
+                                  const std::vector<double>& counts,
+                                  const EmOptions& opts,
+                                  const std::vector<double>* warm) {
+  const size_t d = model.cols();
+  std::vector<double> x(d, 1.0 / static_cast<double>(d));
+  if (warm != nullptr) {
+    const double floor = 1e-12 / static_cast<double>(d);
+    double total = 0.0;
+    for (size_t i = 0; i < d; ++i) {
+      const double v = (*warm)[i];
+      x[i] = (std::isfinite(v) && v > floor) ? v : floor;
+      total += x[i];
+    }
+    kernels::Scale(x.data(), 1.0 / total, d);
+  }
+  std::vector<double> y;
+  std::vector<double> weights;
+  std::vector<double> next(d);
+  EmResult result;
+  double prev_ll = -std::numeric_limits<double>::infinity();
+  for (size_t iter = 1; iter <= opts.max_iterations; ++iter) {
+    const double ll = model.EmSweep(x, counts, &y, &weights, &next,
+                                    /*with_log_likelihood=*/true);
+    const double total = kernels::MulAndSum(next.data(), x.data(), d);
+    kernels::Scale(next.data(), 1.0 / total, d);
+    if (opts.smoothing) BinomialSmooth(&next);
+    std::swap(x, next);
+    result.iterations = iter;
+    result.log_likelihood = ll;
+    if (iter >= opts.min_iterations && ll - prev_ll < opts.tol &&
+        std::isfinite(prev_ll)) {
+      result.converged = true;
+      break;
+    }
+    prev_ll = ll;
+  }
+  result.estimate = x;
+  return result;
+}
+
+TEST(EmLogLikelihoodSkipTest, EqualsTakingLogsOnEveryIteration) {
+  const size_t d = 48;
+  const SquareWave sw = SquareWave::Make(1.0).ValueOrDie();
+  const Matrix m = sw.TransitionMatrix(d, d);
+  const DenseObservationModel dense(&m);
+  const SlidingWindowObservationModel sliding =
+      SlidingWindowObservationModel::FromContinuous(sw, d, d);
+  Rng rng(41);
+  std::vector<double> reports;
+  for (size_t i = 0; i < 20000; ++i) {
+    reports.push_back(sw.Perturb(rng.Bernoulli(0.4) ? 0.2 : 0.75, rng));
+  }
+  const std::vector<uint64_t> histogram = sw.BucketizeReports(reports, d);
+  const std::vector<double> counts(histogram.begin(), histogram.end());
+  // A warm start with an exact zero and a non-finite entry, both floored.
+  std::vector<double> warm(d);
+  for (double& v : warm) v = rng.Uniform();
+  warm[3] = 0.0;
+  warm[7] = std::numeric_limits<double>::quiet_NaN();
+
+  const ObservationModel* models[] = {&dense, &sliding};
+  size_t converged = 0;
+  size_t capped = 0;
+  for (const ObservationModel* model : models) {
+    for (const size_t min_iterations : {0, 1, 5, 20}) {
+      for (const size_t max_iterations : {1, 3, 50}) {
+        for (const bool is_warm : {false, true}) {
+          for (const bool smoothing : {false, true}) {
+            EmOptions opts;
+            opts.tol = 2.0;
+            opts.min_iterations = min_iterations;
+            opts.max_iterations = max_iterations;
+            opts.smoothing = smoothing;
+            EmCheckpoint checkpoint;
+            if (is_warm) checkpoint.estimate = warm;
+            const EmResult got =
+                EstimateEmWeighted(*model, counts, opts, &checkpoint)
+                    .ValueOrDie();
+            const EmResult want = EmWithEveryLogLikelihood(
+                *model, counts, opts, is_warm ? &warm : nullptr);
+            const std::string where =
+                std::string(model == &dense ? "dense" : "sliding") +
+                " min=" + std::to_string(min_iterations) +
+                " max=" + std::to_string(max_iterations) +
+                (is_warm ? " warm" : " cold") +
+                (smoothing ? " ems" : " em");
+            ASSERT_EQ(got.estimate.size(), d) << where;
+            EXPECT_EQ(std::memcmp(got.estimate.data(), want.estimate.data(),
+                                  d * sizeof(double)),
+                      0)
+                << where;
+            EXPECT_EQ(got.iterations, want.iterations) << where;
+            EXPECT_EQ(got.converged, want.converged) << where;
+            EXPECT_EQ(std::memcmp(&got.log_likelihood, &want.log_likelihood,
+                                  sizeof(double)),
+                      0)
+                << where << " ll " << got.log_likelihood << " vs "
+                << want.log_likelihood;
+            (got.converged ? converged : capped) += 1;
+          }
+        }
+      }
+    }
+  }
+  // The grid runs both exits of the loop.
+  EXPECT_GT(converged, 0u);
+  EXPECT_GT(capped, 0u);
 }
 
 // ------------------------------------------------------- smoothing --

@@ -121,6 +121,98 @@ TEST(KernelDispatchTest, ElementwiseKernelsAreBitExactAcrossIsas) {
   }
 }
 
+// A random band table in kernels::BandRows layout over n inputs: k edge
+// positions per side, blocks and interiors anywhere in bounds, and a
+// huge coefficient on the padding position of an odd k, which must add
+// nothing.
+struct RandomBands {
+  std::vector<kernels::BandRow> rows;
+  std::vector<double> coef;
+};
+
+RandomBands MakeRandomBands(size_t n_rows, size_t n, size_t k,
+                            uint64_t seed) {
+  Rng rng(seed);
+  RandomBands bands;
+  const size_t groups = (k + 1) / 2;
+  for (size_t j = 0; j < n_rows; ++j) {
+    const auto at = [&](size_t limit) {
+      return static_cast<uint32_t>(rng.UniformInt(limit + 1));
+    };
+    const uint32_t lo = at(n);
+    const uint32_t hi = lo + at(n - lo);
+    bands.rows.push_back({lo, hi, at(n - k), at(n - k)});
+    for (size_t c = 0; c < 4 * groups; ++c) {
+      const size_t pos = 2 * (c / 4) + c % 2;
+      bands.coef.push_back(pos < k ? rng.Uniform(0.0, 2.0) : 1e300);
+    }
+  }
+  return bands;
+}
+
+TEST(KernelDispatchTest, BandKernelsAreBitExactAcrossIsas) {
+  IsaGuard guard;
+  // Lengths off the 4-wide blocks, and edge widths that fill whole and
+  // half 4-wide groups.
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{6},
+                         size_t{17}, size_t{258}, size_t{1023}}) {
+    const std::vector<double> x = RandomVector(n, 131 + n);
+    for (const size_t k : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
+                           size_t{4}, size_t{7}}) {
+      if (k > n) continue;
+      const size_t n_rows = 2 * n + 5;
+      const RandomBands bands = MakeRandomBands(n_rows, n, k, 7 * n + k);
+      auto run = [&](Isa isa) {
+        kernels::ForceIsaForTest(isa);
+        std::vector<double> out(n + 1 + n_rows);
+        kernels::PrefixSum(x.data(), n, out.data());
+        kernels::BandRows(bands.rows.data(), bands.coef.data(), n_rows, k,
+                          out.data(), x.data(), 0.375, 1.25,
+                          out.data() + n + 1);
+        return out;
+      };
+      const std::vector<double> scalar = run(Isa::kScalar);
+      for (const Isa isa : kVectorIsas) {
+        const std::vector<double> vector = run(isa);
+        EXPECT_EQ(std::memcmp(scalar.data(), vector.data(),
+                              scalar.size() * sizeof(double)),
+                  0)
+            << "PrefixSum + BandRows n=" << n << " k=" << k
+            << " isa=" << kernels::IsaName(isa);
+      }
+    }
+  }
+}
+
+TEST(KernelDispatchTest, BandKernelsMatchTheirDefinitions) {
+  const size_t n = 37;
+  const size_t k = 5;
+  const std::vector<double> x = RandomVector(n, 5, 0.0, 1.0);
+  std::vector<double> prefix(n + 1);
+  kernels::PrefixSum(x.data(), n, prefix.data());
+  double running = 0.0;
+  EXPECT_EQ(prefix[0], 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    running += x[i];
+    EXPECT_NEAR(prefix[i + 1], running, 1e-14) << i;
+  }
+  const size_t n_rows = 11;
+  const RandomBands bands = MakeRandomBands(n_rows, n, k, 3);
+  std::vector<double> y(n_rows);
+  kernels::BandRows(bands.rows.data(), bands.coef.data(), n_rows, k,
+                    prefix.data(), x.data(), 0.5, 2.0, y.data());
+  const size_t stride = 4 * ((k + 1) / 2);
+  for (size_t j = 0; j < n_rows; ++j) {
+    const kernels::BandRow& r = bands.rows[j];
+    double want = 0.5 + 2.0 * (prefix[r.hi] - prefix[r.lo]);
+    for (size_t t = 0; t < k; ++t) {
+      const double* c = bands.coef.data() + j * stride + 4 * (t / 2) + t % 2;
+      want += c[0] * x[r.left + t] + c[2] * x[r.right + t];
+    }
+    EXPECT_NEAR(y[j], want, 1e-13) << j;
+  }
+}
+
 TEST(KernelDispatchTest, LessThanAndGrrMapAgreeAcrossIsas) {
   IsaGuard guard;
   for (size_t n : kSizes) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <thread>
 
 #include "common/rng.h"
 #include "core/em.h"
@@ -50,8 +52,9 @@ TEST_P(SlidingWindowGridTest, ContinuousMatchesDense) {
 
   // Tolerance: both sides accumulate d rounded terms, and under
   // -march=native (NUMDIST_NATIVE=ON) the compiler may contract the
-  // cursor/overlap arithmetic into FMAs, shifting each side by a few ulp —
-  // 5e-12 absolute covers the grid up to d = 1024 in every build mode.
+  // band-table/overlap arithmetic into FMAs, shifting each side by a few
+  // ulp — 5e-12 absolute covers the grid up to d = 1024 in every build
+  // mode.
   Rng rng(101);
   std::vector<double> x(d);
   for (double& v : x) v = rng.Uniform();
@@ -109,7 +112,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          size_t{1024})));
 
 TEST(SlidingWindowModelTest, RectangularContinuousMatchesDense) {
-  // d_out != d exercises the incommensurate-grid cursor paths.
+  // d_out != d exercises the incommensurate-grid band rows.
   const SquareWave sw = SquareWave::Make(1.5, 0.2).ValueOrDie();
   const size_t d = 48;
   const size_t d_out = 96;
@@ -133,6 +136,144 @@ TEST(SlidingWindowModelTest, RectangularContinuousMatchesDense) {
   for (size_t i = 0; i < d; ++i) {
     EXPECT_NEAR(fast_t[i], dense_t[i], 1e-12) << "i=" << i;
   }
+}
+
+// ------------------------------------------------ continuous band form --
+//
+// The continuous operator's rows are a prefix-sum interior plus exact edge
+// coefficients. Every shape of output grid (d_out = d, coarser, finer,
+// incommensurate) and input (dense, half empty, all mass on one end) must
+// match the dense matrix at the grid tolerance above.
+
+enum class InputShape { kUniform, kHalfZero, kFirstOnly, kLastOnly };
+
+std::vector<double> MakeInput(InputShape shape, size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> v(n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    switch (shape) {
+      case InputShape::kUniform:
+        v[i] = rng.Uniform();
+        break;
+      case InputShape::kHalfZero:
+        v[i] = i < n / 2 ? 0.0 : rng.Uniform();
+        break;
+      case InputShape::kFirstOnly:
+        v[i] = i == 0 ? 1.0 : 0.0;
+        break;
+      case InputShape::kLastOnly:
+        v[i] = i + 1 == n ? 1.0 : 0.0;
+        break;
+    }
+  }
+  return v;
+}
+
+void ExpectContinuousMatchesDense(const SquareWave& sw, size_t d,
+                                  size_t d_out, double tolerance) {
+  const Matrix m = sw.TransitionMatrix(d, d_out);
+  const SlidingWindowObservationModel model =
+      SlidingWindowObservationModel::FromContinuous(sw, d, d_out);
+  ASSERT_EQ(model.rows(), d_out);
+  ASSERT_EQ(model.cols(), d);
+  for (const InputShape shape :
+       {InputShape::kUniform, InputShape::kHalfZero, InputShape::kFirstOnly,
+        InputShape::kLastOnly}) {
+    const int s = static_cast<int>(shape);
+    const std::vector<double> x = MakeInput(shape, d, 200 + d + s);
+    std::vector<double> fast;
+    model.Apply(x, &fast);
+    const std::vector<double> dense = m.Multiply(x);
+    for (size_t j = 0; j < d_out; ++j) {
+      ASSERT_NEAR(fast[j], dense[j], tolerance)
+          << "Apply d_out=" << d_out << " shape=" << s << " j=" << j;
+    }
+    const std::vector<double> z = MakeInput(shape, d_out, 300 + d_out + s);
+    std::vector<double> fast_t;
+    model.ApplyTranspose(z, &fast_t);
+    const std::vector<double> dense_t = m.TransposeMultiply(z);
+    for (size_t i = 0; i < d; ++i) {
+      ASSERT_NEAR(fast_t[i], dense_t[i], tolerance)
+          << "ApplyTranspose d_out=" << d_out << " shape=" << s << " i=" << i;
+    }
+  }
+}
+
+class ContinuousBandGridTest
+    : public ::testing::TestWithParam<std::tuple<double, size_t>> {};
+
+TEST_P(ContinuousBandGridTest, EveryOutputGridMatchesDense) {
+  const auto [eps, d] = GetParam();
+  const SquareWave sw = SquareWave::Make(eps).ValueOrDie();
+  for (const size_t d_out : {d, d / 2 + 1, 2 * d, 3 * d + 1}) {
+    ExpectContinuousMatchesDense(sw, d, d_out, 5e-12);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EpsTimesD, ContinuousBandGridTest,
+    ::testing::Combine(::testing::Values(0.5, 1.0, 4.0, 8.0),
+                       ::testing::Values(size_t{2}, size_t{3}, size_t{16},
+                                         size_t{257}, size_t{1024})));
+
+TEST(SlidingWindowModelTest, RowsWithNoInteriorBandMatchDense) {
+  // At eps = 4 the wave (2b ~ 0.06) is narrower than an output bucket at
+  // d = 16, and the plateau between its two slopes (w_out - 2b) is shorter
+  // than an input bucket: no row has an interior band, and every bucket a
+  // row touches is an edge.
+  const SquareWave sw = SquareWave::Make(4.0).ValueOrDie();
+  const size_t d = 16;
+  const double w_in = 1.0 / d;
+  const double w_out = (1.0 + 2.0 * sw.b()) / d;
+  ASSERT_LT(2.0 * sw.b(), w_out);
+  ASSERT_LT(w_out - 2.0 * sw.b(), w_in);
+  ExpectContinuousMatchesDense(sw, d, d, 1e-12);
+}
+
+TEST(SlidingWindowModelTest, ProductsAreTheSameBitsOnFirstAndLaterCalls) {
+  // The band tables are built by the first product of a model and shared
+  // by every live model of its shape. A second call, a copy made before
+  // the build, tables built again once no model of the shape is left, and
+  // threads racing to build them all give the same bits.
+  const SquareWave sw = SquareWave::Make(1.0).ValueOrDie();
+  const size_t d = 300;
+  const size_t d_out = 451;
+  const std::vector<double> x = MakeInput(InputShape::kUniform, d, 1);
+  const std::vector<double> z = MakeInput(InputShape::kUniform, d_out, 2);
+  const auto products = [&](const SlidingWindowObservationModel& model) {
+    std::vector<double> y;
+    std::vector<double> xt;
+    model.Apply(x, &y);
+    model.ApplyTranspose(z, &xt);
+    y.insert(y.end(), xt.begin(), xt.end());
+    return y;
+  };
+  std::vector<double> want;
+  const auto same_bits = [&](const std::vector<double>& got) {
+    return got.size() == want.size() &&
+           std::memcmp(got.data(), want.data(),
+                       want.size() * sizeof(double)) == 0;
+  };
+  {
+    const SlidingWindowObservationModel first =
+        SlidingWindowObservationModel::FromContinuous(sw, d, d_out);
+    const SlidingWindowObservationModel copy = first;  // before any product
+    want = products(first);
+    EXPECT_TRUE(same_bits(products(first)));
+    EXPECT_TRUE(same_bits(products(copy)));
+    EXPECT_TRUE(same_bits(products(
+        SlidingWindowObservationModel::FromContinuous(sw, d, d_out))));
+  }
+  const SlidingWindowObservationModel rebuilt =
+      SlidingWindowObservationModel::FromContinuous(sw, d, d_out);
+  std::vector<std::vector<double>> got(4);
+  std::vector<std::thread> threads;
+  for (auto& out : got) {
+    threads.emplace_back(
+        [&rebuilt, &products, &out] { out = products(rebuilt); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const auto& out : got) EXPECT_TRUE(same_bits(out));
 }
 
 TEST(SlidingWindowModelTest, GrrDegenerateDiscreteBandwidth) {

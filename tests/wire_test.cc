@@ -15,8 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -240,6 +243,37 @@ TEST(WireRoundTrip, SwReportFramesCarryOneNarrowIndexPerReport) {
     ASSERT_TRUE(wire::EncodeReportFrame(spec, *protocol, *chunk, &frame).ok());
     EXPECT_EQ(frame.size(), bytes) << "d=" << d;
   }
+}
+
+// Resident memory of this process in bytes (/proc/self/statm).
+size_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  size_t pages = 0;
+  size_t resident = 0;
+  statm >> pages >> resident;
+  return resident * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(WireRoundTrip, EncodingAtTheLargestGranularityBuildsNoPerBucketState) {
+  // A protocol that only encodes must not pay for reconstruction state:
+  // the SW operator's band tables (over 100 MB at d = 2^20) are built by
+  // the first product, not by the protocol.
+  const std::vector<double> values = TestValues(500);
+  const size_t before = ResidentBytes();
+  ASSERT_GT(before, 0u);
+  std::vector<ProtocolPtr> protocols;
+  for (int i = 0; i < 4; ++i) {
+    const auto spec = wire::ParseMethodSpec("sw-ems", 1.0,
+                                            wire::kMaxGranularity)
+                          .ValueOrDie();
+    protocols.push_back(wire::MakeProtocolForSpec(spec).ValueOrDie());
+    Rng rng(11 + i);
+    auto chunk = protocols.back()->EncodePerturbBatch(values, rng).ValueOrDie();
+    std::string frame;
+    ASSERT_TRUE(
+        wire::EncodeReportFrame(spec, *protocols.back(), *chunk, &frame).ok());
+  }
+  EXPECT_LT(ResidentBytes(), before + (size_t{16} << 20));
 }
 
 TEST(WireRoundTrip, ReconstructionAfterTheWireIsBitIdentical) {
