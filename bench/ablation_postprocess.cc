@@ -14,6 +14,7 @@
 #include "bench_common.h"
 #include "common/histogram.h"
 #include "core/ems.h"
+#include "core/observation_model.h"
 #include "core/square_wave.h"
 #include "eval/table.h"
 #include "fo/adaptive.h"
@@ -65,14 +66,17 @@ int main(int argc, char** argv) {
         reports.reserve(values.size());
         for (double v : values) reports.push_back(sw.Perturb(v, trial_rng));
         const std::vector<uint64_t> counts = sw.BucketizeReports(reports, d);
-        const Matrix m = sw.TransitionMatrix(d, d);
+        const SlidingWindowObservationModel model =
+            SlidingWindowObservationModel::FromContinuous(sw, d, d);
 
-        const EmResult ems = EstimateEms(m, counts).ValueOrDie();
+        EmOptions ems_opts;
+        ems_opts.smoothing = true;
+        const EmResult ems = EstimateEm(model, counts, ems_opts).ValueOrDie();
         sw_rows[0][e] += WassersteinDistance(truth, ems.estimate) / trials;
 
         EmOptions em_opts;
         em_opts.tol = 1e-3 * std::exp(eps);
-        const EmResult em = EstimateEm(m, counts, em_opts).ValueOrDie();
+        const EmResult em = EstimateEm(model, counts, em_opts).ValueOrDie();
         sw_rows[1][e] += WassersteinDistance(truth, em.estimate) / trials;
 
         const std::vector<double> smooth_only =

@@ -8,7 +8,8 @@
 #include "bench_common.h"
 #include "common/histogram.h"
 #include "core/bandwidth.h"
-#include "core/ems.h"
+#include "core/em.h"
+#include "core/observation_model.h"
 #include "core/square_wave.h"
 #include "eval/table.h"
 #include "metrics/distance.h"
@@ -28,8 +29,12 @@ double SwW1(double eps, double b, const std::vector<double>& values,
     reports.reserve(values.size());
     for (double v : values) reports.push_back(sw.Perturb(v, rng));
     const std::vector<uint64_t> counts = sw.BucketizeReports(reports, d);
+    EmOptions ems;
+    ems.smoothing = true;
     const EmResult res =
-        EstimateEms(sw.TransitionMatrix(d, d), counts).ValueOrDie();
+        EstimateEm(SlidingWindowObservationModel::FromContinuous(sw, d, d),
+                   counts, ems)
+            .ValueOrDie();
     acc += WassersteinDistance(truth, res.estimate);
   }
   return acc / static_cast<double>(trials);

@@ -67,6 +67,28 @@ EmInput MakeEmInput(size_t d) {
           sw.BucketizeReports(reports, d)};
 }
 
+// The discrete pipeline's operator, on DSW reports of the same bimodal
+// input.
+struct DiscreteEmInput {
+  SlidingWindowObservationModel sliding;
+  std::vector<uint64_t> counts;
+};
+
+DiscreteEmInput MakeDiscreteEmInput(size_t d) {
+  const DiscreteSquareWave dsw = DiscreteSquareWave::Make(1.0, d).ValueOrDie();
+  Rng rng(42);
+  std::vector<uint32_t> reports;
+  const size_t n = 50000;
+  reports.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double v = rng.Bernoulli(0.5) ? 0.3 : 0.7;
+    reports.push_back(
+        dsw.Perturb(static_cast<uint32_t>(v * static_cast<double>(d)), rng));
+  }
+  return {SlidingWindowObservationModel::FromDiscrete(dsw),
+          dsw.AggregateReports(reports)};
+}
+
 EmOptions TenFixedIterations() {
   EmOptions opts;
   opts.max_iterations = 10;
@@ -98,6 +120,17 @@ void BM_EmIterationSliding(benchmark::State& state) {
 }
 BENCHMARK(BM_EmIterationSliding)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
+void BM_EmIterationSlidingDiscrete(benchmark::State& state) {
+  const size_t d = static_cast<size_t>(state.range(0));
+  const DiscreteEmInput input = MakeDiscreteEmInput(d);
+  const EmOptions opts = TenFixedIterations();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(EstimateEm(input.sliding, input.counts, opts));
+  }
+  state.SetItemsProcessed(state.iterations() * 10 * 2 * d * d);
+}
+BENCHMARK(BM_EmIterationSlidingDiscrete)->Arg(256)->Arg(1024);
+
 // Heap allocations per EM iteration, measured by differencing a long run
 // against a short run on identical inputs (setup allocations cancel).
 // Must report 0 for every model: the whole iteration loop is in-place.
@@ -126,7 +159,8 @@ void BM_EmAllocationsPerIteration(benchmark::State& state) {
 BENCHMARK(BM_EmAllocationsPerIteration)->Iterations(1);
 
 // Raw mat-vec pair (Apply + ApplyTranspose) cost of the two
-// representations of the same SW transition operator.
+// representations of the same SW transition operator, and of the discrete
+// pipeline's operator.
 template <typename Model>
 void MatVecPairLoop(benchmark::State& state, const Model& model, size_t d) {
   Rng rng(9);
@@ -145,7 +179,8 @@ void MatVecPairLoop(benchmark::State& state, const Model& model, size_t d) {
 void BM_MatVecDense(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
   const SquareWave sw = SquareWave::Make(1.0).ValueOrDie();
-  const DenseObservationModel dense(sw.TransitionMatrix(d, d));
+  const Matrix m = sw.TransitionMatrix(d, d);
+  const DenseObservationModel dense(&m);
   MatVecPairLoop(state, dense, d);
 }
 BENCHMARK(BM_MatVecDense)->Arg(256)->Arg(1024)->Arg(4096);
@@ -158,6 +193,15 @@ void BM_MatVecSliding(benchmark::State& state) {
   MatVecPairLoop(state, sliding, d);
 }
 BENCHMARK(BM_MatVecSliding)->Arg(256)->Arg(1024)->Arg(4096);
+
+void BM_MatVecSlidingDiscrete(benchmark::State& state) {
+  const size_t d = static_cast<size_t>(state.range(0));
+  const DiscreteSquareWave dsw = DiscreteSquareWave::Make(1.0, d).ValueOrDie();
+  const SlidingWindowObservationModel sliding =
+      SlidingWindowObservationModel::FromDiscrete(dsw);
+  MatVecPairLoop(state, sliding, d);
+}
+BENCHMARK(BM_MatVecSlidingDiscrete)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_EmsFullConvergence(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));

@@ -100,16 +100,8 @@ double DenseObservationModel::EmSweep(const std::vector<double>& x,
 
 namespace {
 
-// One direction of the continuous operator in band form (see the class
-// comment). Row r is the interval [row_lo + r row_w, + row_w), column c
-// the interval [col_lo + c col_w, + col_w), and the row's entry at column
-// c is scale * (integral over column c of g_r), where
-//   g_r(v) = |[rl, rr] ∩ [v - b, v + b]|
-// is a trapezoid in v: it rises with slope 1 over [s0, s1], stays at
-// h = min(row_w, 2b) over [s1, s2] and falls over [s2, s3]. The columns
-// inside [s1, s2] all carry height = scale * h * col_w and are summed
-// through the prefix sum as [lo, hi); the columns the slopes cross are the
-// row's edges, with coefficients in kernels::BandRows layout.
+// One direction of either operator in kernels::BandRows layout (see the
+// class comment).
 struct BandTable {
   std::vector<kernels::BandRow> rows;
   std::vector<double> coef;
@@ -142,6 +134,16 @@ double ColumnArea(const Trapezoid& t, double h, double a, double w) {
   return area;
 }
 
+// One direction of the continuous operator. Row r is the interval
+// [row_lo + r row_w, + row_w), column c the interval [col_lo + c col_w,
+// + col_w), and the row's entry at column c is scale * (integral over
+// column c of g_r), where
+//   g_r(v) = |[rl, rr] ∩ [v - b, v + b]|
+// is a trapezoid in v: it rises with slope 1 over [s0, s1], stays at
+// h = min(row_w, 2b) over [s1, s2] and falls over [s2, s3]. The columns
+// inside [s1, s2] all carry height = scale * h * col_w and are summed
+// through the prefix sum as [lo, hi); the columns the slopes cross are the
+// row's edges.
 BandTable BuildBandTable(double row_lo, double row_w, size_t n_rows,
                          double col_lo, double col_w, size_t n_cols, double b,
                          double scale) {
@@ -204,6 +206,24 @@ BandTable BuildBandTable(double row_lo, double row_w, size_t n_rows,
   return table;
 }
 
+// One direction of the discrete operator: row r is the box of columns
+// [r - before, r + after] clipped to [0, n_cols), all at `height`, so every
+// column is interior and there are no edges (k = 0).
+BandTable BuildBoxTable(size_t n_rows, size_t n_cols, size_t before,
+                        size_t after, double height) {
+  assert(n_cols < (uint64_t{1} << 32));
+  BandTable table;
+  table.height = height;
+  table.rows.resize(n_rows);
+  for (size_t r = 0; r < n_rows; ++r) {
+    const size_t lo = std::min(r - std::min(r, before), n_cols);
+    const size_t hi = std::min(r + after + 1, n_cols);
+    table.rows[r] = {static_cast<uint32_t>(lo), static_cast<uint32_t>(hi), 0,
+                     0};
+  }
+  return table;
+}
+
 // Per-thread workspace for the prefix sums: products are const and run
 // concurrently on one shared model, so it cannot live in the model. It
 // grows to the largest product the thread has run and is then reused, so
@@ -237,6 +257,11 @@ struct SlidingWindowObservationModel::Bands {
 const SlidingWindowObservationModel::Bands&
 SlidingWindowObservationModel::BuiltBands() const {
   std::call_once(bands_->built, [this] {
+    if (discrete_) {
+      bands_->apply = BuildBoxTable(rows_, cols_, 2 * db_, 0, p_ - q_);
+      bands_->transpose = BuildBoxTable(cols_, rows_, 0, 2 * db_, p_ - q_);
+      return;
+    }
     const double scale = (p_ - q_) / w_in_;
     bands_->apply = BuildBandTable(-b_, w_out_, rows_, 0.0, w_in_, cols_, b_,
                                    scale);
@@ -246,11 +271,36 @@ SlidingWindowObservationModel::BuiltBands() const {
   return *bands_;
 }
 
+void SlidingWindowObservationModel::ShareBands(uint64_t b_key) {
+  // The tables are a pure function of this shape, and a process often
+  // holds several models of one shape (a collector's protocol and its live
+  // estimator are built from one spec), so every model of a shape shares
+  // one set while any of them is alive. Never destroyed: a model may be
+  // built during static destruction.
+  using Shape = std::tuple<bool, size_t, size_t, uint64_t, uint64_t, uint64_t>;
+  static std::mutex& mu = *new std::mutex;
+  static auto& shared = *new std::map<Shape, std::weak_ptr<Bands>>;
+  const Shape shape{discrete_,
+                    rows_,
+                    cols_,
+                    std::bit_cast<uint64_t>(p_),
+                    std::bit_cast<uint64_t>(q_),
+                    b_key};
+  const std::lock_guard<std::mutex> lock(mu);
+  std::erase_if(shared,
+                [](const auto& entry) { return entry.second.expired(); });
+  std::weak_ptr<Bands>& slot = shared[shape];
+  bands_ = slot.lock();
+  if (bands_ == nullptr) {
+    bands_ = std::make_shared<Bands>();
+    slot = bands_;
+  }
+}
+
 SlidingWindowObservationModel SlidingWindowObservationModel::FromContinuous(
     const SquareWave& sw, size_t d_in, size_t d_out) {
   assert(d_in >= 1 && d_out >= 1);
   SlidingWindowObservationModel m;
-  m.discrete_ = false;
   m.rows_ = d_out;
   m.cols_ = d_in;
   m.p_ = sw.p();
@@ -258,26 +308,8 @@ SlidingWindowObservationModel SlidingWindowObservationModel::FromContinuous(
   m.b_ = sw.b();
   m.w_in_ = 1.0 / static_cast<double>(d_in);
   m.w_out_ = (1.0 + 2.0 * sw.b()) / static_cast<double>(d_out);
-  // The tables are a pure function of this shape, and a process often
-  // holds several models of one shape (a collector's protocol and its live
-  // estimator are built from one spec), so every model of a shape shares
-  // one set while any of them is alive. Never destroyed: a model may be
-  // built during static destruction.
-  using Shape = std::tuple<size_t, size_t, uint64_t, uint64_t, uint64_t>;
-  static std::mutex& mu = *new std::mutex;
-  static auto& shared = *new std::map<Shape, std::weak_ptr<Bands>>;
-  const Shape shape{d_in, d_out, std::bit_cast<uint64_t>(m.p_),
-                    std::bit_cast<uint64_t>(m.q_),
-                    std::bit_cast<uint64_t>(m.b_)};
-  const std::lock_guard<std::mutex> lock(mu);
-  std::erase_if(shared,
-                [](const auto& entry) { return entry.second.expired(); });
-  std::weak_ptr<Bands>& slot = shared[shape];
-  m.bands_ = slot.lock();
-  if (m.bands_ == nullptr) {
-    m.bands_ = std::make_shared<Bands>();
-    slot = m.bands_;
-  }
+  m.background_ = m.q_ * m.w_out_;
+  m.ShareBands(std::bit_cast<uint64_t>(m.b_));
   return m;
 }
 
@@ -290,73 +322,21 @@ SlidingWindowObservationModel SlidingWindowObservationModel::FromDiscrete(
   m.p_ = dsw.p();
   m.q_ = dsw.q();
   m.db_ = dsw.b();
+  m.background_ = m.q_;
+  m.ShareBands(m.db_);
   return m;
 }
 
 void SlidingWindowObservationModel::Apply(const std::vector<double>& x,
                                           std::vector<double>* y) const {
   assert(x.size() == cols_);
-  if (discrete_) {
-    const double total = kernels::Sum(x.data(), x.size());
-    y->resize(rows_);
-    // y_j = q sum(x) + (p - q) sum_{i in [j - 2b, j]} x_i. Two passes: a
-    // sequential prefix fill P(min(j, d-1)) into y itself, then the
-    // dispatched descending window combine y_j = background + height *
-    // (P(min(j, d-1)) - P(j - 2b - 1)) — same additions in the same order
-    // as the historical running-cursor loop, but the combine vectorizes.
-    const double background = q_ * total;
-    const double height = p_ - q_;
-    const size_t lag = 2 * db_ + 1;
-    double prefix = 0.0;
-    size_t add = 0;
-    for (size_t j = 0; j < rows_; ++j) {
-      while (add <= j && add < cols_) prefix += x[add++];
-      (*y)[j] = prefix;
-    }
-    kernels::WindowCombine(y->data(), rows_, lag, background, height);
-    return;
-  }
-
-  ApplyBands(BuiltBands().apply, q_ * w_out_, x, y);
+  ApplyBands(BuiltBands().apply, background_, x, y);
 }
 
 void SlidingWindowObservationModel::ApplyTranspose(
     const std::vector<double>& z, std::vector<double>* out) const {
   assert(z.size() == rows_);
-  if (discrete_) {
-    const double total = kernels::Sum(z.data(), z.size());
-    out->resize(cols_);
-    // out_i = q sum(z) + (p - q) sum_{j in [i, i + 2b]} z_j. Same two-pass
-    // shape as Apply — prefix fill P(min(i + 2b, rows - 1)) into out, then
-    // the descending combine subtracting P(i - 1) = out_prefill[i - lag].
-    // The combine's zero-lag head (i < lag, where i - lag underflows) is
-    // wrong for the transpose, whose window clips at the TOP, not at 0:
-    // the true subtrahend there is P(i - 1), not 0. Rebuilt below with the
-    // same fold order, overwriting only those head entries.
-    const double background = q_ * total;
-    const double height = p_ - q_;
-    const size_t window = 2 * db_;
-    const size_t lag = window + 1;
-    double prefix = 0.0;
-    size_t add = 0;
-    for (size_t i = 0; i < cols_; ++i) {
-      while (add <= i + window && add < rows_) prefix += z[add++];
-      (*out)[i] = prefix;
-    }
-    kernels::WindowCombine(out->data(), cols_, lag, background, height);
-    const size_t head = std::min(lag, cols_);
-    double p_hi = 0.0;  // P(min(i + 2b, rows - 1))
-    double p_lo = 0.0;  // P(i - 1)
-    size_t hi = 0;
-    for (size_t i = 0; i < head; ++i) {
-      while (hi <= i + window && hi < rows_) p_hi += z[hi++];
-      (*out)[i] = background + height * (p_hi - p_lo);
-      p_lo += z[i];
-    }
-    return;
-  }
-
-  ApplyBands(BuiltBands().transpose, q_ * w_out_, z, out);
+  ApplyBands(BuiltBands().transpose, background_, z, out);
 }
 
 }  // namespace numdist

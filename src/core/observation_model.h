@@ -6,10 +6,10 @@
 // both products collapse to one prefix sum plus O(d + d_out) independent
 // rows, whatever the wave bandwidth. That is the
 // SlidingWindowObservationModel, the operator SwEstimator reconstructs
-// through. The dense model keeps EM
-// usable with arbitrary matrices: the general wave shapes of the fig5 /
-// fig6 ablations, and tests that build the SW matrix themselves to
-// cross-check the analytic operator.
+// through, for both SW pipelines. The dense model keeps EM usable with
+// arbitrary matrices: the general wave shapes of the fig5 ablation, and
+// tests that build the SW matrix themselves to cross-check the analytic
+// operator.
 #pragma once
 
 #include <cstddef>
@@ -74,19 +74,12 @@ class ObservationModel {
                          bool with_log_likelihood) const;
 };
 
-/// \brief Dense fallback: wraps a Matrix, either owned (moved or copied
-/// in) or explicitly borrowed through the pointer constructor (the
-/// caller's matrix must outlive the model; this is what keeps
-/// EstimateEm-from-Matrix from copying an O(d^2) operand per
-/// reconstruction).
+/// \brief Dense fallback: a non-owning view of a Matrix, which must
+/// outlive the model (this is what keeps EstimateEm-from-Matrix from
+/// copying an O(d^2) operand per reconstruction). The pointer spelling
+/// makes the borrow visible at the call site.
 class DenseObservationModel final : public ObservationModel {
  public:
-  /// Owning: stores its own copy of the matrix (moved in from rvalues).
-  explicit DenseObservationModel(Matrix m)
-      : owned_(std::move(m)), m_(owned_) {}
-  /// Non-owning view of `*m`, which must outlive the model. The pointer
-  /// spelling is deliberate: borrowing is visible at the call site, and
-  /// an lvalue Matrix never silently switches from copy to borrow.
   explicit DenseObservationModel(const Matrix* m) : m_(*m) {}
 
   DenseObservationModel(const DenseObservationModel&) = delete;
@@ -103,54 +96,53 @@ class DenseObservationModel final : public ObservationModel {
                  std::vector<double>* weights, std::vector<double>* mtw,
                  bool with_log_likelihood) const override;
 
-  const Matrix& matrix() const { return m_; }
-
  private:
-  Matrix owned_;
   const Matrix& m_;
 };
 
 /// \brief Analytic SW/DSW transition operator: constant background q plus a
 /// shifted box kernel of height p - q (paper §4-5).
 ///
-/// The dense transition matrix is never materialized. Both products are
-/// one fixed-order prefix sum of the input followed by independent rows,
-/// O(d + d_out) in all:
-///  - discrete pipeline: M(j, i) = q + (p - q) [i <= j <= i + 2b], so
-///    y_j = q sum(x) + (p - q) * (window sum over x): a prefix fill, then
-///    the dispatched WindowCombine kernel. It holds parameters only.
+/// The dense transition matrix is never materialized. Both pipelines, in
+/// both directions, run one form: a fixed-order prefix sum P of the input,
+/// then independent banded rows (the dispatched BandRows kernel,
+/// bit-identical across ISA tiers), O(d + d_out) in all:
+///   y_j = background sum(x) + height (P[hi_j] - P[lo_j])
+///         + sum over edge buckets i of c_ji x_i,
+/// [lo_j, hi_j) the interior buckets, all at one height.
+///  - discrete pipeline: M(j, i) = q + (p - q) [i <= j <= i + 2b], so the
+///    background is q, the height p - q, and row j of M is the interior
+///    [max(0, j - 2b), min(j + 1, d)), row i of M^T the interior
+///    [i, i + 2b + 1). Every bucket of a box is interior: no row has edges.
 ///  - continuous pipeline: M(j, i) = q w_out + (p - q) / w_in * overlap(j, i),
 ///    overlap the exact box/rectangle double integral. For output bucket
 ///    j, overlap(j, i) / w_in is the mean over input bucket i of a
 ///    trapezoid in the input coordinate (it rises and falls with slope 1
 ///    over a width h = min(w_out, 2b) each, and is flat at h between), so
-///    in band form
-///      y_j = q w_out sum(x) + (p - q) h (P[hi_j] - P[lo_j])
-///            + sum over edge buckets i of c_ji x_i,
-///    P the prefix sum of x, [lo_j, hi_j) the input buckets inside the
-///    plateau, and the edge buckets those the slopes cross (at most
-///    ceil(h d) + 1 per side). Which bucket is which follows from the
-///    geometry, and each c_ji is integrated in the bucket's own
-///    coordinates, so no coefficient is a difference of large terms. The
-///    transpose has the same form with the two grids swapped (the overlap
-///    integral is symmetric). The rows run as the dispatched BandRows
-///    kernel, bit-identical across ISA tiers.
+///    the background is q w_out, the height (p - q) h, the interior the
+///    input buckets inside the plateau, and the edge buckets those the
+///    slopes cross (at most ceil(h d) + 1 per side). Which bucket is which
+///    follows from the geometry, and each c_ji is integrated in the
+///    bucket's own coordinates, so no coefficient is a difference of large
+///    terms. The transpose has the same form with the two grids swapped
+///    (the overlap integral is symmetric).
 ///
-/// State: the continuous band tables (per row lo, hi, edge-block starts,
-/// edge coefficients; about 130 KB at d = d_out = 1024, eps = 1) are
-/// built by the first product, once, and shared by every live model of
-/// the same shape (d, d_out, p, q, b), copies included. Building a model
+/// State: the band tables (per row lo, hi, edge-block starts and edge
+/// coefficients: 16 bytes a row for the discrete pipeline, about 130 KB
+/// in all at d = d_out = 1024, eps = 1 for the continuous one) are built
+/// by the first product, once, and shared by every live model of the same
+/// shape (pipeline, d, d_out, p, q, b), copies included. Building a model
 /// is O(1), and an encode-only estimator never pays for them. The tables
 /// are a pure function of the shape, so a product gives the same bits
 /// whether or not an earlier call built them. The prefix sums go to a
 /// per-thread workspace.
 ///
-/// Agrees with the dense TransitionMatrix() operator to ~1e-12 absolute
-/// on unit-scale inputs up to d = 1024 (fp regrouping only; the dense
-/// side's own antiderivative differences carry most of it). Concurrent
-/// products from reconstruction threads are safe: the one-time build is
-/// a std::call_once, the shape registry takes a mutex, and a product
-/// writes only its output and its thread's workspace.
+/// Agrees with the dense TransitionMatrix() operators to ~1e-12 absolute
+/// on unit-scale inputs up to d = 1024 (fp regrouping only; on the
+/// continuous side the dense matrix's own antiderivative differences carry
+/// most of it). Concurrent products from reconstruction threads are safe:
+/// the one-time build is a std::call_once, the shape registry takes a
+/// mutex, and a product writes only its output and its thread's workspace.
 class SlidingWindowObservationModel final : public ObservationModel {
  public:
   /// Operator for SquareWave::TransitionMatrix(d_in, d_out) (the
@@ -173,23 +165,26 @@ class SlidingWindowObservationModel final : public ObservationModel {
  private:
   SlidingWindowObservationModel() = default;
 
-  // The continuous pipeline's band tables, built by the first product.
   struct Bands;
   const Bands& BuiltBands() const;
+  // Points bands_ at the registry's tables for this model's shape; `b_key`
+  // is the wave half-width's bits (continuous) or bucket count (discrete).
+  void ShareBands(uint64_t b_key);
 
   bool discrete_ = false;
   size_t rows_ = 0;
   size_t cols_ = 0;
   double p_ = 0.0;
   double q_ = 0.0;
+  double background_ = 0.0;  // per unit of input mass: q w_out, or q
   // Continuous parameters.
   double b_ = 0.0;      // wave half-width
   double w_in_ = 0.0;   // input bucket width (1 / d)
   double w_out_ = 0.0;  // output bucket width ((1 + 2b) / d_out)
   // Discrete parameter: wave half-width in buckets.
   size_t db_ = 0;
-  // Continuous only: shared by every model of this shape; empty tables
-  // until the first product builds them.
+  // Shared by every model of this shape; empty tables until the first
+  // product builds them.
   std::shared_ptr<Bands> bands_;
 };
 

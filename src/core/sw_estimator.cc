@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "common/histogram.h"
-#include "core/bandwidth.h"
-#include "core/ems.h"
 
 namespace numdist {
 
@@ -21,19 +19,12 @@ Result<SwEstimator> SwEstimator::Make(const SwEstimatorOptions& options) {
   }
   const size_t d_out = options.d_out == 0 ? options.d : options.d_out;
 
-  Result<SquareWave> sw = SquareWave::Make(options.epsilon, options.b);
+  Result<SquareWave> sw = SquareWave::Make(options.epsilon);
   if (!sw.ok()) return sw.status();
-
-  // The discrete mechanism's bandwidth is the continuous one scaled to
-  // bucket units (paper §5.4).
-  const int64_t db =
-      options.b < 0.0
-          ? -1
-          : static_cast<int64_t>(
-                std::floor(options.b * static_cast<double>(options.d)));
+  // The discrete mechanism's bandwidth is b*(eps) scaled to bucket units,
+  // floor(b* d) (paper §5.4).
   Result<DiscreteSquareWave> dsw =
-      DiscreteSquareWave::Make(options.epsilon, options.d,
-                               std::max<int64_t>(db, options.b < 0 ? -1 : 0));
+      DiscreteSquareWave::Make(options.epsilon, options.d);
   if (!dsw.ok()) return dsw.status();
 
   // EM runs through the analytic sliding-window operator, which reproduces

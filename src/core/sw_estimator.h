@@ -16,7 +16,9 @@
 
 namespace numdist {
 
-/// Configuration of the end-to-end SW estimator.
+/// Configuration of the end-to-end SW estimator. The wave half-width is
+/// the mutual-information-optimal b*(eps) (§5.3); a sweep over b builds
+/// its own SquareWave.
 struct SwEstimatorOptions {
   /// Privacy budget (> 0).
   double epsilon = 1.0;
@@ -24,8 +26,6 @@ struct SwEstimatorOptions {
   size_t d = 1024;
   /// Number of output (report) buckets; 0 means equal to d (paper default).
   size_t d_out = 0;
-  /// Wave half-width; < 0 selects the mutual-information-optimal b*(eps).
-  double b = -1.0;
   /// Post-processing: EMS (recommended) or plain EM.
   enum class Post { kEms, kEm } post = Post::kEms;
   /// Report pipeline: continuous "randomize before bucketize" (paper's
@@ -52,7 +52,7 @@ class SwEstimator {
  public:
   /// Validates options and builds the estimator. O(1): the transition is
   /// the analytic operator, never a materialized matrix, and its
-  /// per-bucket band tables (continuous pipeline) are built by the first
+  /// per-bucket band tables (either pipeline) are built by the first
   /// reconstruction, so an estimator that only encodes never holds them.
   static Result<SwEstimator> Make(const SwEstimatorOptions& options);
 
@@ -124,9 +124,8 @@ class SwEstimator {
   DiscreteSquareWave dsw_;  // used by the discrete pipeline
   // Analytic q-background + box-kernel view of the transition used by EM:
   // one prefix sum plus O(d + d_out) banded rows per product,
-  // bandwidth-independent, never materialized; the continuous band tables
-  // are built by the first product and shared by copies (see
-  // observation_model.h).
+  // bandwidth-independent, never materialized; the band tables are built
+  // by the first product and shared by copies (see observation_model.h).
   SlidingWindowObservationModel model_;
   EmOptions em_options_;
 };

@@ -94,11 +94,6 @@ double MulAndSum(double* y, const double* x, size_t n) {
 
 void Scale(double* x, double a, size_t n) { Active()->scale(x, a, n); }
 
-void WindowCombine(double* y, size_t n, size_t lag, double background,
-                   double height) {
-  Active()->window_combine(y, n, lag, background, height);
-}
-
 void PrefixSum(const double* x, size_t n, double* out) {
   Active()->prefix_sum(x, n, out);
 }

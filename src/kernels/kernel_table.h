@@ -17,7 +17,6 @@ struct KernelTable {
   void (*axpy)(double*, double, const double*, size_t);
   double (*mul_and_sum)(double*, const double*, size_t);
   void (*scale)(double*, double, size_t);
-  void (*window_combine)(double*, size_t, size_t, double, double);
   void (*prefix_sum)(const double*, size_t, double*);
   void (*band_rows)(const BandRow*, const double*, size_t, size_t,
                     const double*, const double*, double, double, double*);

@@ -14,18 +14,19 @@
 //     4-lane chains) produces — plus a sequential scalar tail for n % 16
 //     leftovers. The scalar build performs the same operations on the
 //     same values in the same order, so both paths round identically.
-//   * Elementwise kernels (Axpy, Scale, WindowCombine, LessThan,
-//     GrrResponseMap) are data-parallel IEEE operations with no
-//     reassociation; vector and scalar lanes compute the same expression
-//     per element. No FMA contraction is used on any path (the kernel
-//     TUs are compiled with -ffp-contract=off), so a fused multiply-add
-//     can never make one path round differently from another.
+//   * Elementwise kernels (Axpy, Scale, LessThan, GrrResponseMap) are
+//     data-parallel IEEE operations with no reassociation; vector and
+//     scalar lanes compute the same expression per element. No FMA
+//     contraction is used on any path (the kernel TUs are compiled with
+//     -ffp-contract=off), so a fused multiply-add can never make one path
+//     round differently from another.
 //   * PrefixSum walks 4-element blocks: an in-block two-step shifted add
 //     (the AVX2 lane shifts, zeros shifted in) plus the running carry,
 //     then a sequential tail. BandRows computes each row independently:
 //     its edge terms in four fixed lanes (two left, two right) reduced as
 //     (l0 + l1) + (r0 + r1), then added to the interior term. The scalar
-//     build performs both in exactly that order.
+//     build performs both in exactly that order. Together they are both
+//     SW observation operators (core/observation_model.h).
 //   * Crc32c is integer arithmetic: the scalar build's table loop is the
 //     reference, and the AVX2 build's SSE4.2 crc32 instruction computes
 //     the same polynomial, so both tiers return the same checksum.
@@ -86,17 +87,6 @@ double MulAndSum(double* y, const double* x, size_t n);
 /// x[i] *= a for i in [0, n).
 void Scale(double* x, double a, size_t n);
 
-/// In-place shifted-window combine over a prefix-sum array, walked from the
-/// top index down: y[j] = background + height * (y[j] - (j >= lag ?
-/// y_before[j - lag] : 0)), where y_before is the array's prior content.
-/// The descending walk makes the update safe in place for any lag >= 1
-/// (the lagged operand at index j - lag < j is never overwritten before it
-/// is read). This is the vector half of the discrete sliding-window
-/// observation model: a sequential prefix pass fills y, this pass turns it
-/// into background-plus-box-kernel responses.
-void WindowCombine(double* y, size_t n, size_t lag, double background,
-                   double height);
-
 /// Exclusive prefix sum: out[0] = 0 and out[k] = x[0] + ... + x[k-1] for k
 /// in [1, n], so `out` holds n + 1 entries and out[n] is the total. The
 /// additions follow the fixed blocked order in the header comment, so
@@ -120,8 +110,10 @@ struct BandRow {
 /// each pair of edge positions is one 4-wide group (left pair, right
 /// pair). `prefix` is PrefixSum of `x`. Every x[left + t] and x[right + t]
 /// with t < k must be in bounds; the odd position past an odd k is not
-/// read from x and adds its (finite) coefficient times 0. The edge terms
-/// accumulate per lane in group order and reduce as (l0 + l1) + (r0 + r1).
+/// read from x and adds its (finite) coefficient times 0. With k = 0 a row
+/// is its interior term alone, and neither `coef` nor `x` is read. The
+/// edge terms accumulate per lane in group order and reduce as
+/// (l0 + l1) + (r0 + r1).
 void BandRows(const BandRow* rows, const double* coef, size_t n_rows,
               size_t k, const double* prefix, const double* x,
               double background, double height, double* y);

@@ -134,32 +134,6 @@ void ScaleAvx2(double* x, double a, size_t n) {
   for (size_t i = n8; i < n; ++i) x[i] *= a;
 }
 
-void WindowCombineAvx2(double* y, size_t n, size_t lag, double background,
-                       double height) {
-  const __m256d bg = _mm256_set1_pd(background);
-  const __m256d h = _mm256_set1_pd(height);
-  size_t j = n;
-  // Descending 4-wide: step handles indices [j-4, j). In-place safety: the
-  // lagged operand ends at j-1-lag < j-4+1 for lag >= 1... more precisely,
-  // every index this step stores ([j-4, j)) is strictly above everything a
-  // LATER (lower-j) step reads, and the lagged reads of THIS step
-  // ([j-4-lag, j-lag)) lie strictly below every index already stored
-  // ([j, n)), so no step ever reads a combined value. Needs the lagged
-  // block fully in bounds: j-4-lag >= 0.
-  while (j >= 4 && j >= lag + 4) {
-    const __m256d cur = _mm256_loadu_pd(y + j - 4);
-    const __m256d lagged = _mm256_loadu_pd(y + j - 4 - lag);
-    _mm256_storeu_pd(
-        y + j - 4,
-        _mm256_add_pd(bg, _mm256_mul_pd(h, _mm256_sub_pd(cur, lagged))));
-    j -= 4;
-  }
-  while (j-- > 0) {
-    const double lagged = j >= lag ? y[j - lag] : 0.0;
-    y[j] = background + height * (y[j] - lagged);
-  }
-}
-
 void PrefixSumAvx2(const double* x, size_t n, double* out) {
   out[0] = 0.0;
   __m256d carry = _mm256_setzero_pd();  // the running total, in every lane
@@ -329,10 +303,10 @@ uint32_t Crc32cAvx2(const void* data, size_t len, uint32_t seed) {
 }
 
 constexpr KernelTable kAvx2Table = {
-    DotAvx2,          SumAvx2,      AxpyAvx2,
-    MulAndSumAvx2,    ScaleAvx2,    WindowCombineAvx2,
-    PrefixSumAvx2,    BandRowsAvx2, LessThanAvx2,
-    GrrResponseMapAvx2, Crc32cAvx2,
+    DotAvx2,       SumAvx2,      AxpyAvx2,
+    MulAndSumAvx2, ScaleAvx2,    PrefixSumAvx2,
+    BandRowsAvx2,  LessThanAvx2, GrrResponseMapAvx2,
+    Crc32cAvx2,
 };
 
 }  // namespace

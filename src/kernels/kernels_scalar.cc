@@ -71,14 +71,6 @@ void ScaleScalar(double* x, double a, size_t n) {
   for (size_t i = 0; i < n; ++i) x[i] *= a;
 }
 
-void WindowCombineScalar(double* y, size_t n, size_t lag, double background,
-                         double height) {
-  for (size_t j = n; j-- > 0;) {
-    const double lagged = j >= lag ? y[j - lag] : 0.0;
-    y[j] = background + height * (y[j] - lagged);
-  }
-}
-
 // Mirrors the AVX2 block: lanes shifted by one then by two positions
 // (zeros shifted in) and added, then the running carry added to all four.
 void PrefixSumScalar(const double* x, size_t n, double* out) {
@@ -173,10 +165,10 @@ uint32_t Crc32cScalar(const void* data, size_t len, uint32_t seed) {
 }
 
 constexpr KernelTable kScalarTable = {
-    DotScalar,          SumScalar,      AxpyScalar,
-    MulAndSumScalar,    ScaleScalar,    WindowCombineScalar,
-    PrefixSumScalar,    BandRowsScalar, LessThanScalar,
-    GrrResponseMapScalar, Crc32cScalar,
+    DotScalar,       SumScalar,      AxpyScalar,
+    MulAndSumScalar, ScaleScalar,    PrefixSumScalar,
+    BandRowsScalar,  LessThanScalar, GrrResponseMapScalar,
+    Crc32cScalar,
 };
 
 }  // namespace

@@ -104,7 +104,6 @@ TEST(KernelDispatchTest, ElementwiseKernelsAreBitExactAcrossIsas) {
       kernels::Axpy(y.data(), 0.21, x1.data(), n);
       const double total = kernels::MulAndSum(y.data(), x0.data(), n);
       kernels::Scale(y.data(), 1.0 / (total + 10.0), n);
-      kernels::WindowCombine(y.data(), n, 3, 0.125, 2.5);
       return y;
     };
     const std::vector<double> scalar = run(Isa::kScalar);
@@ -240,25 +239,6 @@ TEST(KernelDispatchTest, LessThanAndGrrMapAgreeAcrossIsas) {
   }
 }
 
-TEST(KernelDispatchTest, WindowCombineMatchesReference) {
-  for (size_t n : {size_t{1}, size_t{5}, size_t{40}}) {
-    for (size_t lag : {size_t{1}, size_t{3}, size_t{7}, n + 2}) {
-      const std::vector<double> base = RandomVector(n, 97 + n + lag);
-      std::vector<double> got = base;
-      kernels::WindowCombine(got.data(), n, lag, 0.25, 1.75);
-      for (size_t j = 0; j < n; ++j) {
-        const double lagged = j >= lag ? base[j - lag] : 0.0;
-        // The volatile stop keeps the reference un-contracted: under
-        // -march=native the compiler would otherwise fuse this into an
-        // FMA, while the kernel builds are contraction-free by contract.
-        volatile double product = 1.75 * (base[j] - lagged);
-        const double want = 0.25 + product;
-        EXPECT_EQ(got[j], want) << "n=" << n << " lag=" << lag << " j=" << j;
-      }
-    }
-  }
-}
-
 TEST(KernelDispatchTest, GrrResponseMapRealizesTheScheme) {
   // Spot-check the single-draw semantics against a direct evaluation.
   const uint32_t domain = 11;
@@ -305,6 +285,15 @@ TEST(KernelDispatchTest, EstimateEmIsBitIdenticalAcrossIsas) {
   const SquareWave sw = SquareWave::Make(1.0).ValueOrDie();
   const Matrix m = sw.TransitionMatrix(d, d);
   const std::vector<uint64_t> counts = SwCounts(d, 20000, 77);
+  // The discrete pipeline's operator, on DSW reports of the same shape.
+  const DiscreteSquareWave dsw = DiscreteSquareWave::Make(1.0, d).ValueOrDie();
+  Rng dsw_rng(78);
+  std::vector<uint32_t> dsw_reports;
+  for (size_t i = 0; i < 20000; ++i) {
+    dsw_reports.push_back(
+        dsw.Perturb(dsw_rng.Bernoulli(0.5) ? 28 : 67, dsw_rng));
+  }
+  const std::vector<uint64_t> dsw_counts = dsw.AggregateReports(dsw_reports);
   EmOptions opts;
   opts.max_iterations = 40;
   opts.min_iterations = 5;
@@ -318,10 +307,15 @@ TEST(KernelDispatchTest, EstimateEmIsBitIdenticalAcrossIsas) {
         SlidingWindowObservationModel::FromContinuous(sw, d, d);
     estimates.push_back(
         EstimateEm(sliding, counts, opts).ValueOrDie().estimate);
+    estimates.push_back(
+        EstimateEm(SlidingWindowObservationModel::FromDiscrete(dsw),
+                   dsw_counts, opts)
+            .ValueOrDie()
+            .estimate);
     return estimates;
   };
   const auto scalar = reconstruct(Isa::kScalar);
-  const char* model_names[] = {"dense", "sliding"};
+  const char* model_names[] = {"dense", "sliding", "sliding-discrete"};
   for (const Isa isa : kVectorIsas) {
     const auto vector = reconstruct(isa);
     for (size_t k = 0; k < scalar.size(); ++k) {

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <string>
 #include <thread>
 
 #include "common/rng.h"
@@ -18,7 +20,7 @@ TEST(DenseObservationModelTest, MatchesMatrixProducts) {
   m(0, 0) = 1.0;
   m(1, 0) = 2.0;
   m(2, 1) = 3.0;
-  const DenseObservationModel model(m);
+  const DenseObservationModel model(&m);
   EXPECT_EQ(model.rows(), 3u);
   EXPECT_EQ(model.cols(), 2u);
   std::vector<double> y;
@@ -169,11 +171,11 @@ std::vector<double> MakeInput(InputShape shape, size_t n, uint64_t seed) {
   return v;
 }
 
-void ExpectContinuousMatchesDense(const SquareWave& sw, size_t d,
-                                  size_t d_out, double tolerance) {
-  const Matrix m = sw.TransitionMatrix(d, d_out);
-  const SlidingWindowObservationModel model =
-      SlidingWindowObservationModel::FromContinuous(sw, d, d_out);
+// Both products of `model` against the dense `m`, on every input shape.
+void ExpectMatchesDense(const Matrix& m, const ObservationModel& model,
+                        double tolerance) {
+  const size_t d = m.cols();
+  const size_t d_out = m.rows();
   ASSERT_EQ(model.rows(), d_out);
   ASSERT_EQ(model.cols(), d);
   for (const InputShape shape :
@@ -199,6 +201,19 @@ void ExpectContinuousMatchesDense(const SquareWave& sw, size_t d,
   }
 }
 
+void ExpectContinuousMatchesDense(const SquareWave& sw, size_t d,
+                                  size_t d_out, double tolerance) {
+  ExpectMatchesDense(
+      sw.TransitionMatrix(d, d_out),
+      SlidingWindowObservationModel::FromContinuous(sw, d, d_out), tolerance);
+}
+
+// The (eps, d) grid both band forms are checked on.
+const auto kBandGrid =
+    ::testing::Combine(::testing::Values(0.5, 1.0, 4.0, 8.0),
+                       ::testing::Values(size_t{2}, size_t{3}, size_t{16},
+                                         size_t{257}, size_t{1024}));
+
 class ContinuousBandGridTest
     : public ::testing::TestWithParam<std::tuple<double, size_t>> {};
 
@@ -210,11 +225,33 @@ TEST_P(ContinuousBandGridTest, EveryOutputGridMatchesDense) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    EpsTimesD, ContinuousBandGridTest,
-    ::testing::Combine(::testing::Values(0.5, 1.0, 4.0, 8.0),
-                       ::testing::Values(size_t{2}, size_t{3}, size_t{16},
-                                         size_t{257}, size_t{1024})));
+INSTANTIATE_TEST_SUITE_P(EpsTimesD, ContinuousBandGridTest, kBandGrid);
+
+// ------------------------------------------------- discrete band form --
+//
+// The discrete operator's rows are prefix-sum interiors with no edges:
+// row j of M is [max(0, j - 2b), min(j + 1, d)), row i of M^T is
+// [i, i + 2b + 1). Every bandwidth, from GRR (b = 0) to the widest a
+// domain allows (b = d - 1), must match the dense DSW matrix.
+
+class DiscreteBandGridTest
+    : public ::testing::TestWithParam<std::tuple<double, size_t>> {};
+
+TEST_P(DiscreteBandGridTest, EveryBandwidthMatchesDense) {
+  const auto [eps, d] = GetParam();
+  const size_t optimal = DiscreteSquareWave::Make(eps, d).ValueOrDie().b();
+  for (const size_t b : {size_t{0}, size_t{1}, optimal, d - 1}) {
+    SCOPED_TRACE("b=" + std::to_string(b));
+    const DiscreteSquareWave dsw =
+        DiscreteSquareWave::Make(eps, d, static_cast<int64_t>(b))
+            .ValueOrDie();
+    ExpectMatchesDense(dsw.TransitionMatrix(),
+                       SlidingWindowObservationModel::FromDiscrete(dsw),
+                       1e-12);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EpsTimesD, DiscreteBandGridTest, kBandGrid);
 
 TEST(SlidingWindowModelTest, RowsWithNoInteriorBandMatchDense) {
   // At eps = 4 the wave (2b ~ 0.06) is narrower than an output bucket at
@@ -234,46 +271,55 @@ TEST(SlidingWindowModelTest, ProductsAreTheSameBitsOnFirstAndLaterCalls) {
   // The band tables are built by the first product of a model and shared
   // by every live model of its shape. A second call, a copy made before
   // the build, tables built again once no model of the shape is left, and
-  // threads racing to build them all give the same bits.
+  // threads racing to build them all give the same bits, in both
+  // pipelines.
   const SquareWave sw = SquareWave::Make(1.0).ValueOrDie();
-  const size_t d = 300;
-  const size_t d_out = 451;
-  const std::vector<double> x = MakeInput(InputShape::kUniform, d, 1);
-  const std::vector<double> z = MakeInput(InputShape::kUniform, d_out, 2);
-  const auto products = [&](const SlidingWindowObservationModel& model) {
-    std::vector<double> y;
-    std::vector<double> xt;
-    model.Apply(x, &y);
-    model.ApplyTranspose(z, &xt);
-    y.insert(y.end(), xt.begin(), xt.end());
-    return y;
+  const DiscreteSquareWave dsw =
+      DiscreteSquareWave::Make(1.0, 300).ValueOrDie();
+  const std::function<SlidingWindowObservationModel()> pipelines[] = {
+      [&sw] {
+        return SlidingWindowObservationModel::FromContinuous(sw, 300, 451);
+      },
+      [&dsw] { return SlidingWindowObservationModel::FromDiscrete(dsw); },
   };
-  std::vector<double> want;
-  const auto same_bits = [&](const std::vector<double>& got) {
-    return got.size() == want.size() &&
-           std::memcmp(got.data(), want.data(),
-                       want.size() * sizeof(double)) == 0;
-  };
-  {
-    const SlidingWindowObservationModel first =
-        SlidingWindowObservationModel::FromContinuous(sw, d, d_out);
-    const SlidingWindowObservationModel copy = first;  // before any product
-    want = products(first);
-    EXPECT_TRUE(same_bits(products(first)));
-    EXPECT_TRUE(same_bits(products(copy)));
-    EXPECT_TRUE(same_bits(products(
-        SlidingWindowObservationModel::FromContinuous(sw, d, d_out))));
+  for (const auto& make : pipelines) {
+    const size_t d = make().cols();
+    const size_t d_out = make().rows();
+    SCOPED_TRACE("d_out=" + std::to_string(d_out));
+    const std::vector<double> x = MakeInput(InputShape::kUniform, d, 1);
+    const std::vector<double> z = MakeInput(InputShape::kUniform, d_out, 2);
+    const auto products = [&](const SlidingWindowObservationModel& model) {
+      std::vector<double> y;
+      std::vector<double> xt;
+      model.Apply(x, &y);
+      model.ApplyTranspose(z, &xt);
+      y.insert(y.end(), xt.begin(), xt.end());
+      return y;
+    };
+    std::vector<double> want;
+    const auto same_bits = [&](const std::vector<double>& got) {
+      return got.size() == want.size() &&
+             std::memcmp(got.data(), want.data(),
+                         want.size() * sizeof(double)) == 0;
+    };
+    {
+      const SlidingWindowObservationModel first = make();
+      const SlidingWindowObservationModel copy = first;  // before any product
+      want = products(first);
+      EXPECT_TRUE(same_bits(products(first)));
+      EXPECT_TRUE(same_bits(products(copy)));
+      EXPECT_TRUE(same_bits(products(make())));
+    }
+    const SlidingWindowObservationModel rebuilt = make();
+    std::vector<std::vector<double>> got(4);
+    std::vector<std::thread> threads;
+    for (auto& out : got) {
+      threads.emplace_back(
+          [&rebuilt, &products, &out] { out = products(rebuilt); });
+    }
+    for (std::thread& t : threads) t.join();
+    for (const auto& out : got) EXPECT_TRUE(same_bits(out));
   }
-  const SlidingWindowObservationModel rebuilt =
-      SlidingWindowObservationModel::FromContinuous(sw, d, d_out);
-  std::vector<std::vector<double>> got(4);
-  std::vector<std::thread> threads;
-  for (auto& out : got) {
-    threads.emplace_back(
-        [&rebuilt, &products, &out] { out = products(rebuilt); });
-  }
-  for (std::thread& t : threads) t.join();
-  for (const auto& out : got) EXPECT_TRUE(same_bits(out));
 }
 
 TEST(SlidingWindowModelTest, GrrDegenerateDiscreteBandwidth) {

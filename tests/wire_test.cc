@@ -256,17 +256,23 @@ size_t ResidentBytes() {
 
 TEST(WireRoundTrip, EncodingAtTheLargestGranularityBuildsNoPerBucketState) {
   // A protocol that only encodes must not pay for reconstruction state:
-  // the SW operator's band tables (over 100 MB at d = 2^20) are built by
+  // the SW operator's band tables (over 100 MB at d = 2^20 for the
+  // continuous pipeline, about 40 MB for the discrete one) are built by
   // the first product, not by the protocol.
   const std::vector<double> values = TestValues(500);
   const size_t before = ResidentBytes();
   ASSERT_GT(before, 0u);
+  SwEstimatorOptions discrete;
+  discrete.epsilon = 1.0;
+  discrete.d = wire::kMaxGranularity;
+  discrete.pipeline = SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize;
   std::vector<ProtocolPtr> protocols;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < 5; ++i) {
     const auto spec = wire::ParseMethodSpec("sw-ems", 1.0,
                                             wire::kMaxGranularity)
                           .ValueOrDie();
-    protocols.push_back(wire::MakeProtocolForSpec(spec).ValueOrDie());
+    protocols.push_back(i < 4 ? wire::MakeProtocolForSpec(spec).ValueOrDie()
+                              : MakeSwProtocol(discrete).ValueOrDie());
     Rng rng(11 + i);
     auto chunk = protocols.back()->EncodePerturbBatch(values, rng).ValueOrDie();
     std::string frame;
